@@ -1,14 +1,14 @@
-//! Macro benchmark of the batched lockstep campaign engine: K=8
-//! replicate lanes of one 8×8 cell run serially (each lane rebuilds its
-//! tables and recomputes every post-fault reroute) versus as one
-//! `Experiment::run_batch` lockstep group (route/neighbor tables built
-//! once, each up*/down* reroute computed once and shared through the
-//! `FaultRouteCache`).
+//! Macro benchmark of shared-table replicate groups: K=8 replicate
+//! lanes of one 8×8 cell run serially (each lane rebuilds its tables and
+//! recomputes every post-fault reroute) versus as one
+//! `Experiment::run_batch` group (lanes still run one after another, but
+//! route/neighbor tables are built once and each up*/down* reroute is
+//! computed once and shared through the `FaultRouteCache`).
 //!
 //! The cell is fault-churn heavy — a long schedule of link failures
-//! spread across the simulated window — because that is the regime the
-//! batched engine exists for: degradation sweeps where per-event
-//! reroute computation, not per-cycle packet motion, dominates.
+//! spread across the simulated window — because that is the regime
+//! table sharing exists for: degradation sweeps where per-event reroute
+//! computation, not per-cycle packet motion, dominates.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use noc_fault::hardfault::HardFaultSchedule;
@@ -63,8 +63,8 @@ fn lanes() -> Vec<Experiment> {
 }
 
 /// K fault-free replicate lanes: the sim-dominated regime where the
-/// shared `FaultRouteCache` buys nothing and all lockstep gains must
-/// come from the fused SoA cycle kernel itself.
+/// shared `FaultRouteCache` buys nothing, so the cell tracks the
+/// per-lane cost of the cycle kernel itself.
 fn fault_free_lanes(k: u64) -> Vec<Experiment> {
     (0..k)
         .map(|i| {
@@ -91,7 +91,7 @@ fn bench_campaign_batched(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    group.bench_function("lockstep_8x8_k8", |b| {
+    group.bench_function("shared_8x8_k8", |b| {
         b.iter_batched(lanes, Experiment::run_batch, BatchSize::LargeInput)
     });
     // Width sweep over the fault-free regime: tracks the per-lane cost

@@ -26,18 +26,6 @@ fn bench_crc(c: &mut Criterion) {
     c.bench_function("crc32_checksum_67B", |b| {
         b.iter(|| crc.checksum(black_box(&buf)))
     });
-    // Eight replicate-lane payloads through the word-parallel batch
-    // kernel — the per-lane cost should undercut eight scalar calls.
-    let lanes: Vec<[u64; 2]> = (0..8u64)
-        .map(|i| [i.wrapping_mul(0x9E37_79B9), !i])
-        .collect();
-    c.bench_function("crc32_words_batch8", |b| {
-        let mut out = [0u32; 8];
-        b.iter(|| {
-            crc.checksum_words_batch(black_box(&lanes), &mut out);
-            out[7]
-        })
-    });
 }
 
 fn bench_secded(c: &mut Criterion) {
@@ -51,25 +39,6 @@ fn bench_secded(c: &mut Criterion) {
     let flipped = clean.with_bit_flipped(17);
     c.bench_function("secded64_decode_corrects", |b| {
         b.iter(|| black_box(flipped).decode())
-    });
-    // Eight replicate-lane words through the batch encode/decode
-    // kernels (four-lane word-parallel groups).
-    let words: Vec<u64> = (0..8u64).map(|i| i.wrapping_mul(0xBF58_476D)).collect();
-    c.bench_function("secded64_encode_batch8", |b| {
-        let mut out = [Secded64::encode(0); 8];
-        b.iter(|| {
-            Secded64::encode_batch(black_box(&words), &mut out);
-            out[7]
-        })
-    });
-    let mut codewords = [Secded64::encode(0); 8];
-    Secded64::encode_batch(&words, &mut codewords);
-    c.bench_function("secded64_decode_batch8", |b| {
-        let mut out = [noc_coding::hamming::DecodeOutcome::DoubleError; 8];
-        b.iter(|| {
-            Secded64::decode_batch(black_box(&codewords), &mut out);
-            out[7]
-        })
     });
     c.bench_function("secded32_encode", |b| {
         b.iter(|| Secded32::encode(black_box(0xC0DE_F00D)))
@@ -88,18 +57,6 @@ fn bench_fault_draw(c: &mut Criterion) {
     let mut scalar = FaultInjector::new(7);
     c.bench_function("fault_draw_threshold", |b| {
         b.iter(|| scalar.sample_flips_at(&model, black_box(threshold)))
-    });
-    // Eight replicate lanes through the batched threshold-compare
-    // kernel — one RNG word + integer compare per lane, flip-weight
-    // draws only on the rare accepted lanes.
-    let mut lanes: Vec<FaultInjector> = (0..8).map(FaultInjector::new).collect();
-    let thresholds = [threshold; 8];
-    c.bench_function("fault_draw_batch8", |b| {
-        let mut out = [0u8; 8];
-        b.iter(|| {
-            FaultInjector::sample_flips_batch(&mut lanes, &model, black_box(&thresholds), &mut out);
-            out[7]
-        })
     });
 }
 

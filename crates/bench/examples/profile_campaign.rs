@@ -89,7 +89,7 @@ fn lanes(k: u64) -> Vec<Experiment> {
 }
 
 fn main() {
-    // Lockstep with telemetry: aggregate phase sums across 8 lanes
+    // One shared-table group with telemetry: aggregate phase sums across 8 lanes
     // (first lane computes each reroute, later lanes hit the cache).
     {
         let tel = Telemetry::enabled();
@@ -118,7 +118,7 @@ fn main() {
             .collect();
         let t0 = Instant::now();
         let _r = Experiment::run_batch(ls);
-        println!("lockstep8 with telemetry: {:?}", t0.elapsed());
+        println!("shared8 with telemetry: {:?}", t0.elapsed());
         for name in [
             "sim.phase.process_events",
             "sim.phase.inject",
@@ -137,18 +137,19 @@ fn main() {
         }
     }
 
-    // Batch decomposition: serial vs lockstep over 3 reps each.
+    // Batch decomposition: serial vs one shared-table group (and a
+    // singleton group, i.e. the sharing overhead alone) over 3 reps each.
     for _ in 0..3 {
         let t0 = Instant::now();
         let _r: Vec<_> = lanes(8).into_iter().map(Experiment::run).collect();
         let serial = t0.elapsed();
         let t0 = Instant::now();
         let _r = Experiment::run_batch(lanes(8));
-        let lockstep = t0.elapsed();
+        let shared = t0.elapsed();
         let t0 = Instant::now();
         let _r = Experiment::run_batch(lanes(1));
         let k1 = t0.elapsed();
-        println!("serial8 {serial:?}  lockstep8 {lockstep:?}  lockstep1 {k1:?}");
+        println!("serial8 {serial:?}  shared8 {shared:?}  shared1 {k1:?}");
     }
 
     // Pass 0: fault-free lane for comparison.

@@ -7,7 +7,7 @@
 //! more than its class tolerance:
 //!
 //! * **macro** (`network_cycle*` whole-network cycles and
-//!   `campaign_batched*` lockstep campaign groups): default 20%,
+//!   `campaign_batched*` shared-table replicate groups): default 20%,
 //!   override with `BENCH_GATE_TOLERANCE=0.30` etc.
 //! * **micro** (everything else — nanosecond kernels like
 //!   `crc32_flit_checksum` or `secded64_encode`): default 30% to
@@ -24,20 +24,8 @@
 use std::process::ExitCode;
 
 /// Prefixes selecting the macro-class benchmarks: whole-network cycle
-/// loops and batched-campaign lockstep groups.
+/// loops and shared-table replicate groups.
 const MACRO_PREFIXES: [&str; 2] = ["network_cycle", "campaign_batched"];
-
-/// Word-parallel batch kernels that must genuinely amortize over their
-/// scalar counterparts: `(batch cell, scalar cell, lanes, min ratio)`.
-/// The gate requires `lanes * scalar_ns / batch_ns >= min_ratio` in the
-/// *current* measurement, so a refactor that quietly serializes a batch
-/// kernel back to scalar speed fails CI even if its absolute time still
-/// sits inside the regression tolerance. Floors sit well under the
-/// measured ratios (~1.4x encode, ~2x decode) to absorb runner jitter.
-const BATCH_RATIOS: [(&str, &str, f64, f64); 2] = [
-    ("secded64_encode_batch8", "secded64_encode", 8.0, 1.10),
-    ("secded64_decode_batch8", "secded64_decode_clean", 8.0, 1.30),
-];
 
 /// Parses the flat `{"name": median_ns, ...}` object the in-tree
 /// Criterion shim writes for `CRITERION_JSON`. Hand-rolled (the
@@ -125,28 +113,6 @@ fn main() -> ExitCode {
             None => {
                 failed = true;
                 println!("  [FAIL] ({class}) {name}: missing from {current_path}");
-            }
-        }
-    }
-
-    for (batch, scalar, lanes, min_ratio) in BATCH_RATIOS {
-        match (lookup(&current, batch), lookup(&current, scalar)) {
-            (Some(b), Some(s)) if b > 0.0 => {
-                let ratio = lanes * s / b;
-                let verdict = if ratio < min_ratio {
-                    failed = true;
-                    "FAIL"
-                } else {
-                    "ok"
-                };
-                println!(
-                    "  [{verdict:4}] (batch) {batch}: {ratio:.2}x over {lanes:.0} x \
-                     {scalar} (floor {min_ratio:.2}x)"
-                );
-            }
-            _ => {
-                failed = true;
-                println!("  [FAIL] (batch) {batch} / {scalar}: missing from {current_path}");
             }
         }
     }

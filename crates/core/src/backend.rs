@@ -20,7 +20,7 @@ use crate::protocol::FaultTolerantProtocol;
 use noc_fault::timing::TimingErrorModel;
 use noc_fault::variation::VariationMap;
 use noc_sim::config::NocConfig;
-use noc_sim::network::{HardFaultEvent, Network, SharedTables};
+use noc_sim::network::{HardFaultEvent, Network};
 use noc_sim::stats::{EventCounters, NetworkStats, RouterEpochStats};
 use noc_sim::topology::NodeId;
 use rlnoc_telemetry::Telemetry;
@@ -107,39 +107,6 @@ pub trait SimBackend {
     fn set_utilizations(&mut self, utils: &[f64]);
 }
 
-/// A [`SimBackend`] whose replicate lanes can share immutable tables.
-///
-/// `BatchSim` — the batched execution engine behind
-/// [`Experiment::run_batch`](crate::experiment::Experiment::run_batch)
-/// — steps K lanes of one campaign cell in lockstep. Lanes differ only
-/// in their seeds, so everything derived from the topology and the
-/// hard-fault schedule (route tables, neighbor tables, post-fault
-/// reroute tables) is identical across lanes and is built once per
-/// batch through [`make_shared`](Self::make_shared). The sharing must
-/// be invisible: a backend built by
-/// [`build_with_shared`](Self::build_with_shared) must be byte-
-/// identical in behavior to one built by [`SimBackend::build`] — the
-/// lane-equivalence test wall checks exactly this.
-pub trait BatchSimBackend: SimBackend + Sized {
-    /// Immutable state shared by every lane of a batch. Cloning must be
-    /// cheap (reference-counted) and must alias, not copy.
-    type Shared: Clone;
-
-    /// Builds the shared tables for one campaign cell's topology.
-    fn make_shared(noc: &NocConfig) -> Self::Shared;
-
-    /// [`SimBackend::build`], but aliasing `shared` instead of
-    /// rebuilding per-lane copies of the immutable tables.
-    fn build_with_shared(
-        shared: &Self::Shared,
-        noc: NocConfig,
-        timing: TimingErrorModel,
-        variation: VariationMap,
-        protocol_seed: u64,
-        network_seed: u64,
-    ) -> Self;
-}
-
 /// The production backend: the optimized kernel behind every figure.
 impl SimBackend for Network<FaultTolerantProtocol> {
     fn build(
@@ -219,25 +186,5 @@ impl SimBackend for Network<FaultTolerantProtocol> {
 
     fn set_utilizations(&mut self, utils: &[f64]) {
         self.protocol_mut().set_utilizations(utils);
-    }
-}
-
-impl BatchSimBackend for Network<FaultTolerantProtocol> {
-    type Shared = SharedTables;
-
-    fn make_shared(noc: &NocConfig) -> SharedTables {
-        SharedTables::new(noc.mesh)
-    }
-
-    fn build_with_shared(
-        shared: &SharedTables,
-        noc: NocConfig,
-        timing: TimingErrorModel,
-        variation: VariationMap,
-        protocol_seed: u64,
-        network_seed: u64,
-    ) -> Self {
-        let protocol = FaultTolerantProtocol::new(noc.mesh, timing, variation, protocol_seed);
-        Network::with_shared(noc, protocol, network_seed, shared)
     }
 }

@@ -16,8 +16,8 @@
 //! The closed loop — traffic → power → temperature → timing errors →
 //! retransmissions → traffic — is exactly the paper's evaluation system.
 
-use crate::backend::{BatchSimBackend, SimBackend};
-use crate::benchmarks::{ProfileSource, WorkloadProfile};
+use crate::backend::SimBackend;
+use crate::benchmarks::WorkloadProfile;
 use crate::controller::{ControllerBank, DtSample, DtThresholds};
 use crate::modes::OperationMode;
 use crate::protocol::FaultTolerantProtocol;
@@ -29,7 +29,7 @@ use noc_power::area::RouterVariant;
 use noc_power::energy::{EnergyModel, StaticConfig};
 use noc_rl::state::RouterFeatures;
 use noc_sim::config::NocConfig;
-use noc_sim::network::{HardFaultEvent, HardFaultKind, Network};
+use noc_sim::network::{HardFaultEvent, HardFaultKind, Network, SharedTables};
 use noc_sim::stats::EventCounters;
 use noc_sim::topology::{Direction, Topo};
 use noc_sim::traffic::{SyntheticSource, TrafficPattern, TrafficSource};
@@ -418,97 +418,57 @@ impl Experiment {
 
     /// [`run_inspect`](Self::run_inspect) on an alternative backend.
     pub fn run_inspect_with_backend<B: SimBackend>(self) -> (ExperimentReport, RunArtifacts) {
-        let mut runner = Runner::<B>::new(self.cfg);
-        let report = runner.run();
-        (
-            report,
-            RunArtifacts {
-                controllers: runner.controllers,
-                temperatures: runner.thermal.temperatures().to_vec(),
-            },
-        )
+        Runner::<B>::new(self.cfg).run()
     }
 
-    /// `BatchSim`: runs K replicate lanes in blocked lockstep on the
-    /// production backend, returning one report per lane in input
-    /// order. Lanes share the immutable tables (routes, neighbors,
-    /// post-fault reroutes) of their campaign cell but keep fully
-    /// independent mutable state and RNG streams, so every lane's
-    /// report is byte-identical to running that lane alone — the
-    /// lane-equivalence test wall pins this.
+    /// Runs replicate lanes one after another on the production
+    /// backend, returning one report per lane in input order. Lanes of
+    /// one campaign cell share the immutable tables (routes, neighbors,
+    /// post-fault reroutes) but keep fully independent mutable state and
+    /// RNG streams, so every lane's report is byte-identical to running
+    /// that lane alone — the lane-equivalence test wall pins this.
     pub fn run_batch(lanes: Vec<Experiment>) -> Vec<ExperimentReport> {
         Self::run_batch_inspect(lanes)
-            .into_iter()
             .map(|(report, _)| report)
             .collect()
     }
 
-    /// [`run_batch`](Self::run_batch) with per-lane artifacts.
-    pub fn run_batch_inspect(lanes: Vec<Experiment>) -> Vec<(ExperimentReport, RunArtifacts)> {
-        Self::run_batch_inspect_with_backend::<Network<FaultTolerantProtocol>>(lanes)
-    }
-
-    /// [`run_batch_inspect`](Self::run_batch_inspect) on an alternative
-    /// lane-capable backend.
-    pub fn run_batch_inspect_with_backend<B: BatchSimBackend>(
+    /// [`run_batch`](Self::run_batch) with per-lane artifacts, yielded
+    /// as each lane finishes: a lane's network is built just before it
+    /// runs and dropped before the next one starts, so a consumer can
+    /// persist finished lanes while later ones are still to run.
+    pub fn run_batch_inspect(
         lanes: Vec<Experiment>,
-    ) -> Vec<(ExperimentReport, RunArtifacts)> {
-        // One shared-table set per distinct (mesh, hard-fault schedule)
-        // pair; replicate lanes of one campaign cell all alias the first
-        // entry. The key is semantic (the rendered schedule), so a mixed
-        // batch degrades to per-group sharing instead of misbehaving.
-        let mut shared: Vec<((Topo, String), B::Shared)> = Vec::new();
-        let mut runners: Vec<Runner<B>> = lanes
-            .into_iter()
-            .map(|lane| {
-                let key = (
-                    lane.cfg.noc.mesh,
-                    lane.cfg
-                        .hard_faults
-                        .as_ref()
-                        .map(|s| s.to_text())
-                        .unwrap_or_default(),
-                );
-                let tables = match shared.iter().find(|(k, _)| *k == key) {
-                    Some((_, tables)) => tables.clone(),
-                    None => {
-                        let tables = B::make_shared(&lane.cfg.noc);
-                        shared.push((key, tables.clone()));
-                        tables
-                    }
-                };
-                Runner::<B>::new_batched(lane.cfg, &tables)
-            })
-            .collect();
-        // Blocked lockstep: every sweep advances each unfinished lane
-        // by at most one control epoch, so the lanes' working sets stay
-        // resident together while each lane still executes its own
-        // serial schedule exactly.
-        let mut reports: Vec<Option<ExperimentReport>> = (0..runners.len()).map(|_| None).collect();
-        let mut unfinished = runners.len();
-        while unfinished > 0 {
-            for (lane, runner) in runners.iter_mut().enumerate() {
-                if reports[lane].is_none() {
-                    if let Some(report) = runner.advance() {
-                        reports[lane] = Some(report);
-                        unfinished -= 1;
-                    }
+    ) -> impl Iterator<Item = (ExperimentReport, RunArtifacts)> {
+        // One shared-table set per distinct (topology, hard-fault
+        // schedule) pair; replicate lanes of one campaign cell all alias
+        // the first entry. The key is semantic (the rendered schedule),
+        // so a mixed batch degrades to per-group sharing instead of
+        // misbehaving.
+        let mut shared: Vec<((Topo, String), SharedTables)> = Vec::new();
+        lanes.into_iter().map(move |lane| {
+            let cfg = lane.cfg;
+            let key = (
+                cfg.noc.mesh,
+                cfg.hard_faults
+                    .as_ref()
+                    .map(|s| s.to_text())
+                    .unwrap_or_default(),
+            );
+            let group = match shared.iter().position(|(k, _)| *k == key) {
+                Some(group) => group,
+                None => {
+                    shared.push((key, SharedTables::new(cfg.noc.mesh)));
+                    shared.len() - 1
                 }
-            }
-        }
-        runners
-            .into_iter()
-            .zip(reports)
-            .map(|(runner, report)| {
-                (
-                    report.expect("every lane ran to completion"),
-                    RunArtifacts {
-                        controllers: runner.controllers,
-                        temperatures: runner.thermal.temperatures().to_vec(),
-                    },
-                )
-            })
-            .collect()
+            };
+            let (timing, variation) = fault_substrate(&cfg);
+            let protocol =
+                FaultTolerantProtocol::new(cfg.noc.mesh, timing, variation, cfg.seed ^ 0x5EED_0002);
+            let net =
+                Network::with_shared(cfg.noc, protocol, cfg.seed ^ 0x5EED_0003, &shared[group].1);
+            Runner::with_net(cfg, net).run()
+        })
     }
 }
 
@@ -645,52 +605,6 @@ fn hard_fault_events(schedule: &HardFaultSchedule) -> Vec<HardFaultEvent> {
         .collect()
 }
 
-/// One pre-training drive segment: an optional fleet-forcing change
-/// applied on entry, then `cycles` driven cycles. The curriculum's
-/// random block schedule is materialized up front — with the same RNG
-/// and draw order as the loop it replaces — so a run can be advanced
-/// in epoch-sized slices without replaying the RNG mid-flight.
-struct PretrainSeg {
-    /// `Some(Some(m))` forces the fleet to mode `m`, `Some(None)`
-    /// releases the forcing, `None` leaves it untouched.
-    set_forced: Option<Option<OperationMode>>,
-    cycles: u64,
-}
-
-/// Resumable run position. Each [`Runner::advance`] call performs at
-/// most one control epoch's worth of cycles and moves this machine one
-/// step, so K replicate lanes can interleave the exact serial schedule
-/// in blocked lockstep (see [`Experiment::run_batch`]).
-enum RunState {
-    /// Nothing has happened yet; the next `advance` opens the run.
-    Start,
-    /// Driving synthetic pre-training traffic through `segs[seg]`.
-    Pretrain {
-        source: SyntheticSource,
-        segs: Vec<PretrainSeg>,
-        seg: usize,
-        done_in_seg: u64,
-    },
-    /// Driving synthetic warm-up traffic (`source` is `None` when the
-    /// configuration asks for zero warm-up cycles).
-    Warmup {
-        source: Option<SyntheticSource>,
-        done: u64,
-    },
-    /// Draining leftovers between warm-up and measurement.
-    WarmupDrain { round: u64 },
-    /// Driving the measured workload window.
-    Measure {
-        source: ProfileSource,
-        window: u64,
-        done: u64,
-    },
-    /// Final drain; its completion assembles the report.
-    MeasureDrain { round: u64 },
-    /// The report has been produced; `advance` must not be called.
-    Done,
-}
-
 /// Internal run state, generic over the data-plane kernel (see
 /// [`SimBackend`]).
 struct Runner<B: SimBackend> {
@@ -718,13 +632,6 @@ struct Runner<B: SimBackend> {
     telemetry: Telemetry,
     run_id: RunId,
     phase: Phase,
-    state: RunState,
-    /// Cycle count when the run opened (for telemetry span length).
-    start_cycle: u64,
-    /// Cycle count when the measurement phase opened.
-    measure_start: u64,
-    /// Synthetic pre-training/warm-up injection rate, resolved at start.
-    synthetic_rate: f64,
 }
 
 /// The per-lane fault-substrate inputs — process-variation map and
@@ -740,23 +647,6 @@ fn fault_substrate(cfg: &ExperimentBuilder) -> (TimingErrorModel, VariationMap) 
         cfg.seed ^ 0x5EED_0001,
     );
     (TimingErrorModel::new(cfg.timing), variation)
-}
-
-impl<B: BatchSimBackend> Runner<B> {
-    /// [`Runner::new`] for one lane of a batch: identical except the
-    /// backend aliases `shared` instead of building its own tables.
-    fn new_batched(cfg: ExperimentBuilder, shared: &B::Shared) -> Self {
-        let (timing, variation) = fault_substrate(&cfg);
-        let net = B::build_with_shared(
-            shared,
-            cfg.noc,
-            timing,
-            variation,
-            cfg.seed ^ 0x5EED_0002,
-            cfg.seed ^ 0x5EED_0003,
-        );
-        Self::with_net(cfg, net)
-    }
 }
 
 impl<B: SimBackend> Runner<B> {
@@ -844,10 +734,6 @@ impl<B: SimBackend> Runner<B> {
             telemetry,
             run_id: RunId::DISABLED,
             phase: Phase::Measure,
-            state: RunState::Start,
-            start_cycle: 0,
-            measure_start: 0,
-            synthetic_rate: 0.0,
         };
         runner.net.set_telemetry(&runner.telemetry);
         runner.controllers.set_telemetry(&runner.telemetry);
@@ -858,126 +744,19 @@ impl<B: SimBackend> Runner<B> {
         runner
     }
 
-    fn run(&mut self) -> ExperimentReport {
-        loop {
-            if let Some(report) = self.advance() {
-                return report;
-            }
-        }
-    }
-
-    /// Advances the run by one bounded slice — at most one control
-    /// epoch's worth of cycles — returning the report once the final
-    /// drain completes. The slice boundaries are invisible to the
-    /// simulation: `drive` carries no cross-iteration state, so driving
-    /// N cycles in epoch-sized chunks is byte-identical to one N-cycle
-    /// call. Batched lanes rely on exactly that to interleave.
-    fn advance(&mut self) -> Option<ExperimentReport> {
-        let state = std::mem::replace(&mut self.state, RunState::Done);
-        let (state, report) = self.step_state(state);
-        self.state = state;
-        report
-    }
-
-    fn step_state(&mut self, state: RunState) -> (RunState, Option<ExperimentReport>) {
-        match state {
-            RunState::Start => (self.begin(), None),
-            RunState::Pretrain {
-                mut source,
-                segs,
-                mut seg,
-                mut done_in_seg,
-            } => loop {
-                let Some(s) = segs.get(seg) else {
-                    break (self.finish_pretrain(), None);
-                };
-                let (set_forced, total) = (s.set_forced, s.cycles);
-                if done_in_seg == 0 {
-                    if let Some(forced) = set_forced {
-                        self.controllers.set_forced_mode(forced);
-                    }
-                }
-                if done_in_seg >= total {
-                    seg += 1;
-                    done_in_seg = 0;
-                    continue;
-                }
-                let chunk = (total - done_in_seg).min(self.cfg.epoch_cycles);
-                self.drive(chunk, Some(&mut source), true);
-                done_in_seg += chunk;
-                break (
-                    RunState::Pretrain {
-                        source,
-                        segs,
-                        seg,
-                        done_in_seg,
-                    },
-                    None,
-                );
-            },
-            RunState::Warmup { mut source, done } => match source.as_mut() {
-                Some(src) if done < self.cfg.warmup_cycles => {
-                    let chunk = (self.cfg.warmup_cycles - done).min(self.cfg.epoch_cycles);
-                    self.drive(chunk, Some(src as &mut dyn TrafficSource), false);
-                    (
-                        RunState::Warmup {
-                            source,
-                            done: done + chunk,
-                        },
-                        None,
-                    )
-                }
-                // Drain leftovers, then clear the books.
-                _ => (RunState::WarmupDrain { round: 0 }, None),
-            },
-            RunState::WarmupDrain { round } => match self.drain_round(round) {
-                None => (RunState::WarmupDrain { round: round + 1 }, None),
-                Some(_) => (self.begin_measure(), None),
-            },
-            RunState::Measure {
-                mut source,
-                window,
-                done,
-            } => {
-                if done < window {
-                    let chunk = (window - done).min(self.cfg.epoch_cycles);
-                    self.drive(chunk, Some(&mut source), false);
-                    (
-                        RunState::Measure {
-                            source,
-                            window,
-                            done: done + chunk,
-                        },
-                        None,
-                    )
-                } else {
-                    (RunState::MeasureDrain { round: 0 }, None)
-                }
-            }
-            RunState::MeasureDrain { round } => match self.drain_round(round) {
-                None => (RunState::MeasureDrain { round: round + 1 }, None),
-                Some(drained) => {
-                    // Account the final partial epoch.
-                    self.control_epoch(false);
-                    (RunState::Done, Some(self.assemble_report(drained)))
-                }
-            },
-            RunState::Done => panic!("Runner::advance called after the run completed"),
-        }
-    }
-
-    /// `Start` transition: opens telemetry, latches the run origin, and
-    /// plans phase 1 — pre-training (learning schemes). The synthetic
-    /// traffic intensity tracks the workload's mean so the visited
-    /// state bins match the measurement phase.
-    fn begin(&mut self) -> RunState {
+    /// Runs the paper's flow to completion — pre-train, warm up, measure,
+    /// drain — and hands back the report with the end-of-run artifacts.
+    fn run(mut self) -> (ExperimentReport, RunArtifacts) {
         self.run_id = self.telemetry.begin_run(&format!(
             "{}/{}/seed{}",
             self.cfg.scheme, self.cfg.workload.name, self.cfg.seed
         ));
-        self.start_cycle = self.net.cycle();
+        let start_cycle = self.net.cycle();
         self.phase = Phase::Pretrain;
-        self.synthetic_rate = self
+        // Phase 1: pre-training (learning schemes). The synthetic traffic
+        // intensity tracks the workload's mean so the visited state bins
+        // match the measurement phase.
+        let synthetic_rate = self
             .cfg
             .pretrain_rate
             .unwrap_or_else(|| self.cfg.workload.mean_injection_rate().clamp(0.002, 0.03));
@@ -987,30 +766,64 @@ impl<B: SimBackend> Runner<B> {
             && self.cfg.pretrain_cycles > 0
             && self.cfg.rl_policy.is_none()
         {
-            RunState::Pretrain {
-                source: SyntheticSource::new(
-                    self.cfg.noc.mesh,
-                    TrafficPattern::UniformRandom,
-                    self.synthetic_rate,
-                    self.cfg.seed ^ 0x5EED_0005,
-                ),
-                segs: self.pretrain_plan(),
-                seg: 0,
-                done_in_seg: 0,
+            let mut source = SyntheticSource::new(
+                self.cfg.noc.mesh,
+                TrafficPattern::UniformRandom,
+                synthetic_rate,
+                self.cfg.seed ^ 0x5EED_0005,
+            );
+            if self.controllers.is_rl() && self.cfg.rl_curriculum {
+                self.pretrain_curriculum(&mut source);
+            } else {
+                self.drive(self.cfg.pretrain_cycles, Some(&mut source), true);
             }
-        } else {
-            self.begin_warmup()
+            self.finish_pretrain();
         }
+        // Phase 2: warm-up (all schemes).
+        self.phase = Phase::Warmup;
+        if self.cfg.warmup_cycles > 0 {
+            let mut source = SyntheticSource::new(
+                self.cfg.noc.mesh,
+                TrafficPattern::UniformRandom,
+                synthetic_rate,
+                self.cfg.seed ^ 0x5EED_0006,
+            );
+            self.drive(self.cfg.warmup_cycles, Some(&mut source), false);
+        }
+        // Drain leftovers, then clear the books.
+        self.drain();
+        self.reset_accounting();
+
+        // Phase 3: measurement.
+        self.phase = Phase::Measure;
+        let measure_start = self.net.cycle();
+        let window = self
+            .cfg
+            .measure_cycles
+            .unwrap_or(u64::MAX)
+            .min(self.cfg.workload.duration_cycles);
+        let mut source = self
+            .cfg
+            .workload
+            .source(self.cfg.noc.mesh, self.cfg.seed ^ 0x5EED_0007);
+        self.drive(window, Some(&mut source), false);
+        let drained = self.drain();
+        // Account the final partial epoch.
+        self.control_epoch(false);
+        self.telemetry
+            .finish_run(self.run_id, self.net.cycle().saturating_sub(start_cycle));
+        let report = self.assemble_report(drained, measure_start);
+        (
+            report,
+            RunArtifacts {
+                controllers: self.controllers,
+                temperatures: self.thermal.temperatures().to_vec(),
+            },
+        )
     }
 
-    /// Materializes the pre-training drive schedule.
-    fn pretrain_plan(&self) -> Vec<PretrainSeg> {
-        if !(self.controllers.is_rl() && self.cfg.rl_curriculum) {
-            return vec![PretrainSeg {
-                set_forced: None,
-                cycles: self.cfg.pretrain_cycles,
-            }];
-        }
+    /// RL pre-training under the forced-mode curriculum.
+    fn pretrain_curriculum(&mut self, source: &mut SyntheticSource) {
         // Curriculum: for the first two-thirds of the budget the whole
         // fleet is forced through the allowed modes, cycling one mode
         // per epoch. Fleet-coherent forcing exposes each mode's
@@ -1033,30 +846,27 @@ impl<B: SimBackend> Runner<B> {
         use rand::{Rng, SeedableRng};
         let mut curriculum_rng = rand::rngs::SmallRng::seed_from_u64(self.cfg.seed ^ 0x5EED_0008);
         const BLOCK_EPOCHS: u64 = 4;
-        let mut segs = Vec::new();
         let mut remaining = forced_epochs;
         while remaining > 0 {
             let mode = allowed[curriculum_rng.gen_range(0..allowed.len())];
+            self.controllers.set_forced_mode(Some(mode));
             let block = BLOCK_EPOCHS.min(remaining);
-            segs.push(PretrainSeg {
-                set_forced: Some(Some(mode)),
-                cycles: block * self.cfg.epoch_cycles,
-            });
+            self.drive(block * self.cfg.epoch_cycles, Some(&mut *source), true);
             remaining -= block;
         }
-        segs.push(PretrainSeg {
-            set_forced: Some(None),
-            cycles: self
-                .cfg
+        self.controllers.set_forced_mode(None);
+        self.drive(
+            self.cfg
                 .pretrain_cycles
                 .saturating_sub(forced_epochs * self.cfg.epoch_cycles),
-        });
-        segs
+            Some(source),
+            true,
+        );
     }
 
     /// Pre-training → warm-up transition: fits the DT on the collected
     /// samples and pins the measurement exploration rate.
-    fn finish_pretrain(&mut self) -> RunState {
+    fn finish_pretrain(&mut self) {
         if self.controllers.is_dt() {
             self.controllers.train_dt();
         }
@@ -1064,56 +874,16 @@ impl<B: SimBackend> Runner<B> {
             self.controllers
                 .set_epsilon(noc_rl::schedule::Schedule::Constant(eps));
         }
-        self.begin_warmup()
-    }
-
-    /// Opens phase 2: warm-up (all schemes).
-    fn begin_warmup(&mut self) -> RunState {
-        self.phase = Phase::Warmup;
-        let source = (self.cfg.warmup_cycles > 0).then(|| {
-            SyntheticSource::new(
-                self.cfg.noc.mesh,
-                TrafficPattern::UniformRandom,
-                self.synthetic_rate,
-                self.cfg.seed ^ 0x5EED_0006,
-            )
-        });
-        RunState::Warmup { source, done: 0 }
-    }
-
-    /// Opens phase 3: measurement.
-    fn begin_measure(&mut self) -> RunState {
-        self.reset_accounting();
-        self.phase = Phase::Measure;
-        self.measure_start = self.net.cycle();
-        let window = self
-            .cfg
-            .measure_cycles
-            .unwrap_or(u64::MAX)
-            .min(self.cfg.workload.duration_cycles);
-        let source = self
-            .cfg
-            .workload
-            .source(self.cfg.noc.mesh, self.cfg.seed ^ 0x5EED_0007);
-        RunState::Measure {
-            source,
-            window,
-            done: 0,
-        }
     }
 
     /// Assembles the final report after the measurement drain.
-    fn assemble_report(&mut self, drained: bool) -> ExperimentReport {
-        let measure_start = self.measure_start;
-        let start_cycle = self.start_cycle;
-        let stats = self.net.stats().clone();
+    fn assemble_report(&self, drained: bool, measure_start: u64) -> ExperimentReport {
+        let stats = self.net.stats();
         let execution_cycles = if stats.packets_delivered > 0 {
             stats.last_delivery_cycle.saturating_sub(measure_start)
         } else {
             self.net.cycle().saturating_sub(measure_start)
         };
-        self.telemetry
-            .finish_run(self.run_id, self.net.cycle().saturating_sub(start_cycle));
         let temps = self.thermal.temperatures();
         let mean_temp = temps.iter().sum::<f64>() / temps.len() as f64;
         ExperimentReport {
@@ -1156,7 +926,7 @@ impl<B: SimBackend> Runner<B> {
     /// the control loop at every epoch boundary.
     fn drive(&mut self, cycles: u64, mut source: Option<&mut dyn TrafficSource>, pretrain: bool) {
         let mut offers: Vec<(noc_sim::topology::NodeId, noc_sim::topology::NodeId)> = Vec::new();
-        for i in 0..cycles {
+        for _ in 0..cycles {
             if let Some(src) = source.as_deref_mut() {
                 offers.clear();
                 let cycle = self.net.cycle();
@@ -1169,30 +939,25 @@ impl<B: SimBackend> Runner<B> {
             if self.net.cycle().is_multiple_of(self.cfg.epoch_cycles) {
                 self.control_epoch(pretrain);
             }
-            let _ = i;
         }
     }
 
-    /// One bounded slice of the drain loop (no new offers). Rounds
-    /// `0..drain_limit/epoch + 1` reproduce the serial loop body — head
-    /// quiescence check, up to one epoch of steps, one control epoch —
-    /// and the round past the limit reproduces the serial fall-through.
-    /// `Some(drained)` ends the drain.
-    fn drain_round(&mut self, round: u64) -> Option<bool> {
-        if round > self.cfg.drain_limit / self.cfg.epoch_cycles {
-            return Some(self.net.is_quiescent());
-        }
-        if self.net.is_quiescent() {
-            return Some(true);
-        }
-        for _ in 0..self.cfg.epoch_cycles {
-            self.net.step();
+    /// Drains in-flight traffic (no new offers); returns `true` on full
+    /// quiescence.
+    fn drain(&mut self) -> bool {
+        for _ in 0..self.cfg.drain_limit / self.cfg.epoch_cycles + 1 {
             if self.net.is_quiescent() {
-                break;
+                return true;
             }
+            for _ in 0..self.cfg.epoch_cycles {
+                self.net.step();
+                if self.net.is_quiescent() {
+                    break;
+                }
+            }
+            self.control_epoch(false);
         }
-        self.control_epoch(false);
-        None
+        self.net.is_quiescent()
     }
 
     /// Zeroes all measurement accounting (after warm-up).
@@ -1508,7 +1273,7 @@ mod tests {
             .collect();
         let serial: Vec<ExperimentReport> = lanes.iter().cloned().map(|e| e.run()).collect();
         let batched = Experiment::run_batch(lanes);
-        assert_eq!(serial, batched, "lockstep lanes must be byte-identical");
+        assert_eq!(serial, batched, "shared-table lanes must be byte-identical");
     }
 
     #[test]

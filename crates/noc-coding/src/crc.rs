@@ -231,41 +231,6 @@ impl Crc32 {
         Self::step8(Self::step8(0xFFFF_FFFF, words[0]), words[1]) ^ 0xFFFF_FFFF
     }
 
-    /// Computes [`checksum_words`](Self::checksum_words) for a batch of
-    /// independent 128-bit payloads — one per replicate lane of a
-    /// batched simulation — in word-parallel groups of four.
-    ///
-    /// The four CRC chains share no state, so the slicing-table loads
-    /// of all four lanes issue back to back and overlap in the load
-    /// pipeline instead of serializing on a single chain's
-    /// load-to-use latency. Lane `i` of `out` is exactly
-    /// `checksum_words(&lanes[i])`; a ragged tail (`lanes.len() % 4`)
-    /// falls back to the scalar kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` and `out` differ in length.
-    pub fn checksum_words_batch(&self, lanes: &[[u64; 2]], out: &mut [u32]) {
-        assert_eq!(lanes.len(), out.len(), "one checksum slot per lane");
-        let mut lanes4 = lanes.chunks_exact(4);
-        let mut out4 = out.chunks_exact_mut(4);
-        for (l, o) in (&mut lanes4).zip(&mut out4) {
-            let mut c = [0xFFFF_FFFFu32; 4];
-            for i in 0..4 {
-                c[i] = Self::step8(c[i], l[i][0]);
-            }
-            for i in 0..4 {
-                c[i] = Self::step8(c[i], l[i][1]);
-            }
-            for i in 0..4 {
-                o[i] = c[i] ^ 0xFFFF_FFFF;
-            }
-        }
-        for (l, o) in lanes4.remainder().iter().zip(out4.into_remainder()) {
-            *o = self.checksum_words(l);
-        }
-    }
-
     /// Bit-at-a-time reference implementation (no tables) retained as
     /// the oracle the sliced kernel is property-tested against.
     #[doc(hidden)]

@@ -198,24 +198,6 @@ impl<const DB: usize, const CB: usize> ByteTables<DB, CB> {
         code
     }
 
-    /// Four-lane interleaved encode. The outer loop walks byte
-    /// positions and the body XORs into four independent accumulators,
-    /// so the table loads of different lanes issue back to back instead
-    /// of waiting on one lane's serial XOR chain. Lane `i` equals
-    /// `encode(data[i])` exactly (XOR order is immaterial).
-    #[inline]
-    fn encode4(&self, data: [u64; 4]) -> [u128; 4] {
-        let mut code = [0u128; 4];
-        for (lane, table) in self.encode.iter().enumerate() {
-            let sh = 8 * lane;
-            code[0] ^= table[((data[0] >> sh) & 0xFF) as usize];
-            code[1] ^= table[((data[1] >> sh) & 0xFF) as usize];
-            code[2] ^= table[((data[2] >> sh) & 0xFF) as usize];
-            code[3] ^= table[((data[3] >> sh) & 0xFF) as usize];
-        }
-        code
-    }
-
     /// Fast decode: syndrome + overall parity + data gather in one
     /// byte-sliced pass, then a single indexed fix-up on correction.
     #[inline]
@@ -227,37 +209,6 @@ impl<const DB: usize, const CB: usize> ByteTables<DB, CB> {
             acc ^= syn[v];
             data ^= gat[v];
         }
-        self.resolve(acc, data, total_positions)
-    }
-
-    /// Four-lane interleaved decode; the counterpart of
-    /// [`encode4`](Self::encode4). Lane `i` equals
-    /// `decode(code[i], total_positions)` exactly.
-    #[inline]
-    fn decode4(&self, code: [u128; 4], total_positions: u32) -> [DecodeOutcome; 4] {
-        let mut acc = [0u16; 4];
-        let mut data = [0u64; 4];
-        for (byte, (syn, gat)) in self.syndrome.iter().zip(&self.gather).enumerate() {
-            let sh = 8 * byte;
-            for l in 0..4 {
-                let v = ((code[l] >> sh) & 0xFF) as usize;
-                acc[l] ^= syn[v];
-                data[l] ^= gat[v];
-            }
-        }
-        [
-            self.resolve(acc[0], data[0], total_positions),
-            self.resolve(acc[1], data[1], total_positions),
-            self.resolve(acc[2], data[2], total_positions),
-            self.resolve(acc[3], data[3], total_positions),
-        ]
-    }
-
-    /// Shared decode fix-up: maps the accumulated syndrome/parity word
-    /// and gathered data to the outcome, applying the single-bit
-    /// correction through the precomputed position→data-bit index.
-    #[inline]
-    fn resolve(&self, acc: u16, mut data: u64, total_positions: u32) -> DecodeOutcome {
         let syndrome = u32::from(acc & 0x7FFF);
         let overall_ok = acc & 0x8000 == 0;
         match (syndrome, overall_ok) {
@@ -453,56 +404,6 @@ impl Secded64 {
         assert!(bit < Self::CODE_BITS, "bit {bit} out of range");
         Self {
             bits: self.bits ^ (1u128 << bit),
-        }
-    }
-
-    /// Encodes a batch of independent data words — one per replicate
-    /// lane of a batched simulation — in word-parallel groups of four.
-    ///
-    /// The byte-sliced parity-table XOR chains of different lanes share
-    /// no state, so grouping four lanes lets their table loads overlap
-    /// instead of serializing. Lane `i` of `out` is exactly
-    /// `encode(data[i])`; a ragged tail falls back to the scalar
-    /// kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` and `out` differ in length.
-    pub fn encode_batch(data: &[u64], out: &mut [Self]) {
-        assert_eq!(data.len(), out.len(), "one codeword slot per lane");
-        let mut data4 = data.chunks_exact(4);
-        let mut out4 = out.chunks_exact_mut(4);
-        for (d, o) in (&mut data4).zip(&mut out4) {
-            let cw = TABLES_64.encode4([d[0], d[1], d[2], d[3]]);
-            for (bits, slot) in cw.into_iter().zip(o.iter_mut()) {
-                *slot = Self { bits };
-            }
-        }
-        for (&d, o) in data4.remainder().iter().zip(out4.into_remainder()) {
-            *o = Self::encode(d);
-        }
-    }
-
-    /// Decodes a batch of independent codewords in word-parallel groups
-    /// of four; the counterpart of [`encode_batch`](Self::encode_batch).
-    /// Lane `i` of `out` is exactly `words[i].decode()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` and `out` differ in length.
-    pub fn decode_batch(words: &[Self], out: &mut [DecodeOutcome]) {
-        assert_eq!(words.len(), out.len(), "one outcome slot per lane");
-        let mut words4 = words.chunks_exact(4);
-        let mut out4 = out.chunks_exact_mut(4);
-        for (w, o) in (&mut words4).zip(&mut out4) {
-            let r = TABLES_64.decode4(
-                [w[0].bits, w[1].bits, w[2].bits, w[3].bits],
-                Self::TOP_POSITION,
-            );
-            o.copy_from_slice(&r);
-        }
-        for (w, o) in words4.remainder().iter().zip(out4.into_remainder()) {
-            *o = w.decode();
         }
     }
 }

@@ -106,43 +106,6 @@ impl FaultInjector {
         flips
     }
 
-    /// Batched per-lane error draws: lane `i` of `out` receives exactly
-    /// `lanes[i].sample_flips_at(model, thresholds[i])`.
-    ///
-    /// The common all-clean case reduces to one threshold compare of
-    /// each lane's RNG word with no cross-lane data dependencies, so
-    /// the generator advances and integer compares of different lanes
-    /// overlap instead of serializing behind each lane's accept branch;
-    /// only accepted lanes take the second pass for their flip-weight
-    /// draw. Per-lane draw order is identical to the scalar path (each
-    /// lane owns its stream: a zero threshold consumes no word, an
-    /// accepted Bernoulli word is followed immediately by that lane's
-    /// weight draw), so replicate-lane reports are byte-unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes`, `thresholds`, and `out` differ in length.
-    pub fn sample_flips_batch(
-        lanes: &mut [FaultInjector],
-        model: &TimingErrorModel,
-        thresholds: &[ErrorThreshold],
-        out: &mut [u8],
-    ) {
-        assert_eq!(lanes.len(), thresholds.len(), "one threshold per lane");
-        assert_eq!(lanes.len(), out.len(), "one outcome slot per lane");
-        for ((lane, &threshold), o) in lanes.iter_mut().zip(thresholds).zip(out.iter_mut()) {
-            *o = u8::from(threshold.0 != 0 && (lane.rng.next_u64() >> 11) < threshold.0);
-        }
-        for (lane, o) in lanes.iter_mut().zip(out.iter_mut()) {
-            if *o != 0 {
-                let flips = model.flips_for_draw(lane.rng.gen_range(0.0..1.0));
-                lane.faults_injected += 1;
-                lane.bits_flipped += u64::from(flips);
-                *o = flips;
-            }
-        }
-    }
-
     /// Chooses `count` *distinct* bit positions in `[0, width)`.
     ///
     /// # Panics
@@ -325,38 +288,6 @@ mod tests {
     fn pick_bits_fixed_caps_count() {
         let mut inj = FaultInjector::new(0);
         let _ = inj.pick_bits_fixed(4, 128);
-    }
-
-    /// The batched kernel must replay each lane's scalar stream draw
-    /// for draw — accepts, flip counts, stats, and stream position —
-    /// including lanes with zero thresholds interleaved among live ones.
-    #[test]
-    fn batch_draws_match_per_lane_scalar_draws_exactly() {
-        let model = TimingErrorModel::default();
-        let probabilities = [0.0, 1e-6, 0.05, 0.3, 0.0, 0.999, 0.5, 1.0];
-        let thresholds: Vec<ErrorThreshold> = probabilities
-            .iter()
-            .map(|&p| ErrorThreshold::from_probability(p))
-            .collect();
-        let mut scalar: Vec<FaultInjector> = (0..8).map(|i| FaultInjector::new(100 + i)).collect();
-        let mut batched = scalar.clone();
-        let mut out = [0u8; 8];
-        for round in 0..2_000 {
-            FaultInjector::sample_flips_batch(&mut batched, &model, &thresholds, &mut out);
-            for (i, (inj, &thr)) in scalar.iter_mut().zip(&thresholds).enumerate() {
-                assert_eq!(
-                    inj.sample_flips_at(&model, thr),
-                    out[i],
-                    "lane {i} round {round} diverged"
-                );
-            }
-        }
-        for (i, (a, b)) in scalar.iter_mut().zip(batched.iter_mut()).enumerate() {
-            assert_eq!(a.faults_injected(), b.faults_injected(), "lane {i} stats");
-            assert_eq!(a.bits_flipped(), b.bits_flipped(), "lane {i} stats");
-            // Streams land on the same position.
-            assert_eq!(a.pick_bits(3, 128), b.pick_bits(3, 128), "lane {i} stream");
-        }
     }
 }
 

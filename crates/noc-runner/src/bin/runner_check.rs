@@ -5,8 +5,8 @@
 //! 1. serially through `Campaign::run`,
 //! 2. in parallel through the runner (`RLNOC_JOBS` workers, default 2,
 //!    honoring `RLNOC_BATCH`),
-//! 3. batched through `BatchSim` (8 lockstep lanes per replicate
-//!    group),
+//! 3. batched into replicate groups of 8 lanes run one after another
+//!    over shared route tables,
 //! 4. resumed from a half-populated checkpoint directory (simulating a
 //!    campaign killed midway).
 //!
@@ -60,7 +60,7 @@ fn main() -> ExitCode {
         telemetry.counter("runner.tasks_completed").get()
     );
 
-    // BatchSim leg: replicate groups run as lockstep lanes, whatever
+    // Batched leg: replicate groups share their route tables, whatever
     // the environment asked for.
     let batched = RunnerConfig {
         jobs,
@@ -72,7 +72,7 @@ fn main() -> ExitCode {
         eprintln!("FAIL: batched (8-lane) result differs from serial run");
         return ExitCode::FAILURE;
     }
-    println!("batched == serial (8-lane lockstep groups)");
+    println!("batched == serial (8-lane shared-table groups)");
 
     // Kill/resume: pre-populate half the checkpoints from the serial
     // run, then resume — only the other half may execute, and the merged

@@ -32,9 +32,9 @@ pub struct RunnerConfig {
     /// Reload valid checkpoints from `snapshot_dir` instead of
     /// re-running their tasks. Ignored without a snapshot directory.
     pub resume: bool,
-    /// `BatchSim` lane width: replicates of one (workload, scheme)
-    /// cell run as a single lockstep batched task of up to this many
-    /// lanes (1 = scalar execution, the historical behavior). Purely an
+    /// Replicate-group width: replicates of one (workload, scheme)
+    /// cell run as a single task of up to this many lanes, one after
+    /// another over shared route tables (1 = scalar execution). Purely an
     /// execution strategy — results, checkpoints, and fingerprints are
     /// byte-identical for every width.
     pub batch: usize,
@@ -61,7 +61,7 @@ impl RunnerConfig {
     ///
     /// * `RLNOC_JOBS` — worker threads; `0` or unset = serial, `max` =
     ///   all available cores.
-    /// * `RLNOC_BATCH` — `BatchSim` lane width; `0`/`1` or unset =
+    /// * `RLNOC_BATCH` — replicate-group width; `0`/`1` or unset =
     ///   scalar execution.
     /// * `SNAPSHOT_DIR` — checkpoint/policy-snapshot directory.
     /// * `RESUME` — `1`/`true` to reload checkpoints from
@@ -174,13 +174,13 @@ impl RunnerConfig {
         // keeps the workers balanced at the tail of the queue.
         pending.sort_by_key(|t| (std::cmp::Reverse(t.scheme.is_learning()), t.index));
 
-        // Replicates of one (workload, scheme) cell batch into lockstep
-        // groups of up to `batch` lanes; ragged tails become smaller
-        // groups and singletons fall back to the scalar path.
+        // Replicates of one (workload, scheme) cell batch into
+        // shared-table groups of up to `batch` lanes; ragged tails become
+        // smaller groups and singletons fall back to the scalar path.
         let groups = batch_groups(pending, self.batch);
         let completed = self.telemetry.counter("runner.tasks_completed");
         let fresh = pool::run_indexed(groups, self.jobs, &self.telemetry, |_, group| {
-            let reports = execute_batch(campaign, &group, ckpt.as_deref());
+            let reports = execute_batch(campaign, &group, ckpt.as_deref(), on_task);
             // The pool counts one completion per queue item (= group);
             // top up so the counter stays per-task.
             if group.len() > 1 {
@@ -188,11 +188,8 @@ impl RunnerConfig {
             }
             group
                 .iter()
+                .map(|task| task.index)
                 .zip(reports)
-                .map(|(task, report)| {
-                    on_task(task, &report);
-                    (task.index, report)
-                })
                 .collect::<Vec<_>>()
         });
         for (index, report) in fresh.into_iter().flatten() {
@@ -249,10 +246,12 @@ fn persist_task(
     }
 }
 
-/// Executes a group of replicate lanes from one campaign cell as a
-/// single `BatchSim` task, with the exact persistence semantics of
-/// [`execute_task`] applied per lane. Singleton groups take the scalar
-/// path — the ragged-tail fallback.
+/// Executes a group of replicate lanes from one campaign cell over one
+/// set of shared route tables, one lane after another, with the exact
+/// persistence semantics of [`execute_task`] applied — and `on_task`
+/// fired — as each lane finishes, so a killed group keeps every lane it
+/// completed. Singleton groups take the scalar path — the ragged-tail
+/// fallback.
 ///
 /// # Panics
 ///
@@ -261,24 +260,27 @@ pub fn execute_batch(
     campaign: &Campaign,
     group: &[CampaignTask],
     ckpt: Option<&CheckpointDir>,
+    on_task: &(dyn Fn(&CampaignTask, &ExperimentReport) + Sync),
 ) -> Vec<ExperimentReport> {
-    if group.len() == 1 {
-        return vec![execute_task(campaign, &group[0], ckpt)];
+    if let [task] = group {
+        let report = execute_task(campaign, task, ckpt);
+        on_task(task, &report);
+        return vec![report];
     }
     let lanes = group.iter().map(|task| campaign.experiment(task)).collect();
     rlnoc_core::Experiment::run_batch_inspect(lanes)
-        .into_iter()
         .zip(group)
         .map(|((report, artifacts), task)| {
             persist_task(task, &report, &artifacts, ckpt);
+            on_task(task, &report);
             report
         })
         .collect()
 }
 
-/// Partitions scheduled tasks into `BatchSim` groups: replicates of one
+/// Partitions scheduled tasks into replicate groups: replicates of one
 /// (workload, scheme) cell — which differ only by derived seed — are
-/// the lanes eligible to share a lockstep batch. Cells appear in the
+/// the lanes eligible to share one set of route tables. Cells appear in the
 /// scheduling order of their first task, so the learning-first ordering
 /// of the input survives grouping.
 fn batch_groups(pending: Vec<CampaignTask>, batch: usize) -> Vec<Vec<CampaignTask>> {

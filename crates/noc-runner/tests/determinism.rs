@@ -171,8 +171,8 @@ fn faulted_campaign_is_identical_across_worker_counts_and_resume() {
 
 /// The topology-zoo acceptance gate at radix: a 16×16 torus campaign
 /// whose links and routers die mid-run must be byte-identical across
-/// serial execution, a 4-worker pool (`RLNOC_JOBS=4`), the batched
-/// lockstep engine (`RLNOC_BATCH=8`), and a kill-and-resume from
+/// serial execution, a 4-worker pool (`RLNOC_JOBS=4`), shared-table
+/// replicate groups (`RLNOC_BATCH=8`), and a kill-and-resume from
 /// partial checkpoints — wrap links, date-line VCs, and up*/down*
 /// recovery included.
 #[test]
@@ -250,8 +250,8 @@ fn faulted_16x16_torus_campaign_is_deterministic_across_execution_modes() {
 }
 
 /// The degradation sweep's campaign shape — hard faults striking
-/// mid-flight, replicated cells — through the batched engine: lockstep
-/// lanes sharing one fault-reroute cache must stay byte-identical to
+/// mid-flight, replicated cells — through replicate groups: lanes
+/// sharing one fault-reroute cache must stay byte-identical to
 /// the serial run, and a batched resume from partial checkpoints must
 /// change nothing.
 #[test]
@@ -305,8 +305,8 @@ fn faulted_replicated_campaign_matches_serial_under_batching_and_resume() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// The BatchSim contract end to end: replicate lanes grouped into
-/// lockstep batches (ragged tails included) produce byte-identical
+/// The replicate-group contract end to end: replicate lanes grouped
+/// over shared tables (ragged tails included) produce byte-identical
 /// campaign results, write the same per-lane checkpoints and policy
 /// snapshots as scalar execution, and stay per-task in the telemetry
 /// accounting.
@@ -380,6 +380,49 @@ fn batched_replicate_groups_match_serial_and_checkpoint_per_lane() {
     );
     assert_eq!(telemetry2.counter("runner.tasks_completed").get(), 0);
 
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A killed K-lane group must keep every lane it finished: each lane's
+/// checkpoint is on disk — and `on_task` has fired — before the next
+/// lane of the group starts.
+#[test]
+fn batched_group_persists_and_notifies_each_lane_as_it_finishes() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let mut campaign = tiny_campaign();
+    campaign.replicates = 4;
+    campaign
+        .schemes
+        .retain(|s| matches!(s, rlnoc_core::ErrorControlScheme::StaticCrc));
+    let total = campaign.tasks().len();
+    assert_eq!(total, 4, "one cell, four replicate lanes, one group");
+
+    let dir = temp_dir("batched-per-lane");
+    let namespace = dir.join(CheckpointDir::namespace(campaign.fingerprint()));
+    let ckpt_of = |index: usize| namespace.join(format!("task-{index:04}.ckpt"));
+    let notified = AtomicUsize::new(0);
+    RunnerConfig {
+        batch: 4,
+        snapshot_dir: Some(dir.clone()),
+        ..RunnerConfig::serial()
+    }
+    .run_campaign_with(&campaign, &|task, _| {
+        notified.fetch_add(1, Ordering::Relaxed);
+        assert!(
+            ckpt_of(task.index).exists(),
+            "lane {} is notified only after its checkpoint is durable",
+            task.index
+        );
+        if task.index + 1 < total {
+            assert!(
+                !ckpt_of(task.index + 1).exists(),
+                "lane {} has not run yet when lane {} reports",
+                task.index + 1,
+                task.index
+            );
+        }
+    });
+    assert_eq!(notified.load(Ordering::Relaxed), total);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 

@@ -195,7 +195,7 @@ struct FaultState {
     link_dead: Vec<[bool; MAX_PORTS]>,
     /// `Some` once the first fault event has been applied; the network
     /// then routes via this table instead of X-Y. Behind an `Arc` so
-    /// lockstep replicate lanes sharing one fault schedule share one
+    /// replicate lanes sharing one fault schedule share one
     /// table (see [`SharedTables`]).
     routes: Option<Arc<FaultRoutes>>,
     /// Packets that lost at least one flit (or their source/destination
@@ -231,7 +231,7 @@ impl FaultState {
     }
 }
 
-/// Memo of fault-adaptive route tables, shared by lockstep replicate
+/// Memo of fault-adaptive route tables, shared by replicate
 /// lanes that run the *same* hard-fault schedule on the *same* mesh.
 ///
 /// The dead-element sets after each applied event batch are a pure
@@ -493,7 +493,7 @@ impl<E: ErrorControl> Network<E> {
 
     /// Like [`Network::new`], but reusing precomputed [`SharedTables`]
     /// instead of rebuilding the route/neighbor lookups — the
-    /// construction path for lockstep replicate lanes. Behaviorally
+    /// construction path for replicate lanes of one group. Behaviorally
     /// identical to [`Network::new`] on the same configuration.
     ///
     /// # Panics

@@ -1,5 +1,5 @@
-//! The lane-equivalence test wall for the `BatchSim` batched lockstep
-//! engine.
+//! The lane-equivalence test wall for shared-table replicate groups
+//! (`Experiment::run_batch`).
 //!
 //! Every test here pins the same contract from a different angle: a
 //! lane of a batched run is byte-identical — the full
@@ -11,7 +11,9 @@
 
 use noc_fault::hardfault::HardFaultSchedule;
 use noc_sim::config::NocConfig;
-use noc_sim::topology::{FoldedTorus, Mesh, Mesh3d, Topo, Torus};
+use noc_sim::error_control::PerfectLink;
+use noc_sim::network::{HardFaultEvent, HardFaultKind, Network, SharedTables};
+use noc_sim::topology::{Direction, FoldedTorus, Mesh, Mesh3d, NodeId, Topo, Torus};
 use rlnoc_core::experiment::ExperimentReport;
 use rlnoc_core::{ErrorControlScheme, Experiment, WorkloadProfile};
 use std::sync::Arc;
@@ -56,9 +58,49 @@ fn serial_reports(lanes: &[Experiment]) -> Vec<ExperimentReport> {
     lanes.iter().cloned().map(Experiment::run).collect()
 }
 
+/// The part of batching that pays, pinned exactly: lanes built over one
+/// `SharedTables` route on the *same* post-fault table allocation (the
+/// second lane's reroute is a cache hit, not a recompute), while
+/// independently built lanes each own a table.
 #[test]
-fn every_lane_is_byte_identical_to_serial_for_k_1_2_4_8() {
-    for k in [1usize, 2, 4, 8] {
+fn shared_lanes_alias_one_fault_route_table_and_independent_lanes_do_not() {
+    let config = NocConfig::builder().mesh(4, 4).build();
+    let schedule = vec![HardFaultEvent {
+        cycle: 2,
+        kind: HardFaultKind::Link {
+            node: NodeId(5),
+            dir: Direction::East,
+        },
+    }];
+    let past_first_event = |mut net: Network<PerfectLink>| {
+        net.set_hard_faults(schedule.clone());
+        for _ in 0..4 {
+            net.step();
+        }
+        assert!(net.hard_faults_active());
+        net
+    };
+    let tables = SharedTables::new(config.mesh);
+    let a = past_first_event(Network::with_shared(config, PerfectLink::new(), 1, &tables));
+    let b = past_first_event(Network::with_shared(config, PerfectLink::new(), 2, &tables));
+    assert!(std::ptr::eq(
+        a.fault_routes().unwrap(),
+        b.fault_routes().unwrap()
+    ));
+    let c = past_first_event(Network::new(config, PerfectLink::new(), 1));
+    let d = past_first_event(Network::new(config, PerfectLink::new(), 2));
+    assert!(!std::ptr::eq(
+        c.fault_routes().unwrap(),
+        d.fault_routes().unwrap()
+    ));
+    assert_eq!(a.fault_routes(), c.fault_routes(), "same table either way");
+}
+
+#[test]
+fn every_lane_is_byte_identical_to_serial_for_k_1_2_3_4_5_7_8() {
+    // Ragged counts included: the group must not care how many lanes it
+    // is given.
+    for k in [1usize, 2, 3, 4, 5, 7, 8] {
         let lanes: Vec<Experiment> = (0..k as u64)
             .map(|i| {
                 lane(
@@ -73,28 +115,6 @@ fn every_lane_is_byte_identical_to_serial_for_k_1_2_4_8() {
         let serial = serial_reports(&lanes);
         let batched = Experiment::run_batch(lanes);
         assert_eq!(serial, batched, "K={k} lanes must match serial exactly");
-    }
-}
-
-#[test]
-fn ragged_lane_counts_match_serial() {
-    // Odd counts that never fill a power-of-two batch: the engine must
-    // not care how many lanes it is given.
-    for k in [3u64, 5, 7] {
-        let lanes: Vec<Experiment> = (0..k)
-            .map(|i| {
-                lane(
-                    ErrorControlScheme::StaticArqEcc,
-                    WorkloadProfile::canneal(),
-                    11,
-                    i,
-                    None,
-                )
-            })
-            .collect();
-        let serial = serial_reports(&lanes);
-        let batched = Experiment::run_batch(lanes);
-        assert_eq!(serial, batched, "ragged K={k} lanes must match serial");
     }
 }
 
@@ -310,11 +330,11 @@ fn telemetry_spans_leave_every_report_byte_unchanged() {
         "split (spanned) and fused (plain) pipelines must agree byte for byte"
     );
     let batched_spanned = Experiment::run_batch(build(Some(rlnoc_telemetry::Telemetry::enabled())));
-    assert_eq!(plain, batched_spanned, "lockstep spanned runs agree too");
+    assert_eq!(plain, batched_spanned, "batched spanned runs agree too");
 }
 
 /// The lane-equivalence contract extended across the topology zoo:
-/// batched lockstep lanes on a torus (with mid-run hard faults, so the
+/// batched lanes on a torus (with mid-run hard faults, so the
 /// shared reroute cache covers wrap links), a folded torus, and a 3D
 /// mesh (with faults hitting vertical links) all stay byte-identical
 /// to their serial runs.

@@ -49,13 +49,13 @@ pub use timer::{ScopedTimer, TimerHandle};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use series::RunState;
+use series::RunEntry;
 
 #[derive(Debug)]
 struct Inner {
     registry: MetricsRegistry,
     series: Mutex<EpochSeries>,
-    runs: Mutex<Vec<RunState>>,
+    runs: Mutex<Vec<RunEntry>>,
 }
 
 /// Cheap, cloneable telemetry handle. All clones share the same
@@ -151,7 +151,7 @@ impl Telemetry {
         };
         let mut runs = inner.runs.lock().unwrap();
         let id = RunId(u32::try_from(runs.len()).expect("run table overflow"));
-        runs.push(RunState {
+        runs.push(RunEntry {
             label: label.to_string(),
             started: Instant::now(),
             summary: None,

@@ -140,7 +140,7 @@ pub struct RunSummary {
 
 /// Book-keeping for one registered run.
 #[derive(Debug)]
-pub(crate) struct RunState {
+pub(crate) struct RunEntry {
     pub(crate) label: String,
     pub(crate) started: Instant,
     pub(crate) summary: Option<RunSummary>,

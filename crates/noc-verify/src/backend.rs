@@ -9,7 +9,7 @@ use noc_sim::config::NocConfig;
 use noc_sim::network::{HardFaultEvent, Network};
 use noc_sim::stats::{EventCounters, NetworkStats, RouterEpochStats};
 use noc_sim::topology::NodeId;
-use rlnoc_core::backend::{BatchSimBackend, SimBackend};
+use rlnoc_core::backend::SimBackend;
 use rlnoc_core::modes::OperationMode;
 use rlnoc_core::protocol::FaultTolerantProtocol;
 use rlnoc_telemetry::Telemetry;
@@ -99,27 +99,6 @@ impl SimBackend for ReferenceBackend {
 
     fn set_utilizations(&mut self, utils: &[f64]) {
         self.net.protocol_mut().set_utilizations(utils);
-    }
-}
-
-/// The reference engine can serve as a `BatchSim` lane too — it shares
-/// nothing (every lane rebuilds its own tables), which is exactly the
-/// degenerate sharing the behavioral contract allows. This keeps the
-/// batched driver itself inside the differential oracle's reach.
-impl BatchSimBackend for ReferenceBackend {
-    type Shared = ();
-
-    fn make_shared(_noc: &NocConfig) -> Self::Shared {}
-
-    fn build_with_shared(
-        _shared: &Self::Shared,
-        noc: NocConfig,
-        timing: TimingErrorModel,
-        variation: VariationMap,
-        protocol_seed: u64,
-        network_seed: u64,
-    ) -> Self {
-        <Self as SimBackend>::build(noc, timing, variation, protocol_seed, network_seed)
     }
 }
 

@@ -4,7 +4,7 @@
 //! optimized kernel and the reference model in parallel, and fails loudly
 //! on the first report divergence — after shrinking it to a minimal
 //! replayable case file. Every eighth case additionally re-runs as a
-//! batched `BatchSim` replicate group (widths cycling 2/4/8) and every
+//! shared-table replicate group (widths cycling 2/4/8) and every
 //! lane is diffed against its serial run.
 //!
 //! ```text
@@ -101,7 +101,7 @@ fn run_batch(
             return outcome;
         }
         // Sampled cases additionally re-run as a batched replicate
-        // group, folding the BatchSim engine into the default stream.
+        // group, folding table sharing into the default stream.
         match batch_sample_width(i) {
             Some(lanes) => run_case_batched(&case, lanes),
             None => outcome,

@@ -39,7 +39,7 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     run_case_with::<Network<FaultTolerantProtocol>, ReferenceBackend>(case)
 }
 
-/// Lane width for the `BatchSim` sample at fuzz-stream index `index`,
+/// Lane width for the replicate-group sample at fuzz-stream index `index`,
 /// or `None` when the index runs the scalar differential only. Every
 /// eighth case re-runs as a batched replicate group, cycling the widths
 /// the lane-equivalence wall pins — this is the policy `verify_fuzz`

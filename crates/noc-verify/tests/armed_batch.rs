@@ -1,7 +1,7 @@
 //! Batch-aware invariant coverage with the runtime checkers armed.
 //!
 //! Compiled only under the `verify` feature. Two angles on the
-//! `BatchSim` sharing machinery under `RLNOC_VERIFY=1`:
+//! replicate-group sharing machinery under `RLNOC_VERIFY=1`:
 //!
 //! * a **positive run** — a hard-faulted batched replicate group, with
 //!   per-lane flit-arena and credit conservation re-derived from scratch

@@ -90,10 +90,10 @@ fn default_fuzz_stream_covers_the_topology_zoo() {
     }
 }
 
-/// The default fuzz stream folds the `BatchSim` engine in on a fixed
+/// The default fuzz stream folds shared-table replicate groups in on a fixed
 /// cadence: every eighth case re-runs as a batched replicate group with
 /// widths cycling 2/4/8. Pin that policy so nobody can accidentally
-/// drop the batched backend out of the differential stream, and check
+/// drop the batched path out of the differential stream, and check
 /// the default 200-case run samples every width.
 #[test]
 fn batched_sampling_cadence_is_pinned() {

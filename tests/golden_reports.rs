@@ -86,8 +86,8 @@ fn reports_match_committed_goldens_byte_for_byte() {
     );
 }
 
-/// The batched lockstep engine against the same fixtures: all three
-/// scheme tasks run as one mixed `BatchSim` group (they share a mesh
+/// The batched path against the same fixtures: all three scheme tasks
+/// run as one mixed `run_batch` group (they share a mesh
 /// and seed, so they also share route tables) and every rendered
 /// report must still match its committed golden byte for byte.
 #[test]
