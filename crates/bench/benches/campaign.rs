@@ -1,14 +1,15 @@
 //! Macro benchmark of shared-table replicate groups: K=8 replicate
-//! lanes of one 8×8 cell run serially (each lane rebuilds its tables and
-//! recomputes every post-fault reroute) versus as one
-//! `Experiment::run_batch` group (lanes still run one after another, but
-//! route/neighbor tables are built once and each up*/down* reroute is
-//! computed once and shared through the `FaultRouteCache`).
+//! lanes of one 8×8 cell run serially (each lane rebuilds its
+//! route/neighbor tables) versus as one `Experiment::run_batch` group
+//! (lanes still run one after another, but those tables are built
+//! once). Post-fault reroutes are not what separates the two cells:
+//! every network in the process, serial or grouped, takes its up*/down*
+//! tables from `noc-sim`'s process-wide reroute cache, so both cells
+//! solve each dead set once.
 //!
 //! The cell is fault-churn heavy — a long schedule of link failures
-//! spread across the simulated window — because that is the regime
-//! table sharing exists for: degradation sweeps where per-event reroute
-//! computation, not per-cycle packet motion, dominates.
+//! spread across the simulated window — the degradation-sweep regime,
+//! where every lane walks the same sequence of dead sets.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use noc_fault::hardfault::HardFaultSchedule;
@@ -62,9 +63,9 @@ fn lanes() -> Vec<Experiment> {
         .collect()
 }
 
-/// K fault-free replicate lanes: the sim-dominated regime where the
-/// shared `FaultRouteCache` buys nothing, so the cell tracks the
-/// per-lane cost of the cycle kernel itself.
+/// K fault-free replicate lanes: the sim-dominated regime where no
+/// reroute table is ever needed, so the cell tracks the per-lane cost
+/// of the cycle kernel itself.
 fn fault_free_lanes(k: u64) -> Vec<Experiment> {
     (0..k)
         .map(|i| {

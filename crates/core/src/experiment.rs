@@ -31,7 +31,7 @@ use noc_rl::state::RouterFeatures;
 use noc_sim::config::NocConfig;
 use noc_sim::network::{HardFaultEvent, HardFaultKind, Network, SharedTables};
 use noc_sim::stats::EventCounters;
-use noc_sim::topology::{Direction, Topo};
+use noc_sim::topology::Direction;
 use noc_sim::traffic::{SyntheticSource, TrafficPattern, TrafficSource};
 use rlnoc_telemetry::{EpochRecord, Phase, RunId, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -423,9 +423,8 @@ impl Experiment {
 
     /// Runs replicate lanes one after another on the production
     /// backend, returning one report per lane in input order. Lanes of
-    /// one campaign cell share the immutable tables (routes, neighbors,
-    /// post-fault reroutes) but keep fully independent mutable state and
-    /// RNG streams, so every lane's report is byte-identical to running
+    /// one topology share the immutable route and neighbor tables but
+    /// keep fully independent mutable state and RNG streams, so every lane's report is byte-identical to running
     /// that lane alone — the lane-equivalence test wall pins this.
     pub fn run_batch(lanes: Vec<Experiment>) -> Vec<ExperimentReport> {
         Self::run_batch_inspect(lanes)
@@ -440,25 +439,16 @@ impl Experiment {
     pub fn run_batch_inspect(
         lanes: Vec<Experiment>,
     ) -> impl Iterator<Item = (ExperimentReport, RunArtifacts)> {
-        // One shared-table set per distinct (topology, hard-fault
-        // schedule) pair; replicate lanes of one campaign cell all alias
-        // the first entry. The key is semantic (the rendered schedule),
-        // so a mixed batch degrades to per-group sharing instead of
-        // misbehaving.
-        let mut shared: Vec<((Topo, String), SharedTables)> = Vec::new();
+        // One shared-table set per distinct topology. (Post-fault
+        // reroute tables are shared process-wide by dead set inside
+        // `noc-sim`, whatever schedule a lane carries.)
+        let mut shared: Vec<SharedTables> = Vec::new();
         lanes.into_iter().map(move |lane| {
             let cfg = lane.cfg;
-            let key = (
-                cfg.noc.mesh,
-                cfg.hard_faults
-                    .as_ref()
-                    .map(|s| s.to_text())
-                    .unwrap_or_default(),
-            );
-            let group = match shared.iter().position(|(k, _)| *k == key) {
+            let group = match shared.iter().position(|t| t.mesh() == cfg.noc.mesh) {
                 Some(group) => group,
                 None => {
-                    shared.push((key, SharedTables::new(cfg.noc.mesh)));
+                    shared.push(SharedTables::new(cfg.noc.mesh));
                     shared.len() - 1
                 }
             };
@@ -466,7 +456,7 @@ impl Experiment {
             let protocol =
                 FaultTolerantProtocol::new(cfg.noc.mesh, timing, variation, cfg.seed ^ 0x5EED_0002);
             let net =
-                Network::with_shared(cfg.noc, protocol, cfg.seed ^ 0x5EED_0003, &shared[group].1);
+                Network::with_shared(cfg.noc, protocol, cfg.seed ^ 0x5EED_0003, &shared[group]);
             Runner::with_net(cfg, net).run()
         })
     }

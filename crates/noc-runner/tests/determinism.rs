@@ -171,10 +171,10 @@ fn faulted_campaign_is_identical_across_worker_counts_and_resume() {
 
 /// The topology-zoo acceptance gate at radix: a 16×16 torus campaign
 /// whose links and routers die mid-run must be byte-identical across
-/// serial execution, a 4-worker pool (`RLNOC_JOBS=4`), shared-table
-/// replicate groups (`RLNOC_BATCH=8`), and a kill-and-resume from
-/// partial checkpoints — wrap links, date-line VCs, and up*/down*
-/// recovery included.
+/// serial execution (cold and again with every reroute a cache hit), a
+/// 4-worker pool (`RLNOC_JOBS=4`), shared-table replicate groups
+/// (`RLNOC_BATCH=8`), and a kill-and-resume from partial checkpoints —
+/// wrap links, date-line VCs, and up*/down* recovery included.
 #[test]
 fn faulted_16x16_torus_campaign_is_deterministic_across_execution_modes() {
     use noc_fault::hardfault::HardFaultSchedule;
@@ -199,7 +199,41 @@ fn faulted_16x16_torus_campaign_is_deterministic_across_execution_modes() {
         67,
     )));
 
+    // Cold, then warm: this schedule's dead sets are solved for the
+    // first time in this process by the first run; the second is served
+    // entirely from the process-wide reroute cache. Reports and every
+    // checkpoint byte must not be able to tell.
+    let snapshot_run = |tag: &str| {
+        let dir = temp_dir(tag);
+        let result = RunnerConfig {
+            snapshot_dir: Some(dir.clone()),
+            ..RunnerConfig::serial()
+        }
+        .run_campaign(&campaign);
+        let namespace = dir.join(CheckpointDir::namespace(campaign.fingerprint()));
+        let mut files: Vec<(std::ffi::OsString, Vec<u8>)> = std::fs::read_dir(&namespace)
+            .expect("checkpoint namespace")
+            .map(|entry| {
+                let entry = entry.expect("dir entry");
+                let bytes = std::fs::read(entry.path()).expect("checkpoint file");
+                (entry.file_name(), bytes)
+            })
+            .collect();
+        files.sort();
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+        (result, files)
+    };
+    let (cold, cold_files) = snapshot_run("torus-16x16-cold");
+    let (warm, warm_files) = snapshot_run("torus-16x16-warm");
+    assert_eq!(warm, cold, "an all-hits rerun must match the cold run");
+    assert!(cold_files.len() > cold.reports.len(), "checkpoints written");
+    assert_eq!(
+        warm_files, cold_files,
+        "and write the same checkpoint bytes"
+    );
+
     let serial = campaign.run();
+    assert_eq!(serial, cold, "the cold run is the serial run");
     assert!(
         serial.reports.iter().any(|r| r.hard_fault_events > 0),
         "faults must strike inside some measured window"
@@ -251,8 +285,8 @@ fn faulted_16x16_torus_campaign_is_deterministic_across_execution_modes() {
 
 /// The degradation sweep's campaign shape — hard faults striking
 /// mid-flight, replicated cells — through replicate groups: lanes
-/// sharing one fault-reroute cache must stay byte-identical to
-/// the serial run, and a batched resume from partial checkpoints must
+/// served from the reroute cache must stay byte-identical to the
+/// serial run, and a batched resume from partial checkpoints must
 /// change nothing.
 #[test]
 fn faulted_replicated_campaign_matches_serial_under_batching_and_resume() {

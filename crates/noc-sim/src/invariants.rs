@@ -663,17 +663,14 @@ mod tests {
         let mut net = armed_faulted_net();
         let mesh = net.mesh();
         let (cur, dst) = (mesh.node_at(0, 1), mesh.node_at(3, 3));
-        // Point a live pair's route straight into the dead router. The
-        // table sits behind an `Arc` (shareable across batch lanes);
-        // `make_mut` unshares this network's copy before corrupting it.
-        let routes = net
-            .faults
+        // Point a live pair's route straight into the dead router.
+        net.faults
             .as_mut()
             .expect("fixture installed a schedule")
             .routes
             .as_mut()
-            .expect("fixture applied a fault");
-        std::sync::Arc::make_mut(routes).corrupt_entry(cur, dst, Direction::East);
+            .expect("fixture applied a fault")
+            .corrupt_entry(cur, dst, Direction::East);
         net.step();
     }
 }

@@ -32,15 +32,15 @@ use crate::config::NocConfig;
 use crate::error_control::{EjectOutcome, ErrorControl, HopOutcome, TransferKind};
 use crate::flit::{Flit, FlitArena, FlitRef, Packet, PacketClass, PacketId, PacketWindow};
 use crate::router::{PendingRetransmit, Router, VcState};
-use crate::routing::{FaultRoutes, RouteTable};
+use crate::routing::{FaultRoutes, PackedRoutes, RouteTable};
 use crate::stats::{EventCounters, NetworkStats, RouterEpochStats};
 use crate::topology::{Direction, LinkId, NeighborTable, NodeId, Topo, MAX_PORTS};
 use crate::worklist::ActiveSet;
 use noc_coding::arq::{AckKind, SequenceNumber};
 use noc_coding::crc::Crc32;
 use rlnoc_telemetry::{Counter, Gauge, Histogram, Telemetry, TimerHandle};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
 
 /// Per-cycle runtime invariant checks (child module so it can traverse
 /// the private event wheel); compiled only under the `verify` feature
@@ -194,10 +194,13 @@ struct FaultState {
     /// is dead. Kept symmetric with the peer's opposite entry.
     link_dead: Vec<[bool; MAX_PORTS]>,
     /// `Some` once the first fault event has been applied; the network
-    /// then routes via this table instead of X-Y. Behind an `Arc` so
-    /// replicate lanes sharing one fault schedule share one
-    /// table (see [`SharedTables`]).
-    routes: Option<Arc<FaultRoutes>>,
+    /// then routes via this table instead of X-Y. Dense and owned, so
+    /// `next_hop` on the RC path is one index whether the table was
+    /// solved here or unpacked from the [`RouteCache`].
+    routes: Option<FaultRoutes>,
+    /// Where reroute tables are looked up: [`ROUTE_CACHE`] outside this
+    /// module's own tests.
+    cache: &'static RouteCache,
     /// Packets that lost at least one flit (or their source/destination
     /// router) to a hard fault. Membership-only, ordered for
     /// deterministic iteration.
@@ -212,6 +215,7 @@ impl FaultState {
             node_dead: vec![false; n],
             link_dead: vec![[false; MAX_PORTS]; n],
             routes: None,
+            cache: &ROUTE_CACHE,
             doomed: BTreeSet::new(),
         }
     }
@@ -231,83 +235,142 @@ impl FaultState {
     }
 }
 
-/// Memo of fault-adaptive route tables, shared by replicate
-/// lanes that run the *same* hard-fault schedule on the *same* mesh.
-///
-/// The dead-element sets after each applied event batch are a pure
-/// function of the schedule (never of packet dynamics), and
-/// [`FaultRoutes::compute`] is deterministic on those sets — so lanes
-/// reaching the same applied-event count need the same table. The cache
-/// is keyed by that count; the first lane to take a fault batch pays the
-/// up*/down* recomputation and every other lane reuses the `Arc`.
-///
-/// Sharing one cache across networks with *different* schedules or
-/// meshes would serve wrong tables; [`SharedTables`] therefore owns the
-/// cache and batch construction hands one only to lanes of one
-/// replicate group. Under the `verify` feature with `RLNOC_VERIFY=1`
-/// every cache hit is re-derived from scratch and compared, so a
-/// poisoned or mismatched entry panics instead of silently steering.
-#[derive(Debug, Clone, Default)]
-pub struct FaultRouteCache {
-    inner: Arc<Mutex<BTreeMap<usize, Arc<FaultRoutes>>>>,
+/// Exact content a reroute table is a function of: the topology and
+/// the dead sets, one bit per router then one per `(router, port)`.
+/// Compared in full on every lookup — never an event count (two
+/// schedules can reach one count with different dead sets) and never a
+/// digest (a collision would misroute).
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct RouteKey {
+    topo: Topo,
+    dead: Box<[u64]>,
 }
 
-impl FaultRouteCache {
-    /// Returns the memoized table for `applied_events`, computing and
-    /// publishing it on first request.
-    fn get_or_compute(
-        &self,
-        applied_events: usize,
-        compute: impl FnOnce() -> FaultRoutes,
-    ) -> Arc<FaultRoutes> {
-        let mut map = self.inner.lock().expect("fault-route cache poisoned");
-        if let Some(hit) = map.get(&applied_events) {
-            let hit = Arc::clone(hit);
-            drop(map);
+impl RouteKey {
+    fn new(topo: Topo, node_dead: &[bool], link_dead: &[[bool; MAX_PORTS]]) -> Self {
+        let n = node_dead.len();
+        let mut dead = vec![0u64; (n * (1 + MAX_PORTS)).div_ceil(64)];
+        let bits = node_dead.iter().chain(link_dead.iter().flatten());
+        for (bit, _) in bits.enumerate().filter(|(_, &is_dead)| is_dead) {
+            dead[bit / 64] |= 1 << (bit % 64);
+        }
+        Self {
+            topo,
+            dead: dead.into(),
+        }
+    }
+}
+
+/// Bytes of packed tables and keys [`ROUTE_CACHE`] may hold. One 16×16
+/// torus table packs to ≈6 KiB, so this is room for over a thousand
+/// distinct dead sets; a process that outgrows it starts over.
+const ROUTE_CACHE_CAP: usize = 8 << 20;
+
+/// The process-wide reroute-table cache every [`Network`] consults.
+static ROUTE_CACHE: LazyLock<RouteCache> = LazyLock::new(|| RouteCache::with_cap(ROUTE_CACHE_CAP));
+
+/// Content-addressed memo of fault-adaptive route tables.
+///
+/// [`FaultRoutes::compute`] is a pure, deterministic function of
+/// `(topology, dead set)` — nothing in it sees packet dynamics — so one
+/// table serves every network in the process that reaches the same
+/// dead set: replicate lanes, schemes and workloads of a campaign,
+/// `RLNOC_JOBS` workers, service campaigns. Values are stored
+/// run-length packed ([`PackedRoutes`]) and unpacked into the caller's
+/// own dense table on a hit. The footprint is capped: an insert that
+/// would overflow drops every entry first, which can only cost a later
+/// re-solve. Under the `verify` feature with `RLNOC_VERIFY=1` every hit
+/// is re-solved from scratch and compared, so a wrong entry panics
+/// instead of silently steering.
+#[derive(Debug)]
+struct RouteCache {
+    cap: usize,
+    entries: Mutex<RouteCacheEntries>,
+}
+
+#[derive(Debug, Default)]
+struct RouteCacheEntries {
+    map: HashMap<RouteKey, Arc<PackedRoutes>>,
+    /// Packed-table plus key bytes `map` is charged for.
+    bytes: usize,
+}
+
+impl RouteCache {
+    fn with_cap(cap: usize) -> Self {
+        Self {
+            cap,
+            entries: Mutex::default(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, RouteCacheEntries> {
+        // No code path panics while holding the guard.
+        self.entries.lock().expect("reroute cache lock poisoned")
+    }
+
+    /// The table for `key` and whether it was a hit; a miss runs
+    /// `solve` outside the lock and publishes the packed result.
+    fn get_or_solve(&self, key: RouteKey, solve: impl Fn() -> FaultRoutes) -> (FaultRoutes, bool) {
+        let hit = self.lock().map.get(&key).cloned();
+        if let Some(packed) = hit {
+            let routes = packed.unpack();
             #[cfg(feature = "verify")]
             if invariants::armed() {
                 assert!(
-                    compute() == *hit,
-                    "shared fault-route cache entry for {applied_events} applied \
-                     events diverges from recomputation"
+                    solve() == routes,
+                    "process-wide reroute cache entry for {:?} diverges from recomputation",
+                    key.topo
                 );
             }
-            return hit;
+            return (routes, true);
         }
-        let fresh = Arc::new(compute());
-        map.insert(applied_events, Arc::clone(&fresh));
-        fresh
+        let routes = solve();
+        self.insert(key, routes.pack());
+        (routes, false)
     }
 
-    /// Test hook: plants a (presumably wrong) table under
-    /// `applied_events` so corruption-injection tests can prove the
-    /// armed coherence check has teeth.
-    #[cfg(feature = "verify")]
-    #[doc(hidden)]
-    pub fn poison_for_test(&self, applied_events: usize, routes: FaultRoutes) {
-        self.inner
-            .lock()
-            .expect("fault-route cache poisoned")
-            .insert(applied_events, Arc::new(routes));
+    fn insert(&self, key: RouteKey, packed: PackedRoutes) {
+        let cost = packed.bytes() + std::mem::size_of_val(&*key.dead);
+        let mut entries = self.lock();
+        if entries.bytes + cost > self.cap {
+            *entries = RouteCacheEntries::default();
+        }
+        // A racing solver may have published the same (identical) entry
+        // already; it is charged once.
+        if cost <= self.cap && entries.map.insert(key, Arc::new(packed)).is_none() {
+            entries.bytes += cost;
+        }
     }
 }
 
+/// Test hook: plants a (presumably wrong) table in the process-wide
+/// cache under the exact dead set given, so corruption-injection tests
+/// can prove the armed recompute-and-compare check has teeth.
+#[cfg(feature = "verify")]
+#[doc(hidden)]
+pub fn poison_route_cache_for_test(
+    topo: Topo,
+    node_dead: &[bool],
+    link_dead: &[[bool; MAX_PORTS]],
+    routes: &FaultRoutes,
+) {
+    ROUTE_CACHE.insert(RouteKey::new(topo, node_dead, link_dead), routes.pack());
+}
+
 /// Immutable lookup state that replicate lanes of a batched simulation
-/// share instead of rebuilding per lane: the X-Y route table, the
-/// neighbor table, and the [`FaultRouteCache`].
+/// share instead of rebuilding per lane: the X-Y route table and the
+/// neighbor table.
 ///
-/// All lanes must run the same mesh; lanes handed the same instance must
-/// additionally run the same hard-fault schedule (see
-/// [`FaultRouteCache`]). Construction via [`Network::with_shared`] is
-/// behaviorally identical to [`Network::new`] — the tables are the same
-/// values, merely shared — so per-lane results stay byte-identical to
-/// independently built networks.
+/// All lanes must run the same mesh. Construction via
+/// [`Network::with_shared`] is behaviorally identical to
+/// [`Network::new`] — the tables are the same values, merely shared —
+/// so per-lane results stay byte-identical to independently built
+/// networks.
 #[derive(Debug, Clone)]
 pub struct SharedTables {
     mesh: Topo,
     routes: Arc<RouteTable>,
     neighbors: Arc<NeighborTable>,
-    fault_routes: FaultRouteCache,
 }
 
 impl SharedTables {
@@ -318,18 +381,12 @@ impl SharedTables {
             mesh,
             routes: Arc::new(RouteTable::new(mesh)),
             neighbors: Arc::new(NeighborTable::new(mesh)),
-            fault_routes: FaultRouteCache::default(),
         }
     }
 
     /// The topology these tables were built for.
     pub fn mesh(&self) -> Topo {
         self.mesh
-    }
-
-    /// The shared fault-adaptive route-table memo.
-    pub fn fault_routes(&self) -> &FaultRouteCache {
-        &self.fault_routes
     }
 }
 
@@ -366,9 +423,6 @@ pub struct Network<E: ErrorControl> {
     routes: Arc<RouteTable>,
     /// Precomputed node × direction neighbor lookup (link endpoints).
     neighbors: Arc<NeighborTable>,
-    /// Shared fault-adaptive route memo for batched lanes; `None` on an
-    /// independently built network (each fault batch computes its own).
-    fault_cache: Option<FaultRouteCache>,
     /// Slab of in-flight flit bodies; everything else moves handles.
     arena: FlitArena,
     source_queues: Vec<VecDeque<(Packet, u8)>>,
@@ -444,6 +498,10 @@ struct NetTelemetry {
     buffered_flits: Histogram,
     hardfault_events: Counter,
     hardfault_reroutes: Counter,
+    /// Reroutes that ran the up*/down* solve, and reroutes served from
+    /// the process-wide cache; they sum to `hardfault_reroutes`.
+    hardfault_route_solves: Counter,
+    hardfault_route_cache_hits: Counter,
     hardfault_packets_lost: Counter,
     hardfault_unreachable_pairs: Gauge,
 }
@@ -465,6 +523,8 @@ impl NetTelemetry {
             buffered_flits: telemetry.histogram("sim.router.buffered_flits"),
             hardfault_events: telemetry.counter("sim.hardfault.events"),
             hardfault_reroutes: telemetry.counter("sim.hardfault.reroutes"),
+            hardfault_route_solves: telemetry.counter("sim.hardfault.route_solves"),
+            hardfault_route_cache_hits: telemetry.counter("sim.hardfault.route_cache_hits"),
             hardfault_packets_lost: telemetry.counter("sim.hardfault.packets_lost"),
             hardfault_unreachable_pairs: telemetry.gauge("sim.hardfault.unreachable_pairs"),
         }
@@ -487,7 +547,6 @@ impl<E: ErrorControl> Network<E> {
             seed,
             Arc::new(RouteTable::new(mesh)),
             Arc::new(NeighborTable::new(mesh)),
-            None,
         )
     }
 
@@ -511,7 +570,6 @@ impl<E: ErrorControl> Network<E> {
             seed,
             Arc::clone(&shared.routes),
             Arc::clone(&shared.neighbors),
-            Some(shared.fault_routes.clone()),
         )
     }
 
@@ -521,7 +579,6 @@ impl<E: ErrorControl> Network<E> {
         seed: u64,
         routes: Arc<RouteTable>,
         neighbors: Arc<NeighborTable>,
-        fault_cache: Option<FaultRouteCache>,
     ) -> Self {
         if let Err(e) = config.validate() {
             panic!("{e}");
@@ -538,7 +595,6 @@ impl<E: ErrorControl> Network<E> {
             wheel: Wheel::new(),
             routes,
             neighbors,
-            fault_cache,
             arena: FlitArena::new(),
             source_queues: vec![VecDeque::new(); n],
             inject_progress: vec![None; n],
@@ -729,7 +785,7 @@ impl<E: ErrorControl> Network<E> {
 
     /// The fault-adaptive route table, once hard faults are active.
     pub fn fault_routes(&self) -> Option<&FaultRoutes> {
-        self.faults.as_ref().and_then(|f| f.routes.as_deref())
+        self.faults.as_ref().and_then(|f| f.routes.as_ref())
     }
 
     /// Whether router `node` has failed.
@@ -1806,7 +1862,7 @@ impl<E: ErrorControl> Network<E> {
             rc_doomed,
             ..
         } = self;
-        let fault_routes = faults.as_deref().and_then(|f| f.routes.as_deref());
+        let fault_routes = faults.as_deref().and_then(|f| f.routes.as_ref());
         let router = &mut routers[ri];
         if router.occupied_vcs == 0 {
             return; // no buffered head flit: RC has nothing to do
@@ -1941,20 +1997,22 @@ impl<E: ErrorControl> Network<E> {
             applied += 1;
         }
 
-        // 2. Recompute the routing tree on the surviving topology. The
-        // dead sets here are a pure function of the schedule, so lanes
-        // sharing a schedule (and hence a cache) reuse one table; the
-        // applied-event count identifies the batch.
-        let node_alive: Vec<bool> = fs.node_dead.iter().map(|&d| !d).collect();
-        let compute = || {
+        // 2. Reroute on the surviving topology. The table is a pure
+        // function of (topology, dead set), so any network in the
+        // process that reached this dead set first has already paid for
+        // the solve.
+        let key = RouteKey::new(self.mesh, &fs.node_dead, &fs.link_dead);
+        let (routes, hit) = fs.cache.get_or_solve(key, || {
+            let node_alive: Vec<bool> = fs.node_dead.iter().map(|&d| !d).collect();
             FaultRoutes::compute(self.mesh, &node_alive, |n, d| {
                 !fs.link_dead[n.index()][d.index()]
             })
-        };
-        let routes = match &self.fault_cache {
-            Some(cache) => cache.get_or_compute(fs.next_event, compute),
-            None => Arc::new(compute()),
-        };
+        });
+        if hit {
+            self.tel.hardfault_route_cache_hits.inc();
+        } else {
+            self.tel.hardfault_route_solves.inc();
+        }
         let unreachable = routes.unreachable_pairs();
         fs.routes = Some(routes);
 
@@ -2862,6 +2920,90 @@ mod hardfault_tests {
             "gauge must survive the measurement-phase boundary"
         );
         assert_eq!(net.stats().hard_fault_events, 0, "accumulators reset");
+    }
+
+    /// A faulted run with traffic in flight across every batch: five
+    /// link deaths and a router death on a 5×4 torus under all-pairs
+    /// load. Returns the rendered stats and the table after each
+    /// reroute. `cache` swaps the process-wide cache for a private one.
+    fn churn_run(seed: u64, cache: Option<&'static RouteCache>) -> (String, Vec<FaultRoutes>) {
+        let topo = Topo::torus(5, 4);
+        let config = NocConfig::builder().topology(topo).build();
+        let mut net = Network::new(config, PerfectLink::new(), seed);
+        net.set_hard_faults(vec![
+            link(20, NodeId(3), Direction::East),
+            link(40, NodeId(7), Direction::South),
+            link(40, NodeId(12), Direction::West),
+            router(60, NodeId(9)),
+            link(80, NodeId(0), Direction::North),
+            link(100, NodeId(16), Direction::East),
+        ]);
+        if let Some(cache) = cache {
+            net.faults.as_mut().expect("schedule installed").cache = cache;
+        }
+        for i in 0..20u16 {
+            for j in 0..20u16 {
+                if i != j {
+                    net.offer(NodeId(i), NodeId(j));
+                }
+            }
+        }
+        let mut tables = Vec::new();
+        while net.cycle() <= 100 {
+            net.step();
+            if net.stats().reroute_events as usize > tables.len() {
+                tables.push(net.fault_routes().expect("fault applied").clone());
+            }
+        }
+        assert!(net.run_until_quiescent(60_000));
+        assert_eq!(tables.len(), 5, "five distinct event cycles");
+        (format!("{:?}", net.stats()), tables)
+    }
+
+    #[test]
+    fn tiny_cache_cap_only_costs_time() {
+        // Room for about two packed tables: the five-batch run must
+        // overflow and start over at least once. And no room at all:
+        // every reroute solves.
+        static TINY: LazyLock<RouteCache> = LazyLock::new(|| RouteCache::with_cap(250));
+        static NONE: LazyLock<RouteCache> = LazyLock::new(|| RouteCache::with_cap(0));
+        let uncapped = churn_run(1, None);
+        for cache in [&*TINY, &*NONE] {
+            assert_eq!(churn_run(1, Some(cache)), uncapped, "cold capped run");
+            assert_eq!(churn_run(1, Some(cache)), uncapped, "second capped run");
+            let (entries, bytes) = {
+                let held = cache.lock();
+                (held.map.len(), held.bytes)
+            };
+            assert!(bytes <= cache.cap, "{bytes} bytes held over the cap");
+            assert!(entries < 5, "the cap must have forced a restart");
+        }
+        assert!(!TINY.lock().map.is_empty(), "tables that fit are kept");
+    }
+
+    #[test]
+    fn concurrent_networks_share_the_cache_and_agree() {
+        // The `RLNOC_JOBS=4` shape: four workers walk one schedule at
+        // once, racing to solve and publish the same dead sets.
+        let barrier = std::sync::Barrier::new(4);
+        let runs: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4u64)
+                .map(|seed| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        barrier.wait();
+                        churn_run(seed, None).1
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker panicked"))
+                .collect()
+        });
+        for tables in &runs[1..] {
+            assert_eq!(tables, &runs[0], "every worker routes on equal tables");
+        }
     }
 
     #[test]

@@ -159,6 +159,12 @@ impl RouteTable {
 /// Sentinel port index for "no route" entries in [`FaultRoutes`].
 const UNREACHABLE_PORT: u8 = 0xFF;
 
+/// "No live neighbor" in the solver's flat adjacency.
+const NO_NODE: u16 = u16::MAX;
+
+/// "No legal route" in the solver's distance vectors.
+const NO_DIST: u32 = u32::MAX;
+
 /// Fault-adaptive next-hop table: full-graph up*/down* routing over the
 /// live sub-topology.
 ///
@@ -218,154 +224,150 @@ impl FaultRoutes {
     {
         let topo = topo.into();
         let compass = topo.compass();
-        let n = topo.num_nodes();
+        let (n, k) = (topo.num_nodes(), compass.len());
         assert_eq!(node_alive.len(), n, "liveness vector must cover the mesh");
-        // BFS forest: component label and level (root distance) per node.
-        let mut level: Vec<u16> = vec![u16::MAX; n];
-        let mut comp: Vec<u16> = vec![u16::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
-        for root in topo.nodes() {
-            if !node_alive[root.index()] || comp[root.index()] != u16::MAX {
-                continue;
-            }
-            comp[root.index()] = root.0;
-            level[root.index()] = 0;
-            queue.push_back(root);
-            while let Some(u) = queue.pop_front() {
-                for &dir in compass {
-                    if !link_alive(u, dir) {
-                        continue;
-                    }
-                    let Some(v) = topo.neighbor(u, dir) else {
-                        continue;
-                    };
-                    if node_alive[v.index()] && comp[v.index()] == u16::MAX {
-                        comp[v.index()] = root.0;
-                        level[v.index()] = level[u.index()] + 1;
-                        queue.push_back(v);
-                    }
+
+        // Live adjacency, built once: slot `u * k + s` is the neighbor
+        // across compass port `s` when link and both routers are alive.
+        let mut adj = vec![NO_NODE; n * k];
+        for u in topo.nodes().filter(|u| node_alive[u.index()]) {
+            for (s, &dir) in compass.iter().enumerate() {
+                if !link_alive(u, dir) {
+                    continue;
+                }
+                if let Some(v) = topo.neighbor(u, dir).filter(|v| node_alive[v.index()]) {
+                    adj[u.index() * k + s] = v.0;
                 }
             }
         }
 
+        // BFS forest: component label and rank per node. Rank packs
+        // `(BFS level, node id)` as `level << 16 | id`; dead nodes keep
+        // `u32::MAX`.
+        let mut rank = vec![u32::MAX; n];
+        let mut comp = vec![NO_NODE; n];
+        let mut queue: Vec<u16> = Vec::with_capacity(n);
+        let mut same_component_pairs = 0u64;
+        for root in 0..n {
+            if !node_alive[root] || comp[root] != NO_NODE {
+                continue;
+            }
+            let first = queue.len();
+            comp[root] = root as u16;
+            rank[root] = root as u32;
+            queue.push(root as u16);
+            let mut head = first;
+            while head < queue.len() {
+                let u = queue[head] as usize;
+                head += 1;
+                for &v in &adj[u * k..(u + 1) * k] {
+                    if v != NO_NODE && comp[v as usize] == NO_NODE {
+                        comp[v as usize] = root as u16;
+                        rank[v as usize] = ((rank[u] >> 16) + 1) << 16 | v as u32;
+                        queue.push(v);
+                    }
+                }
+            }
+            let size = (queue.len() - first) as u64;
+            same_component_pairs += size * size;
+        }
+        // `queue` now holds exactly the live nodes; an ordered live pair
+        // has no route iff its ends sit in different components.
+        let live = queue.len() as u64;
+        let unreachable_pairs = live * live - same_component_pairs;
+
         // Rank orients every live link: its "up" end is the smaller
-        // `(level, id)`. Up traversals strictly decrease rank, down
-        // traversals strictly increase it.
-        let rank = |u: NodeId| (level[u.index()], u.0);
+        // rank. Up traversals strictly decrease rank, down traversals
+        // strictly increase it. Split the adjacency by orientation once
+        // (same slots, so port order and port indices are preserved).
+        let mut up = adj;
+        let mut down = up.clone();
+        for u in 0..n {
+            for s in u * k..(u + 1) * k {
+                let v = up[s];
+                if v == NO_NODE {
+                    continue;
+                }
+                if rank[v as usize] < rank[u] {
+                    down[s] = NO_NODE;
+                } else {
+                    up[s] = NO_NODE;
+                }
+            }
+        }
         // Live nodes in increasing rank order, for the up-phase DP.
-        let mut by_rank: Vec<NodeId> = topo.nodes().filter(|&u| node_alive[u.index()]).collect();
-        by_rank.sort_by_key(|&u| rank(u));
+        let mut by_rank = queue.clone();
+        by_rank.sort_unstable_by_key(|&u| rank[u as usize]);
 
         let mut table = vec![UNREACHABLE_PORT; n * n];
-        let mut dist_down: Vec<u32> = Vec::new();
-        let mut dist_any: Vec<u32> = Vec::new();
-        for dst in topo.nodes() {
-            if !node_alive[dst.index()] {
+        // Distance vectors carry one spare slot that stays `NO_DIST`,
+        // so a missing neighbor (`NO_NODE` clamped to `n`) reads as
+        // "no route" without a branch.
+        let mut dist_down = vec![NO_DIST; n + 1];
+        let mut dist_any = vec![NO_DIST; n + 1];
+        let slot = |v: u16| (v as usize).min(n);
+        for dst in 0..n {
+            if !node_alive[dst] {
                 continue;
             }
             // Pure-down distance to `dst`: BFS from `dst` across
             // reversed down traversals (a hop u→x with rank(u) <
             // rank(x) may end a pure-down route iff x already can).
-            dist_down.clear();
-            dist_down.resize(n, u32::MAX);
-            dist_down[dst.index()] = 0;
+            dist_down.fill(NO_DIST);
+            dist_down[dst] = 0;
             queue.clear();
-            queue.push_back(dst);
-            while let Some(x) = queue.pop_front() {
-                for &dir in compass {
-                    if !link_alive(x, dir) {
-                        continue;
-                    }
-                    let Some(u) = topo.neighbor(x, dir) else {
-                        continue;
-                    };
-                    if node_alive[u.index()]
-                        && rank(u) < rank(x)
-                        && dist_down[u.index()] == u32::MAX
-                    {
-                        dist_down[u.index()] = dist_down[x.index()] + 1;
-                        queue.push_back(u);
+            queue.push(dst as u16);
+            let mut head = 0;
+            while head < queue.len() {
+                let x = queue[head] as usize;
+                head += 1;
+                for &u in &up[x * k..(x + 1) * k] {
+                    if u != NO_NODE && dist_down[u as usize] == NO_DIST {
+                        dist_down[u as usize] = dist_down[x] + 1;
+                        queue.push(u);
                     }
                 }
             }
             // Legal (up* then down*) distance: a route either is pure
             // down, or first climbs one up-link. Up-links strictly
             // decrease rank, so increasing-rank order is a valid DP
-            // order.
-            dist_any.clear();
-            dist_any.resize(n, u32::MAX);
+            // order. Next hops fall out of the same pass: prefer the
+            // shortest pure-down continuation (suffix-consistent —
+            // every node after it also has one); otherwise climb the
+            // up-link on a shortest legal route. Ties break toward the
+            // smallest port index.
+            dist_any.fill(NO_DIST);
             for &u in &by_rank {
-                if comp[u.index()] != comp[dst.index()] {
+                let u = u as usize;
+                if comp[u] != comp[dst] {
                     continue;
                 }
-                let mut best = dist_down[u.index()];
-                for &dir in compass {
-                    if !link_alive(u, dir) {
-                        continue;
-                    }
-                    let Some(v) = topo.neighbor(u, dir) else {
-                        continue;
-                    };
-                    if node_alive[v.index()] && rank(v) < rank(u) && dist_any[v.index()] != u32::MAX
-                    {
-                        best = best.min(dist_any[v.index()] + 1);
-                    }
+                let mut best = dist_down[u];
+                for &v in &up[u * k..(u + 1) * k] {
+                    best = best.min(dist_any[slot(v)].saturating_add(1));
                 }
-                dist_any[u.index()] = best;
-            }
-            // Next hops: prefer the shortest pure-down continuation
-            // (suffix-consistent — every node after it also has one);
-            // otherwise climb the up-link on a shortest legal route.
-            // Ties break toward the smallest port index.
-            for &u in &by_rank {
-                if u == dst || comp[u.index()] != comp[dst.index()] {
+                dist_any[u] = best;
+                if u == dst {
                     continue;
                 }
-                let downhill = dist_down[u.index()] != u32::MAX;
-                for &dir in compass {
-                    if !link_alive(u, dir) {
-                        continue;
-                    }
-                    let Some(v) = topo.neighbor(u, dir) else {
-                        continue;
-                    };
-                    if !node_alive[v.index()] {
-                        continue;
-                    }
-                    let good = if downhill {
-                        rank(v) > rank(u)
-                            && dist_down[v.index()] != u32::MAX
-                            && dist_down[v.index()] + 1 == dist_down[u.index()]
-                    } else {
-                        rank(v) < rank(u)
-                            && dist_any[v.index()] != u32::MAX
-                            && dist_any[v.index()] + 1 == dist_any[u.index()]
-                    };
-                    if good {
-                        table[u.index() * n + dst.index()] = dir.index() as u8;
+                let (dist, hops, want) = if dist_down[u] != NO_DIST {
+                    (&dist_down, &down[u * k..(u + 1) * k], dist_down[u])
+                } else {
+                    (&dist_any, &up[u * k..(u + 1) * k], best)
+                };
+                for (s, &v) in hops.iter().enumerate() {
+                    if dist[slot(v)].saturating_add(1) == want {
+                        table[u * n + dst] = compass[s].index() as u8;
                         break;
                     }
                 }
                 debug_assert_ne!(
-                    table[u.index() * n + dst.index()],
+                    table[u * n + dst],
                     UNREACHABLE_PORT,
                     "connected pair {u}→{dst} must get a next hop"
                 );
             }
-            table[dst.index() * n + dst.index()] = Direction::Local.index() as u8;
-        }
-
-        let mut unreachable_pairs = 0u64;
-        for u in topo.nodes() {
-            for v in topo.nodes() {
-                if u != v
-                    && node_alive[u.index()]
-                    && node_alive[v.index()]
-                    && comp[u.index()] != comp[v.index()]
-                {
-                    unreachable_pairs += 1;
-                }
-            }
+            table[dst * n + dst] = Direction::Local.index() as u8;
         }
 
         Self {
@@ -399,11 +401,69 @@ impl FaultRoutes {
         self.unreachable_pairs
     }
 
+    /// Run-length packs the table for storage in the process-wide
+    /// reroute cache.
+    pub(crate) fn pack(&self) -> PackedRoutes {
+        let mut runs = Vec::new();
+        for run in self.table.chunk_by(|a, b| a == b) {
+            for piece in run.chunks(MAX_RUN) {
+                // Ports are 0..=6; the sentinel takes the spare code 7.
+                runs.push(run[0].min(7) | ((piece.len() - 1) as u8) << 3);
+            }
+        }
+        PackedRoutes {
+            runs: runs.into(),
+            n: self.n,
+            unreachable_pairs: self.unreachable_pairs,
+        }
+    }
+
     /// Test-only corruption hook: overwrite a table entry so the
     /// verify-mode reroute-consistency checker can be proven to fire.
     #[cfg(all(test, feature = "verify"))]
     pub(crate) fn corrupt_entry(&mut self, current: NodeId, dst: NodeId, port: Direction) {
         self.table[current.index() * self.n + dst.index()] = port.index() as u8;
+    }
+}
+
+/// Longest run one packed byte can describe.
+const MAX_RUN: usize = 32;
+
+/// A [`FaultRoutes`] table run-length packed along
+/// `table[current * n + dst]`: one byte per run, port code in the low
+/// three bits (7 = unreachable) and `length - 1` in the high five. Rows
+/// of an up*/down* table are long runs of one port — the 42 tables of
+/// the 16×16-torus benchmark schedule are 2 688 KiB dense and 247 KiB
+/// packed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct PackedRoutes {
+    runs: Box<[u8]>,
+    n: usize,
+    unreachable_pairs: u64,
+}
+
+impl PackedRoutes {
+    /// Rebuilds the dense table; `unpack(pack(t)) == t`.
+    pub(crate) fn unpack(&self) -> FaultRoutes {
+        let mut table = Vec::with_capacity(self.n * self.n);
+        for &run in &*self.runs {
+            let port = match run & 0x07 {
+                7 => UNREACHABLE_PORT,
+                p => p,
+            };
+            table.resize(table.len() + (run >> 3) as usize + 1, port);
+        }
+        debug_assert_eq!(table.len(), self.n * self.n);
+        FaultRoutes {
+            table,
+            n: self.n,
+            unreachable_pairs: self.unreachable_pairs,
+        }
+    }
+
+    /// Heap bytes held.
+    pub(crate) fn bytes(&self) -> usize {
+        self.runs.len()
     }
 }
 
@@ -641,6 +701,92 @@ mod tests {
         assert!(!routes.reachable(NodeId(0), NodeId(2)));
         assert!(routes.next_hop(NodeId(1), NodeId(3)).is_none());
         walk_fault_route(Topo::mesh(4, 1), &routes, NodeId(2), NodeId(3));
+    }
+
+    /// Dead sets that exercise every packed shape on `topo`: healthy,
+    /// one dead router (an all-unreachable row and column), one cut
+    /// link, and the dead router plus every link between two column
+    /// pairs (a partition on meshes and tori).
+    fn packing_cases(topo: Topo) -> Vec<FaultRoutes> {
+        let dead_node = NodeId((topo.num_nodes() / 2) as u16);
+        let w = topo.width();
+        let solve = |dead: Option<NodeId>, cut: &dyn Fn(u16, u16) -> bool| {
+            let alive: Vec<bool> = topo.nodes().map(|u| Some(u) != dead).collect();
+            FaultRoutes::compute(topo, &alive, |u, d| {
+                topo.neighbor(u, d).is_some_and(|v| {
+                    Some(u) != dead && Some(v) != dead && !cut(u.0.min(v.0), u.0.max(v.0))
+                })
+            })
+        };
+        let columns = |lo: u16, hi: u16| {
+            let (a, b) = (topo.coord(NodeId(lo)).x, topo.coord(NodeId(hi)).x);
+            (a.min(b), a.max(b))
+        };
+        vec![
+            solve(None, &|_, _| false),
+            solve(Some(dead_node), &|_, _| false),
+            solve(None, &|lo, hi| (lo, hi) == (0, 1)),
+            solve(Some(dead_node), &|lo, hi| {
+                [(w / 2, w / 2 + 1), (0, w - 1)].contains(&columns(lo, hi))
+            }),
+        ]
+    }
+
+    #[test]
+    fn packed_routes_round_trip_on_every_zoo_member() {
+        for topo in [
+            Topo::mesh(8, 8),
+            Topo::torus(16, 16),
+            Topo::torus(5, 3),
+            Topo::ftorus(4, 6),
+            Topo::mesh3d(3, 3, 3),
+        ] {
+            for (case, routes) in packing_cases(topo).into_iter().enumerate() {
+                let packed = routes.pack();
+                assert_eq!(packed.unpack(), routes, "{} case {case}", topo.encode());
+                assert!(
+                    packed.bytes() < routes.table.len(),
+                    "{} case {case}: packing must shrink the table",
+                    topo.encode()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn packed_routes_cover_sentinels_long_runs_and_dead_rows() {
+        let topo = Topo::torus(16, 16);
+        let n = topo.num_nodes();
+        let cases = packing_cases(topo);
+        // The dead router's row is n unreachable entries — one run
+        // eight times the longest a single byte can describe — and the
+        // partitioned case strands whole blocks of pairs.
+        let dead_row = &cases[1].table[n / 2 * n..(n / 2 + 1) * n];
+        assert!(dead_row.iter().all(|&p| p == UNREACHABLE_PORT));
+        assert!(n > MAX_RUN);
+        assert!(cases[3].unreachable_pairs() > 0);
+        for routes in &cases {
+            assert_eq!(&routes.pack().unpack(), routes);
+        }
+        // Run boundaries: exactly MAX_RUN, one more, and a lone entry.
+        for len in [
+            1,
+            MAX_RUN - 1,
+            MAX_RUN,
+            MAX_RUN + 1,
+            3 * MAX_RUN,
+            3 * MAX_RUN + 1,
+        ] {
+            let mut table = vec![UNREACHABLE_PORT; len];
+            table.extend([0, 6, 6, 4]);
+            table.resize(256, 2);
+            let routes = FaultRoutes {
+                table,
+                n: 16,
+                unreachable_pairs: len as u64,
+            };
+            assert_eq!(routes.pack().unpack(), routes, "leading run of {len}");
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub mod diff;
 pub mod refnet;
 pub mod refproto;
 pub mod refrouter;
+pub mod refroutes;
 pub mod reftree;
 
 pub use backend::{ReferenceBackend, StaleTemperatureBackend};

@@ -10,13 +10,13 @@
 //! that is exactly what the differential oracle verifies.
 
 use crate::refrouter::{BufferedFlit, PendingRetransmit, RefRouter, VcState};
+use crate::refroutes::RefFaultRoutes;
 use noc_coding::arq::{AckKind, SequenceNumber};
 use noc_coding::crc::Crc32;
 use noc_sim::config::NocConfig;
 use noc_sim::error_control::{EjectOutcome, ErrorControl, HopOutcome, TransferKind};
 use noc_sim::flit::{splitmix64, Flit, Packet, PacketClass, PacketId};
 use noc_sim::network::{HardFaultEvent, HardFaultKind};
-use noc_sim::routing::FaultRoutes;
 use noc_sim::stats::{EventCounters, NetworkStats, RouterEpochStats};
 use noc_sim::topology::{Direction, LinkId, NodeId, Topo, MAX_PORTS};
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -116,7 +116,7 @@ struct RefFaultState {
     link_dead: Vec<[bool; MAX_PORTS]>,
     /// `Some` once the first fault event has been applied; the network
     /// then routes via this table instead of X-Y.
-    routes: Option<FaultRoutes>,
+    routes: Option<RefFaultRoutes>,
     /// Packets that lost at least one flit (or their source/destination
     /// router) to a hard fault.
     doomed: BTreeSet<PacketId>,
@@ -1177,7 +1177,7 @@ impl<E: ErrorControl> RefNetwork<E> {
 
         // 2. Recompute the routing tree on the surviving topology.
         let node_alive: Vec<bool> = fs.node_dead.iter().map(|&d| !d).collect();
-        let routes = FaultRoutes::compute(self.mesh, &node_alive, |n, d| {
+        let routes = RefFaultRoutes::compute(self.mesh, &node_alive, |n, d| {
             !fs.link_dead[n.index()][d.index()]
         });
         let unreachable = routes.unreachable_pairs();

@@ -7,11 +7,12 @@
 //! cycle. Obviously correct beats fast here — the differential oracle
 //! diffs this model against the optimized kernel.
 
+use crate::refroutes::RefFaultRoutes;
 use noc_coding::arq::{RetransmitBuffer, SequenceNumber};
 use noc_sim::arbiter::RoundRobinArbiter;
 use noc_sim::config::NocConfig;
 use noc_sim::flit::{Flit, PacketId};
-use noc_sim::routing::{min_route, FaultRoutes};
+use noc_sim::routing::min_route;
 use noc_sim::topology::{Direction, NodeId, Topo, VcClass};
 use std::collections::VecDeque;
 
@@ -184,7 +185,7 @@ impl RefRouter {
         &mut self,
         cycle: u64,
         mesh: Topo,
-        fault: Option<&FaultRoutes>,
+        fault: Option<&RefFaultRoutes>,
         doomed: &mut Vec<(PacketId, bool)>,
     ) {
         for port in &mut self.inputs {

@@ -1,25 +1,25 @@
 //! Batch-aware invariant coverage with the runtime checkers armed.
 //!
-//! Compiled only under the `verify` feature. Two angles on the
-//! replicate-group sharing machinery under `RLNOC_VERIFY=1`:
+//! Compiled only under the `verify` feature. Two angles on table
+//! sharing under `RLNOC_VERIFY=1`:
 //!
 //! * a **positive run** — a hard-faulted batched replicate group, with
 //!   per-lane flit-arena and credit conservation re-derived from scratch
 //!   every simulated cycle inside each lane's `Network`, must still
 //!   match its serial lanes bit for bit;
 //! * a **corruption injection** — a deliberately wrong table planted in
-//!   the shared fault-route cache must be caught by the armed coherence
-//!   check (recompute-and-compare on every cache hit), proving the
-//!   check has teeth rather than silently steering packets.
+//!   the process-wide reroute cache must be caught by the armed
+//!   coherence check (recompute-and-compare on every cache hit),
+//!   proving the check has teeth rather than silently steering packets.
 
 #![cfg(feature = "verify")]
 
 use noc_fault::timing::TimingErrorModel;
 use noc_fault::variation::VariationMap;
 use noc_sim::config::NocConfig;
-use noc_sim::network::{HardFaultEvent, HardFaultKind, Network, SharedTables};
+use noc_sim::network::{poison_route_cache_for_test, HardFaultEvent, HardFaultKind, Network};
 use noc_sim::routing::FaultRoutes;
-use noc_sim::topology::NodeId;
+use noc_sim::topology::{NodeId, MAX_PORTS};
 use rlnoc_core::fuzzcase::FuzzCase;
 use rlnoc_core::protocol::FaultTolerantProtocol;
 use rlnoc_verify::run_case_batched;
@@ -48,29 +48,40 @@ fn batched_faulted_lanes_uphold_armed_invariants() {
 }
 
 #[test]
-#[should_panic(expected = "shared fault-route cache entry")]
-fn poisoned_shared_route_cache_is_caught() {
+#[should_panic(expected = "reroute cache entry for Mesh { width: 5, height: 3 } diverges")]
+fn poisoned_process_wide_route_cache_is_caught() {
     arm();
-    let config = NocConfig::builder().mesh(4, 4).build();
+    // A 5×3 mesh: no other test in this binary uses the shape, so the
+    // process-global poisoned entry cannot trip a neighbour.
+    let config = NocConfig::builder().mesh(5, 3).build();
     let mesh = config.mesh;
-    let shared = SharedTables::new(mesh);
+    let n = mesh.num_nodes();
 
-    // Plant a wrong table under key 1 — the entry consulted after the
-    // first (single-event) fault batch applies: routes computed as if
-    // node 10 died, while the schedule below actually kills node 5.
-    let mut alive = vec![true; mesh.num_nodes()];
-    alive[10] = false;
+    // Plant a wrong table under the exact dead set the schedule below
+    // produces (router 7 and its links): routes computed as if node 11
+    // had died instead.
+    let mut alive = vec![true; n];
+    alive[11] = false;
     let wrong = FaultRoutes::compute(mesh, &alive, |u, d| {
-        u.index() != 10 && mesh.neighbor(u, d).is_none_or(|v| v.index() != 10)
+        u.index() != 11 && mesh.neighbor(u, d).is_none_or(|v| v.index() != 11)
     });
-    shared.fault_routes().poison_for_test(1, wrong);
+    let mut node_dead = vec![false; n];
+    let mut link_dead = vec![[false; MAX_PORTS]; n];
+    node_dead[7] = true;
+    for &dir in mesh.compass() {
+        if let Some(peer) = mesh.neighbor(NodeId(7), dir) {
+            link_dead[7][dir.index()] = true;
+            link_dead[peer.index()][dir.opposite().index()] = true;
+        }
+    }
+    poison_route_cache_for_test(mesh, &node_dead, &link_dead, &wrong);
 
-    let variation = VariationMap::generate(4, 4, 0.0, 0.0, 1);
+    let variation = VariationMap::generate(5, 3, 0.0, 0.0, 1);
     let protocol = FaultTolerantProtocol::new(mesh, TimingErrorModel::default(), variation, 2);
-    let mut net = Network::with_shared(config, protocol, 3, &shared);
+    let mut net = Network::new(config, protocol, 3);
     net.set_hard_faults(vec![HardFaultEvent {
         cycle: 10,
-        kind: HardFaultKind::Router { node: NodeId(5) },
+        kind: HardFaultKind::Router { node: NodeId(7) },
     }]);
     // Stepping past cycle 10 applies the fault batch, hits the poisoned
     // entry, and the armed recompute-and-compare must panic.
