@@ -23,8 +23,8 @@
 //! - `rlnoc-submit` — client CLI: `submit`, `status`, `watch`,
 //!   `result`, `cancel`.
 //! - `loadtest` — floods an in-process server with thousands of tiny
-//!   campaigns across prioritised tenants and writes submit-to-complete
-//!   latency percentiles to `BENCH_serve.json`.
+//!   campaigns across prioritised tenants and checks fair-share order
+//!   and served == standalone byte identity as the backlog drains.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
