@@ -651,12 +651,14 @@ mod tests {
         // links, date-line VCs, or the vertical dimension.
         let cases: Vec<FuzzCase> = (0..64).map(|i| FuzzCase::generate(7, i)).collect();
         for (name, pick) in [("mesh", 0usize), ("torus", 1), ("ftorus", 2), ("3d", 3)] {
-            let member = |c: &FuzzCase| match (pick, c.topo) {
-                (0, Topo::Mesh(_))
-                | (1, Topo::Torus(_))
-                | (2, Topo::FoldedTorus(_))
-                | (3, Topo::Mesh3d(_)) => true,
-                _ => false,
+            let member = |c: &FuzzCase| {
+                matches!(
+                    (pick, c.topo),
+                    (0, Topo::Mesh(_))
+                        | (1, Topo::Torus(_))
+                        | (2, Topo::FoldedTorus(_))
+                        | (3, Topo::Mesh3d(_))
+                )
             };
             assert!(
                 cases.iter().any(|c| member(c) && c.hard_faults.is_some()),

@@ -178,6 +178,7 @@ impl<T: Clone> RetransmitBuffer<T> {
     /// Returns the event classification and, for a NACK that matched, a
     /// clone of the payload to retransmit (the original stays buffered
     /// until a matching ACK arrives).
+    #[inline]
     pub fn acknowledge(&mut self, seq: SequenceNumber, kind: AckKind) -> (ArqEvent, Option<T>) {
         let Some(idx) = self.pending.iter().position(|p| p.seq == seq) else {
             return (ArqEvent::Unknown, None);

@@ -326,8 +326,10 @@ mod tests {
             temperature_c: 72.0,
             fault_degree: 0.75,
         };
-        // Hand-computed mixed-radix index over bins [5,5,5,4,4,5].
-        let expected = ((((1 * 5 + 2) * 5 + 0) * 4 + 2) * 4 + 0) * 5 + 2;
+        // Hand-computed mixed-radix index: (bins, digit) per feature.
+        let expected = [(5, 1), (5, 2), (5, 0), (4, 2), (4, 0), (5, 2)]
+            .iter()
+            .fold(0, |index, (bins, digit)| index * bins + digit);
         assert_eq!(space.discretize(&f), expected);
     }
 

@@ -64,7 +64,13 @@ fn sigkill_mid_flight_then_restart_yields_byte_identical_results() {
     let mut client = Client::connect(&addr).expect("connect");
 
     let specs: Vec<CampaignSpec> = (0..5).map(|n| slow_spec(400 + n)).collect();
-    let tenant_of = |n: usize| if n % 2 == 0 { "alice" } else { "bravo" };
+    let tenant_of = |n: usize| {
+        if n.is_multiple_of(2) {
+            "alice"
+        } else {
+            "bravo"
+        }
+    };
     let mut ids = Vec::new();
     let mut total_tasks = 0usize;
     for (n, spec) in specs.iter().enumerate() {

@@ -54,31 +54,62 @@ impl RoundRobinArbiter {
     /// Grants one of the asserted requests, rotating priority past the
     /// winner. Returns `None` when no request is asserted.
     ///
+    /// The slice form is the reference model's arbiter (`noc-verify`
+    /// calls it every cycle); the simulator itself grants through
+    /// [`grant_mask`](Self::grant_mask).
+    ///
     /// # Panics
     ///
     /// Panics if `requests.len() != self.len()`.
     pub fn grant(&mut self, requests: &[bool]) -> Option<usize> {
         assert_eq!(requests.len(), self.n, "request vector size mismatch");
-        for offset in 0..self.n {
-            let idx = (self.next + offset) % self.n;
+        let mut idx = self.next;
+        for _ in 0..self.n {
             if requests[idx] {
-                self.next = (idx + 1) % self.n;
+                self.next = self.after(idx);
                 return Some(idx);
             }
+            idx = self.after(idx);
         }
         None
     }
 
-    /// Like [`grant`](Self::grant) but with requests given as indices.
-    pub fn grant_indices(&mut self, requesters: &[usize]) -> Option<usize> {
-        if requesters.is_empty() {
+    /// The slot after `idx`, wrapping — a compare, not a divide: both
+    /// grant forms run per router per cycle.
+    #[inline]
+    fn after(&self, idx: usize) -> usize {
+        if idx + 1 == self.n {
+            0
+        } else {
+            idx + 1
+        }
+    }
+
+    /// [`grant`](Self::grant) over a request word: bit `i` set means
+    /// requester `i` asserts. Same winner, same pointer update — the
+    /// first set bit at or above `next`, else the lowest set bit.
+    ///
+    /// Requires `self.len() <= 64` and no bit at or above `self.len()`.
+    #[inline]
+    pub fn grant_mask(&mut self, requests: u64) -> Option<usize> {
+        debug_assert!(self.n <= 64, "request word holds 64 requesters");
+        debug_assert!(
+            self.n == 64 || requests >> self.n == 0,
+            "request bit beyond the arbiter's {} slots",
+            self.n
+        );
+        if requests == 0 {
             return None;
         }
-        let mut requests = vec![false; self.n];
-        for &r in requesters {
-            requests[r] = true;
-        }
-        self.grant(&requests)
+        // `next < n <= 64`, so the shift is in range.
+        let ahead = requests >> self.next;
+        let idx = if ahead != 0 {
+            self.next + ahead.trailing_zeros() as usize
+        } else {
+            requests.trailing_zeros() as usize
+        };
+        self.next = self.after(idx);
+        Some(idx)
     }
 
     /// Resets the priority pointer (used when re-seeding experiments).
@@ -125,26 +156,6 @@ mod tests {
             }
         }
         assert!(granted, "requester 3 starved");
-    }
-
-    #[test]
-    fn grant_indices_matches_grant() {
-        let mut a = RoundRobinArbiter::new(4);
-        let mut b = RoundRobinArbiter::new(4);
-        assert_eq!(
-            a.grant(&[false, true, false, true]),
-            b.grant_indices(&[1, 3])
-        );
-        assert_eq!(
-            a.grant(&[false, true, false, true]),
-            b.grant_indices(&[3, 1])
-        );
-    }
-
-    #[test]
-    fn grant_indices_empty_is_none() {
-        let mut arb = RoundRobinArbiter::new(4);
-        assert_eq!(arb.grant_indices(&[]), None);
     }
 
     #[test]
@@ -198,6 +209,26 @@ mod prop_tests {
                 seen[g] = true;
             }
             prop_assert!(seen.iter().all(|&s| s));
+        }
+
+        /// The word form is the slice form: same winner and same pointer
+        /// afterwards from any pointer position, at every width a router
+        /// can have (`ports × VCs ≤ 64`), the empty word included.
+        #[test]
+        fn grant_mask_matches_grant(
+            n in 1usize..65,
+            next in 0usize..64,
+            words in proptest::collection::vec(any::<u64>(), 1..8),
+        ) {
+            let mut by_slice = RoundRobinArbiter { n, next: next % n };
+            let mut by_word = by_slice.clone();
+            let keep = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+            for word in words.into_iter().chain([0]) {
+                let word = word & keep;
+                let slice: Vec<bool> = (0..n).map(|i| word >> i & 1 == 1).collect();
+                prop_assert_eq!(by_word.grant_mask(word), by_slice.grant(&slice));
+                prop_assert_eq!(&by_word, &by_slice);
+            }
         }
     }
 }

@@ -68,31 +68,44 @@ impl NocConfig {
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.vcs_per_port == 0 {
-            return Err(ConfigError("vcs_per_port must be positive"));
+            return Err(ConfigError("vcs_per_port must be positive".into()));
         }
         if self.vcs_per_port < self.mesh.min_vcs() {
             return Err(ConfigError(
                 "vcs_per_port below the topology's deadlock-avoidance minimum \
-                 (tori need at least 2 VCs for the date-line split)",
+                 (tori need at least 2 VCs for the date-line split)"
+                    .into(),
+            ));
+        }
+        // The router keeps one bit per input VC in a `u64` stage mask.
+        let (ports, vcs) = (self.mesh.num_ports(), self.vcs_per_port);
+        if ports * vcs as usize > 64 {
+            return Err(ConfigError(
+                format!(
+                    "{ports} ports x {vcs} vcs_per_port exceeds the 64 input VCs a router tracks"
+                )
+                .into(),
             ));
         }
         if self.vc_depth == 0 {
-            return Err(ConfigError("vc_depth must be positive"));
+            return Err(ConfigError("vc_depth must be positive".into()));
         }
         if self.flits_per_packet == 0 {
-            return Err(ConfigError("flits_per_packet must be positive"));
+            return Err(ConfigError("flits_per_packet must be positive".into()));
         }
         if self.link_latency == 0 {
-            return Err(ConfigError("link_latency must be positive"));
+            return Err(ConfigError("link_latency must be positive".into()));
         }
         if self.retransmit_buffer_depth == 0 {
-            return Err(ConfigError("retransmit_buffer_depth must be positive"));
+            return Err(ConfigError(
+                "retransmit_buffer_depth must be positive".into(),
+            ));
         }
         if self.voltage <= 0.0 || self.voltage.is_nan() {
-            return Err(ConfigError("voltage must be positive"));
+            return Err(ConfigError("voltage must be positive".into()));
         }
         if self.frequency <= 0.0 || self.frequency.is_nan() {
-            return Err(ConfigError("frequency must be positive"));
+            return Err(ConfigError("frequency must be positive".into()));
         }
         Ok(())
     }
@@ -116,8 +129,8 @@ impl Default for NocConfig {
 }
 
 /// A configuration constraint violation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConfigError(&'static str);
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError(std::borrow::Cow<'static, str>);
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -258,6 +271,43 @@ mod tests {
     #[should_panic(expected = "vcs_per_port")]
     fn zero_vcs_panics() {
         let _ = NocConfig::builder().vcs_per_port(0).build();
+    }
+
+    #[test]
+    fn more_than_64_input_vcs_is_rejected_naming_both_numbers() {
+        // 5 ports x 12 VCs = 60 fits the stage masks; 13 does not.
+        let fits = NocConfig {
+            vcs_per_port: 12,
+            ..NocConfig::default()
+        };
+        assert!(fits.validate().is_ok());
+        let err = NocConfig {
+            vcs_per_port: 13,
+            ..fits
+        }
+        .validate()
+        .unwrap_err()
+        .to_string();
+        assert!(
+            err.contains("5 ports") && err.contains("13 vcs_per_port"),
+            "{err}"
+        );
+        // Seven ports with vertical links: 9 VCs fit, 10 do not.
+        let stacked = NocConfig::builder()
+            .topology(Topo::mesh3d(2, 2, 2))
+            .vcs_per_port(9)
+            .build();
+        let err = NocConfig {
+            vcs_per_port: 10,
+            ..stacked
+        }
+        .validate()
+        .unwrap_err()
+        .to_string();
+        assert!(
+            err.contains("7 ports") && err.contains("10 vcs_per_port"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -351,6 +351,7 @@ impl<T> PacketWindow<T> {
     /// has already slid past may legitimately return (destination
     /// reassembly of an end-to-end retransmission); the window then
     /// grows downward to cover it again.
+    #[inline]
     pub fn insert(&mut self, id: PacketId, value: T) -> Option<T> {
         if self.live == 0 {
             // Empty window: rebase instead of bridging the gap with
@@ -390,6 +391,7 @@ impl<T> PacketWindow<T> {
 
     /// Removes and returns the entry under `id`, sliding the window
     /// base past any leading vacancies.
+    #[inline]
     pub fn remove(&mut self, id: PacketId) -> Option<T> {
         if id.0 < self.base {
             return None;

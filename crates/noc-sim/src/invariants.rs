@@ -24,10 +24,11 @@
 //!   are deliberately lost, never replenished), and every entry of the
 //!   fault-adaptive reroute table points at a live link to a live
 //!   neighbor.
-//! * **Pipeline-stage counters** — the incremental `occupied_vcs` /
-//!   `rc_pending` / `needs_va` / `active_vcs` skip counters match a full
-//!   rescan (the release-build analogue of
-//!   [`Router::debug_check_stage_counters`]).
+//! * **Pipeline-stage masks** — the incremental `rc` / `va` / `act` /
+//!   `retx` stage masks (and with them the occupied set and the
+//!   worklist predicate) match a full rescan of every VC and resend
+//!   queue (the release-build analogue of
+//!   [`Router::debug_check_stage_masks`]).
 //! * **No-progress watchdog** — a non-quiescent network whose activity
 //!   fingerprint has not changed for [`WATCHDOG_CYCLES`] cycles is
 //!   declared deadlocked/livelocked.
@@ -37,6 +38,7 @@
 
 use super::*;
 use crate::flit::splitmix64;
+use crate::router::InputVc;
 use std::sync::OnceLock;
 
 /// Cycles without any activity-fingerprint change (while non-quiescent)
@@ -89,7 +91,7 @@ impl<E: ErrorControl> Network<E> {
         self.verify_credit_conservation();
         self.verify_arq_windows();
         self.verify_hard_faults();
-        self.verify_stage_counters();
+        self.verify_stage_masks();
         self.verify_worklists();
         self.verify_watchdog();
     }
@@ -213,7 +215,7 @@ impl<E: ErrorControl> Network<E> {
     /// whose pristine copy the upstream retransmit buffer still holds.
     fn verify_arq_windows(&self) {
         for r in &self.routers {
-            for pi in 0..r.num_ports() {
+            for pi in 0..r.num_ports {
                 let dir = Direction::from_index(pi);
                 for (vci, ivc) in r.port_vcs(pi).iter().enumerate() {
                     let Some(seq) = ivc.awaiting_retx else {
@@ -266,12 +268,12 @@ impl<E: ErrorControl> Network<E> {
             let fifo: usize = r.inputs.iter().map(|vc| vc.fifo.len()).sum();
             let resend: usize = r.outputs.iter().map(|o| o.retx_pending.len()).sum();
             assert!(
-                fifo == 0 && resend == 0 && r.occupied_vcs == 0,
+                fifo == 0 && resend == 0 && !r.masks.any_work(),
                 "dead router {} holds flits at cycle {}: {fifo} buffered, {resend} pending \
-                 resends, {} occupied VCs (evacuation must drain everything)",
+                 resends, stage masks {:?} (evacuation must drain everything)",
                 r.id,
                 self.cycle,
-                r.occupied_vcs,
+                r.masks,
             );
         }
         // 2. Credits on dead links are never replenished: no credit
@@ -319,27 +321,17 @@ impl<E: ErrorControl> Network<E> {
         }
     }
 
-    /// Pipeline-stage skip counters match a full VC rescan, in release
-    /// builds too (the optimized phases trust these to skip routers).
-    fn verify_stage_counters(&self) {
+    /// Pipeline-stage masks match a full rescan of the VCs and resend
+    /// queues, in release builds too (the optimized stages trust them to
+    /// find their candidates and to skip routers). The occupied set is
+    /// their union, so it is covered; [`Self::verify_worklists`] checks
+    /// the predicate built on it against [`InputVc::occupied`] itself.
+    fn verify_stage_masks(&self) {
         for r in &self.routers {
-            let (mut occupied, mut rc, mut va, mut active) = (0u32, 0u32, 0u32, 0u32);
-            for vc in r.inputs.iter() {
-                if vc.occupied() {
-                    occupied += 1;
-                }
-                match vc.state {
-                    VcState::Idle if !vc.fifo.is_empty() => rc += 1,
-                    VcState::Idle => {}
-                    VcState::NeedsVa { .. } => va += 1,
-                    VcState::Active { .. } => active += 1,
-                }
-            }
             assert_eq!(
-                (occupied, rc, va, active),
-                (r.occupied_vcs, r.rc_pending, r.needs_va, r.active_vcs),
-                "pipeline-stage counters diverged from rescan at {} (cycle {}): \
-                 (occupied, rc, va, active)",
+                r.masks,
+                r.rescan_stage_masks(),
+                "pipeline-stage masks diverged from rescan at {} (cycle {})",
                 r.id,
                 self.cycle,
             );
@@ -356,20 +348,17 @@ impl<E: ErrorControl> Network<E> {
     /// maintenance bug.
     fn verify_worklists(&self) {
         for (ri, r) in self.routers.iter().enumerate() {
-            let should = r.occupied_vcs > 0 || r.outputs.iter().any(|o| !o.retx_pending.is_empty());
+            let should = r.inputs.iter().any(InputVc::occupied)
+                || r.outputs.iter().any(|o| !o.retx_pending.is_empty());
             assert_eq!(
                 self.active.contains(ri),
                 should,
                 "pipeline worklist diverged from predicate at {} (cycle {}): \
-                 member {} but occupied_vcs {} / pending resends {}",
+                 member {} but stage masks {:?}",
                 r.id,
                 self.cycle,
                 self.active.contains(ri),
-                r.occupied_vcs,
-                r.outputs
-                    .iter()
-                    .map(|o| o.retx_pending.len())
-                    .sum::<usize>(),
+                r.masks,
             );
         }
         for ni in 0..self.routers.len() {
@@ -517,10 +506,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pipeline-stage counters diverged")]
-    fn corrupted_stage_counter_is_detected() {
+    #[should_panic(expected = "pipeline-stage masks diverged")]
+    fn corrupted_stage_mask_is_detected() {
         let mut net = armed_net(PerfectLink::new());
-        net.routers[0].rc_pending += 1;
+        net.routers[0].masks.rc |= 1 << 3;
         net.step();
     }
 
@@ -537,7 +526,7 @@ mod tests {
             net.step();
         }
         let stuck = (0..net.routers.len())
-            .find(|&ri| net.routers[ri].occupied_vcs > 0)
+            .find(|&ri| net.routers[ri].masks.occupied() != 0)
             .expect("a router must hold the in-flight packet");
         net.active.remove(stuck);
         net.verify_invariants();
@@ -633,7 +622,7 @@ mod tests {
                 arrived_at: 0,
             });
         // Invoke the checker directly: a full step would trip the
-        // debug-build stage-counter assertion before it gets here.
+        // debug-build stage-mask assertion before it gets here.
         net.verify_invariants();
     }
 

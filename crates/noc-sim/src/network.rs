@@ -35,7 +35,7 @@ use crate::router::{PendingRetransmit, Router, VcState};
 use crate::routing::{FaultRoutes, PackedRoutes, RouteTable};
 use crate::stats::{EventCounters, NetworkStats, RouterEpochStats};
 use crate::topology::{Direction, LinkId, NeighborTable, NodeId, Topo, MAX_PORTS};
-use crate::worklist::ActiveSet;
+use crate::worklist::{bits, ActiveSet};
 use noc_coding::arq::{AckKind, SequenceNumber};
 use noc_coding::crc::Crc32;
 use rlnoc_telemetry::{Counter, Gauge, Histogram, Telemetry, TimerHandle};
@@ -113,6 +113,7 @@ impl Wheel {
         }
     }
 
+    #[inline]
     fn push(&mut self, now: u64, at: u64, event: Event) {
         assert!(at > now, "events must be scheduled in the future");
         assert!(at - now < WHEEL, "event horizon exceeded");
@@ -137,6 +138,19 @@ impl Wheel {
     fn is_empty(&self) -> bool {
         self.slots.iter().all(Vec::is_empty)
     }
+}
+
+/// One router's switch requests for a cycle: what input-first selection
+/// hands to output arbitration.
+#[derive(Debug, Default)]
+struct SwitchRequests {
+    /// Per input port, the `(input VC, held output VC)` its arbiter
+    /// picked; meaningful only for ports named in `wanted`.
+    winner: [(u8, u8); MAX_PORTS],
+    /// Per output port, the input ports whose pick wants it.
+    wanted: [u64; MAX_PORTS],
+    /// Output ports with a non-zero `wanted` word.
+    ports: u64,
 }
 
 /// Progress of a packet being injected flit-by-flit at a node.
@@ -1059,9 +1073,11 @@ impl<E: ErrorControl> Network<E> {
                         // draw), and the buffer keeps its own pristine copy
                         // for further NACKs.
                         let flit = self.arena.alloc(flit);
-                        self.routers[node.index()].outputs[port.index()]
+                        let router = &mut self.routers[node.index()];
+                        router.outputs[port.index()]
                             .retx_pending
                             .push_back(PendingRetransmit { flit, out_vc, seq });
+                        router.masks.retx |= 1 << port.index();
                         // A pending resend is SA/ST work even on an
                         // otherwise-empty router.
                         self.active.insert(node.index());
@@ -1325,6 +1341,7 @@ impl<E: ErrorControl> Network<E> {
         }
     }
 
+    #[inline]
     fn accept_flit(&mut self, node: NodeId, in_port: Direction, vc: u8, flit: FlitRef, cycle: u64) {
         let ni = node.index();
         self.counters[ni].buffer_writes += 1;
@@ -1530,8 +1547,8 @@ impl<E: ErrorControl> Network<E> {
 
     /// Split-path SA/ST driver (telemetry spans enabled): one pass over
     /// the worklist. Routers outside the worklist have no occupied VC
-    /// and no pending resend, which implies `active_vcs == 0` — exactly
-    /// the routers the old dense loop skipped.
+    /// and no pending resend — exactly the routers the old dense loop
+    /// skipped.
     fn sa_st_phase(&mut self, cycle: u64) {
         for wi in 0..self.active.num_words() {
             let mut word = self.active.word(wi);
@@ -1544,276 +1561,245 @@ impl<E: ErrorControl> Network<E> {
     }
 
     /// SA/ST for one router: priority resends, then separable
-    /// input-first/output switch arbitration and traversal.
+    /// input-first/output switch arbitration and traversal. Each step
+    /// runs only when its mask says it has a candidate; skipping is
+    /// exact because a grant on an empty request word touches no arbiter
+    /// and `next_free` only advances when something is sent.
+    #[inline]
     fn sa_st_router(&mut self, ri: usize, cycle: u64) {
-        let Self {
-            routers,
-            protocol,
-            counters,
-            epoch,
-            stats,
-            wheel,
-            config,
-            arena,
-            neighbors,
-            tel,
-            faults,
-            ..
-        } = self;
-        let link_latency = config.link_latency as u64;
-        let router = &mut routers[ri];
-        {
-            // A router with no VC in Active state and no pending resend
-            // has no SA/ST work: no switch request can be asserted, so
-            // skipping it is exact — arbiters are untouched since grants
-            // on empty request sets are no-ops, and `next_free` is only
-            // advanced when something is sent.
-            router.debug_check_stage_counters();
-            if router.active_vcs == 0 && router.outputs.iter().all(|o| o.retx_pending.is_empty()) {
-                return;
-            }
-            let rid = router.id;
-            let v = router.vcs_per_port;
-            let np = router.num_ports;
-            let mut port_used = [false; MAX_PORTS];
+        let router = &self.routers[ri];
+        router.debug_check_stage_masks();
+        // A port with a resend queued when the cycle starts is dedicated
+        // to it (order safety), whether or not the resend can go now.
+        let resending = router.masks.retx;
+        if resending != 0 {
+            self.sa_resend(ri, cycle);
+        }
+        if self.routers[ri].masks.act == 0 {
+            return;
+        }
+        let requests = self.sa_select(ri, cycle, resending);
+        if requests.ports != 0 {
+            self.sa_traverse(ri, cycle, &requests);
+        }
+    }
 
-            // Phase A: priority resends of NACKed flits. A port with a
-            // pending retransmission is dedicated to it (order safety).
-            for (out_p, used) in port_used.iter_mut().enumerate().take(np) {
-                let dir = Direction::from_index(out_p);
-                if dir == Direction::Local {
-                    continue;
-                }
-                if cycle < router.outputs[out_p].next_free {
-                    *used = true;
-                    continue;
-                }
-                if router.outputs[out_p].retx_pending.is_empty() {
-                    continue;
-                }
-                *used = true;
-                let can_send = {
-                    let pr = router.outputs[out_p]
-                        .retx_pending
-                        .front()
-                        .expect("non-empty");
-                    router.outputs[out_p].vcs[pr.out_vc as usize].credits > 0
+    /// Priority resends of NACKed flits, one per free output port with
+    /// credit, ports ascending.
+    fn sa_resend(&mut self, ri: usize, cycle: u64) {
+        for out_p in bits(u64::from(self.routers[ri].masks.retx)) {
+            let router = &mut self.routers[ri];
+            let out = &mut router.outputs[out_p];
+            if cycle < out.next_free {
+                continue;
+            }
+            let pr = *out.retx_pending.front().expect("resend mask bit set");
+            if out.vcs[pr.out_vc as usize].credits == 0 {
+                continue;
+            }
+            out.retx_pending.pop_front();
+            if out.retx_pending.is_empty() {
+                router.masks.retx &= !(1 << out_p);
+            }
+            self.counters[ri].retransmit_sends += 1;
+            self.epoch[ri].flits_out[out_p] += 1;
+            self.stats.flit_retransmissions += 1;
+            self.tel.arq_retransmits.inc();
+            self.launch(
+                ri,
+                out_p,
+                cycle,
+                pr.out_vc,
+                pr.flit,
+                Some(pr.seq),
+                TransferKind::HopRetransmit,
+            );
+        }
+    }
+
+    /// Puts `flit` on the link out of router `ri`'s port `out_p`: takes
+    /// the downstream credit, schedules the arrival, and holds the port
+    /// for the transfer (longer in the modes that stretch or repeat it).
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn launch(
+        &mut self,
+        ri: usize,
+        out_p: usize,
+        cycle: u64,
+        vc: u8,
+        flit: FlitRef,
+        seq: Option<SequenceNumber>,
+        kind: TransferKind,
+    ) {
+        let router = &mut self.routers[ri];
+        let link = LinkId {
+            src: router.id,
+            dir: Direction::from_index(out_p),
+        };
+        let delay = self.protocol.tx_delay(link) as u64;
+        let pipeline = self.protocol.pipeline_latency(link) as u64;
+        let pre = self.protocol.pre_retransmit(link);
+        self.counters[ri].link_traversals[out_p] += 1 + u64::from(pre);
+        let out = &mut router.outputs[out_p];
+        out.vcs[vc as usize].credits -= 1;
+        out.next_free = cycle + 1 + delay + u64::from(pre);
+        self.wheel.push(
+            cycle,
+            cycle + self.config.link_latency as u64 + delay + pipeline,
+            Event::Arrival {
+                link,
+                vc,
+                flit,
+                seq,
+                kind,
+                pre_sent: pre,
+            },
+        );
+    }
+
+    /// Input-first selection: each input port's arbiter picks one of its
+    /// Active VCs that can send this cycle, and the pick is filed under
+    /// the output port it holds. `resending` ports take no new flit.
+    fn sa_select(&mut self, ri: usize, cycle: u64, resending: u8) -> SwitchRequests {
+        let router = &mut self.routers[ri];
+        let v = router.vcs_per_port;
+        let mut requests = SwitchRequests::default();
+        for in_p in 0..router.num_ports {
+            let active = router.masks.act >> (in_p * v) & (u64::MAX >> (64 - v));
+            let mut eligible = 0u64;
+            for in_v in bits(active) {
+                let ivc = &router.inputs[in_p * v + in_v];
+                let VcState::Active {
+                    out_port, out_vc, ..
+                } = ivc.state
+                else {
+                    unreachable!("Active mask bit on a VC not in Active");
                 };
-                if !can_send {
+                let Some(front) = ivc.fifo.front() else {
+                    continue;
+                };
+                if front.arrived_at >= cycle {
                     continue;
                 }
-                let pr = router.outputs[out_p]
-                    .retx_pending
-                    .pop_front()
-                    .expect("non-empty");
-                router.outputs[out_p].vcs[pr.out_vc as usize].credits -= 1;
-                let link = LinkId { src: rid, dir };
-                let delay = protocol.tx_delay(link) as u64;
-                let pipeline = protocol.pipeline_latency(link) as u64;
-                let pre = protocol.pre_retransmit(link);
-                counters[ri].retransmit_sends += 1;
-                counters[ri].link_traversals[out_p] += 1 + u64::from(pre);
-                epoch[ri].flits_out[out_p] += 1;
-                stats.flit_retransmissions += 1;
-                tel.arq_retransmits.inc();
-                wheel.push(
-                    cycle,
-                    cycle + link_latency + delay + pipeline,
-                    Event::Arrival {
-                        link,
-                        vc: pr.out_vc,
-                        flit: pr.flit,
-                        seq: Some(pr.seq),
-                        kind: TransferKind::HopRetransmit,
-                        pre_sent: pre,
-                    },
-                );
-                router.outputs[out_p].next_free = cycle + 1 + delay + u64::from(pre);
-            }
-
-            // Phase B: input-first selection. Ports past the last
-            // Active VC are skipped: they can assert no request, so the
-            // input arbiters and `selected` entries they would produce
-            // are identical to not visiting them at all.
-            let mut selected: [Option<(usize, usize, u8)>; MAX_PORTS] = [None; MAX_PORTS];
-            let mut any_selected = false;
-            let mut remaining_active = router.active_vcs;
-            for (in_p, sel) in selected.iter_mut().enumerate().take(np) {
-                if remaining_active == 0 {
-                    break;
-                }
-                router.sa_scratch.fill(false);
-                let mut any = false;
-                for (in_v, ivc) in router.inputs[in_p * v..(in_p + 1) * v].iter().enumerate() {
-                    let VcState::Active {
-                        out_port, out_vc, ..
-                    } = ivc.state
-                    else {
-                        continue;
-                    };
-                    remaining_active -= 1;
-                    let Some(front) = ivc.fifo.front() else {
-                        continue;
-                    };
-                    if front.arrived_at >= cycle {
-                        continue;
-                    }
-                    let op = out_port.index();
-                    if port_used[op] || cycle < router.outputs[op].next_free {
-                        continue;
-                    }
-                    if out_port != Direction::Local {
-                        if router.outputs[op].vcs[out_vc as usize].credits == 0 {
-                            continue;
-                        }
-                        let link = LinkId {
-                            src: rid,
-                            dir: out_port,
-                        };
-                        if protocol.hop_arq(link) && router.outputs[op].retx_buffer.is_full() {
-                            continue;
-                        }
-                    }
-                    router.sa_scratch[in_v] = true;
-                    any = true;
-                }
-                if !any {
+                let out = &router.outputs[out_port.index()];
+                if resending >> out_port.index() & 1 != 0 || cycle < out.next_free {
                     continue;
                 }
-                if let Some(win) = router.sa_input_arbiters[in_p].grant(&router.sa_scratch) {
-                    let VcState::Active {
-                        out_port, out_vc, ..
-                    } = router.inputs[in_p * v + win].state
-                    else {
-                        unreachable!("selected VC must be active");
-                    };
-                    *sel = Some((win, out_port.index(), out_vc));
-                    any_selected = true;
-                }
-            }
-            if !any_selected {
-                return; // no winner anywhere: Phase C cannot fire
-            }
-
-            // Phase C: output arbitration + switch traversal.
-            for (out_p, &used) in port_used.iter().enumerate().take(np) {
-                if used || cycle < router.outputs[out_p].next_free {
-                    continue;
-                }
-                let mut requests = [false; MAX_PORTS];
-                let mut any = false;
-                for (in_p, sel) in selected.iter().enumerate().take(np) {
-                    if let Some((_, op, _)) = sel {
-                        if *op == out_p {
-                            requests[in_p] = true;
-                            any = true;
-                        }
+                if out_port != Direction::Local {
+                    if out.vcs[out_vc as usize].credits == 0 {
+                        continue;
                     }
-                }
-                if !any {
-                    continue;
-                }
-                let in_p = router.sa_output_arbiters[out_p]
-                    .grant(&requests[..np])
-                    .expect("a request was asserted");
-                let (in_v, _, out_vc) = selected[in_p].expect("request implies selection");
-
-                counters[ri].sa_grants += 1;
-                let bf = router.inputs[in_p * v + in_v]
-                    .fifo
-                    .pop_front()
-                    .expect("granted VC holds a flit");
-                counters[ri].buffer_reads += 1;
-                counters[ri].crossbar_traversals += 1;
-                epoch[ri].flits_out[out_p] += 1;
-                let is_tail = arena[bf.flit].kind.is_tail();
-                if is_tail {
-                    router.inputs[in_p * v + in_v].state = VcState::Idle;
-                    router.active_vcs -= 1;
-                    if !router.inputs[in_p * v + in_v].fifo.is_empty() {
-                        // The next packet's head is already buffered; it
-                        // becomes an RC candidate immediately.
-                        router.rc_pending += 1;
-                    }
-                }
-                if !router.inputs[in_p * v + in_v].occupied() {
-                    router.occupied_vcs -= 1;
-                }
-
-                // Return the freed buffer slot to the upstream router —
-                // unless the upstream link died (dead links never see
-                // their credits replenished).
-                let in_dir = Direction::from_index(in_p);
-                if in_dir != Direction::Local
-                    && !faults.as_ref().is_some_and(|f| f.link_dead[ri][in_p])
-                {
-                    let upstream = neighbors
-                        .get(rid, in_dir)
-                        .expect("flit arrived from a neighbor");
-                    wheel.push(
-                        cycle,
-                        cycle + 1,
-                        Event::Credit {
-                            node: upstream,
-                            port: in_dir.opposite(),
-                            vc: in_v as u8,
-                        },
-                    );
-                }
-
-                let out_dir = Direction::from_index(out_p);
-                if is_tail {
-                    router.outputs[out_p].vcs[out_vc as usize].allocated = false;
-                }
-                if out_dir == Direction::Local {
-                    wheel.push(
-                        cycle,
-                        cycle + 1,
-                        Event::Eject {
-                            node: rid,
-                            flit: bf.flit,
-                        },
-                    );
-                    router.outputs[out_p].next_free = cycle + 1;
-                } else {
-                    router.outputs[out_p].vcs[out_vc as usize].credits -= 1;
                     let link = LinkId {
-                        src: rid,
-                        dir: out_dir,
+                        src: router.id,
+                        dir: out_port,
                     };
-                    let delay = protocol.tx_delay(link) as u64;
-                    let pipeline = protocol.pipeline_latency(link) as u64;
-                    let pre = protocol.pre_retransmit(link);
-                    counters[ri].link_traversals[out_p] += 1 + u64::from(pre);
-                    let seq = if protocol.hop_arq(link) {
-                        counters[ri].retransmit_buffer_writes += 1;
-                        // The buffer keeps the body *by value*: the wire-side
-                        // arena slot is mutated in place by fault draws and
-                        // must never alias the canonical retransmit copy.
-                        Some(
-                            router.outputs[out_p]
-                                .retx_buffer
-                                .push((arena[bf.flit], out_vc), cycle)
-                                .expect("fullness checked during selection"),
-                        )
-                    } else {
-                        None
-                    };
-                    wheel.push(
-                        cycle,
-                        cycle + link_latency + delay + pipeline,
-                        Event::Arrival {
-                            link,
-                            vc: out_vc,
-                            flit: bf.flit,
-                            seq,
-                            kind: TransferKind::Original,
-                            pre_sent: pre,
-                        },
-                    );
-                    router.outputs[out_p].next_free = cycle + 1 + delay + u64::from(pre);
+                    if self.protocol.hop_arq(link) && out.retx_buffer.is_full() {
+                        continue;
+                    }
                 }
+                eligible |= 1 << in_v;
             }
+            if let Some(win) = router.sa_input_arbiters[in_p].grant_mask(eligible) {
+                let VcState::Active {
+                    out_port, out_vc, ..
+                } = router.inputs[in_p * v + win].state
+                else {
+                    unreachable!("selected VC must be active");
+                };
+                requests.winner[in_p] = (win as u8, out_vc);
+                requests.wanted[out_port.index()] |= 1 << in_p;
+                requests.ports |= 1 << out_port.index();
+            }
+        }
+        requests
+    }
+
+    /// Output arbitration and switch traversal, requested output ports
+    /// ascending: the granted input's head flit leaves its FIFO for the
+    /// link (or the core), its credit goes back upstream, and a tail
+    /// releases both VCs.
+    fn sa_traverse(&mut self, ri: usize, cycle: u64, requests: &SwitchRequests) {
+        for out_p in bits(requests.ports) {
+            let router = &mut self.routers[ri];
+            let rid = router.id;
+            let in_p = router.sa_output_arbiters[out_p]
+                .grant_mask(requests.wanted[out_p])
+                .expect("a request was asserted");
+            let (in_v, out_vc) = requests.winner[in_p];
+            let flat = in_p * router.vcs_per_port + in_v as usize;
+
+            let bf = router.inputs[flat]
+                .fifo
+                .pop_front()
+                .expect("granted VC holds a flit");
+            self.counters[ri].sa_grants += 1;
+            self.counters[ri].buffer_reads += 1;
+            self.counters[ri].crossbar_traversals += 1;
+            self.epoch[ri].flits_out[out_p] += 1;
+            if self.arena[bf.flit].kind.is_tail() {
+                router.inputs[flat].state = VcState::Idle;
+                router.masks.act &= !(1 << flat);
+                if !router.inputs[flat].fifo.is_empty() {
+                    // The next packet's head is already buffered; it
+                    // becomes an RC candidate immediately.
+                    router.masks.rc |= 1 << flat;
+                }
+                router.outputs[out_p].vcs[out_vc as usize].allocated = false;
+            }
+
+            // Return the freed buffer slot to the upstream router —
+            // unless the upstream link died (dead links never see
+            // their credits replenished).
+            let in_dir = Direction::from_index(in_p);
+            if in_dir != Direction::Local
+                && !self.faults.as_ref().is_some_and(|f| f.link_dead[ri][in_p])
+            {
+                let node = self
+                    .neighbors
+                    .get(rid, in_dir)
+                    .expect("flit arrived from a neighbor");
+                let credit = Event::Credit {
+                    node,
+                    port: in_dir.opposite(),
+                    vc: in_v,
+                };
+                self.wheel.push(cycle, cycle + 1, credit);
+            }
+
+            let out_dir = Direction::from_index(out_p);
+            if out_dir == Direction::Local {
+                let eject = Event::Eject {
+                    node: rid,
+                    flit: bf.flit,
+                };
+                self.wheel.push(cycle, cycle + 1, eject);
+                router.outputs[out_p].next_free = cycle + 1;
+                continue;
+            }
+            let link = LinkId {
+                src: rid,
+                dir: out_dir,
+            };
+            let seq = self.protocol.hop_arq(link).then(|| {
+                self.counters[ri].retransmit_buffer_writes += 1;
+                // The buffer keeps the body *by value*: the wire-side
+                // arena slot is mutated in place by fault draws and
+                // must never alias the canonical retransmit copy.
+                router.outputs[out_p]
+                    .retx_buffer
+                    .push((self.arena[bf.flit], out_vc), cycle)
+                    .expect("fullness checked during selection")
+            });
+            self.launch(
+                ri,
+                out_p,
+                cycle,
+                out_vc,
+                bf.flit,
+                seq,
+                TransferKind::Original,
+            );
         }
     }
 
@@ -1830,11 +1816,7 @@ impl<E: ErrorControl> Network<E> {
 
     #[inline]
     fn va_router(&mut self, ri: usize) {
-        let router = &mut self.routers[ri];
-        if router.occupied_vcs == 0 {
-            return; // no VC holds a packet: VA has nothing to do
-        }
-        let grants = router.va_stage();
+        let grants = self.routers[ri].va_stage();
         self.counters[ri].va_allocations += grants;
     }
 
@@ -1863,11 +1845,7 @@ impl<E: ErrorControl> Network<E> {
             ..
         } = self;
         let fault_routes = faults.as_deref().and_then(|f| f.routes.as_ref());
-        let router = &mut routers[ri];
-        if router.occupied_vcs == 0 {
-            return; // no buffered head flit: RC has nothing to do
-        }
-        router.rc_stage(cycle, routes, fault_routes, arena, rc_doomed);
+        routers[ri].rc_stage(cycle, routes, fault_routes, arena, rc_doomed);
     }
 
     /// The fused per-cycle pipeline kernel: one pass over the active
@@ -1917,7 +1895,7 @@ impl<E: ErrorControl> Network<E> {
                 let router = &self.routers[ri];
                 let occ = router.occupied_input_vcs();
                 self.epoch[ri].occupied_vc_cycles += occ as u64;
-                if occ == 0 && router.outputs.iter().all(|o| o.retx_pending.is_empty()) {
+                if !router.masks.any_work() {
                     self.active.remove(ri);
                 }
             }
@@ -1929,11 +1907,7 @@ impl<E: ErrorControl> Network<E> {
     /// state wholesale rather than through the incremental insert sites.
     fn rebuild_worklists(&mut self) {
         for (ri, router) in self.routers.iter().enumerate() {
-            self.active.set(
-                ri,
-                router.occupied_vcs > 0
-                    || router.outputs.iter().any(|o| !o.retx_pending.is_empty()),
-            );
+            self.active.set(ri, router.masks.any_work());
         }
         for ni in 0..self.routers.len() {
             self.inject_active.set(
@@ -2115,7 +2089,7 @@ impl<E: ErrorControl> Network<E> {
                             ovc.allocated = false;
                         }
                     }
-                    router.recount_stage_counters();
+                    router.masks = router.rescan_stage_masks();
                     for (p, _) in self.source_queues[ni].drain(..) {
                         if fs.doom(p.id, !p.class.is_control()) {
                             lost += 1;
@@ -2206,7 +2180,7 @@ impl<E: ErrorControl> Network<E> {
                     router.outputs[op].vcs[ov].allocated = false;
                 }
                 dealloc.clear();
-                router.recount_stage_counters();
+                router.masks = router.rescan_stage_masks();
             }
         }
 
@@ -2358,7 +2332,7 @@ impl<E: ErrorControl> Network<E> {
                 router.outputs[op].vcs[ov].allocated = false;
             }
             dealloc.clear();
-            router.recount_stage_counters();
+            router.masks = router.rescan_stage_masks();
         }
         for (ni, prog) in inject_progress.iter_mut().enumerate() {
             if prog
@@ -2720,6 +2694,7 @@ mod hardfault_tests {
 
     use super::*;
     use crate::error_control::{PerfectLink, ScriptedErrorControl};
+    use crate::router::StageMasks;
 
     fn net_4x4() -> Network<PerfectLink> {
         let config = NocConfig::builder().mesh(4, 4).build();
@@ -2904,6 +2879,74 @@ mod hardfault_tests {
             s.packets_injected
         );
         assert_eq!(s.silent_corruptions, 0);
+    }
+
+    #[test]
+    fn stage_masks_equal_rescan_right_after_a_fault_batch() {
+        // A router and a link die in one batch under go-back-N churn:
+        // the evacuation rewrites FIFOs, VC states and resend queues
+        // behind the incremental mask sites, so the batch must leave
+        // every router's masks (and the worklist) equal to a rescan.
+        let config = NocConfig::builder().mesh(4, 4).build();
+        let mut net = Network::new(config, ScriptedErrorControl::reject_every(3), 99);
+        let mesh = net.mesh();
+        let dead = mesh.node_at(1, 2);
+        let cut = mesh.node_at(2, 0);
+        net.set_hard_faults(vec![router(25, dead), link(25, cut, Direction::East)]);
+        for round in 0..4u16 {
+            for i in 0..16u16 {
+                let dst = NodeId((i + 3 + round) % 16);
+                if NodeId(i) != dst {
+                    net.offer(NodeId(i), dst);
+                }
+            }
+        }
+        for _ in 0..25 {
+            net.step();
+        }
+        // A NACK's resend leaves in the cycle it arrives, so between
+        // steps the resend queues are empty; plant one on the port about
+        // to be cut so the batch has a queue to drain.
+        let packet = Packet {
+            id: PacketId(u64::MAX),
+            src: cut,
+            dst: mesh.node_at(3, 0),
+            num_flits: 1,
+            class: PacketClass::Data,
+            injected_at: 0,
+            payload_seed: 1,
+        };
+        let flit = net.arena.alloc(packet.make_flit(0, 0, &Crc32::new()));
+        let east = Direction::East.index();
+        let planted = &mut net.routers[cut.index()];
+        planted.outputs[east]
+            .retx_pending
+            .push_back(PendingRetransmit {
+                flit,
+                out_vc: 0,
+                seq: SequenceNumber::new(0),
+            });
+        planted.masks.retx |= 1 << east;
+        let before: Vec<_> = net.routers.iter().map(|r| r.masks).collect();
+        assert_ne!(
+            before[dead.index()].occupied(),
+            0,
+            "fixture: dead router holds flits"
+        );
+
+        net.apply_hard_fault_batch(25);
+        assert!(net.node_dead(dead) && net.link_dead(cut, Direction::East));
+        for (ri, r) in net.routers.iter().enumerate() {
+            assert_eq!(r.masks, r.rescan_stage_masks(), "router {ri}");
+            assert_eq!(net.active.contains(ri), r.masks.any_work(), "router {ri}");
+        }
+        assert_eq!(net.routers[dead.index()].masks, StageMasks::default());
+        assert_eq!(
+            net.routers[cut.index()].masks.retx,
+            0,
+            "cut port's queue drained"
+        );
+        assert!(net.run_until_quiescent(60_000), "network must still drain");
     }
 
     #[test]

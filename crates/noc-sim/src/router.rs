@@ -21,7 +21,8 @@ use crate::arbiter::RoundRobinArbiter;
 use crate::config::NocConfig;
 use crate::flit::{Flit, FlitArena, FlitRef, PacketId};
 use crate::routing::{FaultRoutes, RouteTable};
-use crate::topology::{Direction, NodeId, VcClass};
+use crate::topology::{Direction, NodeId, VcClass, MAX_PORTS};
+use crate::worklist::bits;
 use noc_coding::arq::{RetransmitBuffer, SequenceNumber};
 use std::collections::VecDeque;
 
@@ -80,6 +81,7 @@ impl InputVc {
 
     /// An input VC counts as occupied for the buffer-utilization feature
     /// when it holds flits or an active packet.
+    #[inline]
     pub(crate) fn occupied(&self) -> bool {
         !self.fifo.is_empty() || self.state != VcState::Idle
     }
@@ -118,6 +120,43 @@ pub(crate) struct OutputPort {
     pub retx_pending: VecDeque<PendingRetransmit>,
 }
 
+/// Per-router stage masks: bit `port * V + vc` of the three `u64`s
+/// names an input VC, bit `port` of `retx` an output port. Every input
+/// VC is in at most one of `rc` / `va` / `act` (their union is the
+/// occupied set), so a stage finds its one or two candidates with
+/// `trailing_zeros` instead of walking the slab, and a zero mask is
+/// the exact skip test: with no candidate no arbiter is consulted and
+/// no state changes. Ascending bit order is the slab's port-major
+/// order. Maintained at every site that changes a VC's state or a
+/// resend queue's emptiness; reassigned from
+/// [`Router::rescan_stage_masks`] after hard-fault purges.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct StageMasks {
+    /// Idle VCs holding a buffered head flit — the RC candidates.
+    pub rc: u64,
+    /// VCs in [`VcState::NeedsVa`].
+    pub va: u64,
+    /// VCs in [`VcState::Active`].
+    pub act: u64,
+    /// Output ports with a queued priority resend.
+    pub retx: u8,
+}
+
+impl StageMasks {
+    /// Input VCs holding flits or a packet (see [`InputVc::occupied`]).
+    #[inline]
+    pub(crate) fn occupied(self) -> u64 {
+        self.rc | self.va | self.act
+    }
+
+    /// `true` when the router has pipeline work: an occupied input VC
+    /// or a pending resend — the worklist membership predicate.
+    #[inline]
+    pub(crate) fn any_work(self) -> bool {
+        self.occupied() != 0 || self.retx != 0
+    }
+}
+
 /// A router: `P` input ports of `V` VCs each, `P` output ports, and
 /// the arbiters for VA and SA. `P` is the topology's port count (5 on
 /// planar networks, 7 with vertical links).
@@ -141,26 +180,8 @@ pub struct Router {
     pub(crate) sa_input_arbiters: Vec<RoundRobinArbiter>,
     /// Per output port, over the `num_ports` input ports.
     pub(crate) sa_output_arbiters: Vec<RoundRobinArbiter>,
-    /// Incrementally maintained count of occupied input VCs, updated at
-    /// every FIFO push/pop and VC release. Lets the per-cycle phases
-    /// skip idle routers entirely instead of rescanning `P × V` VCs.
-    pub(crate) occupied_vcs: u32,
-    /// Count of idle input VCs holding a buffered flit — the candidates
-    /// the RC stage would examine. Zero lets `rc_stage` return without
-    /// scanning; maintained at enqueue, RC promotion, and VC release.
-    pub(crate) rc_pending: u32,
-    /// Count of input VCs in [`VcState::NeedsVa`]. Zero lets `va_stage`
-    /// return without scanning: with no requester, no arbiter is
-    /// consulted and no output VC changes, so the skip is exact.
-    pub(crate) needs_va: u32,
-    /// Count of input VCs in [`VcState::Active`]. Together with empty
-    /// resend queues, zero lets the SA/ST phase skip the router: no
-    /// request can be asserted, so arbiters and ports are untouched.
-    pub(crate) active_vcs: u32,
-    /// Reusable request vector for SA input arbitration (`V` slots).
-    pub(crate) sa_scratch: Vec<bool>,
-    /// Reusable request vector for VA arbitration (`num_ports × V`).
-    pub(crate) va_scratch: Vec<bool>,
+    /// Which input VCs and output ports have work for each stage.
+    pub(crate) masks: StageMasks,
 }
 
 impl Router {
@@ -168,6 +189,10 @@ impl Router {
     pub(crate) fn new(id: NodeId, config: &NocConfig) -> Self {
         let v = config.vcs_per_port as usize;
         let num_ports = config.mesh.num_ports();
+        debug_assert!(
+            num_ports * v <= 64,
+            "stage masks hold 64 input VCs (NocConfig::validate bounds this)"
+        );
         let inputs = (0..num_ports * v).map(|_| InputVc::new()).collect();
         let outputs = (0..num_ports)
             .map(|p| OutputPort {
@@ -201,20 +226,8 @@ impl Router {
             sa_output_arbiters: (0..num_ports)
                 .map(|_| RoundRobinArbiter::new(num_ports))
                 .collect(),
-            occupied_vcs: 0,
-            rc_pending: 0,
-            needs_va: 0,
-            active_vcs: 0,
-            sa_scratch: vec![false; v],
-            va_scratch: vec![false; num_ports * v],
+            masks: StageMasks::default(),
         }
-    }
-
-    /// Ports on this router, including `Local`.
-    #[cfg_attr(not(any(test, feature = "verify")), allow(dead_code))]
-    #[inline]
-    pub(crate) fn num_ports(&self) -> usize {
-        self.num_ports
     }
 
     /// The input VC at `(port, vc)`.
@@ -244,41 +257,50 @@ impl Router {
         &mut self.inputs[port * v..(port + 1) * v]
     }
 
-    /// Appends a flit handle to an input VC FIFO, maintaining the
-    /// incremental occupied-VC count. All buffer writes go through here.
+    /// Appends a flit handle to an input VC FIFO; a flit landing on an
+    /// idle VC makes it an RC candidate. All buffer writes go through
+    /// here.
+    #[inline]
     pub(crate) fn enqueue(&mut self, in_port: usize, vc: usize, flit: FlitRef, arrived_at: u64) {
-        let ivc = &mut self.inputs[in_port * self.vcs_per_port + vc];
-        if !ivc.occupied() {
-            self.occupied_vcs += 1;
-        }
-        if ivc.state == VcState::Idle && ivc.fifo.is_empty() {
-            self.rc_pending += 1;
-        }
-        ivc.fifo.push_back(BufferedFlit { flit, arrived_at });
+        let flat = in_port * self.vcs_per_port + vc;
+        self.masks.rc |= (1 << flat) & !(self.masks.va | self.masks.act);
+        self.inputs[flat]
+            .fifo
+            .push_back(BufferedFlit { flit, arrived_at });
     }
 
-    /// Debug cross-check of the three incremental pipeline-stage
-    /// counters against a full VC rescan (compiled out in release).
-    pub(crate) fn debug_check_stage_counters(&self) {
-        if cfg!(debug_assertions) {
-            let mut rc = 0u32;
-            let mut va = 0u32;
-            let mut active = 0u32;
-            for vc in &self.inputs {
-                match vc.state {
-                    VcState::Idle if !vc.fifo.is_empty() => rc += 1,
-                    VcState::Idle => {}
-                    VcState::NeedsVa { .. } => va += 1,
-                    VcState::Active { .. } => active += 1,
-                }
+    /// The stage masks re-derived from a full scan of the input VCs and
+    /// resend queues. Hard-fault purges assign this back: they rewrite
+    /// FIFO, VC and resend-queue state wholesale, where incremental
+    /// maintenance is not worth the complexity.
+    pub(crate) fn rescan_stage_masks(&self) -> StageMasks {
+        let mut masks = StageMasks::default();
+        for (flat, vc) in self.inputs.iter().enumerate() {
+            match vc.state {
+                VcState::Idle if !vc.fifo.is_empty() => masks.rc |= 1 << flat,
+                VcState::Idle => {}
+                VcState::NeedsVa { .. } => masks.va |= 1 << flat,
+                VcState::Active { .. } => masks.act |= 1 << flat,
             }
-            debug_assert_eq!(
-                (rc, va, active),
-                (self.rc_pending, self.needs_va, self.active_vcs),
-                "pipeline-stage counters diverged at {}",
-                self.id
-            );
         }
+        for (port, out) in self.outputs.iter().enumerate() {
+            if !out.retx_pending.is_empty() {
+                masks.retx |= 1 << port;
+            }
+        }
+        masks
+    }
+
+    /// Debug cross-check of the incremental stage masks against a full
+    /// rescan (compiled out in release).
+    #[inline]
+    pub(crate) fn debug_check_stage_masks(&self) {
+        debug_assert_eq!(
+            self.masks,
+            self.rescan_stage_masks(),
+            "pipeline-stage masks diverged at {}",
+            self.id
+        );
     }
 
     /// This router's node id.
@@ -287,16 +309,16 @@ impl Router {
     }
 
     /// Number of currently occupied input VCs (the RL buffer-utilization
-    /// feature). O(1): the count is maintained incrementally at every
-    /// FIFO push/pop; debug builds cross-check it against a full rescan.
+    /// feature). O(1): a population count of the stage masks.
+    #[inline]
     pub fn occupied_input_vcs(&self) -> usize {
         debug_assert_eq!(
-            self.occupied_vcs as usize,
+            self.masks.occupied().count_ones() as usize,
             self.inputs.iter().filter(|vc| vc.occupied()).count(),
-            "incremental occupied-VC count diverged at {}",
+            "occupied-VC mask diverged at {}",
             self.id
         );
-        self.occupied_vcs as usize
+        self.masks.occupied().count_ones() as usize
     }
 
     /// Total flits currently buffered across all input VC FIFOs — a
@@ -322,26 +344,11 @@ impl Router {
         arena: &FlitArena,
         doomed: &mut Vec<(PacketId, bool)>,
     ) {
-        self.debug_check_stage_counters();
-        if self.rc_pending == 0 {
-            return; // no idle VC holds a flit: nothing to route
-        }
-        // Flat scan visits VCs in the same port-major order as the old
-        // nested loops; once every RC candidate (idle VC with a buffered
-        // flit) has been seen, the remaining VCs cannot route and the
-        // scan stops early.
-        let mut remaining = self.rc_pending;
-        for vc in &mut self.inputs {
-            if remaining == 0 {
-                break;
-            }
-            if vc.state != VcState::Idle {
-                continue;
-            }
-            let Some(front) = vc.fifo.front() else {
-                continue;
-            };
-            remaining -= 1;
+        self.debug_check_stage_masks();
+        // A snapshot: promotions below clear bits of the live mask.
+        for flat in bits(self.masks.rc) {
+            let vc = &mut self.inputs[flat];
+            let front = vc.fifo.front().expect("RC candidate holds a flit");
             if front.arrived_at >= cycle {
                 continue; // still in the BW stage
             }
@@ -368,109 +375,59 @@ impl Router {
                 class,
                 packet: flit.packet,
             };
-            self.rc_pending -= 1;
-            self.needs_va += 1;
+            self.masks.rc &= !(1 << flat);
+            self.masks.va |= 1 << flat;
         }
-    }
-
-    /// Rebuilds the four incremental stage counters by rescanning every
-    /// input VC. Only used after a hard-fault purge rewrites FIFO and VC
-    /// state wholesale, where incremental maintenance is not worth the
-    /// complexity.
-    pub(crate) fn recount_stage_counters(&mut self) {
-        let mut occupied = 0u32;
-        let mut rc = 0u32;
-        let mut va = 0u32;
-        let mut active = 0u32;
-        for vc in &self.inputs {
-            if vc.occupied() {
-                occupied += 1;
-            }
-            match vc.state {
-                VcState::Idle if !vc.fifo.is_empty() => rc += 1,
-                VcState::Idle => {}
-                VcState::NeedsVa { .. } => va += 1,
-                VcState::Active { .. } => active += 1,
-            }
-        }
-        self.occupied_vcs = occupied;
-        self.rc_pending = rc;
-        self.needs_va = va;
-        self.active_vcs = active;
     }
 
     /// Virtual-channel allocation: one grant per output port per cycle.
     ///
     /// Returns the number of allocations performed (for the power model).
     pub(crate) fn va_stage(&mut self) -> u64 {
-        self.debug_check_stage_counters();
-        if self.needs_va == 0 {
-            return 0; // no requester: arbiters and output VCs untouched
+        self.debug_check_stage_masks();
+        if self.masks.va == 0 {
+            return 0;
         }
-        // One pre-pass marks which (output port, VC class) pairs have a
-        // requester at all, so the per-port loop below only rescans the
-        // slab for ports that can actually grant. A requester targets
-        // exactly one port, and a grant at an earlier port removes the
-        // winner only from that port's request set, so the marks stay
-        // valid across the loop.
-        let mut has_requester = [[false; 3]; crate::topology::MAX_PORTS];
-        for vc in &self.inputs {
-            if let VcState::NeedsVa {
+        // One pass files every requester under its (output port, VC
+        // class); the flat slab index *is* the VA arbiter's request
+        // index. A requester targets exactly one port, and a grant
+        // removes the winner only from that port's word, so the table
+        // stays valid across the grant loop.
+        let mut requests = [[0u64; 3]; MAX_PORTS];
+        let mut ports = 0u64;
+        for flat in bits(self.masks.va) {
+            let VcState::NeedsVa {
                 out_port, class, ..
-            } = vc.state
-            {
-                has_requester[out_port.index()][class.index()] = true;
-            }
+            } = self.inputs[flat].state
+            else {
+                unreachable!("VA mask bit on a VC not in NeedsVa");
+            };
+            requests[out_port.index()][class.index()] |= 1 << flat;
+            ports |= 1 << out_port.index();
         }
         let mut allocations = 0;
-        // Index-driven: `out_p` addresses `has_requester`, `self.outputs`,
-        // and `self.va_arbiters` in parallel.
-        #[allow(clippy::needless_range_loop)]
-        for out_p in 0..self.num_ports {
-            let wanted = &has_requester[out_p];
-            if wanted == &[false; 3] {
-                continue;
-            }
-            // Still one grant per output port per cycle: the first class
-            // (in Any, Lo, Hi order) with both a requester and a free
-            // output VC in its admissible range competes; off-torus every
-            // requester is `Any` over the full range, so this degenerates
-            // to the classic first-free-VC scan.
-            let mut chosen = None;
-            for class in VcClass::ALL {
-                if !wanted[class.index()] {
-                    continue;
+        for out_p in bits(ports) {
+            // The first class (in Any, Lo, Hi order) with both a
+            // requester and a free output VC in its admissible range
+            // competes; off-torus every requester is `Any` over the full
+            // range, so this degenerates to the classic first-free-VC
+            // scan.
+            let chosen = VcClass::ALL.into_iter().find_map(|class| {
+                let word = requests[out_p][class.index()];
+                if word == 0 {
+                    return None;
                 }
                 let range = class.vc_range(self.vcs_per_port as u8);
-                if let Some(free) = self.outputs[out_p].vcs[range.clone()]
+                let free = self.outputs[out_p].vcs[range.clone()]
                     .iter()
-                    .position(|o| !o.allocated)
-                {
-                    chosen = Some((class, range.start + free));
-                    break;
-                }
-            }
-            let Some((granted_class, free_vc)) = chosen else {
+                    .position(|o| !o.allocated)?;
+                Some((word, range.start + free))
+            });
+            let Some((word, free_vc)) = chosen else {
                 continue;
             };
-            // Gather requesting input VCs into the reusable scratch
-            // vector; the flat slab index *is* the arbiter's flattened
-            // `port * V + vc` request index.
-            self.va_scratch.fill(false);
-            let mut any = false;
-            for (flat, vc) in self.inputs.iter().enumerate() {
-                if matches!(vc.state, VcState::NeedsVa { out_port, class, .. }
-                    if out_port.index() == out_p && class == granted_class)
-                {
-                    self.va_scratch[flat] = true;
-                    any = true;
-                }
-            }
-            if !any {
-                continue;
-            }
             let winner = self.va_arbiters[out_p]
-                .grant(&self.va_scratch)
+                .grant_mask(word)
                 .expect("a request was asserted");
             let VcState::NeedsVa { packet, .. } = self.inputs[winner].state else {
                 unreachable!("VA winner must be in NeedsVa");
@@ -480,8 +437,8 @@ impl Router {
                 out_vc: free_vc as u8,
                 packet,
             };
-            self.needs_va -= 1;
-            self.active_vcs += 1;
+            self.masks.va &= !(1 << winner);
+            self.masks.act |= 1 << winner;
             self.outputs[out_p].vcs[free_vc].allocated = true;
             allocations += 1;
         }
@@ -517,6 +474,8 @@ mod tests {
     fn new_router_is_empty() {
         let r = Router::new(NodeId(5), &test_config());
         assert_eq!(r.id(), NodeId(5));
+        assert_eq!(r.masks, StageMasks::default());
+        assert!(!r.masks.any_work());
         assert_eq!(r.occupied_input_vcs(), 0);
         assert_eq!(r.inputs.len(), NUM_PORTS * 4);
         assert_eq!(r.vcs_per_port, 4);
@@ -678,18 +637,29 @@ mod tests {
     }
 
     #[test]
-    fn occupied_vcs_counts_active_and_buffered() {
+    fn masks_follow_a_vc_through_the_stages() {
         let config = test_config();
         let mesh = config.mesh;
+        let routes = RouteTable::new(mesh);
         let mut arena = FlitArena::new();
         let mut r = Router::new(mesh.node_at(0, 0), &config);
-        assert_eq!(r.occupied_input_vcs(), 0);
         let f = arena.alloc(head_flit(mesh.node_at(0, 0), mesh.node_at(1, 0)));
-        r.enqueue(0, 0, f, 0);
-        assert_eq!(r.occupied_input_vcs(), 1);
+        r.enqueue(0, 1, f, 0);
+        let bit = 1 << 1; // port 0, VC 1
+        assert_eq!((r.masks.rc, r.masks.occupied()), (bit, bit));
         // A second flit on the same VC does not double-count.
         let g = arena.alloc(head_flit(mesh.node_at(0, 0), mesh.node_at(1, 0)));
-        r.enqueue(0, 0, g, 1);
+        r.enqueue(0, 1, g, 1);
         assert_eq!(r.occupied_input_vcs(), 1);
+        r.rc_stage(1, &routes, None, &arena, &mut Vec::new());
+        assert_eq!((r.masks.rc, r.masks.va, r.masks.act), (0, bit, 0));
+        assert_eq!(r.va_stage(), 1);
+        assert_eq!((r.masks.rc, r.masks.va, r.masks.act), (0, 0, bit));
+        // A flit landing on a VC that owns a packet is not an RC candidate.
+        let h = arena.alloc(head_flit(mesh.node_at(0, 0), mesh.node_at(1, 0)));
+        r.enqueue(0, 1, h, 2);
+        assert_eq!((r.masks.rc, r.masks.occupied()), (0, bit));
+        assert_eq!(r.masks, r.rescan_stage_masks());
+        assert!(r.masks.any_work());
     }
 }

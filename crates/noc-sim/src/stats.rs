@@ -242,13 +242,13 @@ pub struct RouterEpochStats {
 impl RouterEpochStats {
     /// Accumulates one cycle of occupancy accounting.
     ///
-    /// `occupied_vcs` is the router's incrementally maintained live
-    /// input-VC count — the sampler adds it straight in rather than
+    /// `occupied` is the router's live input-VC count, read off its
+    /// stage masks — the sampler adds it straight in rather than
     /// rescanning every VC of every router each cycle.
     #[inline]
-    pub fn sample_cycle(&mut self, occupied_vcs: u64) {
+    pub fn sample_cycle(&mut self, occupied: u64) {
         self.cycles += 1;
-        self.occupied_vc_cycles += occupied_vcs;
+        self.occupied_vc_cycles += occupied;
     }
 
     /// Mean input-port utilization in flits/cycle.

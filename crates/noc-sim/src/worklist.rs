@@ -81,6 +81,19 @@ impl ActiveSet {
     }
 }
 
+/// The set bits of `word` in ascending order — the per-router stage
+/// masks are walked with this, which is the old port-major VC order.
+#[inline]
+pub(crate) fn bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let i = word.trailing_zeros() as usize;
+            word &= word - 1;
+            i
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,6 +129,13 @@ mod tests {
             }
         }
         assert_eq!(seen, vec![3, 64, 65, 199]);
+    }
+
+    #[test]
+    fn bits_walks_set_bits_ascending() {
+        assert_eq!(bits(0).count(), 0);
+        let word = 1 | 1 << 5 | 1 << 63;
+        assert_eq!(bits(word).collect::<Vec<_>>(), vec![0, 5, 63]);
     }
 
     #[test]

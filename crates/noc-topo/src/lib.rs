@@ -146,6 +146,7 @@ impl Direction {
     /// # Panics
     ///
     /// Panics for `Local`, which has no opposite.
+    #[inline]
     pub fn opposite(self) -> Self {
         match self {
             Direction::North => Direction::South,

@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn constant_targets_collapse_to_one_leaf() {
         let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
-        let tree = RefTree::fit(&xs, &vec![2.5; 20], TreeParams::default());
+        let tree = RefTree::fit(&xs, &[2.5; 20], TreeParams::default());
         assert_eq!(tree.num_nodes(), 1);
         assert_eq!(tree.predict(&[7.0]), 2.5);
     }

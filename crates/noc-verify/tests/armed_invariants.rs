@@ -4,7 +4,7 @@
 //! `noc-sim/verify` and `noc-rl/verify`); arming happens in-process so
 //! the test needs no special environment. Every simulated cycle of the
 //! optimized backend then re-derives flit conservation, credit
-//! conservation, ARQ window sanity, and the stage counters from
+//! conservation, ARQ window sanity, and the stage masks from
 //! scratch — and the run must still agree with the reference model.
 
 #![cfg(feature = "verify")]

@@ -45,7 +45,7 @@ fn fuzz_dataset(seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
     let mut s = Stream(seed);
     let n = 1 + (s.next() % 96) as usize;
     let dim = 1 + (s.next() % 6) as usize;
-    let quantized: Vec<bool> = (0..dim).map(|_| s.next() % 2 == 0).collect();
+    let quantized: Vec<bool> = (0..dim).map(|_| s.next().is_multiple_of(2)).collect();
     let mut xs = Vec::with_capacity(n);
     let mut ys = Vec::with_capacity(n);
     for _ in 0..n {
@@ -146,7 +146,7 @@ fn production_fit_matches_reference_on_table_i_shaped_samples() {
         let mut xs = Vec::with_capacity(n);
         let mut ys = Vec::with_capacity(n);
         for _ in 0..n {
-            let idle = s.next() % 3 == 0;
+            let idle = s.next().is_multiple_of(3);
             let row = if idle {
                 vec![0.0, 0.0, 0.0, 0.0, 0.0, 45.0]
             } else {
