@@ -24,8 +24,10 @@ fn main() {
         let q = agents[ri].q_table();
         let visited = q.visited_states();
         println!(
-            "router {ri}: {} distinct states, T={:.1}C",
+            "router {ri}: {} distinct states ({} of {} held in memory), T={:.1}C",
             visited.len(),
+            q.touched_states(),
+            q.num_states(),
             artifacts.temperatures[ri]
         );
         for &(s, total) in visited.iter().take(6) {

@@ -231,7 +231,7 @@ impl QLearningAgent {
     }
 
     /// Runtime agent-state invariants (`verify` feature, armed by
-    /// `RLNOC_VERIFY=1`): every Q-value finite, the selected action in
+    /// `RLNOC_VERIFY=1`): every stored Q-value finite, the selected action in
     /// range, ε within `[0, 1]` after clamping and non-increasing along
     /// the schedule, and the learning rate α within `(0, 1]`.
     ///
@@ -252,15 +252,7 @@ impl QLearningAgent {
             "state {state} outside the {}-state table",
             self.q.num_states()
         );
-        for s in 0..self.q.num_states() {
-            for (a, &v) in self.q.row(s).iter().enumerate() {
-                assert!(
-                    v.is_finite(),
-                    "Q[{s}][{a}] diverged to {v} at step {}",
-                    self.step
-                );
-            }
-        }
+        self.verify_q_finite();
         let eps = self.current_epsilon();
         assert!(
             (0.0..=1.0).contains(&eps),
@@ -280,6 +272,21 @@ impl QLearningAgent {
             "α = {alpha} escaped (0,1] at step {}",
             self.step
         );
+    }
+
+    /// Every Q-value the table holds in memory, and the blank row all
+    /// other states read as, is finite.
+    #[cfg(feature = "verify")]
+    fn verify_q_finite(&self) {
+        for (s, row) in self.q.stored_values() {
+            for (a, &v) in row.iter().enumerate() {
+                assert!(
+                    v.is_finite(),
+                    "Q[{s}][{a}] diverged to {v} at step {}",
+                    self.step
+                );
+            }
+        }
     }
 
     /// Applies the TD update crediting `reward` to the previous
@@ -521,6 +528,17 @@ mod tests {
         assert_eq!(a.q_table(), &snapshot, "frozen agent must not learn");
         assert_eq!(a.exploration_moves(), explorations, "nor explore");
         assert_eq!(a.current_epsilon(), 0.0);
+    }
+
+    #[cfg(feature = "verify")]
+    #[test]
+    #[should_panic(expected = "Q[3][0] diverged to inf")]
+    fn non_finite_q_value_in_a_written_row_is_detected() {
+        let mut a = QLearningAgent::new(10_000, AgentConfig::optimistic(5.0), 2);
+        a.observe_and_act(3, 0.0);
+        a.verify_q_finite(); // nothing written yet: the blank row alone passes
+        a.observe_and_act(9_000, f64::INFINITY);
+        a.verify_q_finite();
     }
 
     #[test]

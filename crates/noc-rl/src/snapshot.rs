@@ -303,8 +303,9 @@ impl PolicySnapshot {
                 section.push_str(line);
                 section.push('\n');
             }
+            // The section starts on the line after its `agent` line.
             let table = QTable::load(section.as_bytes())
-                .map_err(|e| corrupt(n + 1, format!("agent {expect}: {e}")))?;
+                .map_err(|e| corrupt(n + 1 + e.line, format!("agent {expect}: {}", e.message)))?;
             if table.num_states() != num_states {
                 return Err(corrupt(
                     n + 1,
@@ -373,6 +374,12 @@ mod tests {
         PolicySnapshot::new(tables)
     }
 
+    /// `body` with the CRC-32 trailer a writer would append.
+    fn with_crc(body: &str) -> Vec<u8> {
+        let crc = Crc32::new().checksum(body.as_bytes());
+        format!("{body}crc32 {crc:08x}\n").into_bytes()
+    }
+
     #[test]
     fn round_trip_is_identity() {
         let snap = trained_bank(5);
@@ -421,12 +428,30 @@ mod tests {
     #[test]
     fn future_version_is_rejected() {
         let text = "rlnoc-policy v99 agents=1 states=4\nagent 0\nqtable 4 0\nend\n";
-        let mut buf = text.as_bytes().to_vec();
-        let crc = Crc32::new().checksum(&buf);
-        buf.extend_from_slice(format!("crc32 {crc:08x}\n").as_bytes());
+        let buf = with_crc(text);
         match PolicySnapshot::read(buf.as_slice()) {
             Err(SnapshotError::UnsupportedVersion(99)) => {}
             other => panic!("expected version error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_bad_table_row_is_corrupt_at_its_own_line() {
+        let header =
+            "rlnoc-policy v1 agents=2 states=4\nagent 0\nqtable 4 0\nagent 1\nqtable 4 2\n";
+        for (rows, line) in [
+            ("1 1 0 0 0 1 0 0 0\n1 2 0 0 0 1 0 0 0\n", 7),
+            ("2 inf 0 0 0 1 0 0 0\n", 6),
+            ("2 0 0 0 NaN 0 0 0 1\n", 6),
+        ] {
+            let text = with_crc(&format!("{header}{rows}end\n"));
+            match PolicySnapshot::read(text.as_slice()) {
+                Err(SnapshotError::Corrupt { line: got, message }) => {
+                    assert_eq!(got, line, "{message}");
+                    assert!(message.starts_with("agent 1: "), "{message}");
+                }
+                other => panic!("expected a corrupt row, got {other:?}"),
+            }
         }
     }
 
@@ -498,9 +523,7 @@ mod tests {
     fn v1_snapshot_loads_as_fault_blind() {
         // A pre-hard-fault snapshot written by an older build.
         let text = "rlnoc-policy v1 agents=1 states=4\nagent 0\nqtable 4 0\nend\n";
-        let mut buf = text.as_bytes().to_vec();
-        let crc = Crc32::new().checksum(&buf);
-        buf.extend_from_slice(format!("crc32 {crc:08x}\n").as_bytes());
+        let buf = with_crc(text);
         let snap = PolicySnapshot::read(buf.as_slice()).expect("v1 must load");
         assert_eq!(snap.fault_bins(), 1);
         assert_eq!(snap.num_agents(), 1);
@@ -509,9 +532,7 @@ mod tests {
     #[test]
     fn v2_header_without_fault_bins_is_corrupt() {
         let text = "rlnoc-policy v2 agents=1 states=4\nagent 0\nqtable 4 0\nend\n";
-        let mut buf = text.as_bytes().to_vec();
-        let crc = Crc32::new().checksum(&buf);
-        buf.extend_from_slice(format!("crc32 {crc:08x}\n").as_bytes());
+        let buf = with_crc(text);
         match PolicySnapshot::read(buf.as_slice()) {
             Err(SnapshotError::Corrupt { line: 1, .. }) => {}
             other => panic!("expected corrupt header, got {other:?}"),

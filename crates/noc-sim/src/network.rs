@@ -148,9 +148,9 @@ struct SwitchRequests {
     /// picked; meaningful only for ports named in `wanted`.
     winner: [(u8, u8); MAX_PORTS],
     /// Per output port, the input ports whose pick wants it.
-    wanted: [u64; MAX_PORTS],
+    wanted: [u8; MAX_PORTS],
     /// Output ports with a non-zero `wanted` word.
-    ports: u64,
+    ports: u8,
 }
 
 /// Progress of a packet being injected flit-by-flit at a node.
@@ -1665,8 +1665,18 @@ impl<E: ErrorControl> Network<E> {
         let router = &mut self.routers[ri];
         let v = router.vcs_per_port;
         let mut requests = SwitchRequests::default();
-        for in_p in 0..router.num_ports {
-            let active = router.masks.act >> (in_p * v) & (u64::MAX >> (64 - v));
+        // Ports ascending, one `v`-bit field of the mask each; the walk
+        // ends at the highest port with an Active VC.
+        let mut rest = router.masks.act;
+        for in_p in 0.. {
+            if rest == 0 {
+                break;
+            }
+            let active = rest & (u64::MAX >> (64 - v));
+            rest >>= v;
+            if active == 0 {
+                continue;
+            }
             let mut eligible = 0u64;
             for in_v in bits(active) {
                 let ivc = &router.inputs[in_p * v + in_v];
@@ -1720,11 +1730,11 @@ impl<E: ErrorControl> Network<E> {
     /// link (or the core), its credit goes back upstream, and a tail
     /// releases both VCs.
     fn sa_traverse(&mut self, ri: usize, cycle: u64, requests: &SwitchRequests) {
-        for out_p in bits(requests.ports) {
+        for out_p in bits(u64::from(requests.ports)) {
             let router = &mut self.routers[ri];
             let rid = router.id;
             let in_p = router.sa_output_arbiters[out_p]
-                .grant_mask(requests.wanted[out_p])
+                .grant_mask(u64::from(requests.wanted[out_p]))
                 .expect("a request was asserted");
             let (in_v, out_vc) = requests.winner[in_p];
             let flat = in_p * router.vcs_per_port + in_v as usize;
@@ -1867,8 +1877,14 @@ impl<E: ErrorControl> Network<E> {
                 let ri = (wi << 6) | word.trailing_zeros() as usize;
                 word &= word - 1;
                 self.sa_st_router(ri, cycle);
-                self.va_router(ri);
-                self.rc_router(ri, cycle);
+                // Each stage reads the mask the stage before it left: a
+                // tail sent above can file the next head for RC.
+                if self.routers[ri].masks.va != 0 {
+                    self.va_router(ri);
+                }
+                if self.routers[ri].masks.rc != 0 {
+                    self.rc_router(ri, cycle);
+                }
             }
         }
         if !self.rc_doomed.is_empty() {

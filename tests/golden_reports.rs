@@ -129,3 +129,31 @@ fn golden_fixtures_parse_back_bit_exactly() {
         assert_eq!(rlnoc_runner::render_report(&report), text);
     }
 }
+
+/// The policy the golden RL run learned, as it goes to disk: the
+/// `rlnoc-policy` bytes are pinned by their length and their own CRC-32
+/// trailer, so a change to the table's storage, its row order or its
+/// number formatting shows up here and not only as a drifted report.
+#[test]
+fn rl_policy_snapshot_bytes_are_pinned() {
+    let campaign = golden_campaign();
+    let task = campaign
+        .tasks()
+        .into_iter()
+        .find(|t| t.scheme == ErrorControlScheme::ProposedRl)
+        .expect("the golden campaign has an RL task");
+    let (_, artifacts) = campaign.experiment(&task).run_inspect();
+    let snapshot = artifacts
+        .controllers
+        .policy_snapshot()
+        .expect("RL bank snapshots");
+    let mut bytes = Vec::new();
+    snapshot.write(&mut bytes).expect("write to memory");
+    let text = String::from_utf8(bytes).expect("snapshots are text");
+    let trailer = text.lines().last().expect("non-empty");
+    assert_eq!(
+        (text.len(), trailer),
+        (2_200, "crc32 6255cb0a"),
+        "policy snapshot bytes drifted"
+    );
+}
