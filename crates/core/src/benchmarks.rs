@@ -12,7 +12,7 @@
 use noc_sim::topology::{NodeId, Topo};
 use noc_sim::traffic::{TrafficPattern, TrafficSource};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{BernoulliThreshold, Rng, SeedableRng};
 
 /// One phase of a workload: `cycles` of Bernoulli injection at
 /// `injection_rate` packets/node/cycle with the given spatial pattern.
@@ -296,6 +296,9 @@ impl WorkloadProfile {
 #[derive(Debug, Clone)]
 pub struct ProfileSource {
     profile: WorkloadProfile,
+    /// Each phase's `injection_rate`, precompiled: one integer compare
+    /// per node draw.
+    inject: Vec<BernoulliThreshold>,
     mesh: Topo,
     rng: SmallRng,
     start_cycle: Option<u64>,
@@ -307,7 +310,8 @@ impl ProfileSource {
     ///
     /// # Panics
     ///
-    /// Panics if the profile has no phases or a zero-length phase.
+    /// Panics if the profile has no phases, a zero-length phase, or an
+    /// injection rate outside `[0, 1]`.
     pub fn new(profile: WorkloadProfile, mesh: impl Into<Topo>, seed: u64) -> Self {
         let mesh = mesh.into();
         assert!(!profile.phases.is_empty(), "profile needs phases");
@@ -315,9 +319,22 @@ impl ProfileSource {
             profile.phases.iter().all(|p| p.cycles > 0),
             "phases must be non-empty"
         );
+        assert!(
+            profile
+                .phases
+                .iter()
+                .all(|p| (0.0..=1.0).contains(&p.injection_rate)),
+            "injection rates must be probabilities"
+        );
         let phase_total = profile.phases.iter().map(|p| p.cycles).sum();
+        let inject = profile
+            .phases
+            .iter()
+            .map(|p| BernoulliThreshold::from_probability(p.injection_rate))
+            .collect();
         Self {
             profile,
+            inject,
             mesh,
             rng: SmallRng::seed_from_u64(seed),
             start_cycle: None,
@@ -330,11 +347,12 @@ impl ProfileSource {
         &self.profile
     }
 
-    fn phase_at(&self, offset: u64) -> &PhaseSpec {
+    /// The index of the phase `offset` cycles into the replay.
+    fn phase_at(&self, offset: u64) -> usize {
         let mut t = offset % self.phase_total;
-        for phase in &self.profile.phases {
+        for (i, phase) in self.profile.phases.iter().enumerate() {
             if t < phase.cycles {
-                return phase;
+                return i;
             }
             t -= phase.cycles;
         }
@@ -349,10 +367,11 @@ impl TrafficSource for ProfileSource {
         if offset >= self.profile.duration_cycles {
             return;
         }
-        let phase = *self.phase_at(offset);
+        let phase = self.phase_at(offset);
+        let (inject, pattern) = (self.inject[phase], self.profile.phases[phase].pattern);
         for src in self.mesh.nodes() {
-            if self.rng.gen_bool(phase.injection_rate) {
-                if let Some(dst) = phase.pattern.destination(self.mesh, src, &mut self.rng) {
+            if self.rng.gen_bool_at(inject) {
+                if let Some(dst) = pattern.destination(self.mesh, src, &mut self.rng) {
                     offer(src, dst);
                 }
             }

@@ -7,7 +7,7 @@
 
 use crate::timing::TimingErrorModel;
 use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 /// Maximum bit flips a single fault event can produce (the flip-weight
 /// distribution is over 1, 2, or 3 flips).
@@ -15,35 +15,10 @@ pub const MAX_FLIPS: usize = 3;
 
 /// A per-flit error probability precompiled into the integer domain of
 /// the RNG, so the hot-path Bernoulli draw is one `u64` compare instead
-/// of an int→float conversion, multiply, and float compare per flit.
-///
-/// `rand`'s `gen_bool(p)` accepts a draw when `(bits >> 11) · 2⁻⁵³ < p`.
-/// Both sides scale exactly by 2⁵³ (power-of-two scaling of an integer
-/// below 2⁵³ is exact in f64), so the accept set is *identical* to
-/// comparing the integer `bits >> 11` against `ceil(p · 2⁵³)` — the
-/// cached [`FaultTolerantProtocol`] recomputes this once per control
-/// epoch and replays the exact same accept/reject decisions per draw.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ErrorThreshold(u64);
-
-impl ErrorThreshold {
-    /// Compiles probability `p` (clamped to `[0, 1]`) into its exact
-    /// integer acceptance threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is NaN.
-    pub fn from_probability(p: f64) -> Self {
-        assert!(!p.is_nan(), "error probability is NaN");
-        let p = p.clamp(0.0, 1.0);
-        Self((p * (1u64 << 53) as f64).ceil() as u64)
-    }
-
-    /// `true` when no draw can ever be accepted (p == 0).
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-}
+/// of an int→float conversion, multiply, and float compare per flit —
+/// the cached `FaultTolerantProtocol` recomputes it once per control
+/// epoch. The same type the traffic sources draw injections with.
+pub use rand::BernoulliThreshold as ErrorThreshold;
 
 /// Samples fault events and flips payload bits.
 ///
@@ -97,7 +72,7 @@ impl FaultInjector {
     /// consumes exactly one `u64`, and the accept set per draw is
     /// bit-for-bit the same as `gen_bool`'s.
     pub fn sample_flips_at(&mut self, model: &TimingErrorModel, threshold: ErrorThreshold) -> u8 {
-        if threshold.0 == 0 || (self.rng.next_u64() >> 11) >= threshold.0 {
+        if threshold.is_zero() || !self.rng.gen_bool_at(threshold) {
             return 0;
         }
         let flips = model.flips_for_draw(self.rng.gen_range(0.0..1.0));

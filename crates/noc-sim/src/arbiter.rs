@@ -25,9 +25,11 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoundRobinArbiter {
-    n: usize,
+    /// Requester slots, at most 64 (a router's input VCs fill one `u64`
+    /// request word) — a byte, so a router's arbiters share a cache line.
+    n: u8,
     /// Index with the highest priority on the next grant.
-    next: usize,
+    next: u8,
 }
 
 impl RoundRobinArbiter {
@@ -35,15 +37,19 @@ impl RoundRobinArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0` or `n > 64`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "arbiter needs at least one requester");
-        Self { n, next: 0 }
+        assert!(n <= 64, "arbiter serves at most 64 requesters");
+        Self {
+            n: n as u8,
+            next: 0,
+        }
     }
 
     /// Number of requester slots.
     pub fn len(&self) -> usize {
-        self.n
+        usize::from(self.n)
     }
 
     /// Always `false`; arbiters have at least one slot.
@@ -62,14 +68,14 @@ impl RoundRobinArbiter {
     ///
     /// Panics if `requests.len() != self.len()`.
     pub fn grant(&mut self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.n, "request vector size mismatch");
-        let mut idx = self.next;
+        assert_eq!(requests.len(), self.len(), "request vector size mismatch");
+        let mut idx = usize::from(self.next);
         for _ in 0..self.n {
             if requests[idx] {
                 self.next = self.after(idx);
                 return Some(idx);
             }
-            idx = self.after(idx);
+            idx = usize::from(self.after(idx));
         }
         None
     }
@@ -77,11 +83,11 @@ impl RoundRobinArbiter {
     /// The slot after `idx`, wrapping — a compare, not a divide: both
     /// grant forms run per router per cycle.
     #[inline]
-    fn after(&self, idx: usize) -> usize {
-        if idx + 1 == self.n {
+    fn after(&self, idx: usize) -> u8 {
+        if idx + 1 == usize::from(self.n) {
             0
         } else {
-            idx + 1
+            idx as u8 + 1
         }
     }
 
@@ -92,7 +98,6 @@ impl RoundRobinArbiter {
     /// Requires `self.len() <= 64` and no bit at or above `self.len()`.
     #[inline]
     pub fn grant_mask(&mut self, requests: u64) -> Option<usize> {
-        debug_assert!(self.n <= 64, "request word holds 64 requesters");
         debug_assert!(
             self.n == 64 || requests >> self.n == 0,
             "request bit beyond the arbiter's {} slots",
@@ -102,9 +107,10 @@ impl RoundRobinArbiter {
             return None;
         }
         // `next < n <= 64`, so the shift is in range.
-        let ahead = requests >> self.next;
+        let next = usize::from(self.next);
+        let ahead = requests >> next;
         let idx = if ahead != 0 {
-            self.next + ahead.trailing_zeros() as usize
+            next + ahead.trailing_zeros() as usize
         } else {
             requests.trailing_zeros() as usize
         };
@@ -220,7 +226,10 @@ mod prop_tests {
             next in 0usize..64,
             words in proptest::collection::vec(any::<u64>(), 1..8),
         ) {
-            let mut by_slice = RoundRobinArbiter { n, next: next % n };
+            let mut by_slice = RoundRobinArbiter {
+                n: n as u8,
+                next: (next % n) as u8,
+            };
             let mut by_word = by_slice.clone();
             let keep = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
             for word in words.into_iter().chain([0]) {

@@ -310,7 +310,9 @@ impl std::ops::IndexMut<FlitRef> for FlitArena {
 /// the live keys occupy a contiguous-ish band `[base, base + len)`.
 /// This replaces a `HashMap<PacketId, T>` with a `VecDeque<Option<T>>`
 /// indexed by `id - base`: O(1) access with no hashing, and the window
-/// front advances as the oldest packets complete.
+/// front advances as the oldest packets complete. Keys must be inserted
+/// in increasing order (the source store's are: one per offer): a key
+/// behind the base would cost a vacant slot per id of the gap.
 #[derive(Debug, Clone)]
 pub struct PacketWindow<T> {
     base: u64,
@@ -347,10 +349,9 @@ impl<T> PacketWindow<T> {
     /// Inserts `value` under `id`, returning the previous entry if one
     /// existed.
     ///
-    /// Ids are usually at or above the window base, but an id the base
-    /// has already slid past may legitimately return (destination
-    /// reassembly of an end-to-end retransmission); the window then
-    /// grows downward to cover it again.
+    /// # Panics
+    ///
+    /// Panics if the window is live and `id` is below its base.
     #[inline]
     pub fn insert(&mut self, id: PacketId, value: T) -> Option<T> {
         if self.live == 0 {
@@ -358,12 +359,8 @@ impl<T> PacketWindow<T> {
             // vacant slots.
             self.base = id.0;
             self.slots.clear();
-        } else if id.0 < self.base {
-            for _ in id.0..self.base {
-                self.slots.push_front(None);
-            }
-            self.base = id.0;
         }
+        assert!(id.0 >= self.base, "{id} inserted behind the window base");
         let idx = (id.0 - self.base) as usize;
         while self.slots.len() <= idx {
             self.slots.push_back(None);
@@ -637,22 +634,23 @@ mod tests {
     }
 
     #[test]
-    fn packet_window_grows_downward_behind_base() {
+    fn packet_window_rebases_when_empty() {
         let mut w: PacketWindow<u32> = PacketWindow::new();
         // An empty window rebases to the inserted id, even a lower one.
         w.insert(PacketId(9), 90);
         w.remove(PacketId(9));
         w.insert(PacketId(3), 30);
         assert_eq!(w.base, 3);
-        // A live window grows downward over the gap instead.
-        w.insert(PacketId(1), 10);
-        assert_eq!(w.base, 1);
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.get_mut(PacketId(2)), None, "gap slot stays vacant");
-        assert_eq!(w.remove(PacketId(1)), Some(10));
-        assert_eq!(w.base, 3, "base slides back up past the gap");
         assert_eq!(w.remove(PacketId(3)), Some(30));
         assert!(w.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "behind the window base")]
+    fn packet_window_rejects_ids_behind_a_live_base() {
+        let mut w: PacketWindow<u32> = PacketWindow::new();
+        w.insert(PacketId(3), 30);
+        w.insert(PacketId(1), 10);
     }
 }
 

@@ -24,11 +24,12 @@
 //!   are deliberately lost, never replenished), and every entry of the
 //!   fault-adaptive reroute table points at a live link to a live
 //!   neighbor.
-//! * **Pipeline-stage masks** — the incremental `rc` / `va` / `act` /
-//!   `retx` stage masks (and with them the occupied set and the
-//!   worklist predicate) match a full rescan of every VC and resend
-//!   queue (the release-build analogue of
-//!   [`Router::debug_check_stage_masks`]).
+//! * **Pipeline-stage masks** — every incrementally kept stage word
+//!   (`rc` / `va` / `act` / `retx`, and with them the occupied set and
+//!   the worklist predicate; `nonempty`, `fresh`, `holds`, `no_credit`,
+//!   `va_req`, the busy horizon, the occupied count) matches a full
+//!   rescan of every VC, held output VC, port and resend queue (the
+//!   release-build analogue of [`Router::debug_check_stage_masks`]).
 //! * **No-progress watchdog** — a non-quiescent network whose activity
 //!   fingerprint has not changed for [`WATCHDOG_CYCLES`] cycles is
 //!   declared deadlocked/livelocked.
@@ -119,10 +120,16 @@ impl<E: ErrorControl> Network<E> {
                 }
             }
         }
+        let entries: usize = self.reassembly.iter().map(Vec::len).sum();
+        assert_eq!(
+            entries, self.reassembling,
+            "reassembly entry count diverged at cycle {}",
+            self.cycle
+        );
         let reassembling: usize = self
             .reassembly
-            .values()
-            .flat_map(|entries| entries.iter())
+            .iter()
+            .flatten()
             .map(|e| e.flits.len())
             .sum();
         let reachable = fifo + resend + in_events + reassembling;
@@ -193,7 +200,7 @@ impl<E: ErrorControl> Network<E> {
                 }
                 let in_port = dir.opposite().index();
                 for vcn in 0..v {
-                    let credits = u32::from(r.outputs[dir.index()].vcs[vcn].credits);
+                    let credits = u32::from(r.out_vc(dir.index(), vcn).credits);
                     let fifo = self.routers[down.index()].input(in_port, vcn).fifo.len() as u32;
                     let flight = in_flight[slot(r.id.index(), dir.index(), vcn)];
                     assert_eq!(
@@ -321,20 +328,51 @@ impl<E: ErrorControl> Network<E> {
         }
     }
 
-    /// Pipeline-stage masks match a full rescan of the VCs and resend
-    /// queues, in release builds too (the optimized stages trust them to
-    /// find their candidates and to skip routers). The occupied set is
-    /// their union, so it is covered; [`Self::verify_worklists`] checks
-    /// the predicate built on it against [`InputVc::occupied`] itself.
+    /// Pipeline-stage masks match a full rescan of the VCs, their held
+    /// output VCs' credits, the port horizons and the resend queues —
+    /// every word, from the stage candidates to `nonempty`, `fresh`,
+    /// `holds`, `no_credit`, `va_req` and the occupied count — in release
+    /// builds too (the optimized stages trust them to find their
+    /// candidates and to skip routers). Two facts the incremental
+    /// updates lean on are checked beside them: every allocated output
+    /// VC names the Active VC holding it (credit changes reach
+    /// `no_credit` through it), and every buffered entry's tail flag is
+    /// its flit's. The occupied set is the masks' union, so it is
+    /// covered; [`Self::verify_worklists`] checks the predicate built on
+    /// it against [`InputVc::occupied`] itself.
     fn verify_stage_masks(&self) {
         for r in &self.routers {
             assert_eq!(
                 r.masks,
-                r.rescan_stage_masks(),
+                r.rescan_stage_masks(self.cycle),
                 "pipeline-stage masks diverged from rescan at {} (cycle {})",
                 r.id,
                 self.cycle,
             );
+            for (flat, vc) in r.inputs.iter().enumerate() {
+                if let VcState::Active {
+                    out_port, out_vc, ..
+                } = vc.state
+                {
+                    let held = r.out_vc(out_port.index(), out_vc as usize);
+                    assert!(
+                        held.allocated && usize::from(held.holder) == flat,
+                        "output VC {out_port}:{out_vc} at {} does not name its holder {flat} \
+                         (cycle {})",
+                        r.id,
+                        self.cycle,
+                    );
+                }
+                for bf in &vc.fifo {
+                    assert_eq!(
+                        bf.tail,
+                        self.arena[bf.flit].kind.is_tail(),
+                        "buffered tail flag diverged at {} (cycle {})",
+                        r.id,
+                        self.cycle,
+                    );
+                }
+            }
         }
     }
 
@@ -472,7 +510,9 @@ mod tests {
     #[should_panic(expected = "credit conservation violated")]
     fn stolen_credit_is_detected() {
         let mut net = armed_net(PerfectLink::new());
-        net.routers[0].outputs[Direction::East.index()].vcs[0].credits -= 1;
+        net.routers[0]
+            .out_vc_mut(Direction::East.index(), 0)
+            .credits -= 1;
         net.step();
     }
 
@@ -511,6 +551,35 @@ mod tests {
         let mut net = armed_net(PerfectLink::new());
         net.routers[0].masks.rc |= 1 << 3;
         net.step();
+    }
+
+    #[test]
+    fn every_stage_word_is_swept() {
+        type Corrupt = fn(&mut crate::router::StageMasks);
+        let corruptions: [(&str, Corrupt); 9] = [
+            ("nonempty", |m| m.nonempty ^= 1),
+            ("fresh", |m| m.fresh ^= 1),
+            ("no_credit", |m| m.no_credit ^= 1),
+            ("busy_until", |m| m.busy_until += 1),
+            ("retx_full", |m| m.retx_full ^= 1),
+            ("va_ports", |m| m.va_ports ^= 1),
+            ("holds", |m| m.holds[1] ^= 1),
+            ("va_req", |m| m.va_req[2][0] ^= 1),
+            ("occupied_vcs", |m| m.occupied_vcs += 1),
+        ];
+        for (word, corrupt) in corruptions {
+            let mut net = armed_net(PerfectLink::new());
+            corrupt(&mut net.routers[5].masks);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                net.verify_invariants();
+            }));
+            let payload = caught.expect_err(word);
+            let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                message.contains("pipeline-stage masks diverged"),
+                "`{word}` tripped another check: {message}"
+            );
+        }
     }
 
     #[test]
@@ -619,6 +688,7 @@ mod tests {
             .fifo
             .push_back(BufferedFlit {
                 flit,
+                tail: true,
                 arrived_at: 0,
             });
         // Invoke the checker directly: a full step would trip the

@@ -31,7 +31,7 @@
 use crate::config::NocConfig;
 use crate::error_control::{EjectOutcome, ErrorControl, HopOutcome, TransferKind};
 use crate::flit::{Flit, FlitArena, FlitRef, Packet, PacketClass, PacketId, PacketWindow};
-use crate::router::{PendingRetransmit, Router, VcState};
+use crate::router::{BufferedFlit, PendingRetransmit, Router, VcState};
 use crate::routing::{FaultRoutes, PackedRoutes, RouteTable};
 use crate::stats::{EventCounters, NetworkStats, RouterEpochStats};
 use crate::topology::{Direction, LinkId, NeighborTable, NodeId, Topo, MAX_PORTS};
@@ -142,7 +142,7 @@ impl Wheel {
 
 /// One router's switch requests for a cycle: what input-first selection
 /// hands to output arbitration.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct SwitchRequests {
     /// Per input port, the `(input VC, held output VC)` its arbiter
     /// picked; meaningful only for ports named in `wanted`.
@@ -445,9 +445,15 @@ pub struct Network<E: ErrorControl> {
     /// Source store: packets awaiting confirmed delivery, with their
     /// retransmission attempt count. Dense over the in-flight id band.
     pending_packets: PacketWindow<(Packet, u8)>,
-    /// Destination reassembly. The window is keyed by packet id; the
-    /// inner list disambiguates end-to-end attempts (almost always one).
-    reassembly: PacketWindow<Vec<ReassemblyEntry>>,
+    /// Destination reassembly: `reassembly[node]` holds the transmission
+    /// attempts collecting at `node`. A node has a handful at once — one
+    /// per packet holding a local output VC, plus ejections a cycle
+    /// behind — so a lookup costs what is live there, whatever the ids:
+    /// under saturation a retransmitted packet's id can trail the newest
+    /// by tens of thousands.
+    reassembly: Vec<Vec<ReassemblyEntry>>,
+    /// Entries across `reassembly`.
+    reassembling: usize,
     /// Recycled flit-handle buffers for reassembly entries.
     reassembly_pool: Vec<Vec<FlitRef>>,
     /// Reused staging buffer: flit bodies of a completed packet, handed
@@ -489,6 +495,7 @@ pub struct Network<E: ErrorControl> {
 /// destination.
 #[derive(Debug)]
 struct ReassemblyEntry {
+    packet: PacketId,
     attempt: u8,
     flits: Vec<FlitRef>,
 }
@@ -518,6 +525,11 @@ struct NetTelemetry {
     hardfault_route_cache_hits: Counter,
     hardfault_packets_lost: Counter,
     hardfault_unreachable_pairs: Gauge,
+    /// Reassembly entries opened, and entries scanned to find the one a
+    /// flit joins: the second stays within a small multiple of the first
+    /// whatever ids are in flight.
+    reassembly_entries: Counter,
+    reassembly_slots: Counter,
 }
 
 impl NetTelemetry {
@@ -541,6 +553,8 @@ impl NetTelemetry {
             hardfault_route_cache_hits: telemetry.counter("sim.hardfault.route_cache_hits"),
             hardfault_packets_lost: telemetry.counter("sim.hardfault.packets_lost"),
             hardfault_unreachable_pairs: telemetry.gauge("sim.hardfault.unreachable_pairs"),
+            reassembly_entries: telemetry.counter("sim.reassembly.entries"),
+            reassembly_slots: telemetry.counter("sim.reassembly.slots_touched"),
         }
     }
 }
@@ -614,7 +628,8 @@ impl<E: ErrorControl> Network<E> {
             inject_progress: vec![None; n],
             next_inject_vc: vec![0; n],
             pending_packets: PacketWindow::new(),
-            reassembly: PacketWindow::new(),
+            reassembly: (0..n).map(|_| Vec::new()).collect(),
+            reassembling: 0,
             reassembly_pool: Vec::new(),
             eject_scratch: Vec::new(),
             next_packet_id: 0,
@@ -926,7 +941,7 @@ impl<E: ErrorControl> Network<E> {
             }
             {
                 let _span = self.tel.phase_va.start();
-                self.va_phase();
+                self.va_phase(cycle);
             }
             {
                 let _span = self.tel.phase_rc.start();
@@ -940,8 +955,8 @@ impl<E: ErrorControl> Network<E> {
             self.process_events(cycle);
             self.inject_phase(cycle);
             self.fused_pipeline(cycle);
-            self.sample_phase();
         }
+        self.epoch_pending_cycles += 1;
         self.tel.cycles.inc();
         self.cycle += 1;
         #[cfg(feature = "verify")]
@@ -971,13 +986,13 @@ impl<E: ErrorControl> Network<E> {
         let quiet = self.active.is_empty()
             && self.inject_active.is_empty()
             && self.wheel.is_empty()
-            && self.reassembly.is_empty();
+            && self.reassembling == 0;
         debug_assert_eq!(
             quiet,
             self.wheel.is_empty()
                 && self.source_queues.iter().all(VecDeque::is_empty)
                 && self.inject_progress.iter().all(Option::is_none)
-                && self.reassembly.is_empty()
+                && self.reassembly.iter().all(Vec::is_empty)
                 && self.routers.iter().all(|r| {
                     r.inputs.iter().all(|vc| vc.fifo.is_empty())
                         && r.outputs.iter().all(|p| p.retx_pending.is_empty())
@@ -1050,11 +1065,12 @@ impl<E: ErrorControl> Network<E> {
                 }
                 Event::Eject { node, flit } => self.handle_eject(cycle, node, flit),
                 Event::Credit { node, port, vc } => {
-                    let out = &mut self.routers[node.index()].outputs[port.index()];
-                    let credit = &mut out.vcs[vc as usize].credits;
-                    *credit = credit.saturating_add(1);
+                    let router = &mut self.routers[node.index()];
+                    router.return_credit(port.index(), vc as usize);
                     debug_assert!(
-                        port == Direction::Local || *credit <= self.config.vc_depth,
+                        port == Direction::Local
+                            || router.out_vc(port.index(), vc as usize).credits
+                                <= self.config.vc_depth,
                         "credit overflow on {node}:{port}"
                     );
                 }
@@ -1064,8 +1080,7 @@ impl<E: ErrorControl> Network<E> {
                     seq,
                     kind,
                 } => {
-                    let out = &mut self.routers[node.index()].outputs[port.index()];
-                    let (_, copy) = out.retx_buffer.acknowledge(seq, kind);
+                    let copy = self.routers[node.index()].acknowledge(port.index(), seq, kind);
                     if let Some((flit, out_vc)) = copy {
                         // Re-materialize the buffered copy into a fresh
                         // arena slot: the slot of the rejected transfer was
@@ -1185,8 +1200,7 @@ impl<E: ErrorControl> Network<E> {
                         },
                     );
                     // Keep the sender quiet until it processes the NACK.
-                    let out = &mut self.routers[si].outputs[link.dir.index()];
-                    out.next_free = out.next_free.max(ack_at);
+                    self.routers[si].hold_port(link.dir.index(), ack_at);
                     // The gated flit is discarded; its resend will be
                     // re-materialized from the sender's buffered copy.
                     self.arena.free(flit);
@@ -1335,8 +1349,7 @@ impl<E: ErrorControl> Network<E> {
                 );
                 // Suspend the sender's port until the NACK is processed so
                 // no younger flit enters the reorder window.
-                let out = &mut self.routers[si].outputs[link.dir.index()];
-                out.next_free = out.next_free.max(ack_at);
+                self.routers[si].hold_port(link.dir.index(), ack_at);
             }
         }
     }
@@ -1354,7 +1367,12 @@ impl<E: ErrorControl> Network<E> {
                 < self.config.vc_depth as usize,
             "input VC overflow at {node}:{in_port}:{vc}"
         );
-        self.routers[ni].enqueue(in_port.index(), vc as usize, flit, cycle);
+        let buffered = BufferedFlit {
+            flit,
+            tail: self.arena[flit].kind.is_tail(),
+            arrived_at: cycle,
+        };
+        self.routers[ni].enqueue(in_port.index(), vc as usize, buffered);
         self.active.insert(ni);
     }
 
@@ -1377,27 +1395,28 @@ impl<E: ErrorControl> Network<E> {
         } else {
             self.config.flits_per_packet
         } as usize;
-        if self.reassembly.get_mut(packet_id).is_none() {
-            self.reassembly.insert(packet_id, Vec::new());
-        }
-        let entries = self
-            .reassembly
-            .get_mut(packet_id)
-            .expect("entry just ensured");
-        let idx = match entries.iter().position(|e| e.attempt == attempt) {
-            Some(i) => i,
-            None => {
-                let flits = self.reassembly_pool.pop().unwrap_or_default();
-                entries.push(ReassemblyEntry { attempt, flits });
-                entries.len() - 1
-            }
-        };
+        let entries = &mut self.reassembly[node.index()];
+        let found = entries
+            .iter()
+            .position(|e| e.packet == packet_id && e.attempt == attempt);
+        self.tel
+            .reassembly_slots
+            .add(found.map_or(entries.len(), |i| i + 1) as u64);
+        let idx = found.unwrap_or_else(|| {
+            let flits = self.reassembly_pool.pop().unwrap_or_default();
+            entries.push(ReassemblyEntry {
+                packet: packet_id,
+                attempt,
+                flits,
+            });
+            self.reassembling += 1;
+            self.tel.reassembly_entries.inc();
+            entries.len() - 1
+        });
         entries[idx].flits.push(flit);
         if entries[idx].flits.len() == expected {
             let entry = entries.swap_remove(idx);
-            if entries.is_empty() {
-                self.reassembly.remove(packet_id);
-            }
+            self.reassembling -= 1;
             self.finish_packet(cycle, node, entry);
         }
     }
@@ -1525,8 +1544,12 @@ impl<E: ErrorControl> Network<E> {
                 let flit = prog
                     .packet
                     .make_flit(prog.next_flit, prog.attempt, &self.crc);
-                let flit = self.arena.alloc(flit);
-                self.routers[ni].enqueue(local, prog.vc as usize, flit, cycle);
+                let buffered = BufferedFlit {
+                    tail: flit.kind.is_tail(),
+                    flit: self.arena.alloc(flit),
+                    arrived_at: cycle,
+                };
+                self.routers[ni].enqueue(local, prog.vc as usize, buffered);
                 self.active.insert(ni);
                 self.counters[ni].crc_encodes += 1;
                 self.counters[ni].buffer_writes += 1;
@@ -1568,15 +1591,12 @@ impl<E: ErrorControl> Network<E> {
     #[inline]
     fn sa_st_router(&mut self, ri: usize, cycle: u64) {
         let router = &self.routers[ri];
-        router.debug_check_stage_masks();
+        router.debug_check_stage_masks(cycle);
         // A port with a resend queued when the cycle starts is dedicated
         // to it (order safety), whether or not the resend can go now.
         let resending = router.masks.retx;
         if resending != 0 {
             self.sa_resend(ri, cycle);
-        }
-        if self.routers[ri].masks.act == 0 {
-            return;
         }
         let requests = self.sa_select(ri, cycle, resending);
         if requests.ports != 0 {
@@ -1589,14 +1609,17 @@ impl<E: ErrorControl> Network<E> {
     fn sa_resend(&mut self, ri: usize, cycle: u64) {
         for out_p in bits(u64::from(self.routers[ri].masks.retx)) {
             let router = &mut self.routers[ri];
+            if cycle < router.next_free[out_p] {
+                continue;
+            }
+            let pr = *router.outputs[out_p]
+                .retx_pending
+                .front()
+                .expect("resend mask bit set");
+            if router.out_vc(out_p, pr.out_vc as usize).credits == 0 {
+                continue;
+            }
             let out = &mut router.outputs[out_p];
-            if cycle < out.next_free {
-                continue;
-            }
-            let pr = *out.retx_pending.front().expect("resend mask bit set");
-            if out.vcs[pr.out_vc as usize].credits == 0 {
-                continue;
-            }
             out.retx_pending.pop_front();
             if out.retx_pending.is_empty() {
                 router.masks.retx &= !(1 << out_p);
@@ -1641,9 +1664,8 @@ impl<E: ErrorControl> Network<E> {
         let pipeline = self.protocol.pipeline_latency(link) as u64;
         let pre = self.protocol.pre_retransmit(link);
         self.counters[ri].link_traversals[out_p] += 1 + u64::from(pre);
-        let out = &mut router.outputs[out_p];
-        out.vcs[vc as usize].credits -= 1;
-        out.next_free = cycle + 1 + delay + u64::from(pre);
+        router.take_credit(out_p, vc as usize);
+        router.hold_port(out_p, cycle + 1 + delay + u64::from(pre));
         self.wheel.push(
             cycle,
             cycle + self.config.link_latency as u64 + delay + pipeline,
@@ -1660,67 +1682,51 @@ impl<E: ErrorControl> Network<E> {
 
     /// Input-first selection: each input port's arbiter picks one of its
     /// Active VCs that can send this cycle, and the pick is filed under
-    /// the output port it holds. `resending` ports take no new flit.
+    /// the output port it holds. A VC can send when it is a switch
+    /// candidate (a front past its buffer-write cycle, credit on its
+    /// output VC) and its output port is not blocked: `resending` ports
+    /// take no new flit, a port is busy until `next_free`, and an ARQ
+    /// link needs room in its retransmit buffer. Per-VC state is read
+    /// only for each input port's winner.
     fn sa_select(&mut self, ri: usize, cycle: u64, resending: u8) -> SwitchRequests {
         let router = &mut self.routers[ri];
-        let v = router.vcs_per_port;
         let mut requests = SwitchRequests::default();
-        // Ports ascending, one `v`-bit field of the mask each; the walk
-        // ends at the highest port with an Active VC.
-        let mut rest = router.masks.act;
-        for in_p in 0.. {
-            if rest == 0 {
-                break;
+        let mut eligible = router.masks.switch_candidates();
+        if eligible == 0 {
+            return requests;
+        }
+        let mut blocked = resending | router.busy_ports(cycle);
+        for p in bits(u64::from(router.masks.retx_full)) {
+            let link = LinkId {
+                src: router.id,
+                dir: Direction::from_index(p),
+            };
+            if self.protocol.hop_arq(link) {
+                blocked |= 1 << p;
             }
-            let active = rest & (u64::MAX >> (64 - v));
-            rest >>= v;
-            if active == 0 {
-                continue;
-            }
-            let mut eligible = 0u64;
-            for in_v in bits(active) {
-                let ivc = &router.inputs[in_p * v + in_v];
-                let VcState::Active {
-                    out_port, out_vc, ..
-                } = ivc.state
-                else {
-                    unreachable!("Active mask bit on a VC not in Active");
-                };
-                let Some(front) = ivc.fifo.front() else {
-                    continue;
-                };
-                if front.arrived_at >= cycle {
-                    continue;
-                }
-                let out = &router.outputs[out_port.index()];
-                if resending >> out_port.index() & 1 != 0 || cycle < out.next_free {
-                    continue;
-                }
-                if out_port != Direction::Local {
-                    if out.vcs[out_vc as usize].credits == 0 {
-                        continue;
-                    }
-                    let link = LinkId {
-                        src: router.id,
-                        dir: out_port,
-                    };
-                    if self.protocol.hop_arq(link) && out.retx_buffer.is_full() {
-                        continue;
-                    }
-                }
-                eligible |= 1 << in_v;
-            }
-            if let Some(win) = router.sa_input_arbiters[in_p].grant_mask(eligible) {
-                let VcState::Active {
-                    out_port, out_vc, ..
-                } = router.inputs[in_p * v + win].state
-                else {
-                    unreachable!("selected VC must be active");
-                };
-                requests.winner[in_p] = (win as u8, out_vc);
-                requests.wanted[out_port.index()] |= 1 << in_p;
-                requests.ports |= 1 << out_port.index();
-            }
+        }
+        for p in bits(u64::from(blocked)) {
+            eligible &= !router.masks.holds[p];
+        }
+        // Input ports ascending, one `v`-bit field of the word each.
+        let v = router.vcs_per_port;
+        let field = u64::MAX >> (64 - v);
+        while eligible != 0 {
+            let in_p = router.port_of(eligible.trailing_zeros() as usize);
+            let word = eligible >> (in_p * v) & field;
+            eligible &= !(field << (in_p * v));
+            let win = router.sa_input_arbiters[in_p]
+                .grant_mask(word)
+                .expect("an eligible VC requests");
+            let VcState::Active {
+                out_port, out_vc, ..
+            } = router.inputs[in_p * v + win].state
+            else {
+                unreachable!("selected VC must be active");
+            };
+            requests.winner[in_p] = (win as u8, out_vc);
+            requests.wanted[out_port.index()] |= 1 << in_p;
+            requests.ports |= 1 << out_port.index();
         }
         requests
     }
@@ -1739,23 +1745,13 @@ impl<E: ErrorControl> Network<E> {
             let (in_v, out_vc) = requests.winner[in_p];
             let flat = in_p * router.vcs_per_port + in_v as usize;
 
-            let bf = router.inputs[flat]
-                .fifo
-                .pop_front()
-                .expect("granted VC holds a flit");
+            let bf = router.pop_front(flat, cycle);
             self.counters[ri].sa_grants += 1;
             self.counters[ri].buffer_reads += 1;
             self.counters[ri].crossbar_traversals += 1;
             self.epoch[ri].flits_out[out_p] += 1;
-            if self.arena[bf.flit].kind.is_tail() {
-                router.inputs[flat].state = VcState::Idle;
-                router.masks.act &= !(1 << flat);
-                if !router.inputs[flat].fifo.is_empty() {
-                    // The next packet's head is already buffered; it
-                    // becomes an RC candidate immediately.
-                    router.masks.rc |= 1 << flat;
-                }
-                router.outputs[out_p].vcs[out_vc as usize].allocated = false;
+            if bf.tail {
+                router.release(flat, out_p, out_vc as usize);
             }
 
             // Return the freed buffer slot to the upstream router —
@@ -1784,7 +1780,7 @@ impl<E: ErrorControl> Network<E> {
                     flit: bf.flit,
                 };
                 self.wheel.push(cycle, cycle + 1, eject);
-                router.outputs[out_p].next_free = cycle + 1;
+                router.hold_port(out_p, cycle + 1);
                 continue;
             }
             let link = LinkId {
@@ -1796,10 +1792,7 @@ impl<E: ErrorControl> Network<E> {
                 // The buffer keeps the body *by value*: the wire-side
                 // arena slot is mutated in place by fault draws and
                 // must never alias the canonical retransmit copy.
-                router.outputs[out_p]
-                    .retx_buffer
-                    .push((self.arena[bf.flit], out_vc), cycle)
-                    .expect("fullness checked during selection")
+                router.retain_copy(out_p, (self.arena[bf.flit], out_vc), cycle)
             });
             self.launch(
                 ri,
@@ -1813,20 +1806,20 @@ impl<E: ErrorControl> Network<E> {
         }
     }
 
-    fn va_phase(&mut self) {
+    fn va_phase(&mut self, cycle: u64) {
         for wi in 0..self.active.num_words() {
             let mut word = self.active.word(wi);
             while word != 0 {
                 let ri = (wi << 6) | word.trailing_zeros() as usize;
                 word &= word - 1;
-                self.va_router(ri);
+                self.va_router(ri, cycle);
             }
         }
     }
 
     #[inline]
-    fn va_router(&mut self, ri: usize) {
-        let grants = self.routers[ri].va_stage();
+    fn va_router(&mut self, ri: usize, cycle: u64) {
+        let grants = self.routers[ri].va_stage(cycle);
         self.counters[ri].va_allocations += grants;
     }
 
@@ -1859,17 +1852,19 @@ impl<E: ErrorControl> Network<E> {
     }
 
     /// The fused per-cycle pipeline kernel: one pass over the active
-    /// worklist running SA/ST → VA → RC for each live router before
-    /// moving to the next.
+    /// worklist running SA/ST → VA → RC → sampling for each live router
+    /// before moving to the next.
     ///
-    /// Equivalent to the phase-major loops because the three stages of
-    /// router `i` read and write only router-`i` state — cross-router
-    /// effects travel exclusively through the event wheel, and of the
-    /// three stages only SA/ST pushes events, so the wheel's push order
-    /// under router-major fusion matches the phase-major order exactly.
-    /// Doom resolution (`finish_rc_dooms`) still runs after every
-    /// router's RC, as in the split shape, because it purges state
-    /// across arbitrary routers.
+    /// Equivalent to the phase-major loops because the stages of router
+    /// `i` read and write only router-`i` state — cross-router effects
+    /// travel exclusively through the event wheel, and of the stages
+    /// only SA/ST pushes events, so the wheel's push order under
+    /// router-major fusion matches the phase-major order exactly, and a
+    /// router's sample after its own RC is the sample the separate pass
+    /// takes after every router's. Doom resolution (`finish_rc_dooms`)
+    /// still runs after every router's RC, as in the split shape, because
+    /// it purges state across arbitrary routers; a cycle that dooms
+    /// re-samples what the purge changed.
     fn fused_pipeline(&mut self, cycle: u64) {
         for wi in 0..self.active.num_words() {
             let mut word = self.active.word(wi);
@@ -1877,26 +1872,36 @@ impl<E: ErrorControl> Network<E> {
                 let ri = (wi << 6) | word.trailing_zeros() as usize;
                 word &= word - 1;
                 self.sa_st_router(ri, cycle);
-                // Each stage reads the mask the stage before it left: a
-                // tail sent above can file the next head for RC.
+                // Each stage reads the masks the stage before it left: a
+                // tail sent above can file the next head for RC (which
+                // waits a cycle if that head arrived in this one).
                 if self.routers[ri].masks.va != 0 {
-                    self.va_router(ri);
+                    self.va_router(ri, cycle);
                 }
-                if self.routers[ri].masks.rc != 0 {
+                if self.routers[ri].masks.route_candidates() != 0 {
                     self.rc_router(ri, cycle);
                 }
+                self.sample_router(ri);
             }
         }
         if !self.rc_doomed.is_empty() {
+            let sampled: Vec<usize> = self
+                .routers
+                .iter()
+                .map(Router::occupied_input_vcs)
+                .collect();
             self.finish_rc_dooms(cycle);
+            for (ri, router) in self.routers.iter_mut().enumerate() {
+                router.end_cycle();
+                let occupied = &mut self.epoch[ri].occupied_vc_cycles;
+                *occupied = *occupied - sampled[ri] as u64 + router.occupied_input_vcs() as u64;
+            }
         }
     }
 
+    /// Split-path sampling (telemetry spans enabled): every live router,
+    /// after every router's pipeline stages and doom resolution.
     fn sample_phase(&mut self) {
-        // Idle routers (not on the worklist) hold zero occupied VCs, so
-        // their per-cycle sample is exactly zero; defer their `cycles`
-        // bump to `finish_epoch` and only touch live routers here.
-        self.epoch_pending_cycles += 1;
         if self.tel.active_router_cycles.is_enabled() {
             let members: u32 = (0..self.active.num_words())
                 .map(|wi| self.active.word(wi).count_ones())
@@ -1908,13 +1913,23 @@ impl<E: ErrorControl> Network<E> {
             while word != 0 {
                 let ri = (wi << 6) | word.trailing_zeros() as usize;
                 word &= word - 1;
-                let router = &self.routers[ri];
-                let occ = router.occupied_input_vcs();
-                self.epoch[ri].occupied_vc_cycles += occ as u64;
-                if !router.masks.any_work() {
-                    self.active.remove(ri);
-                }
+                self.sample_router(ri);
             }
+        }
+    }
+
+    /// Ends the cycle for live router `ri`: adds its occupied VCs to the
+    /// epoch record and retires it from the worklist once it has no
+    /// work. Idle routers (not on the worklist) hold zero occupied VCs,
+    /// so their per-cycle sample is exactly zero; their `cycles` bump is
+    /// deferred to `finish_epoch`.
+    #[inline]
+    fn sample_router(&mut self, ri: usize) {
+        let router = &mut self.routers[ri];
+        router.end_cycle();
+        self.epoch[ri].occupied_vc_cycles += router.occupied_input_vcs() as u64;
+        if !router.masks.any_work() {
+            self.active.remove(ri);
         }
     }
 
@@ -2101,11 +2116,11 @@ impl<E: ErrorControl> Network<E> {
                             arena.free(pr.flit);
                         }
                         out.retx_buffer.clear();
-                        for ovc in out.vcs.iter_mut() {
-                            ovc.allocated = false;
-                        }
                     }
-                    router.masks = router.rescan_stage_masks();
+                    for ovc in router.out_vcs.iter_mut() {
+                        ovc.allocated = false;
+                    }
+                    router.masks = router.rescan_stage_masks(cycle);
                     for (p, _) in self.source_queues[ni].drain(..) {
                         if fs.doom(p.id, !p.class.is_control()) {
                             lost += 1;
@@ -2193,10 +2208,10 @@ impl<E: ErrorControl> Network<E> {
                     }
                 }
                 for &(op, ov) in &dealloc {
-                    router.outputs[op].vcs[ov].allocated = false;
+                    router.out_vc_mut(op, ov).allocated = false;
                 }
                 dealloc.clear();
-                router.masks = router.rescan_stage_masks();
+                router.masks = router.rescan_stage_masks(cycle);
             }
         }
 
@@ -2219,11 +2234,11 @@ impl<E: ErrorControl> Network<E> {
             }
             let stale: Vec<(PacketId, bool)> = self
                 .reassembly
-                .values()
-                .filter_map(|entries| {
-                    let f = &self.arena[entries[0].flits[0]];
-                    fs.node_dead[f.dst.index()].then_some((f.packet, !f.class.is_control()))
-                })
+                .iter()
+                .enumerate()
+                .filter(|&(ni, _)| fs.node_dead[ni])
+                .flat_map(|(_, entries)| entries)
+                .map(|e| (e.packet, !self.arena[e.flits[0]].class.is_control()))
                 .collect();
             for (id, is_data) in stale {
                 if fs.doom(id, is_data) {
@@ -2290,6 +2305,7 @@ impl<E: ErrorControl> Network<E> {
             inject_progress,
             pending_packets,
             reassembly,
+            reassembling,
             reassembly_pool,
             ..
         } = self;
@@ -2345,10 +2361,10 @@ impl<E: ErrorControl> Network<E> {
                 }
             }
             for &(op, ov) in &dealloc {
-                router.outputs[op].vcs[ov].allocated = false;
+                router.out_vc_mut(op, ov).allocated = false;
             }
             dealloc.clear();
-            router.masks = router.rescan_stage_masks();
+            router.masks = router.rescan_stage_masks(now);
         }
         for (ni, prog) in inject_progress.iter_mut().enumerate() {
             if prog
@@ -2367,19 +2383,18 @@ impl<E: ErrorControl> Network<E> {
         for id in stale {
             pending_packets.remove(id);
         }
-        let stale: Vec<PacketId> = reassembly
-            .values()
-            .map(|entries| arena[entries[0].flits[0]].packet)
-            .filter(|id| fs.doomed.contains(id))
-            .collect();
-        for id in stale {
-            let entries = reassembly.remove(id).expect("collected above");
-            for mut e in entries {
+        for entries in reassembly.iter_mut() {
+            entries.retain_mut(|e| {
+                if !fs.doomed.contains(&e.packet) {
+                    return true;
+                }
                 for fr in e.flits.drain(..) {
                     arena.free(fr);
                 }
-                reassembly_pool.push(e.flits);
-            }
+                reassembly_pool.push(std::mem::take(&mut e.flits));
+                *reassembling -= 1;
+                false
+            });
         }
         // Purges rewrite router and injection state wholesale, so the
         // incremental worklist insert sites cannot see the changes;
@@ -2392,6 +2407,7 @@ impl<E: ErrorControl> Network<E> {
 mod tests {
     use super::*;
     use crate::error_control::PerfectLink;
+    use crate::traffic::{SyntheticSource, TrafficPattern, TrafficSource};
 
     fn net_4x4() -> Network<PerfectLink> {
         let config = NocConfig::builder().mesh(4, 4).build();
@@ -2554,6 +2570,75 @@ mod tests {
         assert_eq!(net.stats().packets_delivered, 150);
     }
 
+    /// Accepts every hop and fails every `n`-th end-to-end check, so the
+    /// destination asks the source to retransmit: the packet comes back
+    /// under its old id, behind everything offered since.
+    #[derive(Debug)]
+    struct FailEveryNthEject {
+        n: u64,
+        checks: u64,
+    }
+
+    impl ErrorControl for FailEveryNthEject {
+        fn hop_transfer(
+            &mut self,
+            _link: LinkId,
+            _flit: &mut Flit,
+            _cycle: u64,
+            _kind: TransferKind,
+            _protected: bool,
+            _counters: &mut EventCounters,
+        ) -> HopOutcome {
+            HopOutcome::Delivered
+        }
+
+        fn eject_check(
+            &mut self,
+            _flits: &[Flit],
+            _cycle: u64,
+            _counters: &mut EventCounters,
+        ) -> EjectOutcome {
+            self.checks += 1;
+            if self.checks.is_multiple_of(self.n) {
+                EjectOutcome::RequestRetransmit
+            } else {
+                EjectOutcome::Accept
+            }
+        }
+    }
+
+    #[test]
+    fn reassembly_work_follows_live_entries_not_the_id_gap() {
+        // A saturated 3×3 mesh: source queues grow without bound, so a
+        // retransmit request waits behind thousands of packets and the
+        // retransmission reassembles beside ids thousands newer than its
+        // own. Finding and closing entries must cost what is live at the
+        // destination, not that gap.
+        let config = NocConfig::builder().mesh(3, 3).build();
+        let mut net = Network::new(config, FailEveryNthEject { n: 3, checks: 0 }, 5);
+        let telemetry = Telemetry::enabled();
+        net.set_telemetry(&telemetry);
+        let mesh = net.mesh();
+        let mut source = SyntheticSource::new(mesh, TrafficPattern::UniformRandom, 0.2, 9);
+        for cycle in 0..3_000 {
+            source.generate(cycle, &mut |src, dst| {
+                net.offer(src, dst);
+            });
+            net.step();
+        }
+        assert!(net.run_until_quiescent(200_000), "network must drain");
+        let s = net.stats();
+        assert_eq!(s.packets_delivered, s.packets_injected);
+        assert!(s.packet_retransmissions > 1_000, "fixture must retransmit");
+        let entries = telemetry.counter("sim.reassembly.entries").get();
+        let touched = telemetry.counter("sim.reassembly.slots_touched").get();
+        assert!(entries > s.packets_injected, "every attempt opens an entry");
+        assert!(
+            touched <= 16 * entries,
+            "{touched} reassembly slots touched for {entries} entries"
+        );
+    }
+
     #[test]
     fn counters_track_crossbar_and_links() {
         let mut net = net_4x4();
@@ -2700,6 +2785,270 @@ mod arq_tests {
         assert!(net.run_until_quiescent(60_000), "credit leak would wedge");
         assert_eq!(net.stats().packets_delivered, net.stats().packets_injected);
         let _ = mesh;
+    }
+}
+
+#[cfg(test)]
+mod select_tests {
+    //! `sa_select` against a slab walk kept here: every Active VC of
+    //! every input port probed for the reasons it cannot send, and the
+    //! slice arbiter run over the result. One scenario per blocking
+    //! reason drives a network through `checked_step`, which compares
+    //! every router's switch requests and arbiter pointers with the
+    //! walk, and the RC candidates with the idle VCs whose head has left
+    //! its buffer-write stage.
+
+    use super::*;
+    use crate::arbiter::RoundRobinArbiter;
+    use crate::error_control::{PerfectLink, ScriptedErrorControl};
+    use crate::traffic::{SyntheticSource, TrafficPattern, TrafficSource};
+
+    /// Why an Active VC cannot send. The walk records a reason only when
+    /// it is the VC's sole one, so a scenario that sees it proves that
+    /// reason alone decided a selection.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Blocked {
+        Empty,
+        /// The front flit was written this cycle.
+        Fresh,
+        /// The held port has a resend queued.
+        Resending,
+        /// The held port is still busy (`next_free` ahead).
+        Busy,
+        NoCredit,
+        /// The held port's ARQ link has no room in its retransmit buffer.
+        RetxFull,
+        /// Not a switch reason: a tail left in this cycle and the head
+        /// behind it arrived in this cycle, so RC must wait.
+        HeadBehindTail,
+    }
+
+    /// The switch requests and input-arbiter pointers the slab walk
+    /// reaches for router `ri`, recording every VC blocked for a single
+    /// reason in `seen`.
+    fn slab_walk<E: ErrorControl>(
+        net: &Network<E>,
+        ri: usize,
+        cycle: u64,
+        resending: u8,
+        seen: &mut Vec<Blocked>,
+    ) -> (SwitchRequests, [RoundRobinArbiter; MAX_PORTS]) {
+        let router = &net.routers[ri];
+        let mut arbiters = router.sa_input_arbiters.clone();
+        let mut requests = SwitchRequests::default();
+        for (in_p, arbiter) in arbiters.iter_mut().enumerate().take(router.num_ports) {
+            let mut eligible = vec![false; router.vcs_per_port];
+            for (in_v, ivc) in router.port_vcs(in_p).iter().enumerate() {
+                let VcState::Active {
+                    out_port, out_vc, ..
+                } = ivc.state
+                else {
+                    continue;
+                };
+                let p = out_port.index();
+                let link = LinkId {
+                    src: router.id,
+                    dir: out_port,
+                };
+                let remote = out_port != Direction::Local;
+                let front = ivc.fifo.front();
+                let reasons = [
+                    (Blocked::Empty, front.is_none()),
+                    (Blocked::Fresh, front.is_some_and(|f| f.arrived_at >= cycle)),
+                    (Blocked::Resending, resending >> p & 1 != 0),
+                    (Blocked::Busy, cycle < router.next_free[p]),
+                    (
+                        Blocked::NoCredit,
+                        remote && router.out_vc(p, out_vc as usize).credits == 0,
+                    ),
+                    (
+                        Blocked::RetxFull,
+                        remote
+                            && net.protocol.hop_arq(link)
+                            && router.outputs[p].retx_buffer.is_full(),
+                    ),
+                ];
+                let mut blocking = reasons.iter().filter(|(_, holds)| *holds);
+                match (blocking.next(), blocking.next()) {
+                    (None, _) => eligible[in_v] = true,
+                    (Some(&(reason, _)), None) => seen.push(reason),
+                    (Some(_), Some(_)) => {}
+                }
+            }
+            if let Some(win) = arbiter.grant(&eligible) {
+                let VcState::Active {
+                    out_port, out_vc, ..
+                } = router.input(in_p, win).state
+                else {
+                    unreachable!("eligible VCs are Active");
+                };
+                requests.winner[in_p] = (win as u8, out_vc);
+                requests.wanted[out_port.index()] |= 1 << in_p;
+                requests.ports |= 1 << out_port.index();
+            }
+        }
+        (requests, arbiters)
+    }
+
+    /// Idle VCs whose buffered head has left its buffer-write stage.
+    fn slab_route_candidates(router: &Router, cycle: u64) -> u64 {
+        let mut candidates = 0;
+        for (flat, ivc) in router.inputs.iter().enumerate() {
+            if ivc.state == VcState::Idle && ivc.fifo.front().is_some_and(|f| f.arrived_at < cycle)
+            {
+                candidates |= 1 << flat;
+            }
+        }
+        candidates
+    }
+
+    /// One `step` of the fused shape (no hard faults) with every
+    /// router's selection and RC candidates checked against the walk.
+    fn checked_step<E: ErrorControl>(net: &mut Network<E>, seen: &mut Vec<Blocked>) {
+        let cycle = net.cycle;
+        net.process_events(cycle);
+        net.inject_phase(cycle);
+        let live: Vec<usize> = (0..net.routers.len())
+            .filter(|&ri| net.active.contains(ri))
+            .collect();
+        for ri in live {
+            let resending = net.routers[ri].masks.retx;
+            if resending != 0 {
+                net.sa_resend(ri, cycle);
+            }
+            let (expected, arbiters) = slab_walk(net, ri, cycle, resending, seen);
+            let active_before = net.routers[ri].masks.act;
+            let requests = net.sa_select(ri, cycle, resending);
+            assert_eq!(requests, expected, "router {ri}, cycle {cycle}");
+            assert_eq!(net.routers[ri].sa_input_arbiters, arbiters);
+            if requests.ports != 0 {
+                net.sa_traverse(ri, cycle, &requests);
+            }
+            let router = &net.routers[ri];
+            let waiting = router.masks.rc & active_before & router.masks.fresh;
+            seen.extend((0..waiting.count_ones()).map(|_| Blocked::HeadBehindTail));
+            if router.masks.va != 0 {
+                net.va_router(ri, cycle);
+            }
+            let candidates = slab_route_candidates(&net.routers[ri], cycle);
+            assert_eq!(net.routers[ri].masks.route_candidates(), candidates);
+            if candidates != 0 {
+                net.rc_router(ri, cycle);
+            }
+        }
+        net.sample_phase();
+        net.cycle += 1;
+    }
+
+    /// Runs `cycles` checked cycles of uniform traffic at `rate` on
+    /// `config`, then drains, and returns every blocking reason seen.
+    fn run<E: ErrorControl>(
+        config: NocConfig,
+        protocol: E,
+        rate: f64,
+        cycles: u64,
+    ) -> Vec<Blocked> {
+        let mut net = Network::new(config, protocol, 3);
+        let mut source = SyntheticSource::new(net.mesh(), TrafficPattern::UniformRandom, rate, 4);
+        let mut seen = Vec::new();
+        for cycle in 0..cycles {
+            source.generate(cycle, &mut |src, dst| {
+                net.offer(src, dst);
+            });
+            checked_step(&mut net, &mut seen);
+        }
+        while !net.is_quiescent() {
+            assert!(net.cycle < cycles + 50_000, "network must drain");
+            checked_step(&mut net, &mut seen);
+        }
+        assert_eq!(net.stats().packets_delivered, net.stats().packets_injected);
+        seen
+    }
+
+    fn mesh4() -> NocConfig {
+        NocConfig::builder().mesh(4, 4).build()
+    }
+
+    #[test]
+    fn a_front_written_this_cycle_waits() {
+        let seen = run(mesh4(), PerfectLink::new(), 0.05, 400);
+        assert!(seen.contains(&Blocked::Fresh), "{seen:?}");
+    }
+
+    #[test]
+    fn a_port_busy_under_mode3_tx_delay_is_skipped() {
+        let protocol = ScriptedErrorControl::reliable().with_tx_delay(2);
+        let seen = run(mesh4(), protocol, 0.05, 400);
+        assert!(seen.contains(&Blocked::Busy), "{seen:?}");
+    }
+
+    #[test]
+    fn a_port_with_a_queued_resend_is_skipped() {
+        // A resend that cannot go — its output VC has no credit — still
+        // dedicates its port: a packet holding another output VC on that
+        // port, with credit and nothing else in its way, must wait.
+        let mut net = Network::new(mesh4(), ScriptedErrorControl::reliable(), 3);
+        let mesh = net.mesh();
+        let (src, east) = (mesh.node_at(0, 0), Direction::East.index());
+        net.offer(src, mesh.node_at(3, 0));
+        let mut seen = Vec::new();
+        while net.routers[src.index()].masks.holds[east] == 0 {
+            checked_step(&mut net, &mut seen);
+        }
+        checked_step(&mut net, &mut seen);
+        assert!(!seen.contains(&Blocked::Resending));
+        let packet = Packet {
+            id: PacketId(u64::MAX),
+            src,
+            dst: mesh.node_at(1, 0),
+            num_flits: 1,
+            class: PacketClass::Data,
+            injected_at: 0,
+            payload_seed: 1,
+        };
+        let flit = net.arena.alloc(packet.make_flit(0, 0, &Crc32::new()));
+        let router = &mut net.routers[src.index()];
+        let held = (0..router.vcs_per_port)
+            .find(|&v| router.out_vc(east, v).allocated)
+            .expect("the packet holds an East output VC");
+        let starved = (held + 1) % router.vcs_per_port;
+        router.out_vc_mut(east, starved).credits = 0;
+        router.outputs[east]
+            .retx_pending
+            .push_back(PendingRetransmit {
+                flit,
+                out_vc: starved as u8,
+                seq: SequenceNumber::new(0),
+            });
+        router.masks.retx |= 1 << east;
+        checked_step(&mut net, &mut seen);
+        assert!(seen.contains(&Blocked::Resending), "{seen:?}");
+    }
+
+    #[test]
+    fn a_vc_at_zero_credit_is_skipped() {
+        let seen = run(mesh4(), PerfectLink::new(), 0.2, 400);
+        assert!(seen.contains(&Blocked::NoCredit), "{seen:?}");
+    }
+
+    #[test]
+    fn a_full_retransmit_buffer_on_an_arq_link_is_skipped() {
+        let config = NocConfig::builder()
+            .mesh(4, 4)
+            .retransmit_buffer_depth(1)
+            .ack_latency(3)
+            .build();
+        let seen = run(config, ScriptedErrorControl::reliable(), 0.05, 400);
+        assert!(seen.contains(&Blocked::RetxFull), "{seen:?}");
+    }
+
+    #[test]
+    fn a_head_written_behind_a_leaving_tail_waits_for_rc() {
+        // Single-flit packets: every grant is a tail, and under load the
+        // next packet's head often lands on the VC in the same cycle.
+        let config = NocConfig::builder().mesh(4, 4).flits_per_packet(1).build();
+        let seen = run(config, PerfectLink::new(), 0.3, 400);
+        assert!(seen.contains(&Blocked::HeadBehindTail), "{seen:?}");
     }
 }
 
@@ -2953,16 +3302,56 @@ mod hardfault_tests {
         net.apply_hard_fault_batch(25);
         assert!(net.node_dead(dead) && net.link_dead(cut, Direction::East));
         for (ri, r) in net.routers.iter().enumerate() {
-            assert_eq!(r.masks, r.rescan_stage_masks(), "router {ri}");
+            assert_eq!(r.masks, r.rescan_stage_masks(25), "router {ri}");
             assert_eq!(net.active.contains(ri), r.masks.any_work(), "router {ri}");
         }
-        assert_eq!(net.routers[dead.index()].masks, StageMasks::default());
+        let dead_masks = net.routers[dead.index()].masks;
+        assert_eq!(
+            dead_masks,
+            StageMasks {
+                busy_until: dead_masks.busy_until,
+                ..StageMasks::default()
+            }
+        );
         assert_eq!(
             net.routers[cut.index()].masks.retx,
             0,
             "cut port's queue drained"
         );
         assert!(net.run_until_quiescent(60_000), "network must still drain");
+    }
+
+    #[test]
+    fn rc_dooms_leave_the_same_samples_in_both_pipeline_shapes() {
+        // A 4×1 line cut mid-flight: heads still queued at node 0 find
+        // node 3 unreachable at RC and are doomed there, so the fused
+        // pass has to re-sample what the purge changed.
+        let run = |traced: bool| {
+            let config = NocConfig::builder().mesh(4, 1).build();
+            let mut net = Network::new(config, PerfectLink::new(), 7);
+            if traced {
+                net.set_telemetry(&Telemetry::enabled());
+            }
+            net.set_hard_faults(vec![link(6, NodeId(1), Direction::East)]);
+            for _ in 0..6 {
+                net.offer(NodeId(0), NodeId(3));
+                net.offer(NodeId(1), NodeId(0));
+            }
+            let mut epochs = Vec::new();
+            for cycle in 0..120 {
+                net.step();
+                if cycle % 10 == 9 {
+                    epochs.push(net.epoch_stats().to_vec());
+                    net.reset_epoch_stats();
+                }
+            }
+            assert!(net.is_quiescent());
+            (format!("{:?}", net.stats()), epochs)
+        };
+        let (fused, epochs) = run(false);
+        assert!(fused.contains("packets_lost_hard_fault: 6"), "{fused}");
+        assert!(epochs.iter().flatten().any(|e| e.occupied_vc_cycles > 0));
+        assert_eq!((fused, epochs), run(true));
     }
 
     #[test]

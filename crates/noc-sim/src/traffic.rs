@@ -7,7 +7,7 @@
 
 use crate::topology::{NodeId, Topo};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{BernoulliThreshold, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Something that decides, cycle by cycle, which packets enter the
@@ -128,6 +128,8 @@ pub struct SyntheticSource {
     mesh: Topo,
     pattern: TrafficPattern,
     injection_rate: f64,
+    /// `injection_rate` precompiled: one integer compare per node draw.
+    inject: BernoulliThreshold,
     rng: SmallRng,
 }
 
@@ -152,6 +154,7 @@ impl SyntheticSource {
             mesh: mesh.into(),
             pattern,
             injection_rate,
+            inject: BernoulliThreshold::from_probability(injection_rate),
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -170,7 +173,7 @@ impl SyntheticSource {
 impl TrafficSource for SyntheticSource {
     fn generate(&mut self, _cycle: u64, offer: &mut dyn FnMut(NodeId, NodeId)) {
         for src in self.mesh.nodes() {
-            if self.rng.gen_bool(self.injection_rate) {
+            if self.rng.gen_bool_at(self.inject) {
                 if let Some(dst) = self.pattern.destination(self.mesh, src, &mut self.rng) {
                     offer(src, dst);
                 }
@@ -325,5 +328,33 @@ mod tests {
     #[should_panic(expected = "probability")]
     fn bad_injection_rate_panics() {
         let _ = SyntheticSource::new(Mesh::new(2, 2), TrafficPattern::UniformRandom, 1.5, 0);
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The precompiled injection draw both traffic sources make is
+        /// `gen_bool`: the same decision on every draw and the same
+        /// stream position after, at 0 and 1 too (`gen_bool(0.0)` still
+        /// consumes a draw, so the threshold path must as well).
+        #[test]
+        fn threshold_draw_is_gen_bool(seed: u64, pick in 0u8..4, x in 0.0f64..1.0) {
+            let p = match pick {
+                0 => 0.0,
+                1 => 1.0,
+                _ => x,
+            };
+            let threshold = BernoulliThreshold::from_probability(p);
+            let mut by_float = SmallRng::seed_from_u64(seed);
+            let mut by_int = by_float.clone();
+            for _ in 0..64 {
+                prop_assert_eq!(by_float.gen_bool(p), by_int.gen_bool_at(threshold));
+            }
+            prop_assert_eq!(by_float, by_int);
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! real `rand` crate cannot be vendored. This shim provides the exact
 //! surface the workspace uses — [`rngs::SmallRng`], [`Rng`],
 //! [`SeedableRng`], `gen_range` over integer/float ranges, and
-//! `gen_bool` — backed by xoshiro256++ seeded via splitmix64 (the same
+//! `gen_bool` (plus [`BernoulliThreshold`], its precompiled form) —
+//! backed by xoshiro256++ seeded via splitmix64 (the same
 //! generator family the real `SmallRng` uses on 64-bit targets).
 //!
 //! Determinism contract: for a fixed seed the emitted stream is stable
@@ -91,9 +92,62 @@ pub trait Rng: RngCore + Sized {
         );
         unit_f64(self.next_u64()) < p
     }
+
+    /// [`gen_bool`](Rng::gen_bool) with the probability precompiled:
+    /// the same accept set and the same one `u64` drawn, as one integer
+    /// compare.
+    #[inline]
+    fn gen_bool_at(&mut self, threshold: BernoulliThreshold) -> bool {
+        (self.next_u64() >> 11) < threshold.0
+    }
 }
 
 impl<T: RngCore + Sized> Rng for T {}
+
+/// A Bernoulli probability precompiled into the integer domain of
+/// [`Rng::gen_bool`], for callers that draw many times at one
+/// probability.
+///
+/// `gen_bool(p)` accepts a draw when `(bits >> 11) · 2⁻⁵³ < p`. Both
+/// sides scale exactly by 2⁵³ (power-of-two scaling of an integer below
+/// 2⁵³ is exact in f64), so the accept set is *identical* to comparing
+/// the integer `bits >> 11` against `ceil(p · 2⁵³)`:
+/// [`Rng::gen_bool_at`] replays `gen_bool` decision for decision without
+/// the range assert and the int→float conversion per draw.
+///
+/// # Example
+///
+/// ```
+/// use rand::rngs::SmallRng;
+/// use rand::{BernoulliThreshold, Rng, SeedableRng};
+///
+/// let (mut a, mut b) = (SmallRng::seed_from_u64(1), SmallRng::seed_from_u64(1));
+/// let t = BernoulliThreshold::from_probability(0.3);
+/// for _ in 0..100 {
+///     assert_eq!(a.gen_bool(0.3), b.gen_bool_at(t));
+/// }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BernoulliThreshold(u64);
+
+impl BernoulliThreshold {
+    /// Compiles probability `p` (clamped to `[0, 1]`) into its exact
+    /// integer acceptance threshold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is NaN.
+    pub fn from_probability(p: f64) -> Self {
+        assert!(!p.is_nan(), "probability is NaN");
+        let p = p.clamp(0.0, 1.0);
+        Self((p * (1u64 << 53) as f64).ceil() as u64)
+    }
+
+    /// `true` when no draw can ever be accepted (p == 0).
+    pub fn is_zero(self) -> bool {
+        self.0 == 0
+    }
+}
 
 /// Maps 64 random bits onto `[0, 1)` with 53 bits of precision.
 #[inline]
