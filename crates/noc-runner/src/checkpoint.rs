@@ -1,66 +1,97 @@
-//! Mid-flight campaign checkpointing.
+//! Mid-flight campaign checkpointing: one append-only journal per
+//! directory.
 //!
-//! Each completed [`CampaignTask`](rlnoc_core::campaign::CampaignTask)
-//! is persisted as one `task-NNNN.ckpt` file in a per-campaign
-//! subdirectory `c-<fingerprint:016x>/` of the snapshot directory, next
-//! to a `campaign.manifest` binding that subdirectory to a specific
-//! campaign configuration (via [`Campaign::fingerprint`]). Namespacing
-//! by fingerprint lets any number of campaigns share one snapshot
-//! directory without clobbering each other; directories claimed by the
-//! original flat layout keep working unchanged. A killed run restarted
-//! with `RESUME=1` reloads every valid checkpoint and executes only the
-//! missing tasks; because task results are pure functions of the task,
-//! the resumed campaign report is identical to an uninterrupted one.
+//! Every record a checkpoint directory holds goes into a single file,
+//! `<dir>/journal`, written only by appending. There are three record
+//! kinds:
 //!
-//! The workspace's `serde` is an offline API shim (marker traits only),
-//! so the format is hand-rolled, line-oriented text in the same family
-//! as `QTable::save` and the policy snapshot format:
+//! * `campaign` — a scope, a [`Campaign::fingerprint`] and the task
+//!   count: which campaign configuration the records under that
+//!   fingerprint belong to. Written once, when the campaign is first
+//!   opened.
+//! * `submitted` — a tenant, the campaign id it claims, a priority and
+//!   the submitted spec text. Only `rlnoc-serve` writes these; they are
+//!   what it recovers after a restart.
+//! * `task` — a scope, a fingerprint, a task index and the
+//!   [`render_report`] body of that task's finished report.
+//!
+//! The scope keeps campaigns apart that share a fingerprint: the runner
+//! uses the empty scope, the service one scope per tenant, so two
+//! tenants submitting one spec keep separate task records.
+//!
+//! Each record is one frame in the workspace's line-oriented text family
+//! (`QTable::save`, the policy snapshot format, `rlnoc-wire`):
 //!
 //! ```text
-//! rlnoc-checkpoint v1
+//! rlnoc-journal v1 task 655
+//! scope
+//! fingerprint 00000000000000ab
 //! task 3
 //! scheme RL
-//! workload blackscholes
-//! seed 1234
 //! ... one `key value` line per report field ...
 //! end
 //! crc32 1a2b3c4d
 //! ```
 //!
-//! Floats are written with Rust's shortest round-trip formatting, so a
-//! reloaded report is bit-identical to the stored one. The CRC-32
-//! trailer (computed with the in-tree `noc-coding` implementation)
-//! covers everything above it; a checkpoint that fails the checksum, or
-//! any structural check, is treated as absent and its task simply
-//! re-runs — a truncated file from a kill mid-write never poisons a
-//! resume. Writes go through a temp file and an atomic rename for the
-//! same reason.
+//! The magic line names the kind and the payload length in bytes; the
+//! CRC-32 trailer (the in-tree `noc-coding` implementation) covers the
+//! magic line and the payload. Floats use Rust's shortest round-trip
+//! formatting, so a reloaded report is bit-identical to the stored one.
+//!
+//! **Writing.** The journal is opened once with `O_APPEND` and the
+//! descriptor is held for the journal's lifetime; every record is
+//! rendered in memory and written with exactly one `write(2)`. Within a
+//! process all handles on one directory share one [`Journal`], so its
+//! in-memory index sees every append. There is no `fsync`: a record
+//! survives `kill -9` as soon as `write(2)` returns, exactly as the
+//! per-task files this format replaced did, and surviving power loss is
+//! a separate decision.
+//!
+//! **Reading.** Opening scans the file once and keeps only an index:
+//! key → (offset, length). Reports are never kept in memory;
+//! [`CheckpointDir::load`] re-reads its record with a positioned read,
+//! checks its CRC again and parses it.
+//!
+//! **Damage.** A record that fails its framing or its CRC is absent: its
+//! task simply re-runs, and a damaged `submitted` record's campaign is
+//! not recovered. The scan resynchronises at the next magic line, so
+//! damage costs only the record it lands in. Bytes after the last valid
+//! record — a record torn by a kill mid-append — are truncated away
+//! before the first append, so new records never land behind garbage.
+//! No other layout is read: a directory written in an older layout holds
+//! no journal, so its tasks re-run.
 //!
 //! [`Campaign::fingerprint`]: rlnoc_core::campaign::Campaign::fingerprint
 
 use noc_coding::crc::Crc32;
 use rlnoc_core::experiment::{ErrorControlScheme, ExperimentReport};
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Write as _};
+use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
-const CKPT_MAGIC: &str = "rlnoc-checkpoint v1";
-const MANIFEST_MAGIC: &str = "rlnoc-campaign v1";
+/// The journal's file name inside a checkpoint directory.
+pub const JOURNAL_FILE: &str = "journal";
 
-/// Why a checkpoint file or manifest was rejected.
+/// Opens every record's magic line.
+const MAGIC: &str = "rlnoc-journal v1";
+/// Longest magic line a scan will look for a newline in.
+const MAX_HEADER: usize = 64;
+/// Largest payload a record may carry (a submitted spec is capped at
+/// 8 MiB by the wire protocol).
+const MAX_PAYLOAD: usize = 16 << 20;
+/// `crc32 ` + eight hex digits + newline.
+const TRAILER_LEN: usize = 15;
+
+/// Why a checkpoint record was rejected or could not be written.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// Filesystem failure.
     Io(io::Error),
-    /// The manifest belongs to a different campaign configuration.
-    ManifestMismatch {
-        /// Fingerprint recorded in the directory.
-        found: u64,
-        /// Fingerprint of the campaign being run.
-        expected: u64,
-    },
-    /// A checkpoint file failed its checksum or structure checks.
+    /// A record or report body failed its structure checks.
     Corrupt(String),
 }
 
@@ -68,11 +99,6 @@ impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Io(e) => write!(f, "checkpoint I/O error: {e}"),
-            Self::ManifestMismatch { found, expected } => write!(
-                f,
-                "snapshot directory belongs to a different campaign \
-                 (manifest fingerprint {found:016x}, campaign {expected:016x})"
-            ),
             Self::Corrupt(msg) => write!(f, "corrupt checkpoint: {msg}"),
         }
     }
@@ -106,7 +132,7 @@ fn scheme_from_name(name: &str) -> Option<ErrorControlScheme> {
 }
 
 /// Renders a report as the canonical `key value` line format used by
-/// checkpoint bodies (no magic, no checksum).
+/// task records (no magic, no checksum).
 ///
 /// This is the stable serialization of an [`ExperimentReport`]: floats
 /// use Rust's shortest round-trip formatting, so equal reports render
@@ -115,6 +141,11 @@ fn scheme_from_name(name: &str) -> Option<ErrorControlScheme> {
 /// rendering byte-for-byte against committed fixtures.
 pub fn render_report(report: &ExperimentReport) -> String {
     let mut s = String::new();
+    render_report_into(&mut s, report);
+    s
+}
+
+fn render_report_into(s: &mut String, report: &ExperimentReport) {
     let r = report;
     writeln!(s, "scheme {}", scheme_name(r.scheme)).expect("write to string");
     writeln!(s, "workload {}", r.workload).expect("write to string");
@@ -173,18 +204,31 @@ pub fn render_report(report: &ExperimentReport) -> String {
         .expect("write to string");
         writeln!(s, "unreachable_pairs {}", r.unreachable_pairs).expect("write to string");
     }
-    s
 }
 
+/// Reads `key value` lines off the front of a text, keeping the rest.
 struct FieldParser<'a> {
-    lines: std::str::Lines<'a>,
+    rest: &'a str,
 }
 
 impl<'a> FieldParser<'a> {
+    fn new(text: &'a str) -> Self {
+        Self { rest: text }
+    }
+
+    /// The next line, split as [`str::lines`] does.
+    fn next_line(&mut self) -> Option<&'a str> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        let (line, rest) = self.rest.split_once('\n').unwrap_or((self.rest, ""));
+        self.rest = rest;
+        Some(line.strip_suffix('\r').unwrap_or(line))
+    }
+
     fn next_field(&mut self, key: &str) -> Result<&'a str, CheckpointError> {
         let line = self
-            .lines
-            .next()
+            .next_line()
             .ok_or_else(|| CheckpointError::Corrupt(format!("missing field `{key}`")))?;
         line.strip_prefix(key)
             .and_then(|rest| rest.strip_prefix(' '))
@@ -196,6 +240,11 @@ impl<'a> FieldParser<'a> {
             .parse()
             .map_err(|_| CheckpointError::Corrupt(format!("unparsable value for `{key}`")))
     }
+
+    fn fingerprint(&mut self) -> Result<u64, CheckpointError> {
+        u64::from_str_radix(self.next_field("fingerprint")?, 16)
+            .map_err(|_| CheckpointError::Corrupt("bad fingerprint".into()))
+    }
 }
 
 /// Parses a [`render_report`] body (terminated by an `end` line) back
@@ -206,9 +255,7 @@ impl<'a> FieldParser<'a> {
 /// [`CheckpointError::Corrupt`] on any missing, reordered, or
 /// unparsable field.
 pub fn parse_report(body: &str) -> Result<ExperimentReport, CheckpointError> {
-    let mut p = FieldParser {
-        lines: body.lines(),
-    };
+    let mut p = FieldParser::new(body);
     let scheme_raw = p.next_field("scheme")?;
     let scheme = scheme_from_name(scheme_raw)
         .ok_or_else(|| CheckpointError::Corrupt(format!("unknown scheme `{scheme_raw}`")))?;
@@ -260,7 +307,7 @@ pub fn parse_report(body: &str) -> Result<ExperimentReport, CheckpointError> {
         packets_refused_unreachable: 0,
         unreachable_pairs: 0,
     };
-    match p.lines.next() {
+    match p.next_line() {
         Some("end") => Ok(report),
         Some(line) if line.starts_with("hard_fault_events ") => {
             // The optional hard-fault block: all five counters, in
@@ -273,7 +320,7 @@ pub fn parse_report(body: &str) -> Result<ExperimentReport, CheckpointError> {
             report.packets_lost_hard_fault = p.parse("packets_lost_hard_fault")?;
             report.packets_refused_unreachable = p.parse("packets_refused_unreachable")?;
             report.unreachable_pairs = p.parse("unreachable_pairs")?;
-            match p.lines.next() {
+            match p.next_line() {
                 Some("end") => Ok(report),
                 other => Err(CheckpointError::Corrupt(format!(
                     "expected `end`, got {other:?}"
@@ -286,197 +333,493 @@ pub fn parse_report(body: &str) -> Result<ExperimentReport, CheckpointError> {
     }
 }
 
-fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, contents)?;
-    fs::rename(&tmp, path)
+/// The three record kinds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Campaign,
+    Submitted,
+    Task,
 }
 
-/// A snapshot directory bound to one campaign configuration.
+impl Kind {
+    fn token(self) -> &'static str {
+        match self {
+            Self::Campaign => "campaign",
+            Self::Submitted => "submitted",
+            Self::Task => "task",
+        }
+    }
+
+    fn from_token(token: &str) -> Option<Self> {
+        Some(match token {
+            "campaign" => Self::Campaign,
+            "submitted" => Self::Submitted,
+            "task" => Self::Task,
+            _ => return None,
+        })
+    }
+}
+
+/// Frames `payload` as one record: magic line, payload, CRC trailer.
+fn frame(kind: Kind, payload: &str) -> Vec<u8> {
+    let mut record = format!("{MAGIC} {} {}\n", kind.token(), payload.len());
+    record.push_str(payload);
+    let checksum = Crc32::new().checksum(record.as_bytes());
+    writeln!(record, "crc32 {checksum:08x}").expect("write to string");
+    record.into_bytes()
+}
+
+/// Parses the record at the start of `buf`: its kind, its payload, and
+/// how many bytes it spans. `None` for anything that fails framing or
+/// its CRC.
+fn unframe(buf: &[u8]) -> Option<(Kind, &str, usize)> {
+    let newline = buf.iter().take(MAX_HEADER).position(|&b| b == b'\n')?;
+    let header = std::str::from_utf8(&buf[..newline]).ok()?;
+    let mut tokens = header.strip_prefix(MAGIC)?.strip_prefix(' ')?.split(' ');
+    let kind = Kind::from_token(tokens.next()?)?;
+    let len: usize = tokens.next()?.parse().ok()?;
+    if tokens.next().is_some() || len > MAX_PAYLOAD {
+        return None;
+    }
+    let body_end = newline + 1 + len;
+    let trailer = buf.get(body_end..body_end + TRAILER_LEN)?;
+    let stated = trailer
+        .strip_prefix(b"crc32 ")?
+        .strip_suffix(b"\n")
+        .and_then(|hex| std::str::from_utf8(hex).ok())
+        .and_then(|hex| u32::from_str_radix(hex, 16).ok())?;
+    if Crc32::new().checksum(&buf[..body_end]) != stated {
+        return None;
+    }
+    let payload = std::str::from_utf8(&buf[newline + 1..body_end]).ok()?;
+    Some((kind, payload, body_end + TRAILER_LEN))
+}
+
+/// Where a record sits in the journal file.
+#[derive(Debug, Clone, Copy)]
+struct Extent {
+    offset: u64,
+    len: u32,
+}
+
+/// A `submitted` record: what `rlnoc-serve` needs to re-register a
+/// campaign after a restart.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Submission {
+    /// Submitting tenant (the scope of the campaign's task records).
+    pub tenant: String,
+    /// The campaign id the submitter was acknowledged with. A reader
+    /// re-derives it from the spec and skips the record on a mismatch.
+    pub id: String,
+    /// Scheduling priority.
+    pub priority: u32,
+    /// The submitted spec text, verbatim.
+    pub spec_text: String,
+}
+
+impl Submission {
+    fn parse(payload: &str) -> Result<Self, CheckpointError> {
+        let mut p = FieldParser::new(payload);
+        Ok(Self {
+            tenant: p.next_field("scope")?.to_string(),
+            id: p.next_field("id")?.to_string(),
+            priority: p.parse("priority")?,
+            spec_text: p.rest.to_string(),
+        })
+    }
+}
+
+/// What a journal's records say, minus the reports themselves.
+#[derive(Debug, Default)]
+struct Index {
+    /// Interned scope names; a key's `u32` is a position here.
+    scopes: Vec<Arc<str>>,
+    /// `(scope, fingerprint)` of every `campaign` record.
+    campaigns: HashSet<(u32, u64)>,
+    /// `(scope, fingerprint, task index)` → the latest `task` record.
+    tasks: HashMap<(u32, u64, u32), Extent>,
+    /// Every `submitted` record, in file order.
+    submitted: Vec<Extent>,
+}
+
+impl Index {
+    fn scope_id(&mut self, scope: &str) -> u32 {
+        if let Some(id) = self.scopes.iter().position(|s| &**s == scope) {
+            return id as u32;
+        }
+        self.scopes.push(Arc::from(scope));
+        (self.scopes.len() - 1) as u32
+    }
+
+    /// Indexes one valid record; a record whose fields do not parse is
+    /// skipped like a damaged one.
+    fn insert(&mut self, kind: Kind, payload: &str, extent: Extent) {
+        let mut p = FieldParser::new(payload);
+        let Ok(scope) = p.next_field("scope") else {
+            return;
+        };
+        match kind {
+            Kind::Campaign => {
+                if let Ok(fingerprint) = p.fingerprint() {
+                    let scope = self.scope_id(scope);
+                    self.campaigns.insert((scope, fingerprint));
+                }
+            }
+            Kind::Task => {
+                if let (Ok(fingerprint), Ok(index)) = (p.fingerprint(), p.parse::<u32>("task")) {
+                    let scope = self.scope_id(scope);
+                    self.tasks.insert((scope, fingerprint, index), extent);
+                }
+            }
+            Kind::Submitted => self.submitted.push(extent),
+        }
+    }
+}
+
+/// Everything about a journal that changes when it is appended to.
 #[derive(Debug)]
-pub struct CheckpointDir {
-    dir: PathBuf,
-    fingerprint: u64,
+struct State {
+    /// File length as this process knows it: where the next record lands.
+    end: u64,
+    /// Set when the opening scan found bytes after the last valid
+    /// record; they are cut before the first append.
+    torn: bool,
+    index: Index,
 }
 
-impl CheckpointDir {
-    /// Opens (creating if needed) a checkpoint set for a campaign with
-    /// the given fingerprint and task count under `dir`.
+/// One directory's append-only record journal, shared by every
+/// [`CheckpointDir`] on that directory in this process.
+#[derive(Debug)]
+pub struct Journal {
+    dir: PathBuf,
+    file: File,
+    /// `(device, inode)` of the file, so a reopen after the directory
+    /// was deleted and recreated does not reuse a stale journal.
+    identity: (u64, u64),
+    state: Mutex<State>,
+}
+
+/// Journals open in this process, by canonical directory.
+fn open_journals() -> &'static Mutex<HashMap<PathBuf, Weak<Journal>>> {
+    static OPEN: OnceLock<Mutex<HashMap<PathBuf, Weak<Journal>>>> = OnceLock::new();
+    OPEN.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+impl Journal {
+    /// Opens (creating if needed) the journal of `dir`.
     ///
-    /// Campaigns are namespaced by fingerprint: checkpoints live in
-    /// `dir/c-<fingerprint:016x>/` next to that campaign's own
-    /// `campaign.manifest`, so any number of campaigns can share one
-    /// snapshot directory without clobbering each other. One compat
-    /// path remains: a directory claimed by the pre-namespacing flat
-    /// layout (a `campaign.manifest` directly in `dir`) whose
-    /// fingerprint matches keeps being used in place; a flat manifest
-    /// for a *different* campaign is left untouched and the new
-    /// campaign gets its namespaced subdirectory beside it.
+    /// Within one process every call on one directory returns the same
+    /// journal for as long as any handle on it is alive; the file is
+    /// scanned again only after the last handle is dropped.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::ManifestMismatch`] when the namespaced
-    /// subdirectory exists but records a different fingerprint (which
-    /// can only mean tampering, since the directory name encodes the
-    /// fingerprint), [`CheckpointError::Corrupt`] for an unreadable
-    /// manifest, or an I/O error.
-    pub fn open(dir: &Path, fingerprint: u64, total_tasks: usize) -> Result<Self, CheckpointError> {
+    /// Filesystem failures creating the directory or opening, reading
+    /// or inspecting the file.
+    pub fn open(dir: &Path) -> Result<Arc<Self>, CheckpointError> {
         fs::create_dir_all(dir)?;
-        // Compat: honor a matching pre-namespacing flat layout in place.
-        match fs::read_to_string(dir.join("campaign.manifest")) {
-            Ok(existing) => {
-                if parse_manifest(&existing)? == fingerprint {
-                    return Ok(Self {
-                        dir: dir.to_path_buf(),
-                        fingerprint,
-                    });
-                }
+        let dir = fs::canonicalize(dir)?;
+        let path = dir.join(JOURNAL_FILE);
+        let mut open = open_journals().lock().expect("journal registry lock");
+        if let Some(journal) = open.get(&dir).and_then(Weak::upgrade) {
+            let same_file =
+                fs::metadata(&path).is_ok_and(|m| (m.dev(), m.ino()) == journal.identity);
+            if same_file {
+                return Ok(journal);
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
         }
-        let ns = dir.join(Self::namespace(fingerprint));
-        fs::create_dir_all(&ns)?;
-        let manifest = ns.join("campaign.manifest");
-        match fs::read_to_string(&manifest) {
-            Ok(existing) => {
-                let found = parse_manifest(&existing)?;
-                if found != fingerprint {
-                    return Err(CheckpointError::ManifestMismatch {
-                        found,
-                        expected: fingerprint,
-                    });
-                }
+        let journal = Arc::new(Self::scan(dir.clone(), &path)?);
+        open.retain(|_, j| j.strong_count() > 0);
+        open.insert(dir, Arc::downgrade(&journal));
+        Ok(journal)
+    }
+
+    /// Opens the file at `path` and scans it into an index.
+    fn scan(dir: PathBuf, path: &Path) -> Result<Self, CheckpointError> {
+        let file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(path)?;
+        let meta = file.metadata()?;
+        let mut bytes = vec![0u8; meta.len() as usize];
+        file.read_exact_at(&mut bytes, 0)?;
+
+        let mut index = Index::default();
+        let (mut pos, mut valid_end) = (0usize, 0usize);
+        while pos < bytes.len() {
+            if let Some((kind, payload, len)) = unframe(&bytes[pos..]) {
+                let extent = Extent {
+                    offset: pos as u64,
+                    len: len as u32,
+                };
+                index.insert(kind, payload, extent);
+                pos += len;
+                valid_end = pos;
+                continue;
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                let mut body = String::new();
-                writeln!(body, "{MANIFEST_MAGIC}").expect("write to string");
-                writeln!(body, "fingerprint {fingerprint:016x}").expect("write to string");
-                writeln!(body, "tasks {total_tasks}").expect("write to string");
-                atomic_write(&manifest, &body)?;
+            // Damaged: resynchronise at the next magic string.
+            let needle = MAGIC.as_bytes();
+            match bytes[pos + 1..]
+                .windows(needle.len())
+                .position(|w| w == needle)
+            {
+                Some(skip) => pos += 1 + skip,
+                None => break,
             }
-            Err(e) => return Err(e.into()),
         }
         Ok(Self {
-            dir: ns,
-            fingerprint,
+            dir,
+            identity: (meta.dev(), meta.ino()),
+            state: Mutex::new(State {
+                end: valid_end as u64,
+                torn: valid_end < bytes.len(),
+                index,
+            }),
+            file,
         })
     }
 
-    /// The per-campaign subdirectory name for a fingerprint —
-    /// `c-<fingerprint:016x>`, which is also the campaign id used by
-    /// `rlnoc-serve`.
-    pub fn namespace(fingerprint: u64) -> String {
-        format!("c-{fingerprint:016x}")
-    }
-
-    /// The directory this checkpoint set lives in.
+    /// The directory the journal lives in.
     pub fn path(&self) -> &Path {
         &self.dir
     }
 
-    /// The campaign fingerprint the directory is bound to.
+    /// Appends one record with a single `write(2)` and hands `index`
+    /// where it landed. `index` runs under the journal lock, after the
+    /// write, so no reader finds a key for a record not yet written.
+    fn append(
+        &self,
+        kind: Kind,
+        payload: &str,
+        index: impl FnOnce(&mut Index, Extent),
+    ) -> Result<(), CheckpointError> {
+        if payload.len() > MAX_PAYLOAD {
+            return Err(CheckpointError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "record of {} bytes exceeds the {MAX_PAYLOAD}-byte cap",
+                    payload.len()
+                ),
+            )));
+        }
+        let record = frame(kind, payload);
+        let mut state = self.state.lock().expect("journal lock");
+        if state.torn {
+            self.file.set_len(state.end)?;
+            state.torn = false;
+        }
+        let written = (&self.file).write(&record);
+        if !matches!(written, Ok(n) if n == record.len()) {
+            // Leave no partial record behind for the next append to
+            // land after.
+            let _ = self.file.set_len(state.end);
+            return Err(match written {
+                Err(e) => e.into(),
+                Ok(n) => CheckpointError::Io(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    format!("short journal write: {n} of {} bytes", record.len()),
+                )),
+            });
+        }
+        let extent = Extent {
+            offset: state.end,
+            len: record.len() as u32,
+        };
+        state.end += record.len() as u64;
+        index(&mut state.index, extent);
+        Ok(())
+    }
+
+    /// Reads the record at `extent` back and returns its payload, or
+    /// `None` if it no longer frames, checks or has the expected kind.
+    fn read(&self, extent: Extent, kind: Kind) -> Option<String> {
+        let mut buf = vec![0u8; extent.len as usize];
+        self.file.read_exact_at(&mut buf, extent.offset).ok()?;
+        match unframe(&buf)? {
+            (k, payload, len) if k == kind && len == buf.len() => Some(payload.to_string()),
+            _ => None,
+        }
+    }
+
+    /// A view of this journal for one campaign: `scope` (the empty
+    /// string for the runner, the tenant for the service) and the
+    /// campaign's fingerprint. Appends the `campaign` record unless the
+    /// journal already holds one for this scope and fingerprint.
+    ///
+    /// `scope` must be a path-safe name without whitespace: it also
+    /// names the directory policy snapshots go in.
+    ///
+    /// # Errors
+    ///
+    /// A failed append.
+    pub fn campaign(
+        self: &Arc<Self>,
+        scope: &str,
+        fingerprint: u64,
+        total_tasks: usize,
+    ) -> Result<CheckpointDir, CheckpointError> {
+        // Claim the key before appending, so concurrent opens of one
+        // campaign write its record once; a failed append gives it back.
+        let (scope_id, name, new) = {
+            let mut state = self.state.lock().expect("journal lock");
+            let id = state.index.scope_id(scope);
+            let name = Arc::clone(&state.index.scopes[id as usize]);
+            (id, name, state.index.campaigns.insert((id, fingerprint)))
+        };
+        if new {
+            let payload =
+                format!("scope {scope}\nfingerprint {fingerprint:016x}\ntasks {total_tasks}\n");
+            if let Err(e) = self.append(Kind::Campaign, &payload, |_, _| {}) {
+                let mut state = self.state.lock().expect("journal lock");
+                state.index.campaigns.remove(&(scope_id, fingerprint));
+                return Err(e);
+            }
+        }
+        Ok(CheckpointDir {
+            journal: Arc::clone(self),
+            scope: name,
+            scope_id,
+            fingerprint,
+            dir: OnceLock::new(),
+        })
+    }
+
+    /// Appends a `submitted` record: `tenant` submitted `spec_text` at
+    /// `priority` and was acknowledged with campaign `id`.
+    ///
+    /// # Errors
+    ///
+    /// A failed append.
+    pub fn submit(
+        &self,
+        tenant: &str,
+        id: &str,
+        priority: u32,
+        spec_text: &str,
+    ) -> Result<(), CheckpointError> {
+        let mut payload = String::with_capacity(64 + spec_text.len());
+        writeln!(payload, "scope {tenant}\nid {id}\npriority {priority}").expect("write to string");
+        payload.push_str(spec_text);
+        self.append(Kind::Submitted, &payload, |index, extent| {
+            index.submitted.push(extent);
+        })
+    }
+
+    /// Every readable `submitted` record, in the order they were
+    /// appended.
+    pub fn submissions(&self) -> Vec<Submission> {
+        let extents = self
+            .state
+            .lock()
+            .expect("journal lock")
+            .index
+            .submitted
+            .clone();
+        extents
+            .into_iter()
+            .filter_map(|extent| self.read(extent, Kind::Submitted))
+            .filter_map(|payload| Submission::parse(&payload).ok())
+            .collect()
+    }
+}
+
+/// One campaign's view of a checkpoint directory's journal.
+#[derive(Debug)]
+pub struct CheckpointDir {
+    journal: Arc<Journal>,
+    scope: Arc<str>,
+    scope_id: u32,
+    fingerprint: u64,
+    /// [`path`](Self::path), built on first use: most campaigns never
+    /// write a policy snapshot.
+    dir: OnceLock<PathBuf>,
+}
+
+impl CheckpointDir {
+    /// Opens the journal of `dir` (creating both if needed) for the
+    /// runner's campaign with the given fingerprint and task count.
+    ///
+    /// Any number of campaigns share one directory: their records are
+    /// keyed by fingerprint, and each gets its own
+    /// [`path`](Self::path) for policy snapshots.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem failures opening the journal or appending its
+    /// `campaign` record.
+    pub fn open(dir: &Path, fingerprint: u64, total_tasks: usize) -> Result<Self, CheckpointError> {
+        Journal::open(dir)?.campaign("", fingerprint, total_tasks)
+    }
+
+    /// The per-campaign name for a fingerprint — `c-<fingerprint:016x>`,
+    /// which is also the campaign id used by `rlnoc-serve`.
+    pub fn namespace(fingerprint: u64) -> String {
+        format!("c-{fingerprint:016x}")
+    }
+
+    /// The directory this campaign's per-task files (RL policy
+    /// snapshots, `task-NNNN.policy`) go in: the campaign's namespace
+    /// under the journal's directory, below the scope when there is
+    /// one. It is created by whoever first writes a file there.
+    pub fn path(&self) -> &Path {
+        self.dir.get_or_init(|| {
+            let mut dir = self.journal.dir.join(&*self.scope);
+            dir.push(Self::namespace(self.fingerprint));
+            dir
+        })
+    }
+
+    /// The campaign fingerprint this view is bound to.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 
-    fn task_path(&self, index: usize) -> PathBuf {
-        self.dir.join(format!("task-{index:04}.ckpt"))
-    }
-
-    /// Persists the finished report for task `index` (atomic write).
+    /// Appends the finished report for task `index` to the journal.
+    /// Storing one index twice is harmless: the later record wins.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem failures.
+    /// A failed append.
     pub fn store(&self, index: usize, report: &ExperimentReport) -> Result<(), CheckpointError> {
-        let mut body = String::new();
-        writeln!(body, "{CKPT_MAGIC}").expect("write to string");
-        writeln!(body, "task {index}").expect("write to string");
-        writeln!(body, "fingerprint {:016x}", self.fingerprint).expect("write to string");
-        body.push_str(&render_report(report));
-        body.push_str("end\n");
-        let checksum = Crc32::new().checksum(body.as_bytes());
-        writeln!(body, "crc32 {checksum:08x}").expect("write to string");
-        atomic_write(&self.task_path(index), &body)?;
-        Ok(())
+        let task = u32::try_from(index)
+            .map_err(|_| CheckpointError::Corrupt(format!("task index {index} out of range")))?;
+        let mut payload = String::with_capacity(768);
+        writeln!(payload, "scope {}", self.scope).expect("write to string");
+        writeln!(payload, "fingerprint {:016x}", self.fingerprint).expect("write to string");
+        writeln!(payload, "task {index}").expect("write to string");
+        render_report_into(&mut payload, report);
+        payload.push_str("end\n");
+        let key = (self.scope_id, self.fingerprint, task);
+        self.journal.append(Kind::Task, &payload, |idx, extent| {
+            idx.tasks.insert(key, extent);
+        })
     }
 
-    /// Loads the checkpoint for task `index`, if present and valid.
+    /// Loads the report for task `index`, if the journal holds a valid
+    /// record of it.
     ///
-    /// Missing, truncated, checksum-failing, or foreign checkpoints all
-    /// return `None` — the caller just re-runs the task.
+    /// Missing, damaged, or foreign records all return `None` — the
+    /// caller just re-runs the task.
     pub fn load(&self, index: usize) -> Option<ExperimentReport> {
-        let text = fs::read_to_string(self.task_path(index)).ok()?;
-        self.parse_checkpoint(&text, index).ok()
-    }
-
-    fn parse_checkpoint(
-        &self,
-        text: &str,
-        index: usize,
-    ) -> Result<ExperimentReport, CheckpointError> {
-        // Split off the `crc32 ...` trailer (the final non-empty line).
-        let trimmed = text.trim_end_matches('\n');
-        let (body, trailer) = trimmed
-            .rsplit_once('\n')
-            .ok_or_else(|| CheckpointError::Corrupt("no checksum trailer".into()))?;
-        let body = format!("{body}\n");
-        let stated: u32 = trailer
-            .strip_prefix("crc32 ")
-            .and_then(|v| u32::from_str_radix(v, 16).ok())
-            .ok_or_else(|| CheckpointError::Corrupt("bad checksum trailer".into()))?;
-        let actual = Crc32::new().checksum(body.as_bytes());
-        if stated != actual {
-            return Err(CheckpointError::Corrupt(format!(
-                "checksum mismatch: stated {stated:08x}, computed {actual:08x}"
-            )));
-        }
-        let mut p = FieldParser {
-            lines: body.lines(),
+        let task = u32::try_from(index).ok()?;
+        let extent = {
+            let state = self.journal.state.lock().expect("journal lock");
+            *state
+                .index
+                .tasks
+                .get(&(self.scope_id, self.fingerprint, task))?
         };
-        let magic = p
-            .lines
-            .next()
-            .ok_or_else(|| CheckpointError::Corrupt("empty file".into()))?;
-        if magic != CKPT_MAGIC {
-            return Err(CheckpointError::Corrupt(format!("bad magic `{magic}`")));
+        let payload = self.journal.read(extent, Kind::Task)?;
+        let mut p = FieldParser::new(&payload);
+        let matches = p.next_field("scope").ok()? == &*self.scope
+            && p.fingerprint().ok()? == self.fingerprint
+            && p.parse::<u32>("task").ok()? == task;
+        if !matches {
+            return None;
         }
-        let stated_index: usize = p.parse("task")?;
-        if stated_index != index {
-            return Err(CheckpointError::Corrupt(format!(
-                "checkpoint is for task {stated_index}, expected {index}"
-            )));
-        }
-        let stated_fp = u64::from_str_radix(p.next_field("fingerprint")?, 16)
-            .map_err(|_| CheckpointError::Corrupt("bad fingerprint".into()))?;
-        if stated_fp != self.fingerprint {
-            return Err(CheckpointError::Corrupt(
-                "checkpoint from a different campaign".into(),
-            ));
-        }
-        let rest: Vec<&str> = p.lines.collect();
-        parse_report(&rest.join("\n"))
+        parse_report(p.rest).ok()
     }
-}
-
-fn parse_manifest(text: &str) -> Result<u64, CheckpointError> {
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(MANIFEST_MAGIC) => {}
-        other => {
-            return Err(CheckpointError::Corrupt(format!(
-                "bad manifest header {other:?}"
-            )))
-        }
-    }
-    let fp_line = lines
-        .next()
-        .ok_or_else(|| CheckpointError::Corrupt("manifest missing fingerprint".into()))?;
-    fp_line
-        .strip_prefix("fingerprint ")
-        .and_then(|v| u64::from_str_radix(v, 16).ok())
-        .ok_or_else(|| CheckpointError::Corrupt("bad manifest fingerprint".into()))
 }
 
 #[cfg(test)]
@@ -575,113 +918,148 @@ mod tests {
     }
 
     #[test]
-    fn store_load_round_trips() {
+    fn store_load_round_trips_and_survives_a_reopen() {
         let dir = temp_dir("roundtrip");
-        let ckpt = CheckpointDir::open(&dir, 0xABCD, 4).expect("open");
         let report = sample_report(11);
-        ckpt.store(2, &report).expect("store");
-        assert_eq!(ckpt.load(2), Some(report));
-        assert_eq!(ckpt.load(1), None, "unstored index is absent");
+        {
+            let ckpt = CheckpointDir::open(&dir, 0xABCD, 4).expect("open");
+            ckpt.store(2, &report).expect("store");
+            assert_eq!(ckpt.load(2), Some(report.clone()));
+            assert_eq!(ckpt.load(1), None, "unstored index is absent");
+        }
+        let reopened = CheckpointDir::open(&dir, 0xABCD, 4).expect("reopen");
+        assert_eq!(reopened.load(2), Some(report));
+        let files: Vec<_> = fs::read_dir(&dir).expect("list").collect();
+        assert_eq!(files.len(), 1, "the journal is the only file");
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
-    fn corrupt_checkpoints_are_treated_as_absent() {
-        let dir = temp_dir("corrupt");
-        let ckpt = CheckpointDir::open(&dir, 1, 4).expect("open");
+    fn handles_on_one_directory_share_the_journal() {
+        let dir = temp_dir("shared");
+        let first = CheckpointDir::open(&dir, 42, 8).expect("open");
+        let second = CheckpointDir::open(&dir, 42, 8).expect("second handle");
+        first.store(5, &sample_report(5)).expect("store");
+        assert_eq!(second.load(5).map(|r| r.seed), Some(5));
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn the_later_of_two_records_for_one_task_wins() {
+        let dir = temp_dir("rewrite");
+        let ckpt = CheckpointDir::open(&dir, 9, 2).expect("open");
         ckpt.store(0, &sample_report(1)).expect("store");
-        let path = ckpt.path().join("task-0000.ckpt");
-
-        // Bit flip in the body.
-        let mut text = fs::read_to_string(&path).expect("read");
-        text = text.replacen("packets_injected 1000", "packets_injected 1001", 1);
-        fs::write(&path, &text).expect("write");
-        assert_eq!(ckpt.load(0), None, "checksum catches the flip");
-
-        // Truncation (kill mid-write without the atomic rename).
-        let full = fs::read_to_string(&path).expect("read");
-        fs::write(&path, &full[..full.len() / 2]).expect("write");
-        assert_eq!(ckpt.load(0), None, "truncated file rejected");
-
+        ckpt.store(0, &sample_report(2)).expect("store again");
+        assert_eq!(ckpt.load(0).map(|r| r.seed), Some(2));
+        drop(ckpt);
+        let reopened = CheckpointDir::open(&dir, 9, 2).expect("reopen");
+        assert_eq!(reopened.load(0).map(|r| r.seed), Some(2));
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
-    fn checkpoint_for_wrong_task_or_campaign_is_rejected() {
+    fn campaigns_and_scopes_are_keyed_apart() {
+        let dir = temp_dir("keys");
+        let first = CheckpointDir::open(&dir, 42, 8).expect("open");
+        assert_eq!(
+            first.path(),
+            fs::canonicalize(&dir).unwrap().join("c-000000000000002a")
+        );
+        let second = CheckpointDir::open(&dir, 43, 8).expect("second campaign coexists");
+        let journal = Journal::open(&dir).expect("journal");
+        let tenant = journal.campaign("alice", 42, 8).expect("tenant scope");
+        assert_eq!(
+            tenant.path(),
+            journal.path().join("alice").join("c-000000000000002a")
+        );
+        first.store(0, &sample_report(1)).expect("store");
+        second.store(0, &sample_report(2)).expect("store");
+        tenant.store(0, &sample_report(3)).expect("store");
+        assert_eq!(first.load(0).map(|r| r.seed), Some(1));
+        assert_eq!(second.load(0).map(|r| r.seed), Some(2), "no clobbering");
+        assert_eq!(tenant.load(0).map(|r| r.seed), Some(3), "per-scope records");
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn reopening_a_campaign_appends_nothing() {
+        let dir = temp_dir("idempotent");
+        let journal_len = || fs::metadata(dir.join(JOURNAL_FILE)).expect("journal").len();
+        drop(CheckpointDir::open(&dir, 7, 3).expect("open"));
+        let len = journal_len();
+        assert!(len > 0, "the campaign record is written");
+        drop(CheckpointDir::open(&dir, 7, 3).expect("reopen after a scan"));
+        let held = CheckpointDir::open(&dir, 7, 3).expect("open");
+        drop(CheckpointDir::open(&dir, 7, 3).expect("reopen while shared"));
+        drop(held);
+        assert_eq!(journal_len(), len);
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn submissions_round_trip_across_a_reopen() {
+        let dir = temp_dir("submitted");
+        let submission = Submission {
+            tenant: "alice".into(),
+            id: "c-00000000000000ff".into(),
+            priority: 4,
+            spec_text: "rlnoc-spec v1\nseed=1\ncrc=00000000\n".into(),
+        };
+        {
+            let journal = Journal::open(&dir).expect("open");
+            journal
+                .submit(
+                    &submission.tenant,
+                    &submission.id,
+                    submission.priority,
+                    &submission.spec_text,
+                )
+                .expect("submit");
+            assert_eq!(journal.submissions(), vec![submission.clone()]);
+        }
+        let journal = Journal::open(&dir).expect("reopen");
+        assert_eq!(journal.submissions(), vec![submission]);
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_record_for_another_task_is_not_returned() {
         let dir = temp_dir("foreign");
         let ckpt = CheckpointDir::open(&dir, 5, 4).expect("open");
         ckpt.store(0, &sample_report(1)).expect("store");
-        // Same bytes presented as a different index: rejected.
-        fs::copy(
-            ckpt.path().join("task-0000.ckpt"),
-            ckpt.path().join("task-0001.ckpt"),
-        )
-        .expect("copy");
-        assert_eq!(ckpt.load(1), None);
-        fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn campaigns_are_namespaced_and_never_clobber_each_other() {
-        let dir = temp_dir("manifest");
-        let first = CheckpointDir::open(&dir, 42, 8).expect("claims fresh namespace");
-        assert_eq!(first.path(), dir.join("c-000000000000002a"));
-        let reopened = CheckpointDir::open(&dir, 42, 8).expect("same campaign reopens");
-        assert_eq!(reopened.path(), first.path());
-
-        // A different campaign gets its own namespace beside the first.
-        let second = CheckpointDir::open(&dir, 43, 8).expect("second campaign coexists");
-        assert_ne!(second.path(), first.path());
-        first.store(0, &sample_report(1)).expect("store");
-        second.store(0, &sample_report(2)).expect("store");
-        assert_eq!(first.load(0).map(|r| r.seed), Some(1));
-        assert_eq!(second.load(0).map(|r| r.seed), Some(2), "no clobbering");
-        fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn tampered_namespace_manifest_is_a_mismatch() {
-        let dir = temp_dir("tamper");
-        let ckpt = CheckpointDir::open(&dir, 42, 8).expect("open");
-        let manifest = ckpt.path().join("campaign.manifest");
-        let text = fs::read_to_string(&manifest).expect("read");
-        fs::write(
-            &manifest,
-            text.replace(
-                "fingerprint 000000000000002a",
-                "fingerprint 000000000000002b",
-            ),
-        )
-        .expect("write");
-        match CheckpointDir::open(&dir, 42, 8) {
-            Err(CheckpointError::ManifestMismatch { found, expected }) => {
-                assert_eq!((found, expected), (0x2b, 42));
-            }
-            other => panic!("expected manifest mismatch, got {other:?}"),
+        // Point task 1's key at task 0's record.
+        {
+            let mut state = ckpt.journal.state.lock().unwrap();
+            let extent = state.index.tasks[&(ckpt.scope_id, 5, 0)];
+            state.index.tasks.insert((ckpt.scope_id, 5, 1), extent);
         }
+        assert_eq!(ckpt.load(1), None);
+        assert!(ckpt.load(0).is_some());
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
-    fn flat_legacy_layout_keeps_working_in_place() {
-        let dir = temp_dir("flat");
+    fn a_failed_append_is_an_error_and_indexes_nothing() {
+        // `/dev/full` accepts the open and fails every write with ENOSPC.
+        if !Path::new("/dev/full").exists() {
+            return;
+        }
+        let dir = temp_dir("enospc");
         fs::create_dir_all(&dir).expect("mkdir");
-        // A directory claimed by the pre-namespacing layout.
-        let mut body = String::new();
-        writeln!(body, "{MANIFEST_MAGIC}").expect("write to string");
-        writeln!(body, "fingerprint {:016x}", 42).expect("write to string");
-        writeln!(body, "tasks 8").expect("write to string");
-        fs::write(dir.join("campaign.manifest"), &body).expect("write");
-
-        let flat = CheckpointDir::open(&dir, 42, 8).expect("compat path");
-        assert_eq!(flat.path(), dir, "matching flat layout is used in place");
-        flat.store(3, &sample_report(9)).expect("store");
-        assert!(dir.join("task-0003.ckpt").exists());
-
-        // A different campaign does not disturb the flat tenant.
-        let other = CheckpointDir::open(&dir, 43, 8).expect("namespaced beside it");
-        assert_eq!(other.path(), dir.join("c-000000000000002b"));
-        assert_eq!(flat.load(3).map(|r| r.seed), Some(9));
+        std::os::unix::fs::symlink("/dev/full", dir.join(JOURNAL_FILE)).expect("symlink");
+        let err = CheckpointDir::open(&dir, 1, 1).expect_err("campaign record cannot be written");
+        assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+        let journal = Journal::open(&dir).expect("the journal itself opens");
+        let ckpt = CheckpointDir {
+            journal: Arc::clone(&journal),
+            scope: Arc::from(""),
+            scope_id: 0,
+            fingerprint: 1,
+            dir: OnceLock::new(),
+        };
+        assert!(ckpt.store(0, &sample_report(1)).is_err());
+        assert_eq!(ckpt.load(0), None);
+        drop((ckpt, journal));
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 

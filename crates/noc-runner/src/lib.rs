@@ -9,8 +9,9 @@
 //!
 //! * [`pool`] — the worker pool: a shared injector queue drained by
 //!   `std::thread::scope` workers, results ordered by item index.
-//! * [`checkpoint`] — per-task checkpoint files plus a campaign
-//!   manifest, enabling kill/resume with identical final reports.
+//! * [`checkpoint`] — one append-only journal per directory holding
+//!   every finished task's report, enabling kill/resume with identical
+//!   final reports.
 //! * [`runner`] — [`RunnerConfig`]: ties the pool and checkpoints
 //!   together and reads the `RLNOC_JOBS` / `SNAPSHOT_DIR` / `RESUME`
 //!   environment knobs.
@@ -41,6 +42,8 @@ pub mod checkpoint;
 pub mod pool;
 pub mod runner;
 
-pub use checkpoint::{parse_report, render_report, CheckpointDir, CheckpointError};
+pub use checkpoint::{
+    parse_report, render_report, CheckpointDir, CheckpointError, Journal, Submission, JOURNAL_FILE,
+};
 pub use pool::{Job, JobSource, ServicePool};
 pub use runner::{execute_task, RunnerConfig};

@@ -121,6 +121,10 @@ pub trait JobSource: Send + Sync {
 ///
 /// `telemetry` records the same instruments as [`run_indexed`]
 /// (`runner.tasks_completed`, `runner.worker.<i>.tasks`).
+///
+/// A job that panics ends only itself: the worker catches the unwind
+/// and pulls the next job, so one failing task cannot stall the
+/// service behind it.
 #[derive(Debug)]
 pub struct ServicePool {
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -140,7 +144,11 @@ impl ServicePool {
                 .name(format!("rlnoc-worker-{worker}"))
                 .spawn(move || {
                     while let Some(job) = source.next_job() {
-                        job();
+                        // A panicking job is its own failure, not the
+                        // pool's: the worker lives on to take the next
+                        // one. Jobs report their own outcome, so the
+                        // payload has nowhere to go.
+                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
                         worker_tasks.add(1);
                         completed.add(1);
                     }
@@ -238,6 +246,19 @@ mod tests {
         pool.join();
         assert_eq!(ran.load(Ordering::SeqCst), 20);
         assert_eq!(telemetry.counter("runner.tasks_completed").get(), 20);
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_take_its_worker_down() {
+        let source = Arc::new(FifoSource::new());
+        let pool = ServicePool::start(1, source.clone(), &Telemetry::disabled());
+        let (tx, rx) = mpsc::channel();
+        source.push(Box::new(|| panic!("job failed")));
+        source.push(Box::new(move || tx.send(()).expect("test is listening")));
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the job queued behind a panic runs");
+        source.close();
+        pool.join();
     }
 
     #[test]

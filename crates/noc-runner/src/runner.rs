@@ -13,7 +13,7 @@
 //! eval-many runs. With `resume` also set, valid checkpoints from a
 //! previous (possibly killed) run are loaded instead of re-run.
 
-use crate::checkpoint::CheckpointDir;
+use crate::checkpoint::{CheckpointDir, CheckpointError};
 use crate::pool;
 use rlnoc_core::campaign::{Campaign, CampaignResult, CampaignTask};
 use rlnoc_core::experiment::ExperimentReport;
@@ -215,35 +215,36 @@ impl RunnerConfig {
 /// execution + persistence semantics and stay byte-identical to a
 /// runner invocation.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when a checkpoint or policy snapshot cannot be written.
+/// The checkpoint or policy snapshot could not be written. The task's
+/// journal record is appended last, so after an error the journal does
+/// not claim the task finished.
 pub fn execute_task(
     campaign: &Campaign,
     task: &CampaignTask,
     ckpt: Option<&CheckpointDir>,
-) -> ExperimentReport {
+) -> Result<ExperimentReport, CheckpointError> {
     let (report, artifacts) = campaign.experiment(task).run_inspect();
-    persist_task(task, &report, &artifacts, ckpt);
-    report
+    persist_task(task, &report, &artifacts, ckpt)?;
+    Ok(report)
 }
 
-/// Checkpoints one finished task's report and any learned policy.
+/// Checkpoints one finished task's report and any learned policy. The
+/// policy is written first: a task record in the journal then implies
+/// its policy file exists.
 fn persist_task(
     task: &CampaignTask,
     report: &ExperimentReport,
     artifacts: &rlnoc_core::experiment::RunArtifacts,
     ckpt: Option<&CheckpointDir>,
-) {
-    let Some(ckpt) = ckpt else { return };
-    ckpt.store(task.index, report)
-        .expect("checkpoint write must succeed");
+) -> Result<(), CheckpointError> {
+    let Some(ckpt) = ckpt else { return Ok(()) };
     if let Some(policy) = artifacts.controllers.policy_snapshot() {
-        let path = ckpt.path().join(format!("task-{:04}.policy", task.index));
-        policy
-            .save_to_path(&path)
-            .expect("policy snapshot write must succeed");
+        std::fs::create_dir_all(ckpt.path())?;
+        policy.save_to_path(ckpt.path().join(format!("task-{:04}.policy", task.index)))?;
     }
+    ckpt.store(task.index, report)
 }
 
 /// Executes a group of replicate lanes from one campaign cell over one
@@ -255,15 +256,16 @@ fn persist_task(
 ///
 /// # Panics
 ///
-/// As [`execute_task`].
+/// Panics when a checkpoint or policy snapshot cannot be written.
 pub fn execute_batch(
     campaign: &Campaign,
     group: &[CampaignTask],
     ckpt: Option<&CheckpointDir>,
     on_task: &(dyn Fn(&CampaignTask, &ExperimentReport) + Sync),
 ) -> Vec<ExperimentReport> {
+    const PERSIST: &str = "checkpoint write must succeed";
     if let [task] = group {
-        let report = execute_task(campaign, task, ckpt);
+        let report = execute_task(campaign, task, ckpt).expect(PERSIST);
         on_task(task, &report);
         return vec![report];
     }
@@ -271,7 +273,7 @@ pub fn execute_batch(
     rlnoc_core::Experiment::run_batch_inspect(lanes)
         .zip(group)
         .map(|((report, artifacts), task)| {
-            persist_task(task, &report, &artifacts, ckpt);
+            persist_task(task, &report, &artifacts, ckpt).expect(PERSIST);
             on_task(task, &report);
             report
         })

@@ -1,19 +1,21 @@
-//! Corruption edge cases for checkpoint and policy-snapshot files.
+//! Corruption edge cases for the checkpoint journal and policy-snapshot
+//! files.
 //!
 //! A killed or bit-rotted snapshot directory must never panic the
-//! runner or poison a resume: every damaged `task-NNNN.ckpt` is treated
-//! as absent (the task silently re-runs), and every damaged
-//! `task-NNNN.policy` is a clean parse error, never a wrong bank.
-//! Truncation is exercised at **every byte offset** and bit flips at
-//! **every bit position** — the CRC-32 trailers make both exhaustive
-//! sweeps tractable guarantees rather than spot checks.
+//! runner or poison a resume: every damaged journal record is treated
+//! as absent (its task silently re-runs) and costs no other record, and
+//! every damaged `task-NNNN.policy` is a clean parse error, never a
+//! wrong bank. Truncation is exercised at **every byte offset** and bit
+//! flips at **every bit position** — the CRC-32 framing makes both
+//! exhaustive sweeps tractable guarantees rather than spot checks.
 
 use noc_rl::qtable::QTable;
 use noc_rl::snapshot::PolicySnapshot;
 use noc_testutil::{temp_dir, tiny_campaign};
 use rlnoc_core::experiment::{ErrorControlScheme, ExperimentReport};
-use rlnoc_runner::{CheckpointDir, RunnerConfig};
+use rlnoc_runner::{CheckpointDir, RunnerConfig, JOURNAL_FILE};
 use std::fs;
+use std::path::Path;
 
 fn sample_report(seed: u64) -> ExperimentReport {
     ExperimentReport {
@@ -51,65 +53,127 @@ fn sample_report(seed: u64) -> ExperimentReport {
     }
 }
 
-#[test]
-fn checkpoint_truncated_at_every_byte_offset_is_absent() {
-    let dir = temp_dir("ckpt-truncate");
-    let ckpt = CheckpointDir::open(&dir, 0xFEED, 1).expect("open");
-    let report = sample_report(9);
-    ckpt.store(0, &report).expect("store");
-    let path = ckpt.path().join("task-0000.ckpt");
-    let intact = fs::read(&path).expect("read");
+/// `(start, end, task index)` of every record of an intact journal, in
+/// file order; the index is `None` for records that are not `task`
+/// records.
+fn records(journal: &[u8]) -> Vec<(usize, usize, Option<usize>)> {
+    let text = std::str::from_utf8(journal).expect("an intact journal is text");
+    let starts: Vec<usize> = text
+        .match_indices("rlnoc-journal v1 ")
+        .map(|(i, _)| i)
+        .collect();
+    starts
+        .iter()
+        .enumerate()
+        .map(|(k, &start)| {
+            let end = starts.get(k + 1).copied().unwrap_or(text.len());
+            let task = text[start..end]
+                .lines()
+                .find_map(|l| l.strip_prefix("task "))
+                .map(|v| v.parse().expect("task index"));
+            (start, end, task)
+        })
+        .collect()
+}
 
-    for offset in 0..intact.len() {
-        fs::write(&path, &intact[..offset]).expect("write truncated");
-        // Cutting only trailing newlines leaves the checksummed content
-        // intact (the parser trims them); any shorter prefix is absent.
-        if intact[offset..].iter().all(|&b| b == b'\n') {
-            assert_eq!(ckpt.load(0), Some(report.clone()));
-        } else {
+const FP: u64 = 0xFEED;
+
+/// Writes a journal holding one campaign record and three task records
+/// under `dir`; returns the reports and the journal's bytes.
+fn three_task_journal(dir: &Path) -> (Vec<ExperimentReport>, Vec<u8>) {
+    let reports: Vec<ExperimentReport> = (0..3).map(|i| sample_report(10 + i)).collect();
+    let ckpt = CheckpointDir::open(dir, FP, 3).expect("open");
+    for (index, report) in reports.iter().enumerate() {
+        ckpt.store(index, report).expect("store");
+    }
+    drop(ckpt);
+    let bytes = fs::read(dir.join(JOURNAL_FILE)).expect("read journal");
+    (reports, bytes)
+}
+
+#[test]
+fn journal_cut_at_every_byte_offset_keeps_exactly_the_whole_records() {
+    let dir = temp_dir("journal-truncate");
+    let (reports, intact) = three_task_journal(&dir);
+    let spans = records(&intact);
+    assert_eq!(spans.len(), 4, "one campaign record, three task records");
+    let path = dir.join(JOURNAL_FILE);
+    // Record bytes are a pure function of the record, so what a reopen
+    // and a re-store append is known exactly.
+    let campaign_record = &intact[spans[0].0..spans[0].1];
+    let (start, end, _) = spans[3];
+    let task2_record = &intact[start..end];
+
+    for cut in 0..=intact.len() {
+        fs::write(&path, &intact[..cut]).expect("write truncated");
+        let ckpt = CheckpointDir::open(&dir, FP, 3).expect("reopen");
+        for &(_, end, task) in &spans {
+            let Some(index) = task else { continue };
+            let expected = (end <= cut).then(|| reports[index].clone());
             assert_eq!(
-                ckpt.load(0),
-                None,
-                "checkpoint truncated to {offset}/{} bytes must read as absent",
+                ckpt.load(index),
+                expected,
+                "task {index} after a cut at {cut}/{} bytes",
                 intact.len()
             );
         }
+        // The torn tail is cut away before the next append lands, so a
+        // re-run's record is readable now and after another reopen.
+        ckpt.store(2, &reports[2]).expect("store after the cut");
+        assert_eq!(ckpt.load(2), Some(reports[2].clone()));
+        drop(ckpt);
+        let kept = spans
+            .iter()
+            .map(|&(_, end, _)| end)
+            .filter(|&end| end <= cut)
+            .max()
+            .unwrap_or(0);
+        let mut expected = intact[..kept].to_vec();
+        if kept == 0 {
+            expected.extend_from_slice(campaign_record);
+        }
+        expected.extend_from_slice(task2_record);
+        assert_eq!(
+            fs::read(&path).expect("read journal"),
+            expected,
+            "a cut at {cut} leaves no torn bytes behind"
+        );
+        let reopened = CheckpointDir::open(&dir, FP, 3).expect("reopen after store");
+        assert_eq!(reopened.load(2), Some(reports[2].clone()), "cut at {cut}");
     }
-
-    // The full file still loads, and a re-run (re-store) recovers from
-    // any of the truncated states left behind.
-    fs::write(&path, &intact).expect("restore");
-    assert_eq!(ckpt.load(0), Some(report.clone()));
-    fs::write(&path, &intact[..intact.len() / 3]).expect("truncate again");
-    ckpt.store(0, &report).expect("re-store over corrupt file");
-    assert_eq!(ckpt.load(0), Some(report));
-
     fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
-fn checkpoint_with_any_single_bit_flip_is_absent() {
-    let dir = temp_dir("ckpt-bitflip");
-    let ckpt = CheckpointDir::open(&dir, 0xBEEF, 1).expect("open");
-    let report = sample_report(4);
-    ckpt.store(0, &report).expect("store");
-    let path = ckpt.path().join("task-0000.ckpt");
-    let intact = fs::read(&path).expect("read");
+fn any_single_bit_flip_costs_at_most_the_record_it_lands_in() {
+    let dir = temp_dir("journal-bitflip");
+    let (reports, intact) = three_task_journal(&dir);
+    let spans = records(&intact);
+    let path = dir.join(JOURNAL_FILE);
 
     for byte in 0..intact.len() {
         for bit in 0..8 {
             let mut flipped = intact.clone();
             flipped[byte] ^= 1 << bit;
             fs::write(&path, &flipped).expect("write flipped");
-            // A flip is either detected (absent) or semantically inert —
-            // e.g. a case flip inside the hex checksum trailer. It must
-            // never surface as a *different* report, and never panic.
-            match ckpt.load(0) {
-                None => {}
-                Some(loaded) => assert_eq!(
-                    loaded, report,
-                    "bit {bit} of byte {byte} flipped: parse must not change the report"
-                ),
+            let ckpt = CheckpointDir::open(&dir, FP, 3).expect("reopen");
+            for &(start, end, task) in &spans {
+                let Some(index) = task else { continue };
+                // A flip is either detected (absent) or semantically
+                // inert — e.g. a case flip inside the hex checksum. It
+                // must never surface as a *different* report, and only
+                // the record it lands in may go missing.
+                match ckpt.load(index) {
+                    Some(loaded) => assert_eq!(
+                        loaded, reports[index],
+                        "bit {bit} of byte {byte} flipped: task {index} changed"
+                    ),
+                    None => assert!(
+                        (start..end).contains(&byte),
+                        "bit {bit} of byte {byte} flipped: task {index} \
+                         (bytes {start}..{end}) went missing"
+                    ),
+                }
             }
         }
     }
@@ -181,11 +245,12 @@ fn policy_with_any_single_bit_flip_never_parses() {
     }
 }
 
-/// End-to-end: a resume over a snapshot directory whose files were
-/// variously truncated, bit-flipped, and replaced with garbage produces
-/// a campaign result identical to the uninterrupted run — the damaged
-/// tasks re-run, the healthy checkpoints are reused, and a corrupted
-/// policy snapshot is rewritten by the re-run.
+/// End-to-end: a resume over a snapshot directory whose journal was
+/// bit-flipped, overwritten with garbage mid-file and torn at the tail,
+/// and whose policy file was truncated, produces a campaign result
+/// identical to the uninterrupted run — exactly the damaged tasks
+/// re-run, the healthy records are reused, and the corrupted policy
+/// snapshot is rewritten by the re-run.
 #[test]
 fn resume_with_corrupted_snapshot_dir_matches_uninterrupted_run() {
     let campaign = tiny_campaign();
@@ -207,48 +272,64 @@ fn resume_with_corrupted_snapshot_dir_matches_uninterrupted_run() {
         .position(|r| r.scheme == ErrorControlScheme::ProposedRl)
         .expect("campaign includes the RL scheme");
     let ns = dir.join(CheckpointDir::namespace(campaign.fingerprint()));
-    let rl_ckpt = ns.join(format!("task-{rl_index:04}.ckpt"));
     let rl_policy = ns.join(format!("task-{rl_index:04}.policy"));
     assert!(rl_policy.exists(), "RL task persisted a policy snapshot");
 
-    // Damage the RL task's checkpoint (bit flip) and policy (truncate)…
-    let mut bytes = fs::read(&rl_ckpt).expect("read ckpt");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x10;
-    fs::write(&rl_ckpt, &bytes).expect("flip ckpt");
+    let path = dir.join(JOURNAL_FILE);
+    let mut bytes = fs::read(&path).expect("read journal");
+    let spans = records(&bytes);
+    let span_of = |index: usize| {
+        spans
+            .iter()
+            .find(|(_, _, task)| *task == Some(index))
+            .map(|&(start, end, _)| (start, end))
+            .expect("every task has a record")
+    };
+
+    // Flip a bit in the middle of the RL task's record, and truncate
+    // its policy…
+    let (start, end) = span_of(rl_index);
+    bytes[(start + end) / 2] ^= 0x10;
     let policy_bytes = fs::read(&rl_policy).expect("read policy");
     fs::write(&rl_policy, &policy_bytes[..policy_bytes.len() / 3]).expect("truncate policy");
 
-    // …truncate another task's checkpoint, and garbage a third.
-    let other = (rl_index + 1) % total;
-    let other_path = ns.join(format!("task-{other:04}.ckpt"));
-    let other_bytes = fs::read(&other_path).expect("read");
-    fs::write(&other_path, &other_bytes[..other_bytes.len() / 4]).expect("truncate");
-    let third = (rl_index + 2) % total;
-    fs::write(
-        ns.join(format!("task-{third:04}.ckpt")),
-        b"not a checkpoint\n",
-    )
-    .expect("garbage");
+    // …tear the last record as a kill mid-append would, and overwrite a
+    // third task's record with garbage in place.
+    let (last_start, last_end, last) = *spans.last().expect("records");
+    let last = last.expect("the last record is a task");
+    let other = (0..total)
+        .find(|&i| i != rl_index && i != last)
+        .expect("a third task");
+    let (start, end) = span_of(other);
+    bytes[start..end].fill(b'x');
+    bytes.truncate((last_start + last_end) / 2);
+    fs::write(&path, &bytes).expect("write damaged journal");
+    let damaged = if last == rl_index { 2 } else { 3 };
 
+    let telemetry = rlnoc_telemetry::Telemetry::enabled();
     let resumed = RunnerConfig {
         jobs: 2,
         snapshot_dir: Some(dir.clone()),
         resume: true,
+        telemetry: telemetry.clone(),
         ..RunnerConfig::serial()
     }
     .run_campaign(&campaign);
     assert_eq!(
         resumed, populate,
-        "corrupted checkpoints re-run without changing the campaign result"
+        "damaged records re-run without changing the campaign result"
+    );
+    assert_eq!(
+        telemetry.counter("runner.tasks_completed").get(),
+        damaged,
+        "exactly the damaged tasks re-ran"
     );
 
-    // The re-run rewrote both damaged artifacts in valid form.
+    // The re-run appended valid records and rewrote the policy.
     let ckpt = CheckpointDir::open(&dir, campaign.fingerprint(), total).expect("reopen");
-    assert_eq!(
-        ckpt.load(rl_index),
-        Some(populate.reports[rl_index].clone())
-    );
+    for (index, report) in populate.reports.iter().enumerate() {
+        assert_eq!(ckpt.load(index).as_ref(), Some(report));
+    }
     PolicySnapshot::load_from_path(&rl_policy).expect("re-run rewrote a valid policy snapshot");
 
     fs::remove_dir_all(&dir).expect("cleanup");

@@ -2,7 +2,7 @@
 //! checkpoint/resume must never change campaign results.
 
 use noc_testutil::{temp_dir, tiny_campaign};
-use rlnoc_runner::{CheckpointDir, RunnerConfig};
+use rlnoc_runner::{CheckpointDir, RunnerConfig, JOURNAL_FILE};
 use rlnoc_telemetry::Telemetry;
 
 #[test]
@@ -202,7 +202,10 @@ fn faulted_16x16_torus_campaign_is_deterministic_across_execution_modes() {
     // Cold, then warm: this schedule's dead sets are solved for the
     // first time in this process by the first run; the second is served
     // entirely from the process-wide reroute cache. Reports and every
-    // checkpoint byte must not be able to tell.
+    // checkpoint byte must not be able to tell. A record's bytes are a
+    // pure function of its task but the journal's record order follows
+    // completion order, so the journal is compared as a set of records,
+    // beside the policy files.
     let snapshot_run = |tag: &str| {
         let dir = temp_dir(tag);
         let result = RunnerConfig {
@@ -210,25 +213,45 @@ fn faulted_16x16_torus_campaign_is_deterministic_across_execution_modes() {
             ..RunnerConfig::serial()
         }
         .run_campaign(&campaign);
+        let journal = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("journal");
+        let mut records: Vec<String> =
+            journal
+                .split_inclusive('\n')
+                .fold(Vec::new(), |mut records: Vec<String>, line| {
+                    match records.last_mut() {
+                        Some(record) if !line.starts_with("rlnoc-journal v1 ") => {
+                            record.push_str(line)
+                        }
+                        _ => records.push(line.to_string()),
+                    }
+                    records
+                });
+        records.sort();
         let namespace = dir.join(CheckpointDir::namespace(campaign.fingerprint()));
-        let mut files: Vec<(std::ffi::OsString, Vec<u8>)> = std::fs::read_dir(&namespace)
-            .expect("checkpoint namespace")
+        let mut policies: Vec<(std::ffi::OsString, Vec<u8>)> = std::fs::read_dir(&namespace)
+            .expect("policy directory")
             .map(|entry| {
                 let entry = entry.expect("dir entry");
-                let bytes = std::fs::read(entry.path()).expect("checkpoint file");
+                let bytes = std::fs::read(entry.path()).expect("policy file");
                 (entry.file_name(), bytes)
             })
             .collect();
-        files.sort();
+        policies.sort();
         std::fs::remove_dir_all(&dir).expect("cleanup");
-        (result, files)
+        (result, records, policies)
     };
-    let (cold, cold_files) = snapshot_run("torus-16x16-cold");
-    let (warm, warm_files) = snapshot_run("torus-16x16-warm");
+    let (cold, cold_records, cold_policies) = snapshot_run("torus-16x16-cold");
+    let (warm, warm_records, warm_policies) = snapshot_run("torus-16x16-warm");
     assert_eq!(warm, cold, "an all-hits rerun must match the cold run");
-    assert!(cold_files.len() > cold.reports.len(), "checkpoints written");
     assert_eq!(
-        warm_files, cold_files,
+        cold_records.len(),
+        cold.reports.len() + 1,
+        "one campaign record and one record per task"
+    );
+    assert!(!cold_policies.is_empty(), "RL tasks saved their policies");
+    assert_eq!(
+        (warm_records, warm_policies),
+        (cold_records, cold_policies),
         "and write the same checkpoint bytes"
     );
 
@@ -432,8 +455,10 @@ fn batched_group_persists_and_notifies_each_lane_as_it_finishes() {
     assert_eq!(total, 4, "one cell, four replicate lanes, one group");
 
     let dir = temp_dir("batched-per-lane");
-    let namespace = dir.join(CheckpointDir::namespace(campaign.fingerprint()));
-    let ckpt_of = |index: usize| namespace.join(format!("task-{index:04}.ckpt"));
+    // A second handle on the directory shares the runner's journal, so
+    // it sees each record the moment it is appended.
+    let probe = CheckpointDir::open(&dir, campaign.fingerprint(), total).expect("open");
+    let stored = |index: usize| probe.load(index).is_some();
     let notified = AtomicUsize::new(0);
     RunnerConfig {
         batch: 4,
@@ -443,13 +468,13 @@ fn batched_group_persists_and_notifies_each_lane_as_it_finishes() {
     .run_campaign_with(&campaign, &|task, _| {
         notified.fetch_add(1, Ordering::Relaxed);
         assert!(
-            ckpt_of(task.index).exists(),
+            stored(task.index),
             "lane {} is notified only after its checkpoint is durable",
             task.index
         );
         if task.index + 1 < total {
             assert!(
-                !ckpt_of(task.index + 1).exists(),
+                !stored(task.index + 1),
                 "lane {} has not run yet when lane {} reports",
                 task.index + 1,
                 task.index
@@ -507,12 +532,17 @@ fn rl_policy_snapshots_are_saved_and_reloadable() {
 
 #[test]
 fn foreign_campaign_in_the_same_directory_no_longer_conflicts() {
-    // Pre-namespacing this was a hard ManifestMismatch panic; now each
-    // campaign owns a fingerprint-named subdirectory and they coexist.
+    // Campaigns sharing one directory are keyed apart by fingerprint in
+    // its journal and never see each other's records.
     let campaign = tiny_campaign();
     let dir = temp_dir("mismatch");
     let foreign =
         CheckpointDir::open(&dir, campaign.fingerprint() ^ 1, 4).expect("claim with other fp");
+    let expected = campaign.run();
+    // A report this campaign never produces: restoring it would show.
+    let mut foreign_report = expected.reports[0].clone();
+    foreign_report.seed += 1;
+    foreign.store(0, &foreign_report).expect("store");
     let result = RunnerConfig {
         jobs: 1,
         snapshot_dir: Some(dir.clone()),
@@ -521,10 +551,11 @@ fn foreign_campaign_in_the_same_directory_no_longer_conflicts() {
         ..RunnerConfig::serial()
     }
     .run_campaign(&campaign);
-    assert_eq!(result, campaign.run(), "foreign namespace is not disturbed");
-    assert!(
-        foreign.path().join("campaign.manifest").exists(),
-        "the other campaign's manifest survives"
+    assert_eq!(result, expected, "foreign records are not restored");
+    assert_eq!(
+        foreign.load(0),
+        Some(foreign_report),
+        "the other campaign's record survives"
     );
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -18,12 +18,14 @@
 //! exercised.
 //!
 //! The tool exits non-zero if any campaign fails to finish, any
-//! sampled result deviates by a byte, or fair-share scheduling is
+//! sampled result deviates by a byte, fair-share scheduling is
 //! violated (a backlogged high-priority tenant finishing *less* work
-//! than a lower-priority one over the contended window).
+//! than a lower-priority one over the contended window), or the data
+//! directory holds anything but the journal and the address file.
 
 use rlnoc_core::spec::CampaignSpec;
-use rlnoc_serve::{render_result_text, Client, Server, ServerConfig};
+use rlnoc_runner::JOURNAL_FILE;
+use rlnoc_serve::{render_result_text, CampaignState, Client, Server, ServerConfig, ADDR_FILE};
 use rlnoc_telemetry::Telemetry;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -167,6 +169,10 @@ fn main() -> ExitCode {
     // whole flood staged first, each is that campaign's wait behind the
     // backlog ahead of it.
     let statuses = server.statuses();
+    if let Some(s) = statuses.iter().find(|s| s.state != CampaignState::Done) {
+        eprintln!("loadtest: campaign {} ended {}", s.id, s.state.as_str());
+        return ExitCode::FAILURE;
+    }
     let mut latencies_ms: Vec<f64> = statuses
         .iter()
         .filter_map(|s| s.latency)
@@ -249,6 +255,26 @@ fn main() -> ExitCode {
         verified += 1;
     }
     println!("loadtest: {verified} campaign results byte-identical to standalone runs");
+
+    // Persistence is O(1) files whatever the campaign count: the
+    // journal and the address file, nothing per campaign.
+    let mut entries: Vec<String> = match std::fs::read_dir(&dir) {
+        Ok(list) => list
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect(),
+        Err(e) => {
+            eprintln!("loadtest: cannot list {}: {e}", dir.display());
+            return ExitCode::FAILURE;
+        }
+    };
+    entries.sort();
+    let expected = [JOURNAL_FILE, ADDR_FILE];
+    if entries != expected {
+        eprintln!("loadtest: data dir holds {entries:?}, expected exactly {expected:?}");
+        return ExitCode::FAILURE;
+    }
+    println!("loadtest: data dir holds {expected:?} only");
 
     server.stop();
     if opts.dir.is_none() {

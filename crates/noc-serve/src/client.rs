@@ -8,7 +8,7 @@
 
 use crate::wire::{payload_field, read_frame, write_frame, Frame, FrameType, WireError};
 use std::fmt;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::TcpStream;
 
 /// Errors a client call can surface.
@@ -67,7 +67,8 @@ pub struct SubmitAck {
 /// Reply to a status query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatusReply {
-    /// Lifecycle state token (`queued`/`running`/`done`/`cancelled`).
+    /// Lifecycle state token (`queued`/`running`/`done`/`cancelled`/
+    /// `failed`).
     pub state: String,
     /// Tasks with checkpointed reports.
     pub completed: usize,
@@ -78,7 +79,9 @@ pub struct StatusReply {
 /// A connected service client.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    /// Replies are read through one buffer that lives across frames;
+    /// requests are written to the socket underneath it.
+    stream: BufReader<TcpStream>,
 }
 
 fn need<'a>(text: &'a str, key: &str) -> Result<&'a str, ClientError> {
@@ -99,15 +102,18 @@ impl Client {
     ///
     /// Propagates connection failures.
     pub fn connect(addr: &str) -> io::Result<Self> {
+        let stream = TcpStream::connect(addr)?;
+        // Each request is one whole frame; Nagle would only delay it.
+        stream.set_nodelay(true)?;
         Ok(Self {
-            stream: TcpStream::connect(addr)?,
+            stream: BufReader::new(stream),
         })
     }
 
     /// One request/reply exchange, mapping `error` frames to
     /// [`ClientError::Server`].
     fn request(&mut self, frame: &Frame, expect: FrameType) -> Result<String, ClientError> {
-        write_frame(&mut self.stream, frame)?;
+        write_frame(self.stream.get_mut(), frame)?;
         self.read_reply(expect)
     }
 
@@ -185,7 +191,7 @@ impl Client {
         on_event: &mut dyn FnMut(&str),
     ) -> Result<String, ClientError> {
         let body = format!("tenant={tenant}\ncampaign={campaign}\n");
-        write_frame(&mut self.stream, &Frame::text(FrameType::Watch, &body))?;
+        write_frame(self.stream.get_mut(), &Frame::text(FrameType::Watch, &body))?;
         loop {
             let reply = read_frame(&mut self.stream)?;
             let text = reply
@@ -223,8 +229,8 @@ impl Client {
         self.request(&Frame::text(FrameType::Result, &body), FrameType::ResultOk)
     }
 
-    /// Cancels a campaign; returns its resulting state token (`done`
-    /// and `cancelled` campaigns are left as-is).
+    /// Cancels a campaign; returns its resulting state token (`done`,
+    /// `cancelled` and `failed` campaigns are left as-is).
     ///
     /// # Errors
     ///

@@ -6,9 +6,9 @@
 //! their tasks across a shared [`rlnoc_runner::ServicePool`] with
 //! per-tenant deficit-round-robin fairness ([`sched`]), streams
 //! per-epoch telemetry to subscribers as schema-v1 JSONL, and persists
-//! every checkpoint under `<dir>/<tenant>/<campaign-id>/` so a
-//! `kill -9` + restart resumes all in-flight campaigns and re-serves
-//! finished ones from disk ([`server`]).
+//! every submission and finished task to one append-only journal,
+//! `<dir>/journal`, so a `kill -9` + restart resumes all in-flight
+//! campaigns and re-serves finished ones from disk ([`server`]).
 //!
 //! The load-bearing invariant, inherited from the rest of the
 //! workspace: a task's report is a pure function of `(campaign, task)`.
@@ -38,7 +38,7 @@ pub use client::{Client, ClientError, StatusReply, SubmitAck};
 pub use sched::{clamp_priority, FairScheduler, MAX_PRIORITY, MIN_PRIORITY};
 pub use server::{
     render_result_text, valid_tenant, wait_for_addr, CampaignState, CampaignStatus, Server,
-    ServerConfig, SubmitOutcome, ADDR_FILE, SUBMISSION_MAGIC,
+    ServerConfig, SubmitOutcome, ADDR_FILE,
 };
 pub use wire::{
     payload_field, read_frame, write_frame, Frame, FrameType, WireError, MAX_PAYLOAD, WIRE_MAGIC,

@@ -7,20 +7,26 @@
 //!    `rlnoc-spec v1` document. The spec is CRC- and
 //!    semantics-validated, resolved to a [`Campaign`], and identified
 //!    by `c-<fingerprint:016x>` — the same identity
-//!    [`CheckpointDir`] namespaces persistence by.
-//! 2. The campaign's tasks enter the deficit-round-robin scheduler
+//!    [`CheckpointDir`] keys persistence by.
+//! 2. Before the submission is acknowledged, the data directory's
+//!    journal (`<dir>/journal`, [`Journal`]) gains the campaign's
+//!    `campaign` record and a `submitted` record holding the tenant,
+//!    the id, the priority and the spec text.
+//! 3. The campaign's tasks enter the deficit-round-robin scheduler
 //!    under the tenant's priority; [`ServicePool`] workers pull tasks
 //!    across campaigns and tenants in fair-share order and execute each
 //!    with [`execute_task`] — the exact unit `rlnoc-runner` uses, so
 //!    every checkpoint, policy snapshot, and final report is
 //!    byte-identical to a standalone runner invocation.
-//! 3. Completed tasks are checkpointed under
-//!    `<dir>/<tenant>/<campaign-id>/` before the in-memory completion
-//!    count advances, so persistence always leads visibility.
-//! 4. A `kill -9` at any instant loses at most in-flight tasks: on
-//!    restart the server rescans every `submission.spec`, reloads valid
-//!    checkpoints, re-queues only the missing tasks, and re-serves
-//!    finished campaigns' results straight from disk.
+//! 4. A completed task's record is appended to the journal, scoped by
+//!    tenant, before the in-memory completion count advances, so
+//!    persistence always leads visibility. A task whose record cannot
+//!    be written, or whose execution panics, moves its campaign to
+//!    `failed`; the worker and every other campaign carry on.
+//! 5. A `kill -9` at any instant loses at most in-flight tasks: on
+//!    restart the server reads every `submitted` record back, reloads
+//!    valid task records, re-queues only the missing tasks, and
+//!    re-serves finished campaigns' results straight from disk.
 //!
 //! Subscribers (`watch`) receive per-epoch telemetry for tasks that
 //! execute while they are attached, as schema-v1 JSONL lines rendered
@@ -33,20 +39,18 @@ use crate::wire::{payload_field, read_frame, write_frame, Frame, FrameType, Wire
 use rlnoc_core::campaign::{Campaign, CampaignTask};
 use rlnoc_core::experiment::ExperimentReport;
 use rlnoc_core::spec::CampaignSpec;
-use rlnoc_runner::{execute_task, CheckpointDir, Job, JobSource, ServicePool};
+use rlnoc_runner::{execute_task, CheckpointDir, Job, JobSource, Journal, ServicePool};
 use rlnoc_telemetry::export::{json_escape, write_jsonl};
 use rlnoc_telemetry::Telemetry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Magic line opening every persisted `submission.spec` file.
-pub const SUBMISSION_MAGIC: &str = "rlnoc-submission v1";
 
 /// File (under the serve directory) the server writes its bound
 /// address to — how clients and tests find a server started with an
@@ -64,6 +68,9 @@ pub enum CampaignState {
     Done,
     /// Cancelled by the tenant; queued tasks were dropped.
     Cancelled,
+    /// A task's record could not be written or its execution panicked;
+    /// queued tasks were dropped and `result` names the cause.
+    Failed,
 }
 
 impl CampaignState {
@@ -74,12 +81,13 @@ impl CampaignState {
             Self::Running => "running",
             Self::Done => "done",
             Self::Cancelled => "cancelled",
+            Self::Failed => "failed",
         }
     }
 
     /// `true` once no further task of the campaign will execute.
     pub fn is_final(self) -> bool {
-        matches!(self, Self::Done | Self::Cancelled)
+        matches!(self, Self::Done | Self::Cancelled | Self::Failed)
     }
 }
 
@@ -105,8 +113,9 @@ pub fn render_result_text(reports: &[ExperimentReport]) -> String {
     out
 }
 
-/// Checks a tenant name is non-empty, bounded, and path-safe (it names
-/// a directory under the serve root).
+/// Checks a tenant name is non-empty, bounded, and path-safe (it scopes
+/// journal records and names the directory under the serve root that
+/// RL policy snapshots go in).
 pub fn valid_tenant(name: &str) -> bool {
     !name.is_empty()
         && name.len() <= 64
@@ -123,7 +132,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads executing campaign tasks.
     pub jobs: usize,
-    /// Root persistence directory (`<dir>/<tenant>/<campaign-id>/`).
+    /// Root persistence directory: the journal is `<dir>/journal`, RL
+    /// policy snapshots go under `<dir>/<tenant>/<campaign-id>/`.
     pub dir: PathBuf,
     /// Service telemetry (worker counters; independent of per-task
     /// simulation telemetry).
@@ -169,11 +179,13 @@ struct Entry {
 }
 
 struct Shared {
-    dir: PathBuf,
+    journal: Arc<Journal>,
     campaigns: Mutex<HashMap<Key, Entry>>,
     sched: FairScheduler<(Key, CampaignTask)>,
     /// Tenant/campaign pairs in completion order (fairness evidence).
     completion_log: Mutex<Vec<Key>>,
+    /// Why each [`CampaignState::Failed`] campaign failed.
+    failures: Mutex<HashMap<Key, String>>,
     telemetry: Telemetry,
 }
 
@@ -191,16 +203,18 @@ pub struct SubmitOutcome {
 }
 
 impl Shared {
-    /// Registers a parsed submission: opens its checkpoint namespace,
-    /// restores any completed tasks from disk, persists the submission
-    /// file, and enqueues the missing tasks. Resubmitting an identical
-    /// spec deduplicates onto the existing entry.
+    /// Registers a parsed submission: opens its view of the journal,
+    /// appends its `submitted` record when `persist` is set (a
+    /// recovered submission already has one), restores any completed
+    /// tasks, and enqueues the missing ones. Resubmitting an identical
+    /// spec deduplicates onto the existing entry and appends nothing.
     fn register(
         &self,
         tenant: &str,
         priority: u32,
         spec: &CampaignSpec,
         spec_text: &str,
+        persist: bool,
     ) -> Result<SubmitOutcome, String> {
         let campaign = spec.to_campaign().map_err(|e| e.to_string())?;
         let fingerprint = campaign.fingerprint();
@@ -219,19 +233,15 @@ impl Shared {
             });
         }
 
-        let ckpt = CheckpointDir::open(&self.dir.join(tenant), fingerprint, total)
+        let ckpt = self
+            .journal
+            .campaign(tenant, fingerprint, total)
             .map_err(|e| format!("cannot open campaign storage: {e}"))?;
-        let mut submission = String::new();
-        writeln!(submission, "{SUBMISSION_MAGIC}").expect("write to string");
-        writeln!(submission, "tenant={tenant}").expect("write to string");
-        writeln!(submission, "priority={priority}").expect("write to string");
-        writeln!(submission, "spec").expect("write to string");
-        submission.push_str(spec_text);
-        let tmp = ckpt.path().join("submission.tmp");
-        let fin = ckpt.path().join("submission.spec");
-        std::fs::write(&tmp, &submission)
-            .and_then(|()| std::fs::rename(&tmp, &fin))
-            .map_err(|e| format!("cannot persist submission: {e}"))?;
+        if persist {
+            self.journal
+                .submit(tenant, &id, priority, spec_text)
+                .map_err(|e| format!("cannot persist submission: {e}"))?;
+        }
 
         let mut pending = Vec::new();
         let mut completed = 0usize;
@@ -301,7 +311,22 @@ impl Shared {
         if streaming {
             campaign.telemetry = Telemetry::enabled();
         }
-        let report = execute_task(&campaign, &task, Some(ckpt.as_ref()));
+        // No registry lock is held here, so a panic cannot poison one.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            execute_task(&campaign, &task, Some(ckpt.as_ref()))
+        }));
+        let report = match outcome {
+            Ok(Ok(report)) => report,
+            Ok(Err(e)) => return self.fail(&key, format!("task {}: {e}", task.index)),
+            Err(panic) => {
+                let what = panic
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-string panic payload");
+                return self.fail(&key, format!("task {} panicked: {what}", task.index));
+            }
+        };
 
         let mut events: Vec<String> = Vec::new();
         if streaming {
@@ -358,49 +383,61 @@ impl Shared {
         }
     }
 
-    /// Scans the persistence root and re-registers every submission
-    /// found on disk (crash recovery / warm restart).
+    /// Ends a campaign in [`CampaignState::Failed`] with `cause`, hangs
+    /// up its watchers and drops its queued tasks.
+    fn fail(&self, key: &Key, cause: String) {
+        let mut campaigns = self.campaigns.lock().expect("registry lock");
+        let Some(entry) = campaigns.get_mut(key) else {
+            return;
+        };
+        if entry.state.is_final() {
+            return;
+        }
+        entry.state = CampaignState::Failed;
+        entry.finished = Some(Instant::now());
+        entry.subscribers.clear();
+        // Recorded before the registry lock drops, so whoever sees the
+        // state finds the cause.
+        self.failures
+            .lock()
+            .expect("failure log lock")
+            .insert(key.clone(), cause);
+        drop(campaigns);
+        self.sched.retain(|_, (k, _)| k != key);
+        self.telemetry.counter("serve.campaigns_failed").add(1);
+    }
+
+    /// Re-registers every submission the journal holds (crash recovery
+    /// / warm restart) without appending anything.
     fn recover(&self) -> usize {
         let mut recovered = 0;
-        let Ok(tenants) = std::fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        for tenant_dir in tenants.flatten() {
-            let tenant = tenant_dir.file_name().to_string_lossy().to_string();
-            if !valid_tenant(&tenant) || !tenant_dir.path().is_dir() {
+        for s in self.journal.submissions() {
+            if !valid_tenant(&s.tenant) {
                 continue;
             }
-            let Ok(subdirs) = std::fs::read_dir(tenant_dir.path()) else {
+            let Ok(spec) = CampaignSpec::from_text(&s.spec_text) else {
                 continue;
             };
-            for sub in subdirs.flatten() {
-                let submission = sub.path().join("submission.spec");
-                let Ok(text) = std::fs::read_to_string(&submission) else {
-                    continue;
-                };
-                let Some((priority, spec, spec_text)) = parse_submission(&text, &tenant) else {
-                    continue;
-                };
-                // The directory name must match the spec's identity —
-                // a moved or tampered directory is skipped, never run.
-                let id_ok = spec
-                    .campaign_id()
-                    .is_ok_and(|id| sub.file_name().to_string_lossy() == id);
-                if !id_ok {
-                    continue;
-                }
-                if self.register(&tenant, priority, &spec, spec_text).is_ok() {
-                    recovered += 1;
-                }
+            // The recorded id must match the spec's identity — a
+            // tampered record is skipped, never run.
+            if spec.campaign_id().ok().as_deref() != Some(s.id.as_str()) {
+                continue;
+            }
+            let priority = clamp_priority(s.priority);
+            if self
+                .register(&s.tenant, priority, &spec, &s.spec_text, false)
+                .is_ok()
+            {
+                recovered += 1;
             }
         }
         recovered
     }
 }
 
-/// Parses a persisted or wire submission body: header fields up to the
-/// literal `spec` line, then a verbatim `rlnoc-spec v1` document.
-/// Returns `(priority, parsed spec, raw spec text)`.
+/// Parses a wire submission body: header fields up to the literal
+/// `spec` line, then a verbatim `rlnoc-spec v1` document. Returns
+/// `(priority, parsed spec, raw spec text)`.
 fn parse_submission<'a>(
     text: &'a str,
     expect_tenant: &str,
@@ -419,8 +456,6 @@ fn parse_submission<'a>(
             tenant_ok = v == expect_tenant;
         } else if let Some(v) = line.strip_prefix("priority=") {
             priority = clamp_priority(v.parse().ok()?);
-        } else if line == SUBMISSION_MAGIC {
-            // Persisted files carry the magic; wire payloads do not.
         }
     }
     if !found_spec || !tenant_ok {
@@ -455,7 +490,9 @@ pub struct Server {
 
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shared").field("dir", &self.dir).finish()
+        f.debug_struct("Shared")
+            .field("dir", &self.journal.path())
+            .finish()
     }
 }
 
@@ -468,12 +505,13 @@ impl Server {
     ///
     /// Propagates bind/persistence I/O failures.
     pub fn start(config: ServerConfig) -> io::Result<Self> {
-        std::fs::create_dir_all(&config.dir)?;
+        let journal = Journal::open(&config.dir).map_err(io::Error::other)?;
         let shared = Arc::new(Shared {
-            dir: config.dir.clone(),
+            journal,
             campaigns: Mutex::new(HashMap::new()),
             sched: FairScheduler::new(),
             completion_log: Mutex::new(Vec::new()),
+            failures: Mutex::new(HashMap::new()),
             telemetry: config.telemetry.clone(),
         });
         if config.start_paused {
@@ -611,8 +649,17 @@ fn error_frame(message: &str) -> Frame {
 /// and keep the connection; a malformed frame poisons stream framing,
 /// answers `error`, and closes.
 fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
+    // Every reply is one whole frame written at once; Nagle would only
+    // hold the next one back behind the peer's delayed ACK.
+    let _ = stream.set_nodelay(true);
+    // One buffered reader for the connection's lifetime: a frame header
+    // costs one read(2), not one per byte.
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::new(read_half);
     loop {
-        let frame = match read_frame(&mut stream) {
+        let frame = match read_frame(&mut reader) {
             Ok(f) => f,
             Err(WireError::Closed) | Err(WireError::Io(_)) => return,
             Err(WireError::Malformed(msg)) => {
@@ -644,7 +691,7 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, frame: &Frame) -> bool
             }
             match parse_submission(&text, &tenant) {
                 Some((priority, spec, spec_text)) => {
-                    match shared.register(&tenant, priority, &spec, spec_text) {
+                    match shared.register(&tenant, priority, &spec, spec_text, true) {
                         Ok(out) => reply(
                             stream,
                             &Frame::text(
@@ -755,12 +802,20 @@ fn handle_watch(shared: &Arc<Shared>, stream: &mut TcpStream, text: &str) -> boo
 
 fn handle_result(shared: &Shared, text: &str) -> Result<String, String> {
     let (key, state, _, total) = lookup(shared, text)?;
-    if state != CampaignState::Done {
-        return Err(format!(
-            "campaign {} is {}, result requires done",
-            key.1,
-            state.as_str()
-        ));
+    match state {
+        CampaignState::Done => {}
+        CampaignState::Failed => {
+            let failures = shared.failures.lock().expect("failure log lock");
+            let cause = failures.get(&key).map_or("cause unknown", String::as_str);
+            return Err(format!("campaign {} failed: {cause}", key.1));
+        }
+        _ => {
+            return Err(format!(
+                "campaign {} is {}, result requires done",
+                key.1,
+                state.as_str()
+            ))
+        }
     }
     let ckpt = {
         let campaigns = shared.campaigns.lock().expect("registry lock");

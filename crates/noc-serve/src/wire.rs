@@ -214,8 +214,11 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
 
 /// Reads exactly one frame from `r`.
 ///
-/// Never panics on any input. Returns [`WireError::Closed`] when the
-/// stream ends cleanly *before* the first header byte; any later
+/// The header is read a byte at a time, so on a socket `r` should be a
+/// buffered reader that lives as long as the connection: one `read(2)`
+/// then serves many frames. Never panics on any input. Returns
+/// [`WireError::Closed`] when the stream ends cleanly *before* the
+/// first header byte; any later
 /// truncation, any CRC failure, and any structural violation is
 /// [`WireError::Malformed`].
 ///

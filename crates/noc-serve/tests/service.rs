@@ -10,7 +10,8 @@
 
 use rlnoc_core::experiment::ErrorControlScheme;
 use rlnoc_core::spec::CampaignSpec;
-use rlnoc_serve::{render_result_text, Client, Server, ServerConfig};
+use rlnoc_runner::{Journal, JOURNAL_FILE};
+use rlnoc_serve::{render_result_text, Client, Server, ServerConfig, ADDR_FILE};
 use rlnoc_telemetry::Telemetry;
 use std::time::{Duration, Instant};
 
@@ -345,17 +346,130 @@ fn same_spec_under_different_tenants_runs_independently() {
     let a = client.result("alice", &id).expect("result");
     let b = client.result("bravo", &id).expect("result");
     assert_eq!(a, b, "same campaign, same bytes, per-tenant storage");
-    assert!(dir
-        .join("alice")
-        .join(&id)
-        .join("campaign.manifest")
-        .exists());
-    assert!(dir
-        .join("bravo")
-        .join(&id)
-        .join("campaign.manifest")
-        .exists());
 
+    // Each tenant's task record is its own, keyed by tenant scope. A
+    // handle opened in this process shares the server's journal, and a
+    // campaign it already holds is opened without appending anything.
+    let journal = Journal::open(&dir).expect("journal");
+    let fingerprint = spec.to_campaign().expect("valid").fingerprint();
+    let alice = journal.campaign("alice", fingerprint, 1).expect("alice");
+    let bravo = journal.campaign("bravo", fingerprint, 1).expect("bravo");
+    let carol = journal.campaign("carol", fingerprint, 1).expect("carol");
+    assert!(alice.load(0).is_some());
+    assert_eq!(alice.load(0), bravo.load(0));
+    assert_eq!(carol.load(0), None, "no record under a third tenant");
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn the_data_dir_holds_two_files_whatever_the_campaign_count() {
+    let (server, addr, dir) = start("two-files", 1, true);
+    let mut clients = [
+        Client::connect(&addr).expect("connect"),
+        Client::connect(&addr).expect("connect"),
+    ];
+    for n in 0..200u64 {
+        let (tenant, client) = if n % 2 == 0 {
+            ("alice", &mut clients[0])
+        } else {
+            ("bravo", &mut clients[1])
+        };
+        client
+            .submit(tenant, 1, &CampaignSpec::tiny(20_000 + n).to_text())
+            .expect("submit");
+    }
+    server.resume();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !server.all_final() {
+        assert!(Instant::now() < deadline, "backlog did not drain");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(server
+        .statuses()
+        .iter()
+        .all(|s| s.state == rlnoc_serve::CampaignState::Done));
+
+    let mut entries: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list data dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    entries.sort();
+    assert_eq!(entries, [JOURNAL_FILE, ADDR_FILE]);
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_task_that_cannot_be_persisted_fails_its_campaign_and_nothing_else() {
+    // One worker: if a failing task took its worker down, nothing would
+    // ever run again.
+    let (server, addr, dir) = start("task-failure", 1, true);
+    let mut client = Client::connect(&addr).expect("connect");
+
+    // An RL task saves its policy under `<dir>/alice/<id>/`; a file where
+    // that directory must go makes the task's persistence fail.
+    std::fs::write(dir.join("alice"), b"in the way").expect("plant a file");
+    let mut campaign = CampaignSpec::tiny(90).to_campaign().expect("valid");
+    campaign.schemes = vec![ErrorControlScheme::ProposedRl];
+    campaign.pretrain_cycles = 300;
+    let doomed = CampaignSpec::from_campaign(&campaign).expect("serializable");
+    let doomed_id = doomed.campaign_id().expect("id");
+    let healthy = CampaignSpec::tiny(91);
+    let healthy_id = healthy.campaign_id().expect("id");
+    client
+        .submit("alice", 1, &doomed.to_text())
+        .expect("submit");
+    client
+        .submit("alice", 1, &healthy.to_text())
+        .expect("submit");
+    server.resume();
+
+    wait_done(&mut client, "alice", &healthy_id);
+    let status = client.status("alice", &doomed_id).expect("status");
+    assert_eq!((status.state.as_str(), status.completed), ("failed", 0));
+    let err = client.result("alice", &doomed_id).unwrap_err().to_string();
+    assert!(
+        err.contains("failed") && err.contains("task 0"),
+        "the error names the cause: {err}"
+    );
+    let served = client.result("alice", &healthy_id).expect("result");
+    let standalone = healthy.to_campaign().expect("valid").run();
+    assert_eq!(served, render_result_text(&standalone.reports));
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_journal_that_cannot_be_written_refuses_submissions_with_an_error_frame() {
+    // `/dev/full` opens fine and fails every write with ENOSPC.
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let dir = temp_dir("enospc");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::os::unix::fs::symlink("/dev/full", dir.join(JOURNAL_FILE)).expect("symlink");
+    let server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        jobs: 1,
+        dir: dir.clone(),
+        telemetry: Telemetry::enabled(),
+        start_paused: false,
+    })
+    .expect("an empty journal starts");
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let err = client
+        .submit("alice", 1, &CampaignSpec::tiny(5).to_text())
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("campaign storage"), "{err}");
+    let err = client
+        .status("alice", &CampaignSpec::tiny(5).campaign_id().expect("id"))
+        .unwrap_err();
+    assert!(err.to_string().contains("unknown campaign"), "{err}");
     server.stop();
     let _ = std::fs::remove_dir_all(dir);
 }
