@@ -183,6 +183,17 @@ impl HardFaultSchedule {
     /// met (small networks saturate quickly), the schedule carries as
     /// many faults as could be placed.
     ///
+    /// The filter is checked locally. Invariant: the live graph is
+    /// connected before each candidate (it starts whole, and only
+    /// candidates that keep it connected stay applied). Deleting an edge
+    /// from a connected graph leaves it connected iff the edge's
+    /// endpoints stay connected; deleting a vertex does iff its
+    /// neighbours stay mutually reachable, because every surviving path
+    /// to the vertex ends at one of them. So a candidate costs a
+    /// breadth-first search that stops once those nodes are found, not
+    /// a sweep of the whole network. Debug builds compare every answer
+    /// with the whole-graph search.
+    ///
     /// On plain 2D meshes the draw sequence is unchanged from the
     /// pre-zoo generator, so every historical `(mesh, seed)` pair
     /// reproduces its original schedule byte for byte.
@@ -205,6 +216,7 @@ impl HardFaultSchedule {
         let mut node_dead = vec![false; n];
         let mut link_dead = vec![[false; MAX_PORTS]; n];
         let mut faults: Vec<HardFault> = Vec::new();
+        let mut reach = LocalReach::new(n);
         // Routers first: each removal constrains links far more than the
         // reverse, so placing the big cuts early wastes fewer redraws.
         let quotas = [
@@ -242,7 +254,13 @@ impl HardFaultSchedule {
                 };
                 // Tentatively apply, test connectivity, roll back on cut.
                 apply(&candidate, &mut node_dead, &mut link_dead, topo);
-                if connected(&node_dead, &link_dead, topo) {
+                let survives = reach.survives(&candidate, &node_dead, &link_dead, topo);
+                debug_assert_eq!(
+                    survives,
+                    connected(&node_dead, &link_dead, topo),
+                    "local connectivity check disagrees with the whole graph on {candidate:?}",
+                );
+                if survives {
                     faults.push(candidate);
                     placed += 1;
                 } else {
@@ -413,7 +431,9 @@ impl HardFaultSchedule {
             .and_then(|l| l.strip_prefix("events="))
             .and_then(|c| c.parse().ok())
             .ok_or_else(|| ParseScheduleError("expected `events=N`".into()))?;
-        let mut entries = Vec::with_capacity(count);
+        // `count` is outside input: nothing is sized from it, and a count
+        // above the lines present fails at the first missing line.
+        let mut entries = Vec::new();
         for _ in 0..count {
             let line = lines
                 .next()
@@ -545,6 +565,103 @@ fn connected(node_dead: &[bool], link_dead: &[[bool; MAX_PORTS]], topo: Topo) ->
     reached == node_dead.iter().filter(|&&d| !d).count()
 }
 
+/// The local connectivity check of [`HardFaultSchedule::random`]. Its
+/// visited array is stamped with a per-search epoch and its queue is
+/// cleared, not dropped, so one instance serves every candidate of a
+/// draw without allocating.
+struct LocalReach {
+    /// `seen[v] == epoch` marks `v` as reached by the current search.
+    seen: Vec<u32>,
+    epoch: u32,
+    queue: Vec<u16>,
+}
+
+impl LocalReach {
+    fn new(n: usize) -> Self {
+        Self {
+            seen: vec![0; n],
+            epoch: 0,
+            queue: Vec::new(),
+        }
+    }
+
+    /// Whether the live graph, connected before the already applied
+    /// `fault`, is still connected: a dead link's endpoints, or a dead
+    /// router's neighbours, must still reach one another. A router
+    /// candidate's neighbours and links are all live (the draw skips
+    /// routers touching earlier damage).
+    fn survives(
+        &mut self,
+        fault: &HardFault,
+        node_dead: &[bool],
+        link_dead: &[[bool; MAX_PORTS]],
+        topo: Topo,
+    ) -> bool {
+        // The nodes that must stay mutually reachable, without repeats
+        // (a 2-wide torus reaches one neighbour by two links).
+        let mut ends = [0u16; MAX_PORTS];
+        let mut k = 0;
+        match *fault {
+            HardFault::Link { node, dir } => {
+                let peer = topo
+                    .neighbor(NodeId(node), dir)
+                    .expect("candidate link exists");
+                ends[..2].copy_from_slice(&[node, peer.0]);
+                k = 2;
+            }
+            HardFault::Router { node } => {
+                for &dir in topo.compass() {
+                    if let Some(peer) = topo.neighbor(NodeId(node), dir) {
+                        if !ends[..k].contains(&peer.0) {
+                            ends[k] = peer.0;
+                            k += 1;
+                        }
+                    }
+                }
+            }
+        }
+        let [from, ref targets @ ..] = ends[..k] else {
+            return true;
+        };
+        let mut left = targets.len();
+        if left == 0 {
+            return true;
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        self.seen[usize::from(from)] = self.epoch;
+        self.queue.clear();
+        self.queue.push(from);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            for &dir in topo.compass() {
+                if link_dead[usize::from(u)][dir.index()] {
+                    continue;
+                }
+                let Some(v) = topo.neighbor(NodeId(u), dir) else {
+                    continue;
+                };
+                if node_dead[v.index()] || self.seen[v.index()] == self.epoch {
+                    continue;
+                }
+                self.seen[v.index()] = self.epoch;
+                if targets.contains(&v.0) {
+                    left -= 1;
+                    if left == 0 {
+                        return true;
+                    }
+                }
+                self.queue.push(v.0);
+            }
+        }
+        false
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -664,6 +781,81 @@ mod tests {
     }
 
     #[test]
+    fn random_schedule_bytes_are_pinned() {
+        // `crc=` trailers of `to_text()`, recorded from the whole-graph
+        // filter: any change to the draw sequence or to an accept/reject
+        // decision moves one.
+        let cases = [
+            // The benchmark's `fault_churn_torus16` draw.
+            (
+                "torus:16x16",
+                40,
+                2,
+                (600, 6_400),
+                2019 ^ 0xFA17,
+                "crc=5459e952",
+            ),
+            // Saturating: far more than a 2x2 mesh can lose.
+            ("2x2", 50, 2, (0, 10), 7, "crc=fbf80963"),
+            ("3d:4x4x2", 12, 2, (1, 1_000), 11, "crc=f844291b"),
+            ("ftorus:8x8", 20, 2, (1, 1_000), 5, "crc=4d8e675b"),
+            ("8x8", 200, 20, (1, 1_000), 3, "crc=bf1f30c5"),
+            ("32x32", 160, 8, (1, 1_000), 2019, "crc=0ccfdb03"),
+        ];
+        let got: Vec<String> = cases
+            .iter()
+            .map(|&(topo, links, routers, window, seed, _)| {
+                let topo = Topo::parse(topo).expect("zoo encoding");
+                let text = HardFaultSchedule::random(topo, links, routers, window, seed).to_text();
+                text.lines().last().expect("trailer line").to_string()
+            })
+            .collect();
+        let want: Vec<&str> = cases.iter().map(|c| c.5).collect();
+        assert_eq!(got, want);
+    }
+
+    /// Draws on every `topos` member over `seeds` seeds, from a light
+    /// quota up to one no network can hold. Debug builds check every
+    /// candidate's local answer against the whole-graph search inside
+    /// `random`; any build checks the schedule that comes out.
+    fn sweep(topos: &[Topo], seeds: u64) {
+        for &topo in topos {
+            let n = topo.num_nodes();
+            for (links, routers) in [(n / 8, n / 64 + 1), (n / 2, n / 16 + 1), (2 * n, n / 4)] {
+                for seed in 0..seeds {
+                    let s = HardFaultSchedule::random(topo, links, routers, (1, 1_000), seed);
+                    s.validate().expect("random schedules are valid");
+                    assert!(s.leaves_connected(), "{topo:?} seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn random_filter_holds_across_the_zoo() {
+        sweep(
+            &[
+                Mesh::new(2, 2).into(),
+                Mesh::new(3, 5).into(),
+                Mesh::new(4, 4).into(),
+                Mesh::new(8, 8).into(),
+                Torus::new(2, 2).into(),
+                Torus::new(8, 8).into(),
+                Torus::new(16, 16).into(),
+                FoldedTorus::new(8, 8).into(),
+                Mesh3d::new(4, 4, 2).into(),
+            ],
+            12,
+        );
+    }
+
+    #[test]
+    #[ignore = "the largest zoo members; a debug build arms the whole-graph oracle"]
+    fn random_filter_holds_on_the_largest_zoo_members() {
+        sweep(&[Mesh::new(32, 32).into(), Mesh3d::new(8, 8, 4).into()], 8);
+    }
+
+    #[test]
     fn random_saturates_gracefully_on_tiny_meshes() {
         // A 2x2 mesh has 4 links and loses connectivity fast; asking for
         // far more faults than fit must terminate with fewer entries.
@@ -715,6 +907,19 @@ mod tests {
                 "truncation to {cut}/{} bytes must not parse",
                 text.len(),
             );
+        }
+    }
+
+    #[test]
+    fn a_hostile_event_count_is_an_error_not_an_allocation() {
+        // CRC-valid headers whose count would size a `Vec` of 16 B ×
+        // 2⁶⁴ (overflow) or of 1.6 TB (abort) before any line is read.
+        for count in ["18446744073709551615", "100000000000"] {
+            let body = format!("{MAGIC}\nmesh=4x4\nevents={count}\n20 link 5 E\n");
+            let crc = Crc32::new().checksum(body.as_bytes());
+            let err =
+                HardFaultSchedule::from_text(&format!("{body}crc={crc:08x}\n")).expect_err(count);
+            assert!(err.0.contains("fewer event lines"), "{err}");
         }
     }
 

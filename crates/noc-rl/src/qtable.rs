@@ -15,6 +15,14 @@ use serde::{Deserialize, Serialize};
 /// bytes, 1.5 KiB.
 const PAGE_STATES: usize = 32;
 
+/// The largest state count a persisted table may declare. [`QTable::load`]
+/// and `PolicySnapshot::read` reject a larger one before allocating
+/// anything. It is above every space the tree builds: the paper's
+/// 10 000 states, 30 000 with three fault-degree bins, and 6⁶ = 46 656
+/// in the bin-granularity ablation. A table of this size has a 16 KiB
+/// page directory.
+pub const MAX_STATES: usize = 1 << 16;
+
 /// One state's action values and per-action update counts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Row {
@@ -614,7 +622,8 @@ impl QTable {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseQTableError`] on malformed input.
+    /// Returns [`ParseQTableError`] on malformed input, including a
+    /// state count above [`MAX_STATES`].
     pub fn load<R: std::io::BufRead>(reader: R) -> Result<Self, ParseQTableError> {
         let err = |line: usize, message: String| ParseQTableError { line, message };
         let mut lines = reader.lines().enumerate();
@@ -629,6 +638,12 @@ impl QTable {
             .and_then(|v| v.parse().ok())
             .filter(|&n| n > 0)
             .ok_or_else(|| err(1, "bad state count".into()))?;
+        if num_states > MAX_STATES {
+            return Err(err(
+                1,
+                format!("state count {num_states} above the {MAX_STATES}-state cap"),
+            ));
+        }
         let updates: u64 = parts
             .next()
             .and_then(|v| v.parse().ok())
@@ -728,6 +743,17 @@ mod persist_tests {
             let text = format!("qtable 4 1\n0 0 0 0 0 1 0 0 0\n3 0 0 {bad} 0 0 0 1 0\n");
             assert_eq!(line_of(&text), 3, "{bad}");
         }
+    }
+
+    #[test]
+    fn a_state_count_above_the_cap_is_refused_before_allocating() {
+        for count in [MAX_STATES + 1, usize::MAX] {
+            let e = QTable::load(format!("qtable {count} 0\n").as_bytes()).expect_err("above cap");
+            assert_eq!(e.line, 1);
+            assert!(e.message.contains("65536-state cap"), "{}", e.message);
+        }
+        let at_cap = QTable::load(format!("qtable {MAX_STATES} 0\n").as_bytes()).expect("at cap");
+        assert_eq!(at_cap.num_states(), MAX_STATES);
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! assert_eq!(restored, snap);
 //! ```
 
-use crate::qtable::QTable;
+use crate::qtable::{QTable, MAX_STATES};
 use noc_coding::crc::Crc32;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
@@ -55,6 +55,10 @@ use std::path::Path;
 /// The newest snapshot format version this build writes and reads.
 /// Fault-blind banks are still written as v1 (see the module docs).
 pub const FORMAT_VERSION: u32 = 2;
+
+/// The largest `agents=` a snapshot may declare: one table per router,
+/// and `noc-topo` caps a network at 65 536 nodes (`u16` node ids).
+pub const MAX_AGENTS: usize = 1 << 16;
 
 /// A persisted bank of per-router Q-tables.
 #[derive(Debug, Clone, PartialEq)]
@@ -280,6 +284,19 @@ impl PolicySnapshot {
         if num_agents == 0 || num_states == 0 || fault_bins == 0 {
             return Err(corrupt(1, "empty bank".into()));
         }
+        // Both counts size allocations below: bound them first.
+        if num_agents > MAX_AGENTS {
+            return Err(corrupt(
+                1,
+                format!("agents={num_agents} above the {MAX_AGENTS}-agent cap"),
+            ));
+        }
+        if num_states > MAX_STATES {
+            return Err(corrupt(
+                1,
+                format!("states={num_states} above the {MAX_STATES}-state cap"),
+            ));
+        }
         if version == 2 && fault_bins == 1 {
             return Err(corrupt(1, "fault-blind bank must use format v1".into()));
         }
@@ -303,18 +320,28 @@ impl PolicySnapshot {
                 section.push_str(line);
                 section.push('\n');
             }
-            // The section starts on the line after its `agent` line.
+            // The section starts on the line after its `agent` line with
+            // `qtable <s> <updates>`, tokenized as `QTable::load` does;
+            // `<s>` must match the bank before a table is sized from it.
+            let mut head = section
+                .lines()
+                .next()
+                .unwrap_or_default()
+                .split_whitespace();
+            if let (Some("qtable"), Some(Ok(states))) =
+                (head.next(), head.next().map(str::parse::<usize>))
+            {
+                if states != num_states {
+                    return Err(corrupt(
+                        n + 2,
+                        format!(
+                            "agent {expect}: qtable {states}, bank header says states={num_states}"
+                        ),
+                    ));
+                }
+            }
             let table = QTable::load(section.as_bytes())
                 .map_err(|e| corrupt(n + 1 + e.line, format!("agent {expect}: {}", e.message)))?;
-            if table.num_states() != num_states {
-                return Err(corrupt(
-                    n + 1,
-                    format!(
-                        "agent {expect} has {} states, bank header says {num_states}",
-                        table.num_states()
-                    ),
-                ));
-            }
             tables.push(table);
         }
         match lines.next() {
@@ -451,6 +478,42 @@ mod tests {
                     assert!(message.starts_with("agent 1: "), "{message}");
                 }
                 other => panic!("expected a corrupt row, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_counts_are_refused_before_allocating() {
+        // Each header carries a valid CRC; each count would otherwise
+        // size an allocation of terabytes or more.
+        for (text, line, bound) in [
+            (
+                "rlnoc-policy v1 agents=1000000000000 states=4\nagent 0\nqtable 4 0\nend\n",
+                1,
+                "above the 65536-agent cap",
+            ),
+            (
+                "rlnoc-policy v1 agents=1 states=18446744073709551615\nagent 0\nqtable 4 0\nend\n",
+                1,
+                "above the 65536-state cap",
+            ),
+            (
+                "rlnoc-policy v1 agents=1 states=4\nagent 0\nqtable 18446744073709551615 0\nend\n",
+                3,
+                "bank header says states=4",
+            ),
+            (
+                "rlnoc-policy v1 agents=2 states=4\nagent 0\nqtable 4 0\nagent 1\nqtable 70000 0\nend\n",
+                5,
+                "agent 1: qtable 70000, bank header says states=4",
+            ),
+        ] {
+            match PolicySnapshot::read(with_crc(text).as_slice()) {
+                Err(SnapshotError::Corrupt { line: got, message }) => {
+                    assert_eq!(got, line, "{message}");
+                    assert!(message.contains(bound), "{message}");
+                }
+                other => panic!("expected a refused count, got {other:?}"),
             }
         }
     }
