@@ -80,6 +80,25 @@ impl WorkloadProfile {
         ]
     }
 
+    /// The profile called `name`, built alone: looking one name up does
+    /// not build the other ten.
+    pub fn by_name(name: &str) -> Option<Self> {
+        Some(match name {
+            "blackscholes" => Self::blackscholes(),
+            "bodytrack" => Self::bodytrack(),
+            "canneal" => Self::canneal(),
+            "dedup" => Self::dedup(),
+            "ferret" => Self::ferret(),
+            "fluidanimate" => Self::fluidanimate(),
+            "freqmine" => Self::freqmine(),
+            "streamcluster" => Self::streamcluster(),
+            "swaptions" => Self::swaptions(),
+            "vips" => Self::vips(),
+            "x264" => Self::x264(),
+            _ => return None,
+        })
+    }
+
     /// `blackscholes` — embarrassingly parallel option pricing: light,
     /// steady, uniform traffic.
     pub fn blackscholes() -> Self {
@@ -398,6 +417,15 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 11);
+    }
+
+    #[test]
+    fn by_name_finds_exactly_the_listed_profiles() {
+        for w in WorkloadProfile::all() {
+            assert_eq!(WorkloadProfile::by_name(w.name), Some(w));
+        }
+        assert_eq!(WorkloadProfile::by_name("no-such-workload"), None);
+        assert_eq!(WorkloadProfile::by_name("Canneal"), None);
     }
 
     #[test]

@@ -144,6 +144,33 @@ impl Campaign {
         tasks
     }
 
+    /// How many tasks [`tasks`](Self::tasks) lists.
+    pub fn task_count(&self) -> usize {
+        self.replicates.max(1) * self.workloads.len() * self.schemes.len()
+    }
+
+    /// Task `index` of [`tasks`](Self::tasks), derived directly: its
+    /// seed is drawn without building the rest of the list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below [`task_count`](Self::task_count).
+    pub fn task(&self, index: usize) -> CampaignTask {
+        assert!(
+            index < self.task_count(),
+            "task {index} of a {}-task campaign",
+            self.task_count()
+        );
+        let cell = index / self.schemes.len();
+        CampaignTask {
+            index,
+            replicate: cell / self.workloads.len(),
+            workload: cell % self.workloads.len(),
+            scheme: self.schemes[index % self.schemes.len()],
+            seed: rand::seed_stream(self.seed, cell as u64),
+        }
+    }
+
     /// Builds the fully configured experiment for one task.
     ///
     /// # Panics
@@ -446,6 +473,36 @@ mod tests {
         cell_seeds.sort_unstable();
         cell_seeds.dedup();
         assert_eq!(cell_seeds.len(), 4, "4 cells, 4 distinct seeds");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn task_by_index_equals_the_enumerated_list(
+            schemes in 1usize..5,
+            workloads in 1usize..12,
+            replicates in 0usize..6,
+            seed: u64
+        ) {
+            let c = Campaign {
+                schemes: ErrorControlScheme::ALL[..schemes].to_vec(),
+                workloads: WorkloadProfile::all()[..workloads].to_vec(),
+                seed,
+                replicates,
+                ..Campaign::quick()
+            };
+            let listed = c.tasks();
+            proptest::prop_assert_eq!(listed.len(), c.task_count());
+            let direct: Vec<CampaignTask> = (0..c.task_count()).map(|i| c.task(i)).collect();
+            proptest::prop_assert_eq!(direct, listed);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "task 4 of a 4-task campaign")]
+    fn task_past_the_grid_panics() {
+        let mut c = Campaign::quick();
+        c.workloads.truncate(1);
+        let _ = c.task(4);
     }
 
     #[test]

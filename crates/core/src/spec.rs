@@ -60,7 +60,7 @@ impl std::error::Error for SpecError {}
 pub struct CampaignSpec {
     /// Schemes to compare, in run order (non-empty, no duplicates).
     pub schemes: Vec<ErrorControlScheme>,
-    /// Workload names, resolved against [`WorkloadProfile::all`].
+    /// Workload names, resolved with [`WorkloadProfile::by_name`].
     pub workloads: Vec<String>,
     /// Topology of the grid (projection dimensions ≥ 2).
     pub topo: Topo,
@@ -177,6 +177,12 @@ impl CampaignSpec {
     ///
     /// [`SpecError`] naming the first violated constraint.
     pub fn validate(&self) -> Result<(), SpecError> {
+        self.resolve_workloads().map(drop)
+    }
+
+    /// Checks the spec and builds its workload profiles, each named one
+    /// once.
+    fn resolve_workloads(&self) -> Result<Vec<WorkloadProfile>, SpecError> {
         if self.schemes.is_empty() {
             return Err(SpecError("at least one scheme required".into()));
         }
@@ -200,20 +206,20 @@ impl CampaignSpec {
         if self.measure_cycles == Some(0) {
             return Err(SpecError("measure cap must be positive".into()));
         }
-        let known = WorkloadProfile::all();
-        for name in &self.workloads {
-            match known.iter().find(|w| w.name == name.as_str()) {
-                None => return Err(SpecError(format!("unknown workload `{name}`"))),
-                Some(w) if !w.fits_mesh(self.topo) => {
+        self.workloads
+            .iter()
+            .map(|name| {
+                let w = WorkloadProfile::by_name(name)
+                    .ok_or_else(|| SpecError(format!("unknown workload `{name}`")))?;
+                if !w.fits_mesh(self.topo) {
                     return Err(SpecError(format!(
                         "workload `{name}` references nodes outside a {} topology",
                         self.topo.encode()
                     )));
                 }
-                Some(_) => {}
-            }
-        }
-        Ok(())
+                Ok(w)
+            })
+            .collect()
     }
 
     /// Resolves the spec into a runnable [`Campaign`] (telemetry
@@ -223,19 +229,7 @@ impl CampaignSpec {
     ///
     /// Validation errors, as [`validate`](Self::validate).
     pub fn to_campaign(&self) -> Result<Campaign, SpecError> {
-        self.validate()?;
-        let known = WorkloadProfile::all();
-        let workloads = self
-            .workloads
-            .iter()
-            .map(|name| {
-                known
-                    .iter()
-                    .find(|w| w.name == name.as_str())
-                    .expect("validated workload")
-                    .clone()
-            })
-            .collect();
+        let workloads = self.resolve_workloads()?;
         Ok(Campaign {
             schemes: self.schemes.clone(),
             workloads,

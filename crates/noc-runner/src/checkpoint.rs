@@ -2,7 +2,7 @@
 //! directory.
 //!
 //! Every record a checkpoint directory holds goes into a single file,
-//! `<dir>/journal`, written only by appending. There are three record
+//! `<dir>/journal`, written only by appending. There are four record
 //! kinds:
 //!
 //! * `campaign` — a scope, a [`Campaign::fingerprint`] and the task
@@ -12,6 +12,9 @@
 //! * `submitted` — a tenant, the campaign id it claims, a priority and
 //!   the submitted spec text. Only `rlnoc-serve` writes these; they are
 //!   what it recovers after a restart.
+//! * `cancelled` — a tenant and the id of a campaign it cancelled. Only
+//!   `rlnoc-serve` writes these; a recovered campaign with one stays
+//!   cancelled and runs nothing.
 //! * `task` — a scope, a fingerprint, a task index and the
 //!   [`render_report`] body of that task's finished report.
 //!
@@ -333,11 +336,12 @@ pub fn parse_report(body: &str) -> Result<ExperimentReport, CheckpointError> {
     }
 }
 
-/// The three record kinds.
+/// The four record kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Campaign,
     Submitted,
+    Cancelled,
     Task,
 }
 
@@ -346,6 +350,7 @@ impl Kind {
         match self {
             Self::Campaign => "campaign",
             Self::Submitted => "submitted",
+            Self::Cancelled => "cancelled",
             Self::Task => "task",
         }
     }
@@ -354,6 +359,7 @@ impl Kind {
         Some(match token {
             "campaign" => Self::Campaign,
             "submitted" => Self::Submitted,
+            "cancelled" => Self::Cancelled,
             "task" => Self::Task,
             _ => return None,
         })
@@ -440,6 +446,8 @@ struct Index {
     tasks: HashMap<(u32, u64, u32), Extent>,
     /// Every `submitted` record, in file order.
     submitted: Vec<Extent>,
+    /// `(scope, fingerprint)` of every `cancelled` record.
+    cancelled: HashSet<(u32, u64)>,
 }
 
 impl Index {
@@ -449,6 +457,14 @@ impl Index {
         }
         self.scopes.push(Arc::from(scope));
         (self.scopes.len() - 1) as u32
+    }
+
+    /// `scope`'s id, without interning a scope no record names.
+    fn find_scope(&self, scope: &str) -> Option<u32> {
+        self.scopes
+            .iter()
+            .position(|s| &**s == scope)
+            .map(|id| id as u32)
     }
 
     /// Indexes one valid record; a record whose fields do not parse is
@@ -472,6 +488,13 @@ impl Index {
                 }
             }
             Kind::Submitted => self.submitted.push(extent),
+            Kind::Cancelled => {
+                let id = p.next_field("id").ok();
+                if let Some(fingerprint) = id.and_then(CheckpointDir::parse_namespace) {
+                    let scope = self.scope_id(scope);
+                    self.cancelled.insert((scope, fingerprint));
+                }
+            }
         }
     }
 }
@@ -706,6 +729,33 @@ impl Journal {
         })
     }
 
+    /// Appends a `cancelled` record: `tenant` cancelled its campaign
+    /// with this fingerprint.
+    ///
+    /// # Errors
+    ///
+    /// A failed append.
+    pub fn cancel(&self, tenant: &str, fingerprint: u64) -> Result<(), CheckpointError> {
+        let payload = format!(
+            "scope {tenant}\nid {}\n",
+            CheckpointDir::namespace(fingerprint)
+        );
+        self.append(Kind::Cancelled, &payload, |index, _| {
+            let scope = index.scope_id(tenant);
+            index.cancelled.insert((scope, fingerprint));
+        })
+    }
+
+    /// Whether the journal holds a `cancelled` record for `tenant`'s
+    /// campaign with this fingerprint.
+    pub fn is_cancelled(&self, tenant: &str, fingerprint: u64) -> bool {
+        let state = self.state.lock().expect("journal lock");
+        let index = &state.index;
+        index
+            .find_scope(tenant)
+            .is_some_and(|scope| index.cancelled.contains(&(scope, fingerprint)))
+    }
+
     /// Every readable `submitted` record, in the order they were
     /// appended.
     pub fn submissions(&self) -> Vec<Submission> {
@@ -756,6 +806,15 @@ impl CheckpointDir {
     /// which is also the campaign id used by `rlnoc-serve`.
     pub fn namespace(fingerprint: u64) -> String {
         format!("c-{fingerprint:016x}")
+    }
+
+    /// The fingerprint a [`namespace`](Self::namespace) names; `None`
+    /// for anything `namespace` does not render.
+    pub fn parse_namespace(name: &str) -> Option<u64> {
+        let hex = name.strip_prefix("c-")?;
+        let canonical =
+            hex.len() == 16 && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+        canonical.then(|| u64::from_str_radix(hex, 16).ok())?
     }
 
     /// The directory this campaign's per-task files (RL policy
@@ -1020,6 +1079,40 @@ mod tests {
         let journal = Journal::open(&dir).expect("reopen");
         assert_eq!(journal.submissions(), vec![submission]);
         fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn cancellations_are_keyed_by_scope_and_survive_a_reopen() {
+        let dir = temp_dir("cancelled");
+        {
+            let journal = Journal::open(&dir).expect("open");
+            assert!(!journal.is_cancelled("alice", 0xff));
+            journal.cancel("alice", 0xff).expect("cancel");
+            assert!(journal.is_cancelled("alice", 0xff));
+        }
+        let journal = Journal::open(&dir).expect("reopen");
+        assert!(journal.is_cancelled("alice", 0xff));
+        assert!(!journal.is_cancelled("bravo", 0xff), "another tenant's");
+        assert!(!journal.is_cancelled("alice", 0xfe), "another campaign");
+        assert!(journal.submissions().is_empty());
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn namespaces_parse_back_only_in_canonical_form() {
+        for fingerprint in [0, 0xff, u64::MAX] {
+            let name = CheckpointDir::namespace(fingerprint);
+            assert_eq!(CheckpointDir::parse_namespace(&name), Some(fingerprint));
+        }
+        for name in [
+            "c-00000000000000FF",
+            "c-ff",
+            "c-+0000000000000ff",
+            "d-00000000000000ff",
+            "c-00000000000000ff ",
+        ] {
+            assert_eq!(CheckpointDir::parse_namespace(name), None, "{name}");
+        }
     }
 
     #[test]

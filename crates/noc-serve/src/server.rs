@@ -12,12 +12,15 @@
 //!    journal (`<dir>/journal`, [`Journal`]) gains the campaign's
 //!    `campaign` record and a `submitted` record holding the tenant,
 //!    the id, the priority and the spec text.
-//! 3. The campaign's tasks enter the deficit-round-robin scheduler
-//!    under the tenant's priority; [`ServicePool`] workers pull tasks
-//!    across campaigns and tenants in fair-share order and execute each
-//!    with [`execute_task`] — the exact unit `rlnoc-runner` uses, so
-//!    every checkpoint, policy snapshot, and final report is
-//!    byte-identical to a standalone runner invocation.
+//! 3. The campaign takes a slot in the registry: a dense entry holding
+//!    the spec, the interned tenant, the fingerprint and its counters,
+//!    indexed by `(tenant, fingerprint)`. Its tasks enter the
+//!    deficit-round-robin scheduler as `(slot, task index)` pairs under
+//!    the tenant's priority; [`ServicePool`] workers pull tasks across
+//!    campaigns and tenants in fair-share order, resolve the spec for
+//!    each, and execute it with [`execute_task`] — the exact unit
+//!    `rlnoc-runner` uses, so every checkpoint, policy snapshot, and
+//!    final report is byte-identical to a standalone runner invocation.
 //! 4. A completed task's record is appended to the journal, scoped by
 //!    tenant, before the in-memory completion count advances, so
 //!    persistence always leads visibility. A task whose record cannot
@@ -27,16 +30,20 @@
 //!    restart the server reads every `submitted` record back, reloads
 //!    valid task records, re-queues only the missing tasks, and
 //!    re-serves finished campaigns' results straight from disk.
+//! 6. A `cancel` appends a `cancelled` record before it is
+//!    acknowledged, so a cancelled campaign comes back cancelled after
+//!    a restart and none of its tasks run again.
 //!
 //! Subscribers (`watch`) receive per-epoch telemetry for tasks that
 //! execute while they are attached, as schema-v1 JSONL lines rendered
 //! by `rlnoc-telemetry`'s exporter, plus `{"type":"task"}` progress
 //! lines. Telemetry is observation-only by the workspace's proven
 //! contract, so attaching a watcher cannot change any result byte.
+//!
+//! [`Campaign`]: rlnoc_core::campaign::Campaign
 
 use crate::sched::{clamp_priority, FairScheduler};
 use crate::wire::{payload_field, read_frame, write_frame, Frame, FrameType, WireError};
-use rlnoc_core::campaign::{Campaign, CampaignTask};
 use rlnoc_core::experiment::ExperimentReport;
 use rlnoc_core::spec::CampaignSpec;
 use rlnoc_runner::{execute_task, CheckpointDir, Job, JobSource, Journal, ServicePool};
@@ -94,7 +101,7 @@ impl CampaignState {
 /// Renders the canonical result text for a sequence of task reports —
 /// what a `result` request returns. Built from the runner's stable
 /// report serialization, so a service result is byte-comparable to a
-/// standalone [`Campaign::run`]:
+/// standalone [`Campaign::run`](rlnoc_core::campaign::Campaign::run):
 ///
 /// ```text
 /// task 0
@@ -164,28 +171,81 @@ pub struct CampaignStatus {
     pub latency: Option<Duration>,
 }
 
-type Key = (String, String); // (tenant, campaign id)
-
+/// One registered campaign. Everything it needs to run is derived again
+/// from `spec` per task; the entry itself holds only identity, counters
+/// and lifecycle.
 struct Entry {
+    /// Owning tenant: a position in [`Registry::tenants`].
+    tenant: u32,
+    fingerprint: u64,
     priority: u32,
-    campaign: Campaign,
-    ckpt: Arc<CheckpointDir>,
-    total: usize,
-    completed: usize,
+    total: u32,
+    completed: u32,
     state: CampaignState,
+    /// The submitted spec — what the journal records and what the
+    /// campaign's identity and tasks are derived from.
+    spec: CampaignSpec,
     submitted: Instant,
     finished: Option<Instant>,
     subscribers: Vec<mpsc::Sender<String>>,
+    /// Why a [`CampaignState::Failed`] campaign failed.
+    failure: Option<Box<str>>,
+}
+
+/// Every campaign the server has registered, addressed by slot: a
+/// position in `entries`. Entries are never removed, so a slot stays
+/// valid for the server's lifetime.
+#[derive(Default)]
+struct Registry {
+    /// Interned tenant names; an entry's `tenant` is a position here.
+    tenants: Vec<Arc<str>>,
+    /// `(tenant, fingerprint)` → slot.
+    index: HashMap<(u32, u64), u32>,
+    entries: Vec<Entry>,
+    /// Slots in the order their campaigns finished (fairness evidence).
+    completion_log: Vec<u32>,
+}
+
+impl Registry {
+    fn find_tenant(&self, name: &str) -> Option<u32> {
+        self.tenants
+            .iter()
+            .position(|t| &**t == name)
+            .map(|id| id as u32)
+    }
+
+    fn tenant_id(&mut self, name: &str) -> u32 {
+        self.find_tenant(name).unwrap_or_else(|| {
+            self.tenants.push(Arc::from(name));
+            (self.tenants.len() - 1) as u32
+        })
+    }
+
+    /// The slot of `tenant`'s campaign `fingerprint`.
+    fn slot(&self, tenant: &str, fingerprint: u64) -> Option<u32> {
+        let tenant = self.find_tenant(tenant)?;
+        self.index.get(&(tenant, fingerprint)).copied()
+    }
+
+    /// The slot a request's `tenant=` and `campaign=` fields name.
+    fn find(&self, tenant: &str, id: &str) -> Option<u32> {
+        self.slot(tenant, CheckpointDir::parse_namespace(id)?)
+    }
+
+    /// `(tenant, campaign id)` of `entry`, rendered.
+    fn names(&self, entry: &Entry) -> (String, String) {
+        (
+            self.tenants[entry.tenant as usize].to_string(),
+            CheckpointDir::namespace(entry.fingerprint),
+        )
+    }
 }
 
 struct Shared {
     journal: Arc<Journal>,
-    campaigns: Mutex<HashMap<Key, Entry>>,
-    sched: FairScheduler<(Key, CampaignTask)>,
-    /// Tenant/campaign pairs in completion order (fairness evidence).
-    completion_log: Mutex<Vec<Key>>,
-    /// Why each [`CampaignState::Failed`] campaign failed.
-    failures: Mutex<HashMap<Key, String>>,
+    registry: Mutex<Registry>,
+    /// Queued tasks as `(slot, task index)`.
+    sched: FairScheduler<(u32, u32)>,
     telemetry: Telemetry,
 }
 
@@ -202,108 +262,143 @@ pub struct SubmitOutcome {
     pub state: CampaignState,
 }
 
+/// Where a registration comes from.
+enum Admission<'a> {
+    /// A `submit` frame carrying this spec text, journaled before the
+    /// submission is acknowledged.
+    Submit(&'a str),
+    /// A `submitted` record read back on restart; `cancelled` when the
+    /// journal also holds the campaign's `cancelled` record.
+    Recover { cancelled: bool },
+}
+
 impl Shared {
     /// Registers a parsed submission: opens its view of the journal,
-    /// appends its `submitted` record when `persist` is set (a
-    /// recovered submission already has one), restores any completed
-    /// tasks, and enqueues the missing ones. Resubmitting an identical
+    /// appends its `submitted` record for a new [`Admission::Submit`],
+    /// restores any completed tasks, and enqueues the missing ones
+    /// unless the campaign was cancelled. Resubmitting an identical
     /// spec deduplicates onto the existing entry and appends nothing.
     fn register(
         &self,
         tenant: &str,
         priority: u32,
-        spec: &CampaignSpec,
-        spec_text: &str,
-        persist: bool,
+        mut spec: CampaignSpec,
+        admission: Admission<'_>,
     ) -> Result<SubmitOutcome, String> {
         let campaign = spec.to_campaign().map_err(|e| e.to_string())?;
         let fingerprint = campaign.fingerprint();
-        let id = format!("c-{fingerprint:016x}");
-        let key: Key = (tenant.to_string(), id.clone());
-        let tasks = campaign.tasks();
-        let total = tasks.len();
+        let id = CheckpointDir::namespace(fingerprint);
+        let total = u32::try_from(campaign.task_count())
+            .map_err(|_| "campaign has too many tasks".to_string())?;
 
-        let mut campaigns = self.campaigns.lock().expect("registry lock");
-        if let Some(entry) = campaigns.get(&key) {
+        let mut registry = self.registry.lock().expect("registry lock");
+        if let Some(slot) = registry.slot(tenant, fingerprint) {
+            let entry = &registry.entries[slot as usize];
             return Ok(SubmitOutcome {
                 id,
-                total: entry.total,
-                completed: entry.completed,
+                total: entry.total as usize,
+                completed: entry.completed as usize,
                 state: entry.state,
             });
         }
+        let slot = u32::try_from(registry.entries.len())
+            .map_err(|_| "campaign registry is full".to_string())?;
 
         let ckpt = self
             .journal
-            .campaign(tenant, fingerprint, total)
+            .campaign(tenant, fingerprint, total as usize)
             .map_err(|e| format!("cannot open campaign storage: {e}"))?;
-        if persist {
-            self.journal
-                .submit(tenant, &id, priority, spec_text)
-                .map_err(|e| format!("cannot persist submission: {e}"))?;
-        }
+        let cancelled = match admission {
+            Admission::Submit(spec_text) => {
+                self.journal
+                    .submit(tenant, &id, priority, spec_text)
+                    .map_err(|e| format!("cannot persist submission: {e}"))?;
+                false
+            }
+            Admission::Recover { cancelled } => cancelled,
+        };
 
         let mut pending = Vec::new();
-        let mut completed = 0usize;
-        for task in tasks {
-            if ckpt.load(task.index).is_some() {
+        let mut completed = 0u32;
+        for index in 0..total {
+            if ckpt.load(index as usize).is_some() {
                 completed += 1;
-            } else {
-                pending.push(((tenant.to_string(), id.clone()), task));
+            } else if !cancelled {
+                pending.push((slot, index));
             }
         }
-        let state = if completed == total {
+        let state = if cancelled {
+            CampaignState::Cancelled
+        } else if completed == total {
             CampaignState::Done
         } else if completed > 0 {
             CampaignState::Running
         } else {
             CampaignState::Queued
         };
+        // The spec lives as long as the server: drop the slack parsing
+        // left in its lists.
+        spec.schemes.shrink_to_fit();
+        spec.workloads.shrink_to_fit();
         let now = Instant::now();
-        campaigns.insert(
-            key,
-            Entry {
-                priority,
-                campaign,
-                ckpt: Arc::new(ckpt),
-                total,
-                completed,
-                state,
-                submitted: now,
-                finished: state.is_final().then_some(now),
-                subscribers: Vec::new(),
-            },
-        );
-        drop(campaigns);
+        let tenant_id = registry.tenant_id(tenant);
+        registry.index.insert((tenant_id, fingerprint), slot);
+        registry.entries.push(Entry {
+            tenant: tenant_id,
+            fingerprint,
+            priority,
+            total,
+            completed,
+            state,
+            spec,
+            submitted: now,
+            finished: state.is_final().then_some(now),
+            subscribers: Vec::new(),
+            failure: None,
+        });
+        drop(registry);
         self.telemetry.counter("serve.submissions").add(1);
         if !pending.is_empty() {
             self.sched.enqueue(tenant, priority, pending);
         }
         Ok(SubmitOutcome {
             id,
-            total,
-            completed,
+            total: total as usize,
+            completed: completed as usize,
             state,
         })
     }
 
-    /// Executes one task pulled from the scheduler.
-    fn run_task(&self, key: Key, task: CampaignTask) {
-        let (mut campaign, ckpt, streaming) = {
-            let mut campaigns = self.campaigns.lock().expect("registry lock");
-            let Some(entry) = campaigns.get_mut(&key) else {
-                return;
-            };
+    /// Executes task `index` of the campaign in `slot`, pulled from the
+    /// scheduler.
+    fn run_task(&self, slot: u32, index: u32) {
+        let (resolved, tenant, fingerprint, total, streaming) = {
+            let mut guard = self.registry.lock().expect("registry lock");
+            let registry = &mut *guard;
+            let entry = &mut registry.entries[slot as usize];
             if entry.state.is_final() {
                 return; // cancelled while queued
             }
             entry.state = CampaignState::Running;
             (
-                entry.campaign.clone(),
-                Arc::clone(&entry.ckpt),
+                entry.spec.to_campaign(),
+                Arc::clone(&registry.tenants[entry.tenant as usize]),
+                entry.fingerprint,
+                entry.total,
                 !entry.subscribers.is_empty(),
             )
         };
+        let opened = resolved.map_err(|e| e.to_string()).and_then(|campaign| {
+            self.journal
+                .campaign(&tenant, fingerprint, total as usize)
+                .map(|ckpt| (campaign, ckpt))
+                .map_err(|e| e.to_string())
+        });
+        let (mut campaign, ckpt) = match opened {
+            Ok(opened) => opened,
+            Err(e) => return self.fail(slot, format!("task {index}: {e}")),
+        };
+        let task = campaign.task(index as usize);
 
         // Attach a fresh telemetry handle only when someone is
         // watching: observation-only by contract, so the report bytes
@@ -313,18 +408,18 @@ impl Shared {
         }
         // No registry lock is held here, so a panic cannot poison one.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute_task(&campaign, &task, Some(ckpt.as_ref()))
+            execute_task(&campaign, &task, Some(&ckpt))
         }));
         let report = match outcome {
             Ok(Ok(report)) => report,
-            Ok(Err(e)) => return self.fail(&key, format!("task {}: {e}", task.index)),
+            Ok(Err(e)) => return self.fail(slot, format!("task {index}: {e}")),
             Err(panic) => {
                 let what = panic
                     .downcast_ref::<&str>()
                     .copied()
                     .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
                     .unwrap_or("non-string panic payload");
-                return self.fail(&key, format!("task {} panicked: {what}", task.index));
+                return self.fail(slot, format!("task {index} panicked: {what}"));
             }
         };
 
@@ -342,73 +437,64 @@ impl Shared {
             }
         }
 
-        let mut campaigns = self.campaigns.lock().expect("registry lock");
-        let Some(entry) = campaigns.get_mut(&key) else {
-            return;
-        };
+        let mut guard = self.registry.lock().expect("registry lock");
+        let registry = &mut *guard;
+        let entry = &mut registry.entries[slot as usize];
         entry.completed += 1;
-        let workload = campaign
-            .workloads
-            .get(task.workload)
-            .map(|w| w.name)
-            .unwrap_or("?");
-        events.push(format!(
-            "{{\"type\":\"task\",\"tenant\":\"{}\",\"campaign\":\"{}\",\"index\":{},\"scheme\":\"{}\",\"workload\":\"{}\",\"completed\":{},\"total\":{}}}",
-            json_escape(&key.0),
-            json_escape(&key.1),
-            task.index,
-            report.scheme,
-            json_escape(workload),
-            entry.completed,
-            entry.total
-        ));
         let finished = entry.completed == entry.total && !entry.state.is_final();
         if finished {
             entry.state = CampaignState::Done;
             entry.finished = Some(Instant::now());
         }
-        entry
-            .subscribers
-            .retain(|tx| events.iter().all(|line| tx.send(line.clone()).is_ok()));
+        // The progress line is rendered only for someone to send it to.
+        if !entry.subscribers.is_empty() {
+            let workload = campaign
+                .workloads
+                .get(task.workload)
+                .map_or("?", |w| w.name);
+            events.push(format!(
+                "{{\"type\":\"task\",\"tenant\":\"{}\",\"campaign\":\"{}\",\"index\":{index},\"scheme\":\"{}\",\"workload\":\"{}\",\"completed\":{},\"total\":{}}}",
+                json_escape(&tenant),
+                CheckpointDir::namespace(fingerprint),
+                report.scheme,
+                json_escape(workload),
+                entry.completed,
+                entry.total
+            ));
+            entry
+                .subscribers
+                .retain(|tx| events.iter().all(|line| tx.send(line.clone()).is_ok()));
+        }
         if finished {
             entry.subscribers.clear(); // hang up watchers: stream is over
+            registry.completion_log.push(slot);
         }
-        drop(campaigns);
+        drop(guard);
         if finished {
-            self.completion_log
-                .lock()
-                .expect("completion log lock")
-                .push(key);
             self.telemetry.counter("serve.campaigns_completed").add(1);
         }
     }
 
-    /// Ends a campaign in [`CampaignState::Failed`] with `cause`, hangs
-    /// up its watchers and drops its queued tasks.
-    fn fail(&self, key: &Key, cause: String) {
-        let mut campaigns = self.campaigns.lock().expect("registry lock");
-        let Some(entry) = campaigns.get_mut(key) else {
-            return;
-        };
+    /// Ends the campaign in `slot` in [`CampaignState::Failed`] with
+    /// `cause`, hangs up its watchers and drops its queued tasks.
+    fn fail(&self, slot: u32, cause: String) {
+        let mut registry = self.registry.lock().expect("registry lock");
+        let entry = &mut registry.entries[slot as usize];
         if entry.state.is_final() {
             return;
         }
         entry.state = CampaignState::Failed;
         entry.finished = Some(Instant::now());
         entry.subscribers.clear();
-        // Recorded before the registry lock drops, so whoever sees the
-        // state finds the cause.
-        self.failures
-            .lock()
-            .expect("failure log lock")
-            .insert(key.clone(), cause);
-        drop(campaigns);
-        self.sched.retain(|_, (k, _)| k != key);
+        entry.failure = Some(cause.into());
+        drop(registry);
+        self.sched.retain(|_, &(s, _)| s != slot);
         self.telemetry.counter("serve.campaigns_failed").add(1);
     }
 
     /// Re-registers every submission the journal holds (crash recovery
-    /// / warm restart) without appending anything.
+    /// / warm restart) without appending anything. A campaign the
+    /// journal records as cancelled comes back cancelled.
     fn recover(&self) -> usize {
         let mut recovered = 0;
         for s in self.journal.submissions() {
@@ -420,14 +506,17 @@ impl Shared {
             };
             // The recorded id must match the spec's identity — a
             // tampered record is skipped, never run.
-            if spec.campaign_id().ok().as_deref() != Some(s.id.as_str()) {
+            let Ok(fingerprint) = spec.fingerprint() else {
+                continue;
+            };
+            if CheckpointDir::parse_namespace(&s.id) != Some(fingerprint) {
                 continue;
             }
+            let admission = Admission::Recover {
+                cancelled: self.journal.is_cancelled(&s.tenant, fingerprint),
+            };
             let priority = clamp_priority(s.priority);
-            if self
-                .register(&s.tenant, priority, &spec, &s.spec_text, false)
-                .is_ok()
-            {
+            if self.register(&s.tenant, priority, spec, admission).is_ok() {
                 recovered += 1;
             }
         }
@@ -472,9 +561,9 @@ struct TaskSource {
 
 impl JobSource for TaskSource {
     fn next_job(&self) -> Option<Job> {
-        let (_tenant, (key, task)) = self.shared.sched.pop()?;
+        let (_tenant, (slot, index)) = self.shared.sched.pop()?;
         let shared = Arc::clone(&self.shared);
-        Some(Box::new(move || shared.run_task(key, task)))
+        Some(Box::new(move || shared.run_task(slot, index)))
     }
 }
 
@@ -508,10 +597,8 @@ impl Server {
         let journal = Journal::open(&config.dir).map_err(io::Error::other)?;
         let shared = Arc::new(Shared {
             journal,
-            campaigns: Mutex::new(HashMap::new()),
+            registry: Mutex::new(Registry::default()),
             sched: FairScheduler::new(),
-            completion_log: Mutex::new(Vec::new()),
-            failures: Mutex::new(HashMap::new()),
             telemetry: config.telemetry.clone(),
         });
         if config.start_paused {
@@ -572,17 +659,21 @@ impl Server {
 
     /// Snapshot of every registered campaign.
     pub fn statuses(&self) -> Vec<CampaignStatus> {
-        let campaigns = self.shared.campaigns.lock().expect("registry lock");
-        let mut out: Vec<CampaignStatus> = campaigns
+        let registry = self.shared.registry.lock().expect("registry lock");
+        let mut out: Vec<CampaignStatus> = registry
+            .entries
             .iter()
-            .map(|((tenant, id), e)| CampaignStatus {
-                tenant: tenant.clone(),
-                id: id.clone(),
-                priority: e.priority,
-                state: e.state,
-                completed: e.completed,
-                total: e.total,
-                latency: e.finished.map(|f| f.duration_since(e.submitted)),
+            .map(|e| {
+                let (tenant, id) = registry.names(e);
+                CampaignStatus {
+                    tenant,
+                    id,
+                    priority: e.priority,
+                    state: e.state,
+                    completed: e.completed as usize,
+                    total: e.total as usize,
+                    latency: e.finished.map(|f| f.duration_since(e.submitted)),
+                }
             })
             .collect();
         out.sort_by(|a, b| (&a.tenant, &a.id).cmp(&(&b.tenant, &b.id)));
@@ -592,17 +683,18 @@ impl Server {
     /// `(tenant, campaign)` pairs in the order campaigns finished —
     /// the fairness trace load tests assert on.
     pub fn completion_log(&self) -> Vec<(String, String)> {
-        self.shared
+        let registry = self.shared.registry.lock().expect("registry lock");
+        registry
             .completion_log
-            .lock()
-            .expect("completion log lock")
-            .clone()
+            .iter()
+            .map(|&slot| registry.names(&registry.entries[slot as usize]))
+            .collect()
     }
 
     /// `true` when every registered campaign is in a final state.
     pub fn all_final(&self) -> bool {
-        let campaigns = self.shared.campaigns.lock().expect("registry lock");
-        !campaigns.is_empty() && campaigns.values().all(|e| e.state.is_final())
+        let registry = self.shared.registry.lock().expect("registry lock");
+        !registry.entries.is_empty() && registry.entries.iter().all(|e| e.state.is_final())
     }
 
     /// Graceful shutdown: stop accepting, abandon queued tasks, wait
@@ -691,7 +783,7 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, frame: &Frame) -> bool
             }
             match parse_submission(&text, &tenant) {
                 Some((priority, spec, spec_text)) => {
-                    match shared.register(&tenant, priority, &spec, spec_text, true) {
+                    match shared.register(&tenant, priority, spec, Admission::Submit(spec_text)) {
                         Ok(out) => reply(
                             stream,
                             &Frame::text(
@@ -712,14 +804,16 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, frame: &Frame) -> bool
             }
         }
         FrameType::Status => match lookup(shared, &text) {
-            Ok((key, state, completed, total)) => reply(
+            Ok(found) => reply(
                 stream,
                 &Frame::text(
                     FrameType::StatusOk,
                     &format!(
-                        "campaign={}\nstate={}\ncompleted={completed}\ntotal={total}\n",
-                        key.1,
-                        state.as_str()
+                        "campaign={}\nstate={}\ncompleted={}\ntotal={}\n",
+                        found.id,
+                        found.state.as_str(),
+                        found.completed,
+                        found.total
                     ),
                 ),
             ),
@@ -741,47 +835,63 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, frame: &Frame) -> bool
     }
 }
 
+/// A registered campaign a request named, as it stood when looked up.
+struct Found<'a> {
+    tenant: &'a str,
+    id: &'a str,
+    slot: u32,
+    fingerprint: u64,
+    state: CampaignState,
+    completed: u32,
+    total: u32,
+}
+
 /// Resolves `tenant=`/`campaign=` fields to a registered campaign.
-fn lookup(shared: &Shared, text: &str) -> Result<(Key, CampaignState, usize, usize), String> {
+fn lookup<'a>(shared: &Shared, text: &'a str) -> Result<Found<'a>, String> {
     let tenant = payload_field(text, "tenant").ok_or("missing tenant")?;
     let id = payload_field(text, "campaign").ok_or("missing campaign")?;
-    let key: Key = (tenant.to_string(), id.to_string());
-    let campaigns = shared.campaigns.lock().expect("registry lock");
-    let entry = campaigns.get(&key).ok_or("unknown campaign")?;
-    Ok((key, entry.state, entry.completed, entry.total))
+    let registry = shared.registry.lock().expect("registry lock");
+    let slot = registry.find(tenant, id).ok_or("unknown campaign")?;
+    let entry = &registry.entries[slot as usize];
+    Ok(Found {
+        tenant,
+        id,
+        slot,
+        fingerprint: entry.fingerprint,
+        state: entry.state,
+        completed: entry.completed,
+        total: entry.total,
+    })
 }
 
 fn handle_watch(shared: &Arc<Shared>, stream: &mut TcpStream, text: &str) -> bool {
-    let done_frame = |key: &Key, state: CampaignState| {
+    let done_frame = |id: &str, state: CampaignState| {
         Frame::text(
             FrameType::WatchDone,
-            &format!("campaign={}\nstate={}\n", key.1, state.as_str()),
+            &format!("campaign={id}\nstate={}\n", state.as_str()),
         )
     };
-    let (key, rx) = {
-        let tenant = match payload_field(text, "tenant") {
-            Some(t) => t.to_string(),
-            None => return write_frame(stream, &error_frame("missing tenant")).is_ok(),
-        };
-        let id = match payload_field(text, "campaign") {
-            Some(c) => c.to_string(),
-            None => return write_frame(stream, &error_frame("missing campaign")).is_ok(),
-        };
-        let key: Key = (tenant, id);
-        let mut campaigns = shared.campaigns.lock().expect("registry lock");
-        let Some(entry) = campaigns.get_mut(&key) else {
-            drop(campaigns);
+    let Some(tenant) = payload_field(text, "tenant") else {
+        return write_frame(stream, &error_frame("missing tenant")).is_ok();
+    };
+    let Some(id) = payload_field(text, "campaign") else {
+        return write_frame(stream, &error_frame("missing campaign")).is_ok();
+    };
+    let (slot, rx) = {
+        let mut registry = shared.registry.lock().expect("registry lock");
+        let Some(slot) = registry.find(tenant, id) else {
+            drop(registry);
             return write_frame(stream, &error_frame("unknown campaign")).is_ok();
         };
+        let entry = &mut registry.entries[slot as usize];
         if entry.state.is_final() {
             let state = entry.state;
-            drop(campaigns);
-            return write_frame(stream, &done_frame(&key, state)).is_ok();
+            drop(registry);
+            return write_frame(stream, &done_frame(id, state)).is_ok();
         }
         let (tx, rx) = mpsc::channel();
         entry.subscribers.push(tx);
-        drop(campaigns);
-        (key, rx)
+        (slot, rx)
     };
     // Stream until the campaign reaches a final state (senders dropped)
     // or the client goes away (write fails).
@@ -790,39 +900,34 @@ fn handle_watch(shared: &Arc<Shared>, stream: &mut TcpStream, text: &str) -> boo
             return false;
         }
     }
-    let state = {
-        let campaigns = shared.campaigns.lock().expect("registry lock");
-        campaigns
-            .get(&key)
-            .map(|e| e.state)
-            .unwrap_or(CampaignState::Cancelled)
-    };
-    write_frame(stream, &done_frame(&key, state)).is_ok()
+    let state = shared.registry.lock().expect("registry lock").entries[slot as usize].state;
+    write_frame(stream, &done_frame(id, state)).is_ok()
 }
 
 fn handle_result(shared: &Shared, text: &str) -> Result<String, String> {
-    let (key, state, _, total) = lookup(shared, text)?;
-    match state {
+    let found = lookup(shared, text)?;
+    match found.state {
         CampaignState::Done => {}
         CampaignState::Failed => {
-            let failures = shared.failures.lock().expect("failure log lock");
-            let cause = failures.get(&key).map_or("cause unknown", String::as_str);
-            return Err(format!("campaign {} failed: {cause}", key.1));
+            let registry = shared.registry.lock().expect("registry lock");
+            let entry = &registry.entries[found.slot as usize];
+            let cause = entry.failure.as_deref().unwrap_or("cause unknown");
+            return Err(format!("campaign {} failed: {cause}", found.id));
         }
-        _ => {
+        state => {
             return Err(format!(
                 "campaign {} is {}, result requires done",
-                key.1,
+                found.id,
                 state.as_str()
             ))
         }
     }
-    let ckpt = {
-        let campaigns = shared.campaigns.lock().expect("registry lock");
-        Arc::clone(&campaigns.get(&key).ok_or("unknown campaign")?.ckpt)
-    };
-    let mut reports = Vec::with_capacity(total);
-    for index in 0..total {
+    let ckpt = shared
+        .journal
+        .campaign(found.tenant, found.fingerprint, found.total as usize)
+        .map_err(|e| format!("cannot open campaign storage: {e}"))?;
+    let mut reports = Vec::with_capacity(found.total as usize);
+    for index in 0..found.total as usize {
         reports.push(
             ckpt.load(index)
                 .ok_or_else(|| format!("checkpoint {index} unreadable"))?,
@@ -831,20 +936,27 @@ fn handle_result(shared: &Shared, text: &str) -> Result<String, String> {
     Ok(render_result_text(&reports))
 }
 
+/// Cancels a campaign. The journal's `cancelled` record is appended
+/// before the state changes, so an acknowledged cancel survives a
+/// restart; a failed append leaves the campaign as it was.
 fn handle_cancel(shared: &Shared, text: &str) -> Result<CampaignState, String> {
     let tenant = payload_field(text, "tenant").ok_or("missing tenant")?;
     let id = payload_field(text, "campaign").ok_or("missing campaign")?;
-    let key: Key = (tenant.to_string(), id.to_string());
-    let mut campaigns = shared.campaigns.lock().expect("registry lock");
-    let entry = campaigns.get_mut(&key).ok_or("unknown campaign")?;
+    let mut registry = shared.registry.lock().expect("registry lock");
+    let slot = registry.find(tenant, id).ok_or("unknown campaign")?;
+    let entry = &mut registry.entries[slot as usize];
     if entry.state.is_final() {
         return Ok(entry.state);
     }
+    shared
+        .journal
+        .cancel(tenant, entry.fingerprint)
+        .map_err(|e| format!("cannot persist cancellation: {e}"))?;
     entry.state = CampaignState::Cancelled;
     entry.finished = Some(Instant::now());
     entry.subscribers.clear();
-    drop(campaigns);
-    shared.sched.retain(|_, (k, _)| *k != key);
+    drop(registry);
+    shared.sched.retain(|_, &(s, _)| s != slot);
     Ok(CampaignState::Cancelled)
 }
 

@@ -473,3 +473,53 @@ fn a_journal_that_cannot_be_written_refuses_submissions_with_an_error_frame() {
     server.stop();
     let _ = std::fs::remove_dir_all(dir);
 }
+
+#[test]
+fn a_cancel_survives_a_restart() {
+    let (server, addr, dir) = start("cancel-restart", 1, true);
+    let mut client = Client::connect(&addr).expect("connect");
+    let kept = multi_task_spec(63, 1);
+    let victim = multi_task_spec(64, 2);
+    let kept_id = kept.campaign_id().expect("id");
+    let victim_id = victim.campaign_id().expect("id");
+    client.submit("alice", 1, &kept.to_text()).expect("submit");
+    client
+        .submit("alice", 1, &victim.to_text())
+        .expect("submit");
+    assert_eq!(
+        client.cancel("alice", &victim_id).expect("cancel"),
+        "cancelled"
+    );
+    drop(client);
+    server.stop();
+
+    // Same directory, paused again: recovery must bring the victim back
+    // cancelled, not queued.
+    let server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        jobs: 1,
+        dir: dir.clone(),
+        telemetry: Telemetry::enabled(),
+        start_paused: true,
+    })
+    .expect("restart");
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let status = client.status("alice", &victim_id).expect("status");
+    assert_eq!((status.state.as_str(), status.completed), ("cancelled", 0));
+    server.resume();
+    wait_done(&mut client, "alice", &kept_id);
+    let status = client.status("alice", &victim_id).expect("status");
+    assert_eq!((status.state.as_str(), status.completed), ("cancelled", 0));
+    let served = client.result("alice", &kept_id).expect("result");
+    let standalone = kept.to_campaign().expect("valid").run();
+    assert_eq!(served, render_result_text(&standalone.reports));
+
+    // No task of the cancelled campaign ever ran.
+    let journal = Journal::open(&dir).expect("journal");
+    let fingerprint = victim.fingerprint().expect("valid");
+    let view = journal.campaign("alice", fingerprint, 4).expect("view");
+    assert!((0..4).all(|index| view.load(index).is_none()));
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(dir);
+}
