@@ -27,14 +27,9 @@ fn sparse_workload(duration: u64) -> WorkloadProfile {
     }
 }
 
-fn lane(telemetry: Option<&Telemetry>) -> Experiment {
-    let schedule = Arc::new(HardFaultSchedule::random(
-        Mesh::new(8, 8),
-        40,
-        0,
-        (100, 1_300),
-        31,
-    ));
+/// Replicate `i` of the campaign cell, with or without the 40-link
+/// fault schedule.
+fn lane(i: u64, faulted: bool, telemetry: Option<&Telemetry>) -> Experiment {
     let mut b = Experiment::builder()
         .scheme(ErrorControlScheme::StaticCrc)
         .workload(sparse_workload(1_200))
@@ -42,83 +37,33 @@ fn lane(telemetry: Option<&Telemetry>) -> Experiment {
         .warmup_cycles(100)
         .measure_cycles(1_200)
         .drain_limit(20_000)
-        .hard_faults(schedule)
-        .seed(rand::seed_stream(41, 0));
+        .seed(rand::seed_stream(41, i));
+    if faulted {
+        b = b.hard_faults(Arc::new(HardFaultSchedule::random(
+            Mesh::new(8, 8),
+            40,
+            0,
+            (100, 1_300),
+            31,
+        )));
+    }
     if let Some(t) = telemetry {
         b = b.telemetry(t.clone());
     }
     b.build().expect("valid lane")
 }
 
-fn lane_fault_free() -> Experiment {
-    Experiment::builder()
-        .scheme(ErrorControlScheme::StaticCrc)
-        .workload(sparse_workload(1_200))
-        .noc(NocConfig::builder().mesh(8, 8).build())
-        .warmup_cycles(100)
-        .measure_cycles(1_200)
-        .drain_limit(20_000)
-        .seed(rand::seed_stream(41, 0))
-        .build()
-        .expect("valid lane")
-}
-
-fn lanes(k: u64) -> Vec<Experiment> {
-    let schedule = Arc::new(HardFaultSchedule::random(
-        Mesh::new(8, 8),
-        40,
-        0,
-        (100, 1_300),
-        31,
-    ));
-    (0..k)
-        .map(|i| {
-            Experiment::builder()
-                .scheme(ErrorControlScheme::StaticCrc)
-                .workload(sparse_workload(1_200))
-                .noc(NocConfig::builder().mesh(8, 8).build())
-                .warmup_cycles(100)
-                .measure_cycles(1_200)
-                .drain_limit(20_000)
-                .hard_faults(schedule.clone())
-                .seed(rand::seed_stream(41, i))
-                .build()
-                .expect("valid bench lane")
-        })
-        .collect()
-}
-
 fn main() {
-    // One shared-table group with telemetry: aggregate phase sums across 8 lanes
-    // (first lane computes each reroute, later lanes hit the cache).
+    // Eight replicates with telemetry, one after another: aggregate
+    // phase sums (the first computes each reroute, later ones hit the
+    // process-wide cache).
     {
         let tel = Telemetry::enabled();
-        let schedule = Arc::new(HardFaultSchedule::random(
-            Mesh::new(8, 8),
-            40,
-            0,
-            (100, 1_300),
-            31,
-        ));
-        let ls: Vec<Experiment> = (0..8)
-            .map(|i| {
-                Experiment::builder()
-                    .scheme(ErrorControlScheme::StaticCrc)
-                    .workload(sparse_workload(1_200))
-                    .noc(NocConfig::builder().mesh(8, 8).build())
-                    .warmup_cycles(100)
-                    .measure_cycles(1_200)
-                    .drain_limit(20_000)
-                    .hard_faults(schedule.clone())
-                    .seed(rand::seed_stream(41, i))
-                    .telemetry(tel.clone())
-                    .build()
-                    .expect("valid bench lane")
-            })
-            .collect();
         let t0 = Instant::now();
-        let _r = Experiment::run_batch(ls);
-        println!("shared8 with telemetry: {:?}", t0.elapsed());
+        for i in 0..8 {
+            let _r = lane(i, true, Some(&tel)).run();
+        }
+        println!("serial8 with telemetry: {:?}", t0.elapsed());
         for name in [
             "sim.phase.process_events",
             "sim.phase.inject",
@@ -137,24 +82,9 @@ fn main() {
         }
     }
 
-    // Batch decomposition: serial vs one shared-table group (and a
-    // singleton group, i.e. the sharing overhead alone) over 3 reps each.
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let _r: Vec<_> = lanes(8).into_iter().map(Experiment::run).collect();
-        let serial = t0.elapsed();
-        let t0 = Instant::now();
-        let _r = Experiment::run_batch(lanes(8));
-        let shared = t0.elapsed();
-        let t0 = Instant::now();
-        let _r = Experiment::run_batch(lanes(1));
-        let k1 = t0.elapsed();
-        println!("serial8 {serial:?}  shared8 {shared:?}  shared1 {k1:?}");
-    }
-
     // Pass 0: fault-free lane for comparison.
     let t0 = Instant::now();
-    let ff = lane_fault_free().run();
+    let ff = lane(0, false, None).run();
     println!(
         "fault-free lane run: {:?} (delivered {})",
         t0.elapsed(),
@@ -163,7 +93,7 @@ fn main() {
 
     // Pass 1: plain wall time, fused path (no telemetry).
     let t0 = Instant::now();
-    let report = lane(None).run();
+    let report = lane(0, true, None).run();
     let plain = t0.elapsed();
     println!("plain lane run: {plain:?}");
     println!(
@@ -174,7 +104,7 @@ fn main() {
     // Pass 2: telemetry enabled (split path) to get per-phase sums.
     let tel = Telemetry::enabled();
     let t0 = Instant::now();
-    let _report = lane(Some(&tel)).run();
+    let _report = lane(0, true, Some(&tel)).run();
     let spanned = t0.elapsed();
     println!("spanned lane run: {spanned:?}");
     let mut phase_total = 0u64;

@@ -29,7 +29,7 @@ use noc_power::area::RouterVariant;
 use noc_power::energy::{EnergyModel, StaticConfig};
 use noc_rl::state::RouterFeatures;
 use noc_sim::config::NocConfig;
-use noc_sim::network::{HardFaultEvent, HardFaultKind, Network, SharedTables};
+use noc_sim::network::{HardFaultEvent, HardFaultKind, Network};
 use noc_sim::stats::EventCounters;
 use noc_sim::topology::Direction;
 use noc_sim::traffic::{SyntheticSource, TrafficPattern, TrafficSource};
@@ -420,46 +420,6 @@ impl Experiment {
     pub fn run_inspect_with_backend<B: SimBackend>(self) -> (ExperimentReport, RunArtifacts) {
         Runner::<B>::new(self.cfg).run()
     }
-
-    /// Runs replicate lanes one after another on the production
-    /// backend, returning one report per lane in input order. Lanes of
-    /// one topology share the immutable route and neighbor tables but
-    /// keep fully independent mutable state and RNG streams, so every lane's report is byte-identical to running
-    /// that lane alone — the lane-equivalence test wall pins this.
-    pub fn run_batch(lanes: Vec<Experiment>) -> Vec<ExperimentReport> {
-        Self::run_batch_inspect(lanes)
-            .map(|(report, _)| report)
-            .collect()
-    }
-
-    /// [`run_batch`](Self::run_batch) with per-lane artifacts, yielded
-    /// as each lane finishes: a lane's network is built just before it
-    /// runs and dropped before the next one starts, so a consumer can
-    /// persist finished lanes while later ones are still to run.
-    pub fn run_batch_inspect(
-        lanes: Vec<Experiment>,
-    ) -> impl Iterator<Item = (ExperimentReport, RunArtifacts)> {
-        // One shared-table set per distinct topology. (Post-fault
-        // reroute tables are shared process-wide by dead set inside
-        // `noc-sim`, whatever schedule a lane carries.)
-        let mut shared: Vec<SharedTables> = Vec::new();
-        lanes.into_iter().map(move |lane| {
-            let cfg = lane.cfg;
-            let group = match shared.iter().position(|t| t.mesh() == cfg.noc.mesh) {
-                Some(group) => group,
-                None => {
-                    shared.push(SharedTables::new(cfg.noc.mesh));
-                    shared.len() - 1
-                }
-            };
-            let (timing, variation) = fault_substrate(&cfg);
-            let protocol =
-                FaultTolerantProtocol::new(cfg.noc.mesh, timing, variation, cfg.seed ^ 0x5EED_0002);
-            let net =
-                Network::with_shared(cfg.noc, protocol, cfg.seed ^ 0x5EED_0003, &shared[group]);
-            Runner::with_net(cfg, net).run()
-        })
-    }
 }
 
 /// End-of-run state exposed by [`Experiment::run_inspect`].
@@ -624,38 +584,24 @@ struct Runner<B: SimBackend> {
     phase: Phase,
 }
 
-/// The per-lane fault-substrate inputs — process-variation map and
-/// timing-error model — derived from the experiment seed exactly as the
-/// serial constructor always has.
-fn fault_substrate(cfg: &ExperimentBuilder) -> (TimingErrorModel, VariationMap) {
-    let mesh = cfg.noc.mesh;
-    let variation = VariationMap::generate(
-        mesh.width(),
-        mesh.height(),
-        cfg.variation_sigmas.0,
-        cfg.variation_sigmas.1,
-        cfg.seed ^ 0x5EED_0001,
-    );
-    (TimingErrorModel::new(cfg.timing), variation)
-}
-
 impl<B: SimBackend> Runner<B> {
     fn new(cfg: ExperimentBuilder) -> Self {
-        let (timing, variation) = fault_substrate(&cfg);
+        let mesh = cfg.noc.mesh;
+        let n = mesh.num_nodes();
+        let variation = VariationMap::generate(
+            mesh.width(),
+            mesh.height(),
+            cfg.variation_sigmas.0,
+            cfg.variation_sigmas.1,
+            cfg.seed ^ 0x5EED_0001,
+        );
         let net = B::build(
             cfg.noc,
-            timing,
+            TimingErrorModel::new(cfg.timing),
             variation,
             cfg.seed ^ 0x5EED_0002,
             cfg.seed ^ 0x5EED_0003,
         );
-        Self::with_net(cfg, net)
-    }
-
-    /// Wires an already-built backend into a fresh run state.
-    fn with_net(cfg: ExperimentBuilder, net: B) -> Self {
-        let mesh = cfg.noc.mesh;
-        let n = mesh.num_nodes();
         let thermal = ThermalModel::new(mesh.width(), mesh.height(), cfg.thermal);
         let controllers = match cfg.scheme {
             ErrorControlScheme::StaticCrc => ControllerBank::statically(OperationMode::Mode0),
@@ -1238,43 +1184,6 @@ mod tests {
         let a = quick(ErrorControlScheme::ProposedRl);
         let b = quick(ErrorControlScheme::ProposedRl);
         assert_eq!(a, b, "identical seeds must give identical reports");
-    }
-
-    /// Replicate lanes of one cell, differing only by seed.
-    fn lane(scheme: ErrorControlScheme, seed: u64) -> Experiment {
-        Experiment::builder()
-            .scheme(scheme)
-            .workload(WorkloadProfile::blackscholes())
-            .noc(NocConfig::builder().mesh(4, 4).build())
-            .pretrain_cycles(6_000)
-            .warmup_cycles(1_000)
-            .measure_cycles(6_000)
-            .drain_limit(40_000)
-            .seed(seed)
-            .build()
-            .expect("valid test configuration")
-    }
-
-    #[test]
-    fn batched_lanes_match_serial_reports_exactly() {
-        let lanes: Vec<Experiment> = [11, 12, 13]
-            .into_iter()
-            .map(|seed| lane(ErrorControlScheme::ProposedRl, seed))
-            .collect();
-        let serial: Vec<ExperimentReport> = lanes.iter().cloned().map(|e| e.run()).collect();
-        let batched = Experiment::run_batch(lanes);
-        assert_eq!(serial, batched, "shared-table lanes must be byte-identical");
-    }
-
-    #[test]
-    fn mixed_scheme_batch_still_matches_serial() {
-        let lanes: Vec<Experiment> = ErrorControlScheme::ALL
-            .into_iter()
-            .map(|scheme| lane(scheme, 11))
-            .collect();
-        let serial: Vec<ExperimentReport> = lanes.iter().cloned().map(|e| e.run()).collect();
-        let batched = Experiment::run_batch(lanes);
-        assert_eq!(serial, batched);
     }
 
     #[test]

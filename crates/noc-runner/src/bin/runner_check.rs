@@ -3,11 +3,8 @@
 //! Runs a reduced campaign three ways and demands identical results:
 //!
 //! 1. serially through `Campaign::run`,
-//! 2. in parallel through the runner (`RLNOC_JOBS` workers, default 2,
-//!    honoring `RLNOC_BATCH`),
-//! 3. batched into replicate groups of 8 lanes run one after another
-//!    over shared route tables,
-//! 4. resumed from a half-populated checkpoint directory (simulating a
+//! 2. in parallel through the runner (`RLNOC_JOBS` workers, default 2),
+//! 3. resumed from a half-populated checkpoint directory (simulating a
 //!    campaign killed midway).
 //!
 //! Exits non-zero on any mismatch, so CI fails when a change breaks the
@@ -32,12 +29,10 @@ fn main() -> ExitCode {
     let campaign = check_campaign();
     let env = RunnerConfig::from_env();
     let jobs = env.jobs.max(2);
-    let batch = env.batch;
     println!(
-        "runner_check: {} tasks, {} workers, batch {}",
+        "runner_check: {} tasks, {} workers",
         campaign.tasks().len(),
-        jobs,
-        batch
+        jobs
     );
 
     let serial = campaign.run();
@@ -45,34 +40,18 @@ fn main() -> ExitCode {
     let telemetry = Telemetry::enabled();
     let parallel = RunnerConfig {
         jobs,
-        snapshot_dir: None,
-        resume: false,
-        batch,
         telemetry: telemetry.clone(),
+        ..RunnerConfig::serial()
     }
     .run_campaign(&campaign);
     if parallel != serial {
-        eprintln!("FAIL: parallel ({jobs} workers, batch {batch}) result differs from serial run");
+        eprintln!("FAIL: parallel ({jobs} workers) result differs from serial run");
         return ExitCode::FAILURE;
     }
     println!(
         "parallel == serial ({} tasks completed)",
         telemetry.counter("runner.tasks_completed").get()
     );
-
-    // Batched leg: replicate groups share their route tables, whatever
-    // the environment asked for.
-    let batched = RunnerConfig {
-        jobs,
-        batch: 8,
-        ..RunnerConfig::serial()
-    }
-    .run_campaign(&campaign);
-    if batched != serial {
-        eprintln!("FAIL: batched (8-lane) result differs from serial run");
-        return ExitCode::FAILURE;
-    }
-    println!("batched == serial (8-lane shared-table groups)");
 
     // Kill/resume: pre-populate half the checkpoints from the serial
     // run, then resume — only the other half may execute, and the merged
@@ -99,8 +78,8 @@ fn main() -> ExitCode {
         jobs,
         snapshot_dir: Some(dir.clone()),
         resume: true,
-        batch,
         telemetry: resume_telemetry.clone(),
+        ..RunnerConfig::serial()
     }
     .run_campaign(&campaign);
     let _ = std::fs::remove_dir_all(&dir);

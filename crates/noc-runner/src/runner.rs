@@ -19,7 +19,6 @@ use rlnoc_core::campaign::{Campaign, CampaignResult, CampaignTask};
 use rlnoc_core::experiment::ExperimentReport;
 use rlnoc_telemetry::Telemetry;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// How a campaign should be executed.
 #[derive(Debug, Clone)]
@@ -32,11 +31,10 @@ pub struct RunnerConfig {
     /// Reload valid checkpoints from `snapshot_dir` instead of
     /// re-running their tasks. Ignored without a snapshot directory.
     pub resume: bool,
-    /// Replicate-group width: replicates of one (workload, scheme)
-    /// cell run as a single task of up to this many lanes, one after
-    /// another over shared route tables (1 = scalar execution). Purely an
-    /// execution strategy — results, checkpoints, and fingerprints are
-    /// byte-identical for every width.
+    /// Ignored. Every task runs alone through [`execute_task`]; the
+    /// field stays only because the benchmark package still sets it
+    /// (ROADMAP item 1c removes it).
+    #[doc(hidden)]
     pub batch: usize,
     /// Runner-level telemetry (queue depth, per-worker task counts, one
     /// run summary per campaign). Independent of the campaign's own
@@ -61,8 +59,6 @@ impl RunnerConfig {
     ///
     /// * `RLNOC_JOBS` — worker threads; `0` or unset = serial, `max` =
     ///   all available cores.
-    /// * `RLNOC_BATCH` — replicate-group width; `0`/`1` or unset =
-    ///   scalar execution.
     /// * `SNAPSHOT_DIR` — checkpoint/policy-snapshot directory.
     /// * `RESUME` — `1`/`true` to reload checkpoints from
     ///   `SNAPSHOT_DIR`.
@@ -81,17 +77,11 @@ impl RunnerConfig {
         let resume = std::env::var("RESUME")
             .map(|v| matches!(v.trim(), "1" | "true" | "yes"))
             .unwrap_or(false);
-        let batch = std::env::var("RLNOC_BATCH")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(1)
-            .max(1);
         Self {
             jobs,
             snapshot_dir,
             resume,
-            batch,
-            telemetry: Telemetry::disabled(),
+            ..Self::serial()
         }
     }
 
@@ -142,10 +132,8 @@ impl RunnerConfig {
                 .begin_run(&format!("runner/jobs{}/tasks{}", self.jobs.max(1), total));
 
         let ckpt = self.snapshot_dir.as_ref().map(|dir| {
-            Arc::new(
-                CheckpointDir::open(dir, campaign.fingerprint(), total)
-                    .expect("snapshot directory must be usable"),
-            )
+            CheckpointDir::open(dir, campaign.fingerprint(), total)
+                .expect("snapshot directory must be usable")
         });
 
         // Restore finished tasks, run the rest.
@@ -174,25 +162,13 @@ impl RunnerConfig {
         // keeps the workers balanced at the tail of the queue.
         pending.sort_by_key(|t| (std::cmp::Reverse(t.scheme.is_learning()), t.index));
 
-        // Replicates of one (workload, scheme) cell batch into
-        // shared-table groups of up to `batch` lanes; ragged tails become
-        // smaller groups and singletons fall back to the scalar path.
-        let groups = batch_groups(pending, self.batch);
-        let completed = self.telemetry.counter("runner.tasks_completed");
-        let fresh = pool::run_indexed(groups, self.jobs, &self.telemetry, |_, group| {
-            let reports = execute_batch(campaign, &group, ckpt.as_deref(), on_task);
-            // The pool counts one completion per queue item (= group);
-            // top up so the counter stays per-task.
-            if group.len() > 1 {
-                completed.add((group.len() - 1) as u64);
-            }
-            group
-                .iter()
-                .map(|task| task.index)
-                .zip(reports)
-                .collect::<Vec<_>>()
+        let fresh = pool::run_indexed(pending, self.jobs, &self.telemetry, |_, task| {
+            let report = execute_task(campaign, &task, ckpt.as_ref())
+                .expect("checkpoint write must succeed");
+            on_task(&task, &report);
+            (task.index, report)
         });
-        for (index, report) in fresh.into_iter().flatten() {
+        for (index, report) in fresh {
             slots[index] = Some(report);
         }
         self.telemetry.finish_run(run_id, 0);
@@ -226,86 +202,15 @@ pub fn execute_task(
     ckpt: Option<&CheckpointDir>,
 ) -> Result<ExperimentReport, CheckpointError> {
     let (report, artifacts) = campaign.experiment(task).run_inspect();
-    persist_task(task, &report, &artifacts, ckpt)?;
-    Ok(report)
-}
-
-/// Checkpoints one finished task's report and any learned policy. The
-/// policy is written first: a task record in the journal then implies
-/// its policy file exists.
-fn persist_task(
-    task: &CampaignTask,
-    report: &ExperimentReport,
-    artifacts: &rlnoc_core::experiment::RunArtifacts,
-    ckpt: Option<&CheckpointDir>,
-) -> Result<(), CheckpointError> {
-    let Some(ckpt) = ckpt else { return Ok(()) };
+    let Some(ckpt) = ckpt else { return Ok(report) };
+    // The policy is written first: a task record in the journal then
+    // implies its policy file exists.
     if let Some(policy) = artifacts.controllers.policy_snapshot() {
         std::fs::create_dir_all(ckpt.path())?;
         policy.save_to_path(ckpt.path().join(format!("task-{:04}.policy", task.index)))?;
     }
-    ckpt.store(task.index, report)
-}
-
-/// Executes a group of replicate lanes from one campaign cell over one
-/// set of shared route tables, one lane after another, with the exact
-/// persistence semantics of [`execute_task`] applied — and `on_task`
-/// fired — as each lane finishes, so a killed group keeps every lane it
-/// completed. Singleton groups take the scalar path — the ragged-tail
-/// fallback.
-///
-/// # Panics
-///
-/// Panics when a checkpoint or policy snapshot cannot be written.
-pub fn execute_batch(
-    campaign: &Campaign,
-    group: &[CampaignTask],
-    ckpt: Option<&CheckpointDir>,
-    on_task: &(dyn Fn(&CampaignTask, &ExperimentReport) + Sync),
-) -> Vec<ExperimentReport> {
-    const PERSIST: &str = "checkpoint write must succeed";
-    if let [task] = group {
-        let report = execute_task(campaign, task, ckpt).expect(PERSIST);
-        on_task(task, &report);
-        return vec![report];
-    }
-    let lanes = group.iter().map(|task| campaign.experiment(task)).collect();
-    rlnoc_core::Experiment::run_batch_inspect(lanes)
-        .zip(group)
-        .map(|((report, artifacts), task)| {
-            persist_task(task, &report, &artifacts, ckpt).expect(PERSIST);
-            on_task(task, &report);
-            report
-        })
-        .collect()
-}
-
-/// Partitions scheduled tasks into replicate groups: replicates of one
-/// (workload, scheme) cell — which differ only by derived seed — are
-/// the lanes eligible to share one set of route tables. Cells appear in the
-/// scheduling order of their first task, so the learning-first ordering
-/// of the input survives grouping.
-fn batch_groups(pending: Vec<CampaignTask>, batch: usize) -> Vec<Vec<CampaignTask>> {
-    if batch <= 1 {
-        return pending.into_iter().map(|task| vec![task]).collect();
-    }
-    let mut cells: Vec<((usize, rlnoc_core::ErrorControlScheme), Vec<CampaignTask>)> = Vec::new();
-    for task in pending {
-        let key = (task.workload, task.scheme);
-        match cells.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, lanes)) => lanes.push(task),
-            None => cells.push((key, vec![task])),
-        }
-    }
-    cells
-        .into_iter()
-        .flat_map(|(_, lanes)| {
-            lanes
-                .chunks(batch)
-                .map(<[CampaignTask]>::to_vec)
-                .collect::<Vec<_>>()
-        })
-        .collect()
+    ckpt.store(task.index, &report)?;
+    Ok(report)
 }
 
 #[cfg(test)]

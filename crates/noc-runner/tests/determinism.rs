@@ -172,9 +172,9 @@ fn faulted_campaign_is_identical_across_worker_counts_and_resume() {
 /// The topology-zoo acceptance gate at radix: a 16×16 torus campaign
 /// whose links and routers die mid-run must be byte-identical across
 /// serial execution (cold and again with every reroute a cache hit), a
-/// 4-worker pool (`RLNOC_JOBS=4`), shared-table replicate groups
-/// (`RLNOC_BATCH=8`), and a kill-and-resume from partial checkpoints —
-/// wrap links, date-line VCs, and up*/down* recovery included.
+/// 4-worker pool (`RLNOC_JOBS=4`), and a kill-and-resume from partial
+/// checkpoints — wrap links, date-line VCs, and up*/down* recovery
+/// included.
 #[test]
 fn faulted_16x16_torus_campaign_is_deterministic_across_execution_modes() {
     use noc_fault::hardfault::HardFaultSchedule;
@@ -272,19 +272,8 @@ fn faulted_16x16_torus_campaign_is_deterministic_across_execution_modes() {
         "RLNOC_JOBS=4 must match the serial torus campaign"
     );
 
-    let batched = RunnerConfig {
-        jobs: 4,
-        batch: 8,
-        ..RunnerConfig::serial()
-    }
-    .run_campaign(&campaign);
-    assert_eq!(
-        batched, serial,
-        "RLNOC_BATCH=8 must match the serial torus campaign"
-    );
-
     // Kill-and-resume: half the checkpoints exist, the rest re-runs
-    // through the batched engine.
+    // across four workers.
     let dir = temp_dir("torus-16x16-resume");
     let total = serial.reports.len();
     let ckpt = CheckpointDir::open(&dir, campaign.fingerprint(), total).expect("open");
@@ -293,10 +282,9 @@ fn faulted_16x16_torus_campaign_is_deterministic_across_execution_modes() {
     }
     let resumed = RunnerConfig {
         jobs: 4,
-        batch: 8,
         snapshot_dir: Some(dir.clone()),
         resume: true,
-        telemetry: Telemetry::disabled(),
+        ..RunnerConfig::serial()
     }
     .run_campaign(&campaign);
     assert_eq!(
@@ -307,12 +295,11 @@ fn faulted_16x16_torus_campaign_is_deterministic_across_execution_modes() {
 }
 
 /// The degradation sweep's campaign shape — hard faults striking
-/// mid-flight, replicated cells — through replicate groups: lanes
-/// served from the reroute cache must stay byte-identical to the
-/// serial run, and a batched resume from partial checkpoints must
+/// mid-flight, replicated cells whose later replicates are served from
+/// the reroute cache: a parallel resume from partial checkpoints must
 /// change nothing.
 #[test]
-fn faulted_replicated_campaign_matches_serial_under_batching_and_resume() {
+fn faulted_replicated_campaign_matches_serial_on_resume() {
     use rlnoc_core::ErrorControlScheme;
     let mut campaign = faulted_campaign();
     campaign.replicates = 2;
@@ -328,20 +315,9 @@ fn faulted_replicated_campaign_matches_serial_under_batching_and_resume() {
         "some lane must take fault events inside its measured window"
     );
 
-    let batched = RunnerConfig {
-        jobs: 4,
-        batch: 8,
-        ..RunnerConfig::serial()
-    }
-    .run_campaign(&campaign);
-    assert_eq!(
-        batched, serial,
-        "batched faulted replicate groups must match the serial run"
-    );
-
-    // Kill-and-resume with batching still on: stored lanes restore,
-    // the remainder re-runs through the batched engine.
-    let dir = temp_dir("faulted-batched-resume");
+    // Kill-and-resume: stored tasks restore, the remainder re-runs
+    // across four workers.
+    let dir = temp_dir("faulted-replicated-resume");
     let total = serial.reports.len();
     let ckpt = CheckpointDir::open(&dir, campaign.fingerprint(), total).expect("open");
     for (index, report) in serial.reports.iter().enumerate().take(total / 2) {
@@ -349,26 +325,23 @@ fn faulted_replicated_campaign_matches_serial_under_batching_and_resume() {
     }
     let resumed = RunnerConfig {
         jobs: 4,
-        batch: 8,
         snapshot_dir: Some(dir.clone()),
         resume: true,
-        telemetry: Telemetry::disabled(),
+        ..RunnerConfig::serial()
     }
     .run_campaign(&campaign);
     assert_eq!(
         resumed, serial,
-        "batched resume of the faulted campaign changes nothing"
+        "parallel resume of the faulted campaign changes nothing"
     );
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// The replicate-group contract end to end: replicate lanes grouped
-/// over shared tables (ragged tails included) produce byte-identical
-/// campaign results, write the same per-lane checkpoints and policy
-/// snapshots as scalar execution, and stay per-task in the telemetry
-/// accounting.
+/// A parallel run with a snapshot directory checkpoints every task and
+/// saves every RL task's policy, counts one completion per task, and a
+/// later resume restores all of it without running anything.
 #[test]
-fn batched_replicate_groups_match_serial_and_checkpoint_per_lane() {
+fn parallel_run_checkpoints_every_task_and_resumes_whole() {
     use rlnoc_core::ErrorControlScheme;
     let mut campaign = tiny_campaign();
     campaign.replicates = 3;
@@ -382,55 +355,53 @@ fn batched_replicate_groups_match_serial_and_checkpoint_per_lane() {
     let total = serial.reports.len();
     assert_eq!(total, 6, "2 schemes x 1 workload x 3 replicates");
 
-    // Width 2 over 3 replicates: one full group plus a ragged singleton
-    // per cell, across worker threads.
-    let ragged = RunnerConfig {
+    let dir = temp_dir("parallel-ckpt");
+    let telemetry = Telemetry::enabled();
+    let parallel = RunnerConfig {
         jobs: 2,
-        batch: 2,
+        snapshot_dir: Some(dir.clone()),
+        telemetry: telemetry.clone(),
         ..RunnerConfig::serial()
     }
     .run_campaign(&campaign);
-    assert_eq!(ragged, serial, "ragged batches must match the serial run");
-
-    // Width 8 swallows each cell whole and persists per lane.
-    let dir = temp_dir("batched-ckpt");
-    let telemetry = Telemetry::enabled();
-    let batched = RunnerConfig {
-        jobs: 2,
-        batch: 8,
-        snapshot_dir: Some(dir.clone()),
-        resume: false,
-        telemetry: telemetry.clone(),
-    }
-    .run_campaign(&campaign);
-    assert_eq!(batched, serial, "full-width batches must match serial");
+    assert_eq!(
+        parallel, serial,
+        "a checkpointing parallel run matches serial"
+    );
     assert_eq!(
         telemetry.counter("runner.tasks_completed").get(),
         total as u64,
-        "completion accounting stays per-lane under batching"
+        "one completion per task"
     );
+    let probe = CheckpointDir::open(&dir, campaign.fingerprint(), total).expect("open");
     let namespace = dir.join(CheckpointDir::namespace(campaign.fingerprint()));
     for task in campaign.tasks() {
-        if matches!(task.scheme, ErrorControlScheme::ProposedRl) {
-            let policy = namespace.join(format!("task-{:04}.policy", task.index));
-            assert!(
-                policy.exists(),
-                "every batched RL lane leaves its own policy snapshot"
-            );
-        }
+        assert!(
+            probe.load(task.index).is_some(),
+            "task {} is checkpointed",
+            task.index
+        );
+        let policy = namespace.join(format!("task-{:04}.policy", task.index));
+        assert_eq!(
+            policy.exists(),
+            matches!(task.scheme, ErrorControlScheme::ProposedRl),
+            "exactly the RL tasks leave a policy snapshot"
+        );
     }
 
-    // A scalar resume restores every batched checkpoint untouched.
+    // A serial resume restores every checkpoint untouched.
     let telemetry2 = Telemetry::enabled();
     let resumed = RunnerConfig {
-        jobs: 1,
         snapshot_dir: Some(dir.clone()),
         resume: true,
         telemetry: telemetry2.clone(),
         ..RunnerConfig::serial()
     }
     .run_campaign(&campaign);
-    assert_eq!(resumed, serial, "resume from batched checkpoints");
+    assert_eq!(
+        resumed, serial,
+        "resume from the parallel run's checkpoints"
+    );
     assert_eq!(
         telemetry2.counter("runner.tasks_resumed").get(),
         total as u64
@@ -440,11 +411,11 @@ fn batched_replicate_groups_match_serial_and_checkpoint_per_lane() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// A killed K-lane group must keep every lane it finished: each lane's
-/// checkpoint is on disk — and `on_task` has fired — before the next
-/// lane of the group starts.
+/// A killed campaign keeps every task it finished: a task's checkpoint
+/// is on disk before `on_task` fires for it, which `rlnoc-serve`'s
+/// progress stream relies on.
 #[test]
-fn batched_group_persists_and_notifies_each_lane_as_it_finishes() {
+fn each_task_is_checkpointed_before_it_is_notified() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     let mut campaign = tiny_campaign();
     campaign.replicates = 4;
@@ -452,16 +423,16 @@ fn batched_group_persists_and_notifies_each_lane_as_it_finishes() {
         .schemes
         .retain(|s| matches!(s, rlnoc_core::ErrorControlScheme::StaticCrc));
     let total = campaign.tasks().len();
-    assert_eq!(total, 4, "one cell, four replicate lanes, one group");
+    assert_eq!(total, 4, "one cell, four replicates");
 
-    let dir = temp_dir("batched-per-lane");
+    let dir = temp_dir("notify-after-store");
     // A second handle on the directory shares the runner's journal, so
     // it sees each record the moment it is appended.
     let probe = CheckpointDir::open(&dir, campaign.fingerprint(), total).expect("open");
     let stored = |index: usize| probe.load(index).is_some();
     let notified = AtomicUsize::new(0);
     RunnerConfig {
-        batch: 4,
+        jobs: 2,
         snapshot_dir: Some(dir.clone()),
         ..RunnerConfig::serial()
     }
@@ -469,17 +440,9 @@ fn batched_group_persists_and_notifies_each_lane_as_it_finishes() {
         notified.fetch_add(1, Ordering::Relaxed);
         assert!(
             stored(task.index),
-            "lane {} is notified only after its checkpoint is durable",
+            "task {} is notified only after its checkpoint is durable",
             task.index
         );
-        if task.index + 1 < total {
-            assert!(
-                !stored(task.index + 1),
-                "lane {} has not run yet when lane {} reports",
-                task.index + 1,
-                task.index
-            );
-        }
     });
     assert_eq!(notified.load(Ordering::Relaxed), total);
     std::fs::remove_dir_all(&dir).expect("cleanup");

@@ -288,7 +288,7 @@ static ROUTE_CACHE: LazyLock<RouteCache> = LazyLock::new(|| RouteCache::with_cap
 /// [`FaultRoutes::compute`] is a pure, deterministic function of
 /// `(topology, dead set)` — nothing in it sees packet dynamics — so one
 /// table serves every network in the process that reaches the same
-/// dead set: replicate lanes, schemes and workloads of a campaign,
+/// dead set: replicates, schemes and workloads of a campaign,
 /// `RLNOC_JOBS` workers, service campaigns. Values are stored
 /// run-length packed ([`PackedRoutes`]) and unpacked into the caller's
 /// own dense table on a hit. The footprint is capped: an insert that
@@ -371,36 +371,27 @@ pub fn poison_route_cache_for_test(
     ROUTE_CACHE.insert(RouteKey::new(topo, node_dead, link_dead), routes.pack());
 }
 
-/// Immutable lookup state that replicate lanes of a batched simulation
-/// share instead of rebuilding per lane: the X-Y route table and the
-/// neighbor table.
-///
-/// All lanes must run the same mesh. Construction via
-/// [`Network::with_shared`] is behaviorally identical to
-/// [`Network::new`] — the tables are the same values, merely shared —
-/// so per-lane results stay byte-identical to independently built
-/// networks.
+/// The two lookup tables every [`Network`] builds for its topology: the
+/// X-Y route table and the neighbor table. [`Network::new`] builds them
+/// through this type, so timing [`SharedTables::new`] times exactly what
+/// a network build pays for them. The type exists only for that
+/// measurement; it goes when the benchmark stops naming it (ROADMAP
+/// item 1c).
+#[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct SharedTables {
-    mesh: Topo,
-    routes: Arc<RouteTable>,
-    neighbors: Arc<NeighborTable>,
+    routes: RouteTable,
+    neighbors: NeighborTable,
 }
 
 impl SharedTables {
-    /// Precomputes the shared tables for `mesh` (any topology).
+    /// Builds both tables for `mesh` (any topology).
     pub fn new(mesh: impl Into<Topo>) -> Self {
         let mesh = mesh.into();
         Self {
-            mesh,
-            routes: Arc::new(RouteTable::new(mesh)),
-            neighbors: Arc::new(NeighborTable::new(mesh)),
+            routes: RouteTable::new(mesh),
+            neighbors: NeighborTable::new(mesh),
         }
-    }
-
-    /// The topology these tables were built for.
-    pub fn mesh(&self) -> Topo {
-        self.mesh
     }
 }
 
@@ -433,10 +424,9 @@ pub struct Network<E: ErrorControl> {
     cycle: u64,
     wheel: Wheel,
     /// Precomputed X-Y next-hop lookup (RC stage, latency attribution).
-    /// Shared (`Arc`) so batched replicate lanes build it once.
-    routes: Arc<RouteTable>,
+    routes: RouteTable,
     /// Precomputed node × direction neighbor lookup (link endpoints).
-    neighbors: Arc<NeighborTable>,
+    neighbors: NeighborTable,
     /// Slab of in-flight flit bodies; everything else moves handles.
     arena: FlitArena,
     source_queues: Vec<VecDeque<(Packet, u8)>>,
@@ -568,51 +558,12 @@ impl<E: ErrorControl> Network<E> {
     ///
     /// Panics if `config` fails [`NocConfig::validate`].
     pub fn new(config: NocConfig, protocol: E, seed: u64) -> Self {
-        let mesh = config.mesh;
-        Self::build(
-            config,
-            protocol,
-            seed,
-            Arc::new(RouteTable::new(mesh)),
-            Arc::new(NeighborTable::new(mesh)),
-        )
-    }
-
-    /// Like [`Network::new`], but reusing precomputed [`SharedTables`]
-    /// instead of rebuilding the route/neighbor lookups — the
-    /// construction path for replicate lanes of one group. Behaviorally
-    /// identical to [`Network::new`] on the same configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` fails [`NocConfig::validate`] or `shared` was
-    /// built for a different mesh.
-    pub fn with_shared(config: NocConfig, protocol: E, seed: u64, shared: &SharedTables) -> Self {
-        assert_eq!(
-            shared.mesh, config.mesh,
-            "shared tables built for a different mesh"
-        );
-        Self::build(
-            config,
-            protocol,
-            seed,
-            Arc::clone(&shared.routes),
-            Arc::clone(&shared.neighbors),
-        )
-    }
-
-    fn build(
-        config: NocConfig,
-        protocol: E,
-        seed: u64,
-        routes: Arc<RouteTable>,
-        neighbors: Arc<NeighborTable>,
-    ) -> Self {
         if let Err(e) = config.validate() {
             panic!("{e}");
         }
         let mesh = config.mesh;
         let n = mesh.num_nodes();
+        let SharedTables { routes, neighbors } = SharedTables::new(mesh);
         Self {
             config,
             mesh,

@@ -3,9 +3,7 @@
 //! Generates `FuzzCase`s from a SplitMix64 case stream, runs each on the
 //! optimized kernel and the reference model in parallel, and fails loudly
 //! on the first report divergence — after shrinking it to a minimal
-//! replayable case file. Every eighth case additionally re-runs as a
-//! shared-table replicate group (widths cycling 2/4/8) and every
-//! lane is diffed against its serial run.
+//! replayable case file.
 //!
 //! ```text
 //! verify_fuzz [--seed N] [--cases N] [--budget 60s] [--jobs N]
@@ -25,7 +23,7 @@
 
 use rlnoc_core::fuzzcase::FuzzCase;
 use rlnoc_telemetry::Telemetry;
-use rlnoc_verify::diff::{batch_sample_width, run_case, run_case_batched, shrink_divergence};
+use rlnoc_verify::diff::{run_case, shrink_divergence};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -87,7 +85,7 @@ fn parse_args() -> Result<Options, String> {
 
 /// Runs one batch of case indices in parallel; returns the first
 /// divergent outcome by case index, if any.
-fn run_batch(
+fn run_cases(
     seed: u64,
     range: std::ops::Range<u64>,
     jobs: usize,
@@ -95,17 +93,7 @@ fn run_batch(
     let telemetry = Telemetry::disabled();
     let indices: Vec<u64> = range.collect();
     let outcomes = rlnoc_runner::pool::run_indexed(indices, jobs, &telemetry, |_, i| {
-        let case = FuzzCase::generate(seed, i);
-        let outcome = run_case(&case);
-        if !outcome.agrees() {
-            return outcome;
-        }
-        // Sampled cases additionally re-run as a batched replicate
-        // group, folding table sharing into the default stream.
-        match batch_sample_width(i) {
-            Some(lanes) => run_case_batched(&case, lanes),
-            None => outcome,
-        }
+        run_case(&FuzzCase::generate(seed, i))
     });
     outcomes.into_iter().find(|o| !o.agrees())
 }
@@ -183,7 +171,7 @@ fn main() {
         if n == 0 {
             break;
         }
-        if let Some(bad) = run_batch(opts.seed, done..done + n, opts.jobs) {
+        if let Some(bad) = run_cases(opts.seed, done..done + n, opts.jobs) {
             std::process::exit(report_divergence(&bad, &opts.out));
         }
         done += n;

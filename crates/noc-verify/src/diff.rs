@@ -39,45 +39,6 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     run_case_with::<Network<FaultTolerantProtocol>, ReferenceBackend>(case)
 }
 
-/// Lane width for the replicate-group sample at fuzz-stream index `index`,
-/// or `None` when the index runs the scalar differential only. Every
-/// eighth case re-runs as a batched replicate group, cycling the widths
-/// the lane-equivalence wall pins — this is the policy `verify_fuzz`
-/// applies, factored out so a test can pin the coverage.
-pub fn batch_sample_width(index: u64) -> Option<usize> {
-    index
-        .is_multiple_of(8)
-        .then(|| [2, 4, 8][(index / 8) as usize % 3])
-}
-
-/// Runs `case` as the first lane of a `lanes`-wide batched replicate
-/// group on the optimized kernel, diffing every lane against its own
-/// serial run (replicate seeds derive from the case seed through
-/// `rand::seed_stream`, like `Campaign::tasks`). Combined with
-/// [`run_case`] — serial optimized vs reference — this closes the
-/// triangle: batched == serial == reference.
-pub fn run_case_batched(case: &FuzzCase, lanes: usize) -> CaseOutcome {
-    let cases: Vec<FuzzCase> = (0..lanes as u64)
-        .map(|i| {
-            let mut lane = case.clone();
-            if i > 0 {
-                lane.seed = rand::seed_stream(case.seed, i);
-            }
-            lane
-        })
-        .collect();
-    let serial: Vec<_> = cases.iter().map(|c| c.experiment().run()).collect();
-    let batched = rlnoc_core::Experiment::run_batch(cases.iter().map(|c| c.experiment()).collect());
-    CaseOutcome {
-        case: case.clone(),
-        diffs: serial
-            .iter()
-            .zip(&batched)
-            .flat_map(|(s, b)| s.diff(b))
-            .collect(),
-    }
-}
-
 /// Greedily shrinks `case` while `diverges` keeps reproducing, returning
 /// the smallest divergent case found. Bounded by `max_steps` shrink
 /// attempts so pathological cases cannot stall a CI run.

@@ -37,10 +37,7 @@ pub mod refroutes;
 pub mod reftree;
 
 pub use backend::{ReferenceBackend, StaleTemperatureBackend};
-pub use diff::{
-    batch_sample_width, run_case, run_case_batched, run_case_with, shrink, shrink_divergence,
-    CaseOutcome,
-};
+pub use diff::{run_case, run_case_with, shrink, shrink_divergence, CaseOutcome};
 pub use refnet::RefNetwork;
 pub use refproto::RefProtocol;
 pub use refrouter::RefRouter;

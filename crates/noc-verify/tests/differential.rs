@@ -12,9 +12,7 @@
 use noc_sim::network::Network;
 use rlnoc_core::fuzzcase::FuzzCase;
 use rlnoc_core::protocol::FaultTolerantProtocol;
-use rlnoc_verify::{
-    batch_sample_width, run_case, run_case_batched, run_case_with, shrink, StaleTemperatureBackend,
-};
+use rlnoc_verify::{run_case, run_case_with, shrink, StaleTemperatureBackend};
 
 const SEED: u64 = 0x5EED_F00D;
 
@@ -88,50 +86,6 @@ fn default_fuzz_stream_covers_the_topology_zoo() {
             "default stream lost hard-faulted {name} cases: {seen:?}"
         );
     }
-}
-
-/// The default fuzz stream folds shared-table replicate groups in on a fixed
-/// cadence: every eighth case re-runs as a batched replicate group with
-/// widths cycling 2/4/8. Pin that policy so nobody can accidentally
-/// drop the batched path out of the differential stream, and check
-/// the default 200-case run samples every width.
-#[test]
-fn batched_sampling_cadence_is_pinned() {
-    for i in 0..32u64 {
-        let expected = match i {
-            0 => Some(2),
-            8 => Some(4),
-            16 => Some(8),
-            24 => Some(2),
-            _ => None,
-        };
-        assert_eq!(
-            batch_sample_width(i),
-            expected,
-            "sampling policy changed at index {i}"
-        );
-    }
-    let widths: std::collections::BTreeSet<usize> =
-        (0..200).filter_map(batch_sample_width).collect();
-    assert_eq!(
-        widths.into_iter().collect::<Vec<_>>(),
-        vec![2, 4, 8],
-        "a default 200-case run must exercise every batch width"
-    );
-}
-
-/// One sampled case actually run as a batched replicate group: every
-/// lane must match its own serial run — the in-tree version of the
-/// batched leg `verify_fuzz` runs at scale.
-#[test]
-fn batched_replicate_group_agrees_with_serial_lanes() {
-    let case = FuzzCase::generate(SEED, 0);
-    let out = run_case_batched(&case, 2);
-    assert!(
-        out.agrees(),
-        "batched lanes diverged from serial:\n{case}\ndiffs: {:?}",
-        out.diffs
-    );
 }
 
 /// A generated hard-fault case must agree between engines — the quick

@@ -86,34 +86,6 @@ fn reports_match_committed_goldens_byte_for_byte() {
     );
 }
 
-/// The batched path against the same fixtures: all three scheme tasks
-/// run as one mixed `run_batch` group (they share a mesh
-/// and seed, so they also share route tables) and every rendered
-/// report must still match its committed golden byte for byte.
-#[test]
-fn batched_engine_reproduces_the_committed_goldens() {
-    let campaign = golden_campaign();
-    let tasks = campaign.tasks();
-    let reports =
-        rlnoc_core::Experiment::run_batch(tasks.iter().map(|t| campaign.experiment(t)).collect());
-    assert_eq!(reports.len(), 3);
-    for report in &reports {
-        let fresh = rlnoc_runner::render_report(report);
-        let path = golden_path(fixture_name(report.scheme));
-        let Ok(committed) = std::fs::read_to_string(&path) else {
-            // reports_match_committed_goldens_byte_for_byte reports the
-            // missing-fixture case with a regeneration hint.
-            continue;
-        };
-        assert_eq!(
-            fresh,
-            committed,
-            "batched report drifts from {}",
-            path.display()
-        );
-    }
-}
-
 #[test]
 fn golden_fixtures_parse_back_bit_exactly() {
     // The fixtures are not just byte-stable — they round-trip through
