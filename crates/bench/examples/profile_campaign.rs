@@ -91,7 +91,7 @@ fn main() {
         ff.packets_delivered
     );
 
-    // Pass 1: plain wall time, fused path (no telemetry).
+    // Pass 1: plain wall time (no telemetry).
     let t0 = Instant::now();
     let report = lane(0, true, None).run();
     let plain = t0.elapsed();
@@ -101,7 +101,7 @@ fn main() {
         report.packets_delivered, report.packets_injected
     );
 
-    // Pass 2: telemetry enabled (split path) to get per-phase sums.
+    // Pass 2: telemetry enabled, for the sampled per-stage sums.
     let tel = Telemetry::enabled();
     let t0 = Instant::now();
     let _report = lane(0, true, Some(&tel)).run();

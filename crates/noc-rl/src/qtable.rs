@@ -19,8 +19,8 @@ const PAGE_STATES: usize = 32;
 /// and `PolicySnapshot::read` reject a larger one before allocating
 /// anything. It is above every space the tree builds: the paper's
 /// 10 000 states, 30 000 with three fault-degree bins, and 6⁶ = 46 656
-/// in the bin-granularity ablation. A table of this size has a 16 KiB
-/// page directory.
+/// in the bin-granularity ablation. A table of this size has at most a
+/// 16 KiB page directory.
 pub const MAX_STATES: usize = 1 << 16;
 
 /// One state's action values and per-action update counts.
@@ -38,7 +38,8 @@ type Page = [Row; PAGE_STATES];
 /// the one blank row (`[initial; 4]`, no visits), so a table costs what
 /// its agent visited rather than the size of the state space; a table
 /// with every page written is the dense `num_states × 48` bytes plus one
-/// pointer per page.
+/// pointer per page. The page directory itself grows on write, up to the
+/// highest page written, so a table with no rows allocates nothing.
 ///
 /// Equality is logical: an unwritten page equals a page of blank rows.
 ///
@@ -64,8 +65,8 @@ impl PartialEq for QTable {
     fn eq(&self, other: &Self) -> bool {
         self.num_states == other.num_states
             && self.updates == other.updates
-            && (self.pages.iter().zip(&other.pages).enumerate()).all(|(p, (a, b))| {
-                if a.is_none() && b.is_none() {
+            && (0..self.num_states.div_ceil(PAGE_STATES)).all(|p| {
+                if self.page(p).is_none() && other.page(p).is_none() {
                     return self.blank == other.blank;
                 }
                 // The last page may extend past `num_states`.
@@ -106,7 +107,7 @@ impl QTable {
                 values: [initial; NUM_ACTIONS],
                 visits: [0; NUM_ACTIONS],
             },
-            pages: vec![None; num_states.div_ceil(PAGE_STATES)],
+            pages: Vec::new(),
             updates: 0,
         }
     }
@@ -127,10 +128,16 @@ impl QTable {
         self.pages.iter().flatten().count() * PAGE_STATES
     }
 
+    /// Page `p`, if it was ever written.
+    #[inline]
+    fn page(&self, p: usize) -> Option<&Page> {
+        self.pages.get(p)?.as_deref()
+    }
+
     #[inline]
     fn stored(&self, state: usize) -> &Row {
         assert!(state < self.num_states, "state out of range");
-        match &self.pages[state / PAGE_STATES] {
+        match self.page(state / PAGE_STATES) {
             Some(page) => &page[state % PAGE_STATES],
             None => &self.blank,
         }
@@ -141,8 +148,11 @@ impl QTable {
     fn stored_mut(&mut self, state: usize) -> &mut Row {
         assert!(state < self.num_states, "state out of range");
         let Self { pages, blank, .. } = self;
-        let page =
-            pages[state / PAGE_STATES].get_or_insert_with(|| Box::new([*blank; PAGE_STATES]));
+        let p = state / PAGE_STATES;
+        if p >= pages.len() {
+            pages.resize(p + 1, None);
+        }
+        let page = pages[p].get_or_insert_with(|| Box::new([*blank; PAGE_STATES]));
         &mut page[state % PAGE_STATES]
     }
 

@@ -38,7 +38,7 @@ use crate::topology::{Direction, LinkId, NeighborTable, NodeId, Topo, MAX_PORTS}
 use crate::worklist::{bits, ActiveSet};
 use noc_coding::arq::{AckKind, SequenceNumber};
 use noc_coding::crc::Crc32;
-use rlnoc_telemetry::{Counter, Gauge, Histogram, Telemetry, TimerHandle};
+use rlnoc_telemetry::{Counter, Gauge, Histogram, LapClock, Laps, Telemetry, TimerHandle};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
 
@@ -495,12 +495,8 @@ struct ReassemblyEntry {
 /// enabled [`Telemetry`]; disabled, each site costs one branch.
 #[derive(Debug, Clone, Default)]
 struct NetTelemetry {
-    phase_events: TimerHandle,
-    phase_inject: TimerHandle,
-    phase_sa_st: TimerHandle,
-    phase_va: TimerHandle,
-    phase_rc: TimerHandle,
-    phase_sample: TimerHandle,
+    /// One span timer per [`Stage`], in its order.
+    stages: [TimerHandle; STAGE_TIMERS.len()],
     hardfault_apply: TimerHandle,
     cycles: Counter,
     active_router_cycles: Counter,
@@ -525,12 +521,7 @@ struct NetTelemetry {
 impl NetTelemetry {
     fn resolve(telemetry: &Telemetry) -> Self {
         Self {
-            phase_events: telemetry.timer("sim.phase.process_events"),
-            phase_inject: telemetry.timer("sim.phase.inject"),
-            phase_sa_st: telemetry.timer("sim.phase.sa_st"),
-            phase_va: telemetry.timer("sim.phase.va"),
-            phase_rc: telemetry.timer("sim.phase.rc"),
-            phase_sample: telemetry.timer("sim.phase.sample"),
+            stages: STAGE_TIMERS.map(|name| telemetry.timer(name)),
             hardfault_apply: telemetry.timer("sim.hardfault.apply"),
             cycles: telemetry.counter("sim.cycles"),
             active_router_cycles: telemetry.counter("sim.worklist.active_router_cycles"),
@@ -548,6 +539,33 @@ impl NetTelemetry {
         }
     }
 }
+
+/// The stages of one cycle, in the order they run and the order of
+/// [`STAGE_TIMERS`].
+enum Stage {
+    Events,
+    Inject,
+    SaSt,
+    Va,
+    Rc,
+    Sample,
+}
+
+/// The v1 span names of the [`Stage`]s.
+const STAGE_TIMERS: [&str; 6] = [
+    "sim.phase.process_events",
+    "sim.phase.inject",
+    "sim.phase.sa_st",
+    "sim.phase.va",
+    "sim.phase.rc",
+    "sim.phase.sample",
+];
+
+/// With telemetry on, the stages are timed on the cycles that are
+/// multiples of this and each time is recorded with this weight, so a
+/// stage timer's sum estimates the stage's wall time over every cycle
+/// while unsampled cycles read no clock.
+const STAGE_SAMPLE_PERIOD: u64 = 16;
 
 impl<E: ErrorControl> Network<E> {
     /// Builds a network from `config` with the given error-control layer.
@@ -855,16 +873,14 @@ impl<E: ErrorControl> Network<E> {
         self.stats.control_packets += 1;
     }
 
-    /// Advances the simulation by one clock cycle.
+    /// Advances the simulation by one clock cycle: events, injection,
+    /// then one fused pass over the active-router worklist in which each
+    /// live router executes SA/ST → VA → RC → sampling back to back while
+    /// its state is hot.
     ///
-    /// With per-phase span timers disabled (the default), the SA/VA/RC
-    /// phases run as one fused pass over the active-router worklist:
-    /// each live router executes SA/ST → VA → RC back to back while its
-    /// state is hot. With timers enabled, the same per-router phase
-    /// functions run as six separately spanned loops so the exported
-    /// per-phase histograms keep their v1 meaning. The two shapes are
-    /// observably identical (see the fused-pass ordering argument on
-    /// [`Network::fused_pipeline`]).
+    /// With telemetry on, one cycle in [`STAGE_SAMPLE_PERIOD`] stamps
+    /// every stage boundary and records the six stage times with that
+    /// weight; the simulation is the same either way.
     pub fn step(&mut self) {
         let cycle = self.cycle;
         if let Some(fs) = &self.faults {
@@ -877,35 +893,12 @@ impl<E: ErrorControl> Network<E> {
                 self.apply_hard_fault_batch(cycle);
             }
         }
-        if self.tel.phase_sa_st.is_enabled() {
-            {
-                let _span = self.tel.phase_events.start();
-                self.process_events(cycle);
-            }
-            {
-                let _span = self.tel.phase_inject.start();
-                self.inject_phase(cycle);
-            }
-            {
-                let _span = self.tel.phase_sa_st.start();
-                self.sa_st_phase(cycle);
-            }
-            {
-                let _span = self.tel.phase_va.start();
-                self.va_phase(cycle);
-            }
-            {
-                let _span = self.tel.phase_rc.start();
-                self.rc_phase(cycle);
-            }
-            {
-                let _span = self.tel.phase_sample.start();
-                self.sample_phase();
-            }
+        if self.tel.stages[0].is_enabled() && cycle.is_multiple_of(STAGE_SAMPLE_PERIOD) {
+            let mut laps = Laps::start();
+            self.run_stages(cycle, &mut laps);
+            laps.record(&self.tel.stages, STAGE_SAMPLE_PERIOD);
         } else {
-            self.process_events(cycle);
-            self.inject_phase(cycle);
-            self.fused_pipeline(cycle);
+            self.run_stages(cycle, &mut ());
         }
         self.epoch_pending_cycles += 1;
         self.tel.cycles.inc();
@@ -962,6 +955,16 @@ impl<E: ErrorControl> Network<E> {
     }
 
     // ----- phases ---------------------------------------------------------
+
+    /// The cycle after hard-fault application; see [`Network::step`].
+    #[inline]
+    fn run_stages(&mut self, cycle: u64, clock: &mut impl LapClock) {
+        self.process_events(cycle);
+        clock.lap(Stage::Events as usize);
+        self.inject_phase(cycle);
+        clock.lap(Stage::Inject as usize);
+        self.fused_pipeline(cycle, clock);
+    }
 
     fn process_events(&mut self, cycle: u64) {
         let mut events = self.wheel.take(cycle);
@@ -1519,21 +1522,6 @@ impl<E: ErrorControl> Network<E> {
         }
     }
 
-    /// Split-path SA/ST driver (telemetry spans enabled): one pass over
-    /// the worklist. Routers outside the worklist have no occupied VC
-    /// and no pending resend — exactly the routers the old dense loop
-    /// skipped.
-    fn sa_st_phase(&mut self, cycle: u64) {
-        for wi in 0..self.active.num_words() {
-            let mut word = self.active.word(wi);
-            while word != 0 {
-                let ri = (wi << 6) | word.trailing_zeros() as usize;
-                word &= word - 1;
-                self.sa_st_router(ri, cycle);
-            }
-        }
-    }
-
     /// SA/ST for one router: priority resends, then separable
     /// input-first/output switch arbitration and traversal. Each step
     /// runs only when its mask says it has a candidate; skipping is
@@ -1757,35 +1745,10 @@ impl<E: ErrorControl> Network<E> {
         }
     }
 
-    fn va_phase(&mut self, cycle: u64) {
-        for wi in 0..self.active.num_words() {
-            let mut word = self.active.word(wi);
-            while word != 0 {
-                let ri = (wi << 6) | word.trailing_zeros() as usize;
-                word &= word - 1;
-                self.va_router(ri, cycle);
-            }
-        }
-    }
-
     #[inline]
     fn va_router(&mut self, ri: usize, cycle: u64) {
         let grants = self.routers[ri].va_stage(cycle);
         self.counters[ri].va_allocations += grants;
-    }
-
-    fn rc_phase(&mut self, cycle: u64) {
-        for wi in 0..self.active.num_words() {
-            let mut word = self.active.word(wi);
-            while word != 0 {
-                let ri = (wi << 6) | word.trailing_zeros() as usize;
-                word &= word - 1;
-                self.rc_router(ri, cycle);
-            }
-        }
-        if !self.rc_doomed.is_empty() {
-            self.finish_rc_dooms(cycle);
-        }
     }
 
     #[inline]
@@ -1804,69 +1767,70 @@ impl<E: ErrorControl> Network<E> {
 
     /// The fused per-cycle pipeline kernel: one pass over the active
     /// worklist running SA/ST → VA → RC → sampling for each live router
-    /// before moving to the next.
+    /// before moving to the next, reporting each stage boundary to
+    /// `clock`. The worklist walk is charged to SA/ST.
     ///
-    /// Equivalent to the phase-major loops because the stages of router
-    /// `i` read and write only router-`i` state — cross-router effects
-    /// travel exclusively through the event wheel, and of the stages
-    /// only SA/ST pushes events, so the wheel's push order under
-    /// router-major fusion matches the phase-major order exactly, and a
-    /// router's sample after its own RC is the sample the separate pass
-    /// takes after every router's. Doom resolution (`finish_rc_dooms`)
-    /// still runs after every router's RC, as in the split shape, because
-    /// it purges state across arbitrary routers; a cycle that dooms
-    /// re-samples what the purge changed.
-    fn fused_pipeline(&mut self, cycle: u64) {
+    /// Equivalent to the paper's phase-major order (each stage over
+    /// every router before the next stage, as the reference model in
+    /// `rlnoc-verify` runs it) because the stages of router `i` read and
+    /// write only router-`i` state — cross-router effects travel
+    /// exclusively through the event wheel, and of the stages only SA/ST
+    /// pushes events, so the wheel's push order under router-major
+    /// fusion matches the phase-major order exactly, and a router's
+    /// sample after its own RC is the sample a separate pass takes after
+    /// every router's. Doom resolution (`finish_rc_dooms`) runs after
+    /// every router's RC, because it purges state across arbitrary
+    /// routers; a cycle that dooms takes back every router's sample and
+    /// samples again after the purge.
+    fn fused_pipeline(&mut self, cycle: u64, clock: &mut impl LapClock) {
+        // Live routers this cycle: the worklist as the pass finds it, or
+        // as the purge rebuilds it.
+        let mut live_routers = if self.tel.active_router_cycles.is_enabled() {
+            self.active.len()
+        } else {
+            0
+        };
         for wi in 0..self.active.num_words() {
             let mut word = self.active.word(wi);
             while word != 0 {
                 let ri = (wi << 6) | word.trailing_zeros() as usize;
                 word &= word - 1;
                 self.sa_st_router(ri, cycle);
+                clock.lap(Stage::SaSt as usize);
                 // Each stage reads the masks the stage before it left: a
                 // tail sent above can file the next head for RC (which
                 // waits a cycle if that head arrived in this one).
                 if self.routers[ri].masks.va != 0 {
                     self.va_router(ri, cycle);
+                    clock.lap(Stage::Va as usize);
                 }
                 if self.routers[ri].masks.route_candidates() != 0 {
                     self.rc_router(ri, cycle);
+                    clock.lap(Stage::Rc as usize);
                 }
                 self.sample_router(ri);
+                clock.lap(Stage::Sample as usize);
             }
         }
+        clock.lap(Stage::SaSt as usize);
         if !self.rc_doomed.is_empty() {
-            let sampled: Vec<usize> = self
-                .routers
-                .iter()
-                .map(Router::occupied_input_vcs)
-                .collect();
+            // Routers off the worklist sampled zero, and no router has
+            // changed since its own sample, so this takes back exactly
+            // what the pass added.
+            for (router, epoch) in self.routers.iter().zip(&mut self.epoch) {
+                epoch.occupied_vc_cycles -= router.occupied_input_vcs() as u64;
+            }
+            clock.lap(Stage::Sample as usize);
             self.finish_rc_dooms(cycle);
-            for (ri, router) in self.routers.iter_mut().enumerate() {
+            clock.lap(Stage::Rc as usize);
+            for (router, epoch) in self.routers.iter_mut().zip(&mut self.epoch) {
                 router.end_cycle();
-                let occupied = &mut self.epoch[ri].occupied_vc_cycles;
-                *occupied = *occupied - sampled[ri] as u64 + router.occupied_input_vcs() as u64;
+                epoch.occupied_vc_cycles += router.occupied_input_vcs() as u64;
             }
+            clock.lap(Stage::Sample as usize);
+            live_routers = self.active.len();
         }
-    }
-
-    /// Split-path sampling (telemetry spans enabled): every live router,
-    /// after every router's pipeline stages and doom resolution.
-    fn sample_phase(&mut self) {
-        if self.tel.active_router_cycles.is_enabled() {
-            let members: u32 = (0..self.active.num_words())
-                .map(|wi| self.active.word(wi).count_ones())
-                .sum();
-            self.tel.active_router_cycles.add(u64::from(members));
-        }
-        for wi in 0..self.active.num_words() {
-            let mut word = self.active.word(wi);
-            while word != 0 {
-                let ri = (wi << 6) | word.trailing_zeros() as usize;
-                word &= word - 1;
-                self.sample_router(ri);
-            }
-        }
+        self.tel.active_router_cycles.add(live_routers as u64);
     }
 
     /// Ends the cycle for live router `ri`: adds its occupied VCs to the
@@ -2886,8 +2850,8 @@ mod select_tests {
             if candidates != 0 {
                 net.rc_router(ri, cycle);
             }
+            net.sample_router(ri);
         }
-        net.sample_phase();
         net.cycle += 1;
     }
 
@@ -3273,16 +3237,14 @@ mod hardfault_tests {
     }
 
     #[test]
-    fn rc_dooms_leave_the_same_samples_in_both_pipeline_shapes() {
+    fn telemetry_leaves_rc_doom_samples_unchanged() {
         // A 4×1 line cut mid-flight: heads still queued at node 0 find
         // node 3 unreachable at RC and are doomed there, so the fused
         // pass has to re-sample what the purge changed.
-        let run = |traced: bool| {
+        let run = |telemetry: &Telemetry| {
             let config = NocConfig::builder().mesh(4, 1).build();
             let mut net = Network::new(config, PerfectLink::new(), 7);
-            if traced {
-                net.set_telemetry(&Telemetry::enabled());
-            }
+            net.set_telemetry(telemetry);
             net.set_hard_faults(vec![link(6, NodeId(1), Direction::East)]);
             for _ in 0..6 {
                 net.offer(NodeId(0), NodeId(3));
@@ -3299,10 +3261,22 @@ mod hardfault_tests {
             assert!(net.is_quiescent());
             (format!("{:?}", net.stats()), epochs)
         };
-        let (fused, epochs) = run(false);
+        let (fused, epochs) = run(&Telemetry::disabled());
         assert!(fused.contains("packets_lost_hard_fault: 6"), "{fused}");
         assert!(epochs.iter().flatten().any(|e| e.occupied_vc_cycles > 0));
-        assert_eq!((fused, epochs), run(true));
+        let telemetry = Telemetry::enabled();
+        assert_eq!((fused, epochs), run(&telemetry));
+        // The count a sampling pass after doom resolution takes: the
+        // doom cycle counts the worklist the purge rebuilt.
+        assert_eq!(
+            telemetry.counter("sim.worklist.active_router_cycles").get(),
+            60
+        );
+        // Cycles 0, 16, …, 112 are timed, each standing for 16.
+        assert_eq!(
+            telemetry.timer("sim.phase.sa_st").snapshot().count,
+            8 * STAGE_SAMPLE_PERIOD
+        );
     }
 
     #[test]

@@ -68,6 +68,12 @@ impl ActiveSet {
         self.words.iter().all(|&w| w == 0)
     }
 
+    /// Number of members.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
     /// Number of 64-bit words backing the set.
     #[inline]
     pub fn num_words(&self) -> usize {

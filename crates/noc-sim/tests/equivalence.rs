@@ -93,11 +93,10 @@ fn second_zoo_network_through_a_schedule_is_served_from_the_route_cache() {
 
 #[test]
 fn telemetry_spans_leave_every_report_byte_unchanged() {
-    // With telemetry enabled the simulator steps through the six
-    // *split* spanned phases; disabled, it runs the fused single-pass
-    // kernel. Identical reports under both settings prove the fused
-    // kernel is observation-equivalent to the split shape — and that
-    // instrumentation never perturbs results.
+    // With telemetry enabled the simulator stamps its stage boundaries
+    // on sampled cycles and records counters and histograms every
+    // cycle; disabled, it reads no clock. Identical reports under both
+    // settings prove that instrumentation never perturbs results.
     let schedule = Arc::new(HardFaultSchedule::random(
         Mesh::new(4, 4),
         3,
@@ -129,6 +128,6 @@ fn telemetry_spans_leave_every_report_byte_unchanged() {
     let spanned = run(Some(rlnoc_telemetry::Telemetry::enabled()));
     assert_eq!(
         plain, spanned,
-        "split (spanned) and fused (plain) pipelines must agree byte for byte"
+        "traced and plain runs must agree byte for byte"
     );
 }

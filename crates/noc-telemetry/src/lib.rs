@@ -14,7 +14,8 @@
 //!   [`EpochRecord`]s (utilization, NACK rate, temperature, mode,
 //!   reward, epsilon, TD delta).
 //! - [`TimerHandle`] / [`ScopedTimer`] — drop-guard spans for hot paths
-//!   (router pipeline phases, ARQ handling, TD updates).
+//!   (ARQ handling, TD updates); [`Laps`] — chained stamps for spans that
+//!   interleave (the router pipeline stages).
 //! - [`export`] — JSONL and CSV writers with a stable schema, plus
 //!   per-run wall-clock / cycles-per-second summaries.
 //!
@@ -44,7 +45,7 @@ pub use registry::{
     HISTOGRAM_BUCKETS,
 };
 pub use series::{EpochRecord, EpochSeries, Phase, RunId, RunSummary, DEFAULT_EPOCH_CAPACITY};
-pub use timer::{ScopedTimer, TimerHandle};
+pub use timer::{LapClock, Laps, ScopedTimer, TimerHandle};
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;

@@ -100,10 +100,18 @@ impl HistogramCore {
 
     #[inline]
     pub(crate) fn record(&self, v: u64) {
+        self.record_weighted(v, 1);
+    }
+
+    /// Records `v` as `w` samples: `w` is added to `v`'s bucket and to
+    /// the count, `v·w` (saturating) to the sum. A value measured on one
+    /// occasion in `w` thus stands for the occasions that were skipped.
+    #[inline]
+    pub(crate) fn record_weighted(&self, v: u64, w: u64) {
         let bucket = (64 - v.leading_zeros()) as usize;
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.buckets[bucket].fetch_add(w, Ordering::Relaxed);
+        self.count.fetch_add(w, Ordering::Relaxed);
+        self.sum.fetch_add(v.saturating_mul(w), Ordering::Relaxed);
     }
 
     pub(crate) fn snapshot(&self) -> HistogramSnapshot {
@@ -352,6 +360,18 @@ mod tests {
         assert_eq!(snap.sum, 28);
         assert_eq!(snap.buckets, vec![(0, 1), (1, 1), (2, 2), (4, 4)]);
         assert!((snap.mean() - 3.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn weighted_record_counts_as_that_many_samples() {
+        let reg = MetricsRegistry::new();
+        let core = reg.timer_core("span");
+        core.record_weighted(5, 16);
+        core.record(2);
+        let snap = core.snapshot();
+        assert_eq!(snap.count, 17);
+        assert_eq!(snap.sum, 5 * 16 + 2);
+        assert_eq!(snap.buckets, vec![(2, 1), (4, 16)]);
     }
 
     #[test]

@@ -46,25 +46,25 @@ fn saturated(side: u16, rate: f64, scheme: ErrorControlScheme, cycles: u64) -> E
         .drain_limit(2 * cycles)
 }
 
-/// Runs one case fused, traced (the split pipeline shape, which also
-/// counts reassembly work) and on the reference model.
+/// Runs one case untraced, traced (which also counts reassembly work)
+/// and on the reference model.
 fn check(side: u16, rate: f64, scheme: ErrorControlScheme, cycles: u64) {
     let label = format!("{side}x{side} at {rate} under {scheme}");
     let build = |builder: ExperimentBuilder| builder.build().expect("saturation case must build");
     let telemetry = Telemetry::enabled();
-    let fused = build(saturated(side, rate, scheme, cycles)).run();
+    let plain = build(saturated(side, rate, scheme, cycles)).run();
     let traced = build(saturated(side, rate, scheme, cycles).telemetry(telemetry.clone())).run();
     let reference =
         build(saturated(side, rate, scheme, cycles)).run_with_backend::<ReferenceBackend>();
-    for (shape, report) in [("fused", &fused), ("traced", &traced)] {
+    for (shape, report) in [("untraced", &plain), ("traced", &traced)] {
         let diffs = report.diff(&reference);
         assert!(diffs.is_empty(), "{label}, {shape}: diverged {diffs:?}");
     }
-    assert!(fused.packets_injected > 0, "{label} offered nothing");
+    assert!(plain.packets_injected > 0, "{label} offered nothing");
     let entries = telemetry.counter("sim.reassembly.entries").get();
     let touched = telemetry.counter("sim.reassembly.slots_touched").get();
     assert!(
-        entries >= fused.packets_delivered,
+        entries >= plain.packets_delivered,
         "{label}: {entries} entries"
     );
     assert!(

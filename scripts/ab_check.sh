@@ -84,10 +84,15 @@ bound = {m["name"]: m["bound"] for m in e2e}
 # Simulated-time results: they repeat to the last digit, run after run.
 EXACT = {"ok_share", "delivered_share", "packet_latency_cyc", "exec_cycles",
          "energy_per_flit_pj", "goodput_share"}
-# Exact per-op counts that only a traced run reports.
+# Exact per-op counts that only a traced run reports: pure functions of
+# the reports or of counting telemetry.
 TRACED = ["rlnoc-runner.checkpoint_bytes_per_op", "rlnoc-runner.checkpoint_files_per_op",
           "noc-sim.cycles_per_op", "noc-sim.flits_delivered_per_op",
-          "noc-sim.reroutes_per_op", "noc-sim.packets_lost_per_op"]
+          "noc-sim.reroutes_per_op", "noc-sim.packets_lost_per_op",
+          "noc-sim.active_router_share", "noc-rl.td_updates_per_op",
+          "noc-rl.mode0_share", "noc-coding.ecc_corrections_per_op",
+          "noc-coding.crc_failures_per_op", "noc-coding.hop_nacks_per_op",
+          "noc-coding.retx_per_kpkt"]
 
 def load(side, w, trace):
     path = f"{runs}/{side}.{w}.{trace}.jsonl"
