@@ -124,9 +124,8 @@ impl Campaign {
     /// Decomposes the grid into its independent tasks, in serial run
     /// order: replicate-major, then workload, then scheme.
     pub fn tasks(&self) -> Vec<CampaignTask> {
-        let replicates = self.replicates.max(1);
-        let mut tasks = Vec::with_capacity(replicates * self.workloads.len() * self.schemes.len());
-        for replicate in 0..replicates {
+        let mut tasks = Vec::with_capacity(self.task_count());
+        for replicate in 0..self.replicates.max(1) {
             for workload in 0..self.workloads.len() {
                 let stream = (replicate * self.workloads.len() + workload) as u64;
                 let seed = rand::seed_stream(self.seed, stream);
@@ -145,8 +144,16 @@ impl Campaign {
     }
 
     /// How many tasks [`tasks`](Self::tasks) lists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `usize`.
     pub fn task_count(&self) -> usize {
-        self.replicates.max(1) * self.workloads.len() * self.schemes.len()
+        self.replicates
+            .max(1)
+            .checked_mul(self.workloads.len())
+            .and_then(|cells| cells.checked_mul(self.schemes.len()))
+            .expect("campaign task count overflows usize")
     }
 
     /// Task `index` of [`tasks`](Self::tasks), derived directly: its

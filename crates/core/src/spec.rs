@@ -200,6 +200,14 @@ impl CampaignSpec {
         if self.replicates == 0 {
             return Err(SpecError("replicates must be ≥ 1".into()));
         }
+        // The service counts a campaign's tasks in a `u32`.
+        let tasks = (self.replicates as u128) * (self.workloads.len() * self.schemes.len()) as u128;
+        if tasks > u128::from(u32::MAX) {
+            return Err(SpecError(format!(
+                "{tasks} tasks exceed the limit of {}",
+                u32::MAX
+            )));
+        }
         if self.drain_limit == 0 {
             return Err(SpecError("drain_limit must be positive".into()));
         }
@@ -492,6 +500,23 @@ mod tests {
         let mut s = CampaignSpec::tiny(1);
         s.workloads = vec!["streamcluster".into()];
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn task_counts_past_u32_are_refused() {
+        // 2^63 replicates × 2 schemes: a usize product wraps to 0 tasks.
+        let mut s = CampaignSpec::tiny(5);
+        s.schemes = vec![
+            ErrorControlScheme::StaticCrc,
+            ErrorControlScheme::StaticArqEcc,
+        ];
+        s.replicates = 1 << 63;
+        let err = CampaignSpec::from_text(&s.to_text()).unwrap_err();
+        assert!(err.to_string().contains("exceed"), "{err}");
+        s.replicates = 1 << 31;
+        assert!(s.validate().is_err(), "2^32 tasks is one past the limit");
+        s.replicates = (1 << 31) - 1;
+        assert!(s.validate().is_ok());
     }
 
     #[test]

@@ -130,6 +130,28 @@ fn unknown_campaigns_and_bad_submissions_answer_error_frames() {
 }
 
 #[test]
+fn a_spec_whose_task_count_overflows_is_refused_with_nothing_journaled() {
+    let (server, addr, dir) = start("overflow", 1, false);
+    let mut client = Client::connect(&addr).expect("connect");
+    // CRC-valid, but 2^63 replicates × 2 schemes wraps a usize task
+    // count to 0.
+    let mut spec = CampaignSpec::tiny(5);
+    spec.schemes = vec![
+        ErrorControlScheme::StaticCrc,
+        ErrorControlScheme::StaticArqEcc,
+    ];
+    spec.replicates = 1 << 63;
+    let journal_len = || std::fs::metadata(dir.join(JOURNAL_FILE)).map_or(0, |m| m.len());
+    let before = journal_len();
+    let err = client.submit("alice", 1, &spec.to_text()).unwrap_err();
+    assert!(err.to_string().contains("invalid submission"), "{err}");
+    assert_eq!(journal_len(), before, "a refused spec journals nothing");
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn watch_streams_telemetry_and_ends_with_done() {
     // Staged paused: the watcher attaches before any task can run, so
     // it observes the whole campaign stream.

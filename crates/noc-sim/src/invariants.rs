@@ -300,13 +300,13 @@ impl<E: ErrorControl> Network<E> {
         }
         // 3. Reroute table consistent with the live-neighbor set: every
         //    routed hop crosses a live link into a live router.
-        if let Some(fr) = &fs.routes {
+        if fs.next_event > 0 {
             for cur in self.mesh.nodes() {
                 if fs.node_dead[cur.index()] {
                     continue;
                 }
                 for dst in self.mesh.nodes() {
-                    let Some(dir) = fr.next_hop(cur, dst) else {
+                    let Some((dir, _)) = self.routes.next_hop(cur, dst) else {
                         continue;
                     };
                     if dir == Direction::Local {
@@ -723,13 +723,8 @@ mod tests {
         let mesh = net.mesh();
         let (cur, dst) = (mesh.node_at(0, 1), mesh.node_at(3, 3));
         // Point a live pair's route straight into the dead router.
-        net.faults
-            .as_mut()
-            .expect("fixture installed a schedule")
-            .routes
-            .as_mut()
-            .expect("fixture applied a fault")
-            .corrupt_entry(cur, dst, Direction::East);
+        assert!(net.hard_faults_active(), "fixture applied a fault");
+        net.routes.corrupt_entry(cur, dst, Direction::East);
         net.step();
     }
 }

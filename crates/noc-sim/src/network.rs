@@ -32,22 +32,21 @@ use crate::config::NocConfig;
 use crate::error_control::{EjectOutcome, ErrorControl, HopOutcome, TransferKind};
 use crate::flit::{Flit, FlitArena, FlitRef, Packet, PacketClass, PacketId, PacketWindow};
 use crate::router::{BufferedFlit, PendingRetransmit, Router, VcState};
-use crate::routing::{FaultRoutes, PackedRoutes, RouteTable};
+use crate::routing::{RouteCache, Routes, ROUTE_CACHE};
 use crate::stats::{EventCounters, NetworkStats, RouterEpochStats};
 use crate::topology::{Direction, LinkId, NeighborTable, NodeId, Topo, MAX_PORTS};
 use crate::worklist::{bits, ActiveSet};
 use noc_coding::arq::{AckKind, SequenceNumber};
 use noc_coding::crc::Crc32;
 use rlnoc_telemetry::{Counter, Gauge, Histogram, LapClock, Laps, Telemetry, TimerHandle};
-use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Per-cycle runtime invariant checks (child module so it can traverse
 /// the private event wheel); compiled only under the `verify` feature
 /// and armed by `RLNOC_VERIFY=1`.
 #[cfg(feature = "verify")]
 #[path = "invariants.rs"]
-mod invariants;
+pub(crate) mod invariants;
 
 /// Event-wheel horizon in cycles; all scheduled events must land within
 /// this many cycles of the present.
@@ -195,10 +194,10 @@ pub struct HardFaultEvent {
     pub kind: HardFaultKind,
 }
 
-/// Hard-fault bookkeeping: the pending schedule, liveness marks, the
-/// fault-adaptive route table (built at the first applied event), and
-/// the set of packets lost to faults ("doomed" — their surviving flits
-/// evaporate on arrival instead of being forwarded).
+/// Hard-fault bookkeeping: the pending schedule, liveness marks, where
+/// reroute tables come from, and the set of packets lost to faults
+/// ("doomed" — their surviving flits evaporate on arrival instead of
+/// being forwarded).
 #[derive(Debug)]
 struct FaultState {
     events: Vec<HardFaultEvent>,
@@ -207,11 +206,6 @@ struct FaultState {
     /// `link_dead[node][port]`: the channel at `node` in that direction
     /// is dead. Kept symmetric with the peer's opposite entry.
     link_dead: Vec<[bool; MAX_PORTS]>,
-    /// `Some` once the first fault event has been applied; the network
-    /// then routes via this table instead of X-Y. Dense and owned, so
-    /// `next_hop` on the RC path is one index whether the table was
-    /// solved here or unpacked from the [`RouteCache`].
-    routes: Option<FaultRoutes>,
     /// Where reroute tables are looked up: [`ROUTE_CACHE`] outside this
     /// module's own tests.
     cache: &'static RouteCache,
@@ -228,7 +222,6 @@ impl FaultState {
             next_event: 0,
             node_dead: vec![false; n],
             link_dead: vec![[false; MAX_PORTS]; n],
-            routes: None,
             cache: &ROUTE_CACHE,
             doomed: BTreeSet::new(),
         }
@@ -249,130 +242,8 @@ impl FaultState {
     }
 }
 
-/// Exact content a reroute table is a function of: the topology and
-/// the dead sets, one bit per router then one per `(router, port)`.
-/// Compared in full on every lookup — never an event count (two
-/// schedules can reach one count with different dead sets) and never a
-/// digest (a collision would misroute).
-#[derive(Debug, PartialEq, Eq, Hash)]
-struct RouteKey {
-    topo: Topo,
-    dead: Box<[u64]>,
-}
-
-impl RouteKey {
-    fn new(topo: Topo, node_dead: &[bool], link_dead: &[[bool; MAX_PORTS]]) -> Self {
-        let n = node_dead.len();
-        let mut dead = vec![0u64; (n * (1 + MAX_PORTS)).div_ceil(64)];
-        let bits = node_dead.iter().chain(link_dead.iter().flatten());
-        for (bit, _) in bits.enumerate().filter(|(_, &is_dead)| is_dead) {
-            dead[bit / 64] |= 1 << (bit % 64);
-        }
-        Self {
-            topo,
-            dead: dead.into(),
-        }
-    }
-}
-
-/// Bytes of packed tables and keys [`ROUTE_CACHE`] may hold. One 16×16
-/// torus table packs to ≈6 KiB, so this is room for over a thousand
-/// distinct dead sets; a process that outgrows it starts over.
-const ROUTE_CACHE_CAP: usize = 8 << 20;
-
-/// The process-wide reroute-table cache every [`Network`] consults.
-static ROUTE_CACHE: LazyLock<RouteCache> = LazyLock::new(|| RouteCache::with_cap(ROUTE_CACHE_CAP));
-
-/// Content-addressed memo of fault-adaptive route tables.
-///
-/// [`FaultRoutes::compute`] is a pure, deterministic function of
-/// `(topology, dead set)` — nothing in it sees packet dynamics — so one
-/// table serves every network in the process that reaches the same
-/// dead set: replicates, schemes and workloads of a campaign,
-/// `RLNOC_JOBS` workers, service campaigns. Values are stored
-/// run-length packed ([`PackedRoutes`]) and unpacked into the caller's
-/// own dense table on a hit. The footprint is capped: an insert that
-/// would overflow drops every entry first, which can only cost a later
-/// re-solve. Under the `verify` feature with `RLNOC_VERIFY=1` every hit
-/// is re-solved from scratch and compared, so a wrong entry panics
-/// instead of silently steering.
-#[derive(Debug)]
-struct RouteCache {
-    cap: usize,
-    entries: Mutex<RouteCacheEntries>,
-}
-
-#[derive(Debug, Default)]
-struct RouteCacheEntries {
-    map: HashMap<RouteKey, Arc<PackedRoutes>>,
-    /// Packed-table plus key bytes `map` is charged for.
-    bytes: usize,
-}
-
-impl RouteCache {
-    fn with_cap(cap: usize) -> Self {
-        Self {
-            cap,
-            entries: Mutex::default(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, RouteCacheEntries> {
-        // No code path panics while holding the guard.
-        self.entries.lock().expect("reroute cache lock poisoned")
-    }
-
-    /// The table for `key` and whether it was a hit; a miss runs
-    /// `solve` outside the lock and publishes the packed result.
-    fn get_or_solve(&self, key: RouteKey, solve: impl Fn() -> FaultRoutes) -> (FaultRoutes, bool) {
-        let hit = self.lock().map.get(&key).cloned();
-        if let Some(packed) = hit {
-            let routes = packed.unpack();
-            #[cfg(feature = "verify")]
-            if invariants::armed() {
-                assert!(
-                    solve() == routes,
-                    "process-wide reroute cache entry for {:?} diverges from recomputation",
-                    key.topo
-                );
-            }
-            return (routes, true);
-        }
-        let routes = solve();
-        self.insert(key, routes.pack());
-        (routes, false)
-    }
-
-    fn insert(&self, key: RouteKey, packed: PackedRoutes) {
-        let cost = packed.bytes() + std::mem::size_of_val(&*key.dead);
-        let mut entries = self.lock();
-        if entries.bytes + cost > self.cap {
-            *entries = RouteCacheEntries::default();
-        }
-        // A racing solver may have published the same (identical) entry
-        // already; it is charged once.
-        if cost <= self.cap && entries.map.insert(key, Arc::new(packed)).is_none() {
-            entries.bytes += cost;
-        }
-    }
-}
-
-/// Test hook: plants a (presumably wrong) table in the process-wide
-/// cache under the exact dead set given, so corruption-injection tests
-/// can prove the armed recompute-and-compare check has teeth.
-#[cfg(feature = "verify")]
-#[doc(hidden)]
-pub fn poison_route_cache_for_test(
-    topo: Topo,
-    node_dead: &[bool],
-    link_dead: &[[bool; MAX_PORTS]],
-    routes: &FaultRoutes,
-) {
-    ROUTE_CACHE.insert(RouteKey::new(topo, node_dead, link_dead), routes.pack());
-}
-
 /// The two lookup tables every [`Network`] builds for its topology: the
-/// X-Y route table and the neighbor table. [`Network::new`] builds them
+/// healthy route table and the neighbor table. [`Network::new`] builds them
 /// through this type, so timing [`SharedTables::new`] times exactly what
 /// a network build pays for them. The type exists only for that
 /// measurement; it goes when the benchmark stops naming it (ROADMAP
@@ -380,7 +251,7 @@ pub fn poison_route_cache_for_test(
 #[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct SharedTables {
-    routes: RouteTable,
+    routes: Routes,
     neighbors: NeighborTable,
 }
 
@@ -389,7 +260,7 @@ impl SharedTables {
     pub fn new(mesh: impl Into<Topo>) -> Self {
         let mesh = mesh.into();
         Self {
-            routes: RouteTable::new(mesh),
+            routes: Routes::healthy(mesh),
             neighbors: NeighborTable::new(mesh),
         }
     }
@@ -423,8 +294,10 @@ pub struct Network<E: ErrorControl> {
     crc: Crc32,
     cycle: u64,
     wheel: Wheel,
-    /// Precomputed X-Y next-hop lookup (RC stage, latency attribution).
-    routes: RouteTable,
+    /// The one next-hop table (RC stage, reachability, latency
+    /// attribution): minimal routes on the intact topology, up*/down*
+    /// ones once a hard-fault batch has been applied.
+    routes: Routes,
     /// Precomputed node × direction neighbor lookup (link endpoints).
     neighbors: NeighborTable,
     /// Slab of in-flight flit bodies; everything else moves handles.
@@ -702,11 +575,7 @@ impl<E: ErrorControl> Network<E> {
         // `unreachable_pairs` is a gauge, not an accumulator: re-seed it
         // from the live fault state so measurement-phase reports still
         // describe the surviving topology.
-        if let Some(fs) = &self.faults {
-            if let Some(fr) = &fs.routes {
-                self.stats.unreachable_pairs = fr.unreachable_pairs();
-            }
-        }
+        self.stats.unreachable_pairs = self.routes.unreachable_pairs();
     }
 
     /// Cumulative per-router energy event counters.
@@ -767,6 +636,10 @@ impl<E: ErrorControl> Network<E> {
                 }
             }
         }
+        if self.hard_faults_active() {
+            // A new schedule starts from the intact topology.
+            self.routes = Routes::healthy(self.mesh);
+        }
         if events.is_empty() {
             self.faults = None;
             return;
@@ -776,14 +649,14 @@ impl<E: ErrorControl> Network<E> {
     }
 
     /// `true` once at least one hard-fault event has been applied (the
-    /// network is routing on the fault-adaptive table).
+    /// network is routing up*/down*).
     pub fn hard_faults_active(&self) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.routes.is_some())
+        self.faults.as_ref().is_some_and(|f| f.next_event > 0)
     }
 
-    /// The fault-adaptive route table, once hard faults are active.
-    pub fn fault_routes(&self) -> Option<&FaultRoutes> {
-        self.faults.as_ref().and_then(|f| f.routes.as_ref())
+    /// The next-hop table the network routes on.
+    pub fn routes(&self) -> &Routes {
+        &self.routes
     }
 
     /// Whether router `node` has failed.
@@ -818,15 +691,11 @@ impl<E: ErrorControl> Network<E> {
             src.index() < self.mesh.num_nodes() && dst.index() < self.mesh.num_nodes(),
             "node outside mesh"
         );
-        if let Some(fs) = &self.faults {
-            if let Some(fr) = &fs.routes {
-                if !fr.reachable(src, dst) {
-                    let id = PacketId(self.next_packet_id);
-                    self.next_packet_id += 1;
-                    self.stats.packets_refused_unreachable += 1;
-                    return id;
-                }
-            }
+        if !self.routes.reachable(src, dst) {
+            let id = PacketId(self.next_packet_id);
+            self.next_packet_id += 1;
+            self.stats.packets_refused_unreachable += 1;
+            return id;
         }
         let id = PacketId(self.next_packet_id);
         self.next_packet_id += 1;
@@ -848,14 +717,10 @@ impl<E: ErrorControl> Network<E> {
 
     /// Offers a retransmit-request control packet (destination → source).
     fn offer_control(&mut self, from: NodeId, to: NodeId, of: PacketId) {
-        if let Some(fs) = &self.faults {
-            if let Some(fr) = &fs.routes {
-                if !fr.reachable(from, to) {
-                    // The source can no longer be reached; the request
-                    // (and with it the retransmission) is abandoned.
-                    return;
-                }
-            }
+        if !self.routes.reachable(from, to) {
+            // The source can no longer be reached; the request (and
+            // with it the retransmission) is abandoned.
+            return;
         }
         let id = PacketId(self.next_packet_id);
         self.next_packet_id += 1;
@@ -1422,8 +1287,8 @@ impl<E: ErrorControl> Network<E> {
                         // Attribute the latency to every router on the
                         // packet's routed path (src and dst inclusive).
                         // Under hard faults the walk follows the current
-                        // fault-adaptive table and stops early if the
-                        // path was severed after delivery.
+                        // up*/down* table and stops early if the path
+                        // was severed after delivery.
                         let mut r = head.src;
                         loop {
                             let e = &mut self.epoch[r.index()];
@@ -1432,12 +1297,9 @@ impl<E: ErrorControl> Network<E> {
                             if r == head.dst {
                                 break;
                             }
-                            let dir = match self.faults.as_ref().and_then(|f| f.routes.as_ref()) {
-                                Some(fr) => match fr.next_hop(r, head.dst) {
-                                    Some(d) if d != Direction::Local => d,
-                                    _ => break,
-                                },
-                                None => self.routes.next_hop(r, head.dst),
+                            let dir = match self.routes.next_hop(r, head.dst) {
+                                Some((d, _)) if d != Direction::Local => d,
+                                _ => break,
                             };
                             r = self.neighbors.get(r, dir).expect("route stays in mesh");
                         }
@@ -1757,12 +1619,10 @@ impl<E: ErrorControl> Network<E> {
             routers,
             routes,
             arena,
-            faults,
             rc_doomed,
             ..
         } = self;
-        let fault_routes = faults.as_deref().and_then(|f| f.routes.as_ref());
-        routers[ri].rc_stage(cycle, routes, fault_routes, arena, rc_doomed);
+        routers[ri].rc_stage(cycle, routes, arena, rc_doomed);
     }
 
     /// The fused per-cycle pipeline kernel: one pass over the active
@@ -1921,20 +1781,14 @@ impl<E: ErrorControl> Network<E> {
         // function of (topology, dead set), so any network in the
         // process that reached this dead set first has already paid for
         // the solve.
-        let key = RouteKey::new(self.mesh, &fs.node_dead, &fs.link_dead);
-        let (routes, hit) = fs.cache.get_or_solve(key, || {
-            let node_alive: Vec<bool> = fs.node_dead.iter().map(|&d| !d).collect();
-            FaultRoutes::compute(self.mesh, &node_alive, |n, d| {
-                !fs.link_dead[n.index()][d.index()]
-            })
-        });
+        let (routes, hit) = fs.cache.up_down(self.mesh, &fs.node_dead, &fs.link_dead);
         if hit {
             self.tel.hardfault_route_cache_hits.inc();
         } else {
             self.tel.hardfault_route_solves.inc();
         }
         let unreachable = routes.unreachable_pairs();
-        fs.routes = Some(routes);
+        self.routes = routes;
 
         // 3. Wheel sweep: in-flight events on dead elements die in
         // place. Killing an arrival dooms its packet — the wormhole has
@@ -2975,6 +2829,7 @@ mod hardfault_tests {
     use super::*;
     use crate::error_control::{PerfectLink, ScriptedErrorControl};
     use crate::router::StageMasks;
+    use std::sync::LazyLock;
 
     fn net_4x4() -> Network<PerfectLink> {
         let config = NocConfig::builder().mesh(4, 4).build();
@@ -3299,7 +3154,7 @@ mod hardfault_tests {
     /// link deaths and a router death on a 5×4 torus under all-pairs
     /// load. Returns the rendered stats and the table after each
     /// reroute. `cache` swaps the process-wide cache for a private one.
-    fn churn_run(seed: u64, cache: Option<&'static RouteCache>) -> (String, Vec<FaultRoutes>) {
+    fn churn_run(seed: u64, cache: Option<&'static RouteCache>) -> (String, Vec<Routes>) {
         let topo = Topo::torus(5, 4);
         let config = NocConfig::builder().topology(topo).build();
         let mut net = Network::new(config, PerfectLink::new(), seed);
@@ -3325,7 +3180,7 @@ mod hardfault_tests {
         while net.cycle() <= 100 {
             net.step();
             if net.stats().reroute_events as usize > tables.len() {
-                tables.push(net.fault_routes().expect("fault applied").clone());
+                tables.push(net.routes().clone());
             }
         }
         assert!(net.run_until_quiescent(60_000));
@@ -3341,17 +3196,14 @@ mod hardfault_tests {
         static TINY: LazyLock<RouteCache> = LazyLock::new(|| RouteCache::with_cap(250));
         static NONE: LazyLock<RouteCache> = LazyLock::new(|| RouteCache::with_cap(0));
         let uncapped = churn_run(1, None);
-        for cache in [&*TINY, &*NONE] {
+        for (cache, cap) in [(&*TINY, 250), (&*NONE, 0)] {
             assert_eq!(churn_run(1, Some(cache)), uncapped, "cold capped run");
             assert_eq!(churn_run(1, Some(cache)), uncapped, "second capped run");
-            let (entries, bytes) = {
-                let held = cache.lock();
-                (held.map.len(), held.bytes)
-            };
-            assert!(bytes <= cache.cap, "{bytes} bytes held over the cap");
+            let (entries, bytes) = cache.held();
+            assert!(bytes <= cap, "{bytes} bytes held over the cap");
             assert!(entries < 5, "the cap must have forced a restart");
         }
-        assert!(!TINY.lock().map.is_empty(), "tables that fit are kept");
+        assert!(TINY.held().0 > 0, "tables that fit are kept");
     }
 
     #[test]

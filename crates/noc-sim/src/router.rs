@@ -20,7 +20,7 @@
 use crate::arbiter::RoundRobinArbiter;
 use crate::config::NocConfig;
 use crate::flit::{Flit, FlitArena, FlitRef, PacketId};
-use crate::routing::{FaultRoutes, RouteTable};
+use crate::routing::Routes;
 use crate::topology::{Direction, NodeId, VcClass, MAX_PORTS};
 use crate::worklist::bits;
 use noc_coding::arq::{AckKind, RetransmitBuffer, SequenceNumber};
@@ -561,9 +561,8 @@ impl Router {
     }
 
     /// Route computation: idle input VCs whose head flit has completed its
-    /// buffer-write stage compute their output port via the precomputed
-    /// route table — or, once hard faults are active, via the
-    /// fault-adaptive up*/down* table.
+    /// buffer-write stage look up their output port and VC class in the
+    /// network's route table.
     ///
     /// A head flit whose destination is unreachable on the live topology
     /// keeps its VC idle and reports its packet id into `doomed`; the
@@ -571,8 +570,7 @@ impl Router {
     pub(crate) fn rc_stage(
         &mut self,
         cycle: u64,
-        routes: &RouteTable,
-        fault: Option<&FaultRoutes>,
+        routes: &Routes,
         arena: &FlitArena,
         doomed: &mut Vec<(PacketId, bool)>,
     ) {
@@ -587,17 +585,9 @@ impl Router {
                 "non-head flit {:?} at front of idle VC",
                 flit.kind
             );
-            let (out_port, class) = match fault {
-                None => routes.next_hop_class(self.id, flit.dst),
-                // Up*/down* recovery routes are deadlock-free by rank
-                // monotonicity alone; they place no VC restriction.
-                Some(f) => match f.next_hop(self.id, flit.dst) {
-                    Some(dir) => (dir, VcClass::Any),
-                    None => {
-                        doomed.push((flit.packet, !flit.class.is_control()));
-                        continue;
-                    }
-                },
+            let Some((out_port, class)) = routes.next_hop(self.id, flit.dst) else {
+                doomed.push((flit.packet, !flit.class.is_control()));
+                continue;
             };
             vc.state = VcState::NeedsVa {
                 out_port,
@@ -744,18 +734,18 @@ mod tests {
     fn rc_waits_for_buffer_write_stage() {
         let config = test_config();
         let mesh = config.mesh;
-        let routes = RouteTable::new(mesh);
+        let routes = Routes::healthy(mesh);
         let mut arena = FlitArena::new();
         let mut r = Router::new(mesh.node_at(0, 0), &config);
         let f = arena.alloc(head_flit(mesh.node_at(0, 0), mesh.node_at(3, 0)));
         r.enqueue(Direction::Local.index(), 0, at(f, 10));
         let mut doomed = Vec::new();
         // Same cycle: still in BW.
-        r.rc_stage(10, &routes, None, &arena, &mut doomed);
+        r.rc_stage(10, &routes, &arena, &mut doomed);
         assert_eq!(r.input(Direction::Local.index(), 0).state, VcState::Idle);
         // Next cycle: RC fires, X-first routing goes east.
         r.end_cycle();
-        r.rc_stage(11, &routes, None, &arena, &mut doomed);
+        r.rc_stage(11, &routes, &arena, &mut doomed);
         assert_eq!(
             r.input(Direction::Local.index(), 0).state,
             VcState::NeedsVa {
@@ -771,14 +761,14 @@ mod tests {
     fn rc_assigns_dateline_class_on_torus() {
         let config = NocConfig::builder().topology(Topo::torus(4, 4)).build();
         let topo = config.mesh;
-        let routes = RouteTable::new(topo);
+        let routes = Routes::healthy(topo);
         let mut arena = FlitArena::new();
         // Router (3, 0) sending to (1, 0): East across the wrap link.
         let mut r = Router::new(topo.node_at(3, 0), &config);
         let f = arena.alloc(head_flit(topo.node_at(3, 0), topo.node_at(1, 0)));
         r.enqueue(Direction::Local.index(), 0, at(f, 0));
         r.end_cycle();
-        r.rc_stage(1, &routes, None, &arena, &mut Vec::new());
+        r.rc_stage(1, &routes, &arena, &mut Vec::new());
         assert_eq!(
             r.input(Direction::Local.index(), 0).state,
             VcState::NeedsVa {
@@ -793,14 +783,14 @@ mod tests {
     fn va_respects_dateline_vc_halves() {
         let config = NocConfig::builder().topology(Topo::torus(4, 4)).build();
         let topo = config.mesh;
-        let routes = RouteTable::new(topo);
+        let routes = Routes::healthy(topo);
         let mut arena = FlitArena::new();
         let mut r = Router::new(topo.node_at(3, 0), &config);
         // A Lo-class requester (wraps the date line) on East.
         let f = arena.alloc(head_flit(topo.node_at(3, 0), topo.node_at(1, 0)));
         r.enqueue(Direction::Local.index(), 0, at(f, 0));
         r.end_cycle();
-        r.rc_stage(1, &routes, None, &arena, &mut Vec::new());
+        r.rc_stage(1, &routes, &arena, &mut Vec::new());
         assert_eq!(r.va_stage(1), 1);
         let VcState::Active { out_vc, .. } = r.input(Direction::Local.index(), 0).state else {
             panic!("requester must be granted");
@@ -814,18 +804,18 @@ mod tests {
         let g = arena.alloc(head_flit(topo.node_at(3, 0), topo.node_at(1, 0)));
         r.enqueue(Direction::Local.index(), 1, at(g, 0));
         r.end_cycle();
-        r.rc_stage(1, &routes, None, &arena, &mut Vec::new());
+        r.rc_stage(1, &routes, &arena, &mut Vec::new());
         assert_eq!(r.va_stage(1), 1);
         let h = arena.alloc(head_flit(topo.node_at(3, 0), topo.node_at(1, 0)));
         r.enqueue(Direction::Local.index(), 2, at(h, 0));
         r.end_cycle();
-        r.rc_stage(1, &routes, None, &arena, &mut Vec::new());
+        r.rc_stage(1, &routes, &arena, &mut Vec::new());
         assert_eq!(r.va_stage(1), 0, "low half exhausted: Lo requester waits");
         // A Hi-class requester (no wrap) still gets a high-half VC.
         let k = arena.alloc(head_flit(topo.node_at(3, 0), topo.node_at(2, 0)));
         r.enqueue(Direction::Local.index(), 3, at(k, 0));
         r.end_cycle();
-        r.rc_stage(1, &routes, None, &arena, &mut Vec::new());
+        r.rc_stage(1, &routes, &arena, &mut Vec::new());
         assert_eq!(r.va_stage(1), 1);
         let VcState::Active {
             out_vc, out_port, ..
@@ -841,7 +831,7 @@ mod tests {
     fn va_allocates_one_vc_per_output_per_cycle() {
         let config = test_config();
         let mesh = config.mesh;
-        let routes = RouteTable::new(mesh);
+        let routes = Routes::healthy(mesh);
         let mut arena = FlitArena::new();
         let mut r = Router::new(mesh.node_at(0, 0), &config);
         // Two input VCs both want East.
@@ -850,7 +840,7 @@ mod tests {
             r.enqueue(Direction::Local.index(), vc, at(f, 0));
         }
         r.end_cycle();
-        r.rc_stage(1, &routes, None, &arena, &mut Vec::new());
+        r.rc_stage(1, &routes, &arena, &mut Vec::new());
         let granted = r.va_stage(1);
         assert_eq!(granted, 1, "one VA grant per output port per cycle");
         let active = r
@@ -878,7 +868,7 @@ mod tests {
     fn va_exhausts_output_vcs() {
         let config = test_config();
         let mesh = config.mesh;
-        let routes = RouteTable::new(mesh);
+        let routes = Routes::healthy(mesh);
         let mut arena = FlitArena::new();
         let mut r = Router::new(mesh.node_at(0, 0), &config);
         // 5 requesters for East across two input ports, only 4 output VCs.
@@ -889,7 +879,7 @@ mod tests {
         let f = arena.alloc(head_flit(mesh.node_at(0, 1), mesh.node_at(3, 0)));
         r.enqueue(Direction::West.index(), 0, at(f, 0));
         r.end_cycle();
-        r.rc_stage(1, &routes, None, &arena, &mut Vec::new());
+        r.rc_stage(1, &routes, &arena, &mut Vec::new());
         let mut total = 0;
         for _ in 0..8 {
             total += r.va_stage(1);
@@ -901,7 +891,7 @@ mod tests {
     fn masks_follow_a_vc_through_the_stages() {
         let config = test_config();
         let mesh = config.mesh;
-        let routes = RouteTable::new(mesh);
+        let routes = Routes::healthy(mesh);
         let mut arena = FlitArena::new();
         let mut r = Router::new(mesh.node_at(0, 0), &config);
         let f = arena.alloc(head_flit(mesh.node_at(0, 0), mesh.node_at(1, 0)));
@@ -917,7 +907,7 @@ mod tests {
         r.enqueue(0, 1, at(g, 1));
         assert_eq!(r.occupied_input_vcs(), 1);
         assert_eq!(r.masks.fresh, 0);
-        r.rc_stage(1, &routes, None, &arena, &mut Vec::new());
+        r.rc_stage(1, &routes, &arena, &mut Vec::new());
         assert_eq!((r.masks.rc, r.masks.va, r.masks.act), (0, bit, 0));
         let east = Direction::East.index();
         assert_eq!(r.masks.va_req[east][VcClass::Any.index()], bit);

@@ -1,12 +1,17 @@
-//! Routing functions.
+//! Routing functions and the network's one next-hop table.
 //!
 //! Every topology in the zoo routes dimension-ordered: X-Y on the 2D
 //! mesh (the paper's configuration), wrap-aware X-Y with date-line
 //! virtual-channel classes on tori, and X-Y-Z on the 3D mesh. All of
 //! them are deterministic and minimal; the per-topology next hop and
-//! VC class come from [`Topo::min_route`].
+//! VC class come from [`Topo::min_route`]. A network answers every
+//! routing question from one [`Routes`] table: minimal while intact,
+//! up*/down* once hard faults strike, the latter shared process-wide
+//! through one content-addressed cache.
 
-use crate::topology::{Direction, Mesh, NodeId, Topo, VcClass};
+use crate::topology::{Direction, Mesh, NodeId, Topo, VcClass, MAX_PORTS};
+use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
 
 /// Computes the X-Y output port at router `current` for a packet headed to
 /// `dst` on a 2D mesh.
@@ -76,36 +81,53 @@ pub fn xy_path(topo: impl Into<Topo>, src: NodeId, dst: NodeId) -> Vec<NodeId> {
     path
 }
 
-/// Node count up to which [`RouteTable`] materializes the full
-/// `current × dst` matrix (one byte per pair, so ≤ 1 MiB).
-/// Larger networks fall back to computing the route on demand.
+/// Node count up to which a healthy [`Routes`] materializes the full
+/// `current × dst` matrix (one byte per pair, so ≤ 1 MiB). Larger
+/// intact networks compute the minimal route on demand.
 const DENSE_ROUTE_LIMIT: usize = 1024;
 
-/// Bit position of the VC class in a packed dense route byte (the low
-/// three bits hold the port index 0..=6).
+/// Bit position of the VC class in a route byte (the low three bits
+/// hold the port index 0..=6).
 const CLASS_SHIFT: u32 = 3;
 
-/// Precomputed minimal-route next-hop lookup.
+/// Route byte for "no live route".
+const UNREACHABLE: u8 = 0xFF;
+
+/// "No live neighbor" in the solver's flat adjacency.
+const NO_NODE: u16 = u16::MAX;
+
+/// "No legal route" in the solver's distance vectors.
+const NO_DIST: u32 = u32::MAX;
+
+/// The network's next-hop table: the one answer to "which output port
+/// and VC class does a head flit at `current` take toward `dst`".
 ///
-/// [`Topo::min_route`] derives endpoint coordinates (divisions) on
-/// every call; route computation runs once per packet per hop and the
-/// latency-attribution walk once per node on every delivered packet's
-/// path. The table answers the same query with one index. Each dense
-/// byte packs the output port index in its low three bits and the
-/// [`VcClass`] above them; on a 2D mesh every class is `Any` (0), so
-/// the stored bytes are identical to the historical direction-only
-/// table.
-#[derive(Debug, Clone)]
-pub struct RouteTable {
+/// An intact network routes minimally ([`Routes::healthy`]);
+/// once hard faults remove links or routers it routes up*/down* over
+/// the live sub-topology ([`Routes::up_down`]). Either way a lookup is
+/// one index: each dense byte packs `port | class << 3`, with `0xFF`
+/// for a pair that has no live route. The healthy table is the
+/// zero-fault case — every pair is reachable — and carries the
+/// date-line class of each torus hop; up*/down* hops are all class
+/// [`VcClass::Any`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Routes {
     topo: Topo,
-    /// `dense[current * n + dst]` packs `port | class << CLASS_SHIFT`.
+    /// `dense[current * n + dst]` is the route byte. `None` only for a
+    /// healthy table above [`DENSE_ROUTE_LIMIT`] nodes, which asks
+    /// [`Topo::min_route`] instead.
     dense: Option<Vec<u8>>,
     n: usize,
+    unreachable_pairs: u64,
 }
 
-impl RouteTable {
-    /// Builds the lookup structures for `topo`.
-    pub fn new(topo: impl Into<Topo>) -> Self {
+impl Routes {
+    /// The zero-fault table: [`Topo::min_route`] for every pair.
+    /// [`Topo::min_route`] derives endpoint coordinates (divisions) on
+    /// every call, while route computation runs once per packet per hop
+    /// and the latency-attribution walk once per node of every
+    /// delivered packet's path; the table answers with one index.
+    pub fn healthy(topo: impl Into<Topo>) -> Self {
         let topo = topo.into();
         let n = topo.num_nodes();
         let dense = (n <= DENSE_ROUTE_LIMIT).then(|| {
@@ -119,95 +141,45 @@ impl RouteTable {
             }
             table
         });
-        Self { topo, dense, n }
-    }
-
-    /// The minimal-route output port at `current` for a packet headed
-    /// to `dst`. Identical to [`Topo::min_route`]'s direction on the
-    /// table's topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is outside the topology the table was
-    /// built for.
-    #[inline]
-    pub fn next_hop(&self, current: NodeId, dst: NodeId) -> Direction {
-        if let Some(dense) = &self.dense {
-            return Direction::from_index(
-                (dense[current.index() * self.n + dst.index()] & 0x07) as usize,
-            );
+        Self {
+            topo,
+            dense,
+            n,
+            unreachable_pairs: 0,
         }
-        self.topo.min_route(current, dst).0
     }
 
-    /// The minimal-route output port plus the date-line VC class of
-    /// the hop. Identical to [`Topo::min_route`] on the table's
-    /// topology.
-    #[inline]
-    pub fn next_hop_class(&self, current: NodeId, dst: NodeId) -> (Direction, VcClass) {
-        if let Some(dense) = &self.dense {
-            let b = dense[current.index() * self.n + dst.index()];
-            return (
-                Direction::from_index((b & 0x07) as usize),
-                VcClass::from_index((b >> CLASS_SHIFT) as usize),
-            );
-        }
-        self.topo.min_route(current, dst)
-    }
-}
-
-/// Sentinel port index for "no route" entries in [`FaultRoutes`].
-const UNREACHABLE_PORT: u8 = 0xFF;
-
-/// "No live neighbor" in the solver's flat adjacency.
-const NO_NODE: u16 = u16::MAX;
-
-/// "No legal route" in the solver's distance vectors.
-const NO_DIST: u32 = u32::MAX;
-
-/// Fault-adaptive next-hop table: full-graph up*/down* routing over the
-/// live sub-topology.
-///
-/// Once hard faults remove links or routers, dimension-order routing is
-/// no longer sound (it would walk into dead regions), so the network
-/// switches to classic up*/down* routes. Every live node gets a rank
-/// `(BFS level, node id)` from a breadth-first traversal of its live
-/// connected component (root = smallest live id); every live link is
-/// oriented "up" toward its lower-ranked end. A route first climbs
-/// up-links ("up" phase, rank strictly decreasing) and then descends
-/// down-links ("down" phase, rank strictly increasing) — **all** live
-/// links are usable, not just tree edges, so capacity degrades
-/// gradually with the fault count instead of collapsing to a spanning
-/// tree. Because no route ever turns from a down traversal back onto an
-/// up traversal, the channel-dependency graph is acyclic (the classic
-/// up*/down* argument) and the scheme is deadlock-free without extra
-/// virtual channels; it doubles as its own escape layer. The argument
-/// needs only undirected adjacency, so it covers every topology in the
-/// zoo — wrap-around links and vertical links are just more edges to
-/// orient.
-///
-/// The table is phase-oblivious (one port per `(current, dst)`), so it
-/// must be *suffix-consistent*: a node with any pure-down route to the
-/// destination always takes its shortest one (every later node then
-/// also has one), and a node without one climbs along the up-link that
-/// minimizes the remaining legal distance. Either phase is strictly
-/// monotone in rank, so routes never loop.
-///
-/// Construction is fully deterministic so the production and reference
-/// simulators can rebuild identical tables independently: BFS explores
-/// neighbors in port order (N, E, S, W, then Up, Down where present)
-/// and distance ties break toward the smallest port index.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultRoutes {
-    /// `table[current * n + dst]` is the output port index, or
-    /// [`UNREACHABLE_PORT`] when no live route exists.
-    table: Vec<u8>,
-    n: usize,
-    unreachable_pairs: u64,
-}
-
-impl FaultRoutes {
-    /// Builds the up*/down* table over the live sub-topology.
+    /// Full-graph up*/down* routes over the live sub-topology.
+    ///
+    /// Once hard faults remove links or routers, dimension-order routing
+    /// is no longer sound (it would walk into dead regions), so the
+    /// network switches to classic up*/down* routes. Every live node gets
+    /// a rank `(BFS level, node id)` from a breadth-first traversal of its
+    /// live connected component (root = smallest live id); every live link
+    /// is oriented "up" toward its lower-ranked end. A route first climbs
+    /// up-links ("up" phase, rank strictly decreasing) and then descends
+    /// down-links ("down" phase, rank strictly increasing) — **all** live
+    /// links are usable, not just tree edges, so capacity degrades
+    /// gradually with the fault count instead of collapsing to a spanning
+    /// tree. Because no route ever turns from a down traversal back onto
+    /// an up traversal, the channel-dependency graph is acyclic (the
+    /// classic up*/down* argument) and the scheme is deadlock-free without
+    /// extra virtual channels, so every hop is class [`VcClass::Any`]; it
+    /// doubles as its own escape layer. The argument needs only undirected
+    /// adjacency, so it covers every topology in the zoo — wrap-around
+    /// links and vertical links are just more edges to orient.
+    ///
+    /// The table is phase-oblivious (one port per `(current, dst)`), so it
+    /// must be *suffix-consistent*: a node with any pure-down route to the
+    /// destination always takes its shortest one (every later node then
+    /// also has one), and a node without one climbs along the up-link that
+    /// minimizes the remaining legal distance. Either phase is strictly
+    /// monotone in rank, so routes never loop.
+    ///
+    /// Construction is fully deterministic so the production and reference
+    /// simulators can rebuild identical tables independently: BFS explores
+    /// neighbors in port order (N, E, S, W, then Up, Down where present)
+    /// and distance ties break toward the smallest port index.
     ///
     /// `node_alive[i]` marks router `i` usable; `link_alive(node, dir)`
     /// marks the channel leaving `node` in `dir` usable and must be
@@ -218,7 +190,7 @@ impl FaultRoutes {
     /// # Panics
     ///
     /// Panics if `node_alive.len() != topo.num_nodes()`.
-    pub fn compute<F>(topo: impl Into<Topo>, node_alive: &[bool], link_alive: F) -> Self
+    pub fn up_down<F>(topo: impl Into<Topo>, node_alive: &[bool], link_alive: F) -> Self
     where
         F: Fn(NodeId, Direction) -> bool,
     {
@@ -299,7 +271,7 @@ impl FaultRoutes {
         let mut by_rank = queue.clone();
         by_rank.sort_unstable_by_key(|&u| rank[u as usize]);
 
-        let mut table = vec![UNREACHABLE_PORT; n * n];
+        let mut table = vec![UNREACHABLE; n * n];
         // Distance vectors carry one spare slot that stays `NO_DIST`,
         // so a missing neighbor (`NO_NODE` clamped to `n`) reads as
         // "no route" without a branch.
@@ -363,7 +335,7 @@ impl FaultRoutes {
                 }
                 debug_assert_ne!(
                     table[u * n + dst],
-                    UNREACHABLE_PORT,
+                    UNREACHABLE,
                     "connected pair {u}→{dst} must get a next hop"
                 );
             }
@@ -371,41 +343,53 @@ impl FaultRoutes {
         }
 
         Self {
-            table,
+            topo,
+            dense: Some(table),
             n,
             unreachable_pairs,
         }
     }
 
-    /// The output port at `current` for a packet headed to `dst`, or
-    /// `None` when no live route exists (dead endpoint or partitioned
-    /// component). Returns `Local` when `current == dst`.
+    /// The output port and VC class at `current` for a packet headed to
+    /// `dst`, or `None` when no live route exists (dead endpoint or
+    /// partitioned component). Returns `Local` when `current == dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is outside the table's topology.
     #[inline]
-    pub fn next_hop(&self, current: NodeId, dst: NodeId) -> Option<Direction> {
-        let p = self.table[current.index() * self.n + dst.index()];
-        if p == UNREACHABLE_PORT {
-            None
-        } else {
-            Some(Direction::from_index(p as usize))
+    pub fn next_hop(&self, current: NodeId, dst: NodeId) -> Option<(Direction, VcClass)> {
+        let Some(dense) = &self.dense else {
+            return Some(self.topo.min_route(current, dst));
+        };
+        match dense[current.index() * self.n + dst.index()] {
+            UNREACHABLE => None,
+            b => Some((
+                Direction::from_index((b & 0x07) as usize),
+                VcClass::from_index((b >> CLASS_SHIFT) as usize),
+            )),
         }
     }
 
     /// Whether a live route from `a` to `b` exists (`true` for `a == b`
     /// on a live node).
     pub fn reachable(&self, a: NodeId, b: NodeId) -> bool {
-        self.table[a.index() * self.n + b.index()] != UNREACHABLE_PORT
+        self.next_hop(a, b).is_some()
     }
 
-    /// Number of ordered live node pairs with no route between them.
+    /// Number of ordered live node pairs with no route between them
+    /// (0 on an intact network).
     pub fn unreachable_pairs(&self) -> u64 {
         self.unreachable_pairs
     }
 
-    /// Run-length packs the table for storage in the process-wide
-    /// reroute cache.
-    pub(crate) fn pack(&self) -> PackedRoutes {
+    /// Run-length packs an up*/down* table for storage in the
+    /// process-wide [`RouteCache`].
+    fn pack(&self) -> PackedRoutes {
+        let table = self.dense.as_deref().expect("up*/down* tables are dense");
         let mut runs = Vec::new();
-        for run in self.table.chunk_by(|a, b| a == b) {
+        for run in table.chunk_by(|a, b| a == b) {
+            debug_assert!(run[0] == UNREACHABLE || run[0] >> CLASS_SHIFT == 0);
             for piece in run.chunks(MAX_RUN) {
                 // Ports are 0..=6; the sentinel takes the spare code 7.
                 runs.push(run[0].min(7) | ((piece.len() - 1) as u8) << 3);
@@ -413,7 +397,6 @@ impl FaultRoutes {
         }
         PackedRoutes {
             runs: runs.into(),
-            n: self.n,
             unreachable_pairs: self.unreachable_pairs,
         }
     }
@@ -422,49 +405,208 @@ impl FaultRoutes {
     /// verify-mode reroute-consistency checker can be proven to fire.
     #[cfg(all(test, feature = "verify"))]
     pub(crate) fn corrupt_entry(&mut self, current: NodeId, dst: NodeId, port: Direction) {
-        self.table[current.index() * self.n + dst.index()] = port.index() as u8;
+        let dense = self.dense.as_mut().expect("dense table");
+        dense[current.index() * self.n + dst.index()] = port.index() as u8;
+    }
+}
+
+/// Former name of the up*/down* solve, kept only while the benchmark
+/// still calls `FaultRoutes::compute`.
+#[doc(hidden)]
+#[derive(Debug)]
+pub enum FaultRoutes {}
+
+impl FaultRoutes {
+    /// Forwards to [`Routes::up_down`].
+    pub fn compute<F>(topo: impl Into<Topo>, node_alive: &[bool], link_alive: F) -> Routes
+    where
+        F: Fn(NodeId, Direction) -> bool,
+    {
+        Routes::up_down(topo, node_alive, link_alive)
     }
 }
 
 /// Longest run one packed byte can describe.
 const MAX_RUN: usize = 32;
 
-/// A [`FaultRoutes`] table run-length packed along
+/// An up*/down* [`Routes`] table run-length packed along
 /// `table[current * n + dst]`: one byte per run, port code in the low
 /// three bits (7 = unreachable) and `length - 1` in the high five. Rows
 /// of an up*/down* table are long runs of one port — the 42 tables of
 /// the 16×16-torus benchmark schedule are 2 688 KiB dense and 247 KiB
 /// packed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PackedRoutes {
+#[derive(Debug)]
+struct PackedRoutes {
     runs: Box<[u8]>,
-    n: usize,
     unreachable_pairs: u64,
 }
 
 impl PackedRoutes {
-    /// Rebuilds the dense table; `unpack(pack(t)) == t`.
-    pub(crate) fn unpack(&self) -> FaultRoutes {
-        let mut table = Vec::with_capacity(self.n * self.n);
+    /// Rebuilds the dense table on `topo`; `unpack(pack(t)) == t`.
+    fn unpack(&self, topo: Topo) -> Routes {
+        let n = topo.num_nodes();
+        let mut table = Vec::with_capacity(n * n);
         for &run in &*self.runs {
             let port = match run & 0x07 {
-                7 => UNREACHABLE_PORT,
+                7 => UNREACHABLE,
                 p => p,
             };
             table.resize(table.len() + (run >> 3) as usize + 1, port);
         }
-        debug_assert_eq!(table.len(), self.n * self.n);
-        FaultRoutes {
-            table,
-            n: self.n,
+        debug_assert_eq!(table.len(), n * n);
+        Routes {
+            topo,
+            dense: Some(table),
+            n,
             unreachable_pairs: self.unreachable_pairs,
         }
     }
 
     /// Heap bytes held.
-    pub(crate) fn bytes(&self) -> usize {
+    fn bytes(&self) -> usize {
         self.runs.len()
     }
+}
+
+/// Exact content an up*/down* table is a function of: the topology and
+/// the dead sets, one bit per router then one per `(router, port)`.
+/// Compared in full on every lookup — never an event count (two
+/// schedules can reach one count with different dead sets) and never a
+/// digest (a collision would misroute).
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct RouteKey {
+    topo: Topo,
+    dead: Box<[u64]>,
+}
+
+impl RouteKey {
+    fn new(topo: Topo, node_dead: &[bool], link_dead: &[[bool; MAX_PORTS]]) -> Self {
+        let n = node_dead.len();
+        let mut dead = vec![0u64; (n * (1 + MAX_PORTS)).div_ceil(64)];
+        let bits = node_dead.iter().chain(link_dead.iter().flatten());
+        for (bit, _) in bits.enumerate().filter(|(_, &is_dead)| is_dead) {
+            dead[bit / 64] |= 1 << (bit % 64);
+        }
+        Self {
+            topo,
+            dead: dead.into(),
+        }
+    }
+}
+
+/// Bytes of packed tables and keys [`ROUTE_CACHE`] may hold. One 16×16
+/// torus table packs to ≈6 KiB, so this is room for over a thousand
+/// distinct dead sets; a process that outgrows it starts over.
+const ROUTE_CACHE_CAP: usize = 8 << 20;
+
+/// The process-wide reroute-table cache every
+/// [`Network`](crate::network::Network) consults.
+pub(crate) static ROUTE_CACHE: LazyLock<RouteCache> =
+    LazyLock::new(|| RouteCache::with_cap(ROUTE_CACHE_CAP));
+
+/// Content-addressed memo of up*/down* route tables.
+///
+/// [`Routes::up_down`] is a pure, deterministic function of
+/// `(topology, dead set)` — nothing in it sees packet dynamics — so one
+/// table serves every network in the process that reaches the same
+/// dead set: replicates, schemes and workloads of a campaign,
+/// `RLNOC_JOBS` workers, service campaigns. Values are stored
+/// run-length packed ([`PackedRoutes`]) and unpacked into the caller's
+/// own dense table on a hit. The footprint is capped: an insert that
+/// would overflow drops every entry first, which can only cost a later
+/// re-solve. Under the `verify` feature with `RLNOC_VERIFY=1` every hit
+/// is re-solved from scratch and compared, so a wrong entry panics
+/// instead of silently steering.
+#[derive(Debug)]
+pub(crate) struct RouteCache {
+    cap: usize,
+    entries: Mutex<RouteCacheEntries>,
+}
+
+#[derive(Debug, Default)]
+struct RouteCacheEntries {
+    map: HashMap<RouteKey, Arc<PackedRoutes>>,
+    /// Packed-table plus key bytes `map` is charged for.
+    bytes: usize,
+}
+
+impl RouteCache {
+    pub(crate) fn with_cap(cap: usize) -> Self {
+        Self {
+            cap,
+            entries: Mutex::default(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, RouteCacheEntries> {
+        // No code path panics while holding the guard.
+        self.entries.lock().expect("reroute cache lock poisoned")
+    }
+
+    /// The up*/down* table for `topo` minus the dead routers and links,
+    /// and whether it was a hit; a miss solves outside the lock and
+    /// publishes the packed result.
+    pub(crate) fn up_down(
+        &self,
+        topo: Topo,
+        node_dead: &[bool],
+        link_dead: &[[bool; MAX_PORTS]],
+    ) -> (Routes, bool) {
+        let solve = || {
+            let node_alive: Vec<bool> = node_dead.iter().map(|&d| !d).collect();
+            Routes::up_down(topo, &node_alive, |n, d| !link_dead[n.index()][d.index()])
+        };
+        let key = RouteKey::new(topo, node_dead, link_dead);
+        let hit = self.lock().map.get(&key).cloned();
+        if let Some(packed) = hit {
+            let routes = packed.unpack(topo);
+            #[cfg(feature = "verify")]
+            if crate::network::invariants::armed() {
+                assert!(
+                    solve() == routes,
+                    "process-wide reroute cache entry for {topo:?} diverges from recomputation"
+                );
+            }
+            return (routes, true);
+        }
+        let routes = solve();
+        self.insert(key, routes.pack());
+        (routes, false)
+    }
+
+    fn insert(&self, key: RouteKey, packed: PackedRoutes) {
+        let cost = packed.bytes() + std::mem::size_of_val(&*key.dead);
+        let mut entries = self.lock();
+        if entries.bytes + cost > self.cap {
+            *entries = RouteCacheEntries::default();
+        }
+        // A racing solver may have published the same (identical) entry
+        // already; it is charged once.
+        if cost <= self.cap && entries.map.insert(key, Arc::new(packed)).is_none() {
+            entries.bytes += cost;
+        }
+    }
+
+    /// Entries held and the bytes charged for them.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> (usize, usize) {
+        let entries = self.lock();
+        (entries.map.len(), entries.bytes)
+    }
+}
+
+/// Test hook: plants a (presumably wrong) table in the process-wide
+/// cache under the exact dead set given, so corruption-injection tests
+/// can prove the armed recompute-and-compare check has teeth.
+#[cfg(feature = "verify")]
+#[doc(hidden)]
+pub fn poison_route_cache_for_test(
+    topo: Topo,
+    node_dead: &[bool],
+    link_dead: &[[bool; MAX_PORTS]],
+    routes: &Routes,
+) {
+    ROUTE_CACHE.insert(RouteKey::new(topo, node_dead, link_dead), routes.pack());
 }
 
 #[cfg(test)]
@@ -546,36 +688,34 @@ mod tests {
     }
 
     #[test]
-    fn route_table_matches_xy_route_exhaustively() {
-        // 4×4 exercises the dense table; a synthetic over-limit mesh
-        // exercises the compute-on-demand fallback.
+    fn healthy_routes_match_xy_route_exhaustively() {
         let mesh = Mesh::new(4, 4);
-        let table = RouteTable::new(mesh);
+        let table = Routes::healthy(mesh);
+        assert_eq!(table.unreachable_pairs(), 0);
         for cur in mesh.nodes() {
             for dst in mesh.nodes() {
-                assert_eq!(table.next_hop(cur, dst), xy_route(mesh, cur, dst));
                 assert_eq!(
-                    table.next_hop_class(cur, dst),
-                    (xy_route(mesh, cur, dst), VcClass::Any)
+                    table.next_hop(cur, dst),
+                    Some((xy_route(mesh, cur, dst), VcClass::Any))
                 );
             }
         }
     }
 
     #[test]
-    fn route_table_matches_min_route_on_every_topology() {
+    fn healthy_routes_match_min_route_on_every_topology() {
         for topo in [
             Topo::torus(4, 4),
             Topo::torus(2, 5),
             Topo::ftorus(4, 6),
             Topo::mesh3d(3, 3, 3),
         ] {
-            let table = RouteTable::new(topo);
+            let table = Routes::healthy(topo);
             for cur in topo.nodes() {
                 for dst in topo.nodes() {
                     assert_eq!(
-                        table.next_hop_class(cur, dst),
-                        topo.min_route(cur, dst),
+                        table.next_hop(cur, dst),
+                        Some(topo.min_route(cur, dst)),
                         "{} {cur}→{dst}",
                         topo.encode()
                     );
@@ -585,13 +725,13 @@ mod tests {
     }
 
     #[test]
-    fn route_table_fallback_matches_on_large_meshes() {
+    fn healthy_routes_fallback_matches_on_large_meshes() {
         for topo in [
             Topo::mesh(64, 33),
             Topo::torus(64, 33),
             Topo::mesh3d(16, 16, 9),
         ] {
-            let table = RouteTable::new(topo);
+            let table = Routes::healthy(topo);
             assert!(
                 table.dense.is_none(),
                 "{}: large network must use the fallback",
@@ -601,7 +741,7 @@ mod tests {
             for cur in [0u16, 1, 63, 64, 1000, n - 1] {
                 for dst in [0u16, 31, 64, 100, n / 2, n - 1] {
                     let (cur, dst) = (NodeId(cur), NodeId(dst));
-                    assert_eq!(table.next_hop_class(cur, dst), topo.min_route(cur, dst));
+                    assert_eq!(table.next_hop(cur, dst), Some(topo.min_route(cur, dst)));
                 }
             }
         }
@@ -610,18 +750,19 @@ mod tests {
     #[test]
     fn dense_limit_includes_radix_32() {
         // 32×32 = 1024 nodes sits exactly on the dense limit.
-        let table = RouteTable::new(Topo::torus(32, 32));
+        let table = Routes::healthy(Topo::torus(32, 32));
         assert!(table.dense.is_some());
     }
 
     /// Walks fault routes from `src` to `dst`, panicking on divergence.
-    fn walk_fault_route(topo: Topo, routes: &FaultRoutes, src: NodeId, dst: NodeId) -> usize {
+    fn walk_fault_route(topo: Topo, routes: &Routes, src: NodeId, dst: NodeId) -> usize {
         let mut current = src;
         let mut hops = 0;
         while current != dst {
-            let dir = routes
+            let (dir, class) = routes
                 .next_hop(current, dst)
                 .expect("reachable pair must have a route");
+            assert_eq!(class, VcClass::Any, "up*/down* hops need no VC class");
             assert_ne!(dir, Direction::Local, "Local before reaching dst");
             current = topo.neighbor(current, dir).expect("route stays on mesh");
             hops += 1;
@@ -639,7 +780,7 @@ mod tests {
             Topo::mesh3d(3, 2, 3),
         ] {
             let alive = vec![true; topo.num_nodes()];
-            let routes = FaultRoutes::compute(topo, &alive, |_, _| true);
+            let routes = Routes::up_down(topo, &alive, |_, _| true);
             assert_eq!(routes.unreachable_pairs(), 0, "{}", topo.encode());
             for src in topo.nodes() {
                 for dst in topo.nodes() {
@@ -648,7 +789,10 @@ mod tests {
                 }
             }
             for node in topo.nodes() {
-                assert_eq!(routes.next_hop(node, node), Some(Direction::Local));
+                assert_eq!(
+                    routes.next_hop(node, node),
+                    Some((Direction::Local, VcClass::Any))
+                );
             }
         }
     }
@@ -663,7 +807,7 @@ mod tests {
                 topo.neighbor(node, dir)
                     .is_some_and(|n| n != dead && node != dead)
             };
-            let routes = FaultRoutes::compute(topo, &alive, link_ok);
+            let routes = Routes::up_down(topo, &alive, link_ok);
             assert_eq!(
                 routes.unreachable_pairs(),
                 0,
@@ -674,7 +818,7 @@ mod tests {
                 for dst in topo.nodes().filter(|&n| n != dead) {
                     let mut current = src;
                     while current != dst {
-                        let dir = routes.next_hop(current, dst).unwrap();
+                        let (dir, _) = routes.next_hop(current, dst).unwrap();
                         current = topo.neighbor(current, dir).unwrap();
                         assert_ne!(current, dead, "route walked through the dead router");
                     }
@@ -694,7 +838,7 @@ mod tests {
             !((node == NodeId(1) && dir == Direction::East)
                 || (node == NodeId(2) && dir == Direction::West))
         };
-        let routes = FaultRoutes::compute(mesh, &alive, cut);
+        let routes = Routes::up_down(mesh, &alive, cut);
         // 2 nodes on each side: 2·(2·2) ordered cross pairs.
         assert_eq!(routes.unreachable_pairs(), 8);
         assert!(routes.reachable(NodeId(0), NodeId(1)));
@@ -707,12 +851,12 @@ mod tests {
     /// one dead router (an all-unreachable row and column), one cut
     /// link, and the dead router plus every link between two column
     /// pairs (a partition on meshes and tori).
-    fn packing_cases(topo: Topo) -> Vec<FaultRoutes> {
+    fn packing_cases(topo: Topo) -> Vec<Routes> {
         let dead_node = NodeId((topo.num_nodes() / 2) as u16);
         let w = topo.width();
         let solve = |dead: Option<NodeId>, cut: &dyn Fn(u16, u16) -> bool| {
             let alive: Vec<bool> = topo.nodes().map(|u| Some(u) != dead).collect();
-            FaultRoutes::compute(topo, &alive, |u, d| {
+            Routes::up_down(topo, &alive, |u, d| {
                 topo.neighbor(u, d).is_some_and(|v| {
                     Some(u) != dead && Some(v) != dead && !cut(u.0.min(v.0), u.0.max(v.0))
                 })
@@ -741,11 +885,12 @@ mod tests {
             Topo::ftorus(4, 6),
             Topo::mesh3d(3, 3, 3),
         ] {
+            let n = topo.num_nodes();
             for (case, routes) in packing_cases(topo).into_iter().enumerate() {
                 let packed = routes.pack();
-                assert_eq!(packed.unpack(), routes, "{} case {case}", topo.encode());
+                assert_eq!(packed.unpack(topo), routes, "{} case {case}", topo.encode());
                 assert!(
-                    packed.bytes() < routes.table.len(),
+                    packed.bytes() < n * n,
                     "{} case {case}: packing must shrink the table",
                     topo.encode()
                 );
@@ -761,12 +906,12 @@ mod tests {
         // The dead router's row is n unreachable entries — one run
         // eight times the longest a single byte can describe — and the
         // partitioned case strands whole blocks of pairs.
-        let dead_row = &cases[1].table[n / 2 * n..(n / 2 + 1) * n];
-        assert!(dead_row.iter().all(|&p| p == UNREACHABLE_PORT));
+        let dead_row = &cases[1].dense.as_ref().unwrap()[n / 2 * n..(n / 2 + 1) * n];
+        assert!(dead_row.iter().all(|&p| p == UNREACHABLE));
         assert!(n > MAX_RUN);
         assert!(cases[3].unreachable_pairs() > 0);
         for routes in &cases {
-            assert_eq!(&routes.pack().unpack(), routes);
+            assert_eq!(&routes.pack().unpack(topo), routes);
         }
         // Run boundaries: exactly MAX_RUN, one more, and a lone entry.
         for len in [
@@ -777,16 +922,55 @@ mod tests {
             3 * MAX_RUN,
             3 * MAX_RUN + 1,
         ] {
-            let mut table = vec![UNREACHABLE_PORT; len];
+            let mut table = vec![UNREACHABLE; len];
             table.extend([0, 6, 6, 4]);
             table.resize(256, 2);
-            let routes = FaultRoutes {
-                table,
+            let routes = Routes {
+                topo: Topo::mesh(4, 4),
+                dense: Some(table),
                 n: 16,
                 unreachable_pairs: len as u64,
             };
-            assert_eq!(routes.pack().unpack(), routes, "leading run of {len}");
+            assert_eq!(
+                routes.pack().unpack(routes.topo),
+                routes,
+                "leading run of {len}"
+            );
         }
+    }
+
+    #[test]
+    fn cache_key_keeps_the_topology() {
+        // One dead link at the same bit index on three 16-node
+        // topologies: the dead sets are bit-identical, so only the key's
+        // topology tells them apart. A key without it would hand the
+        // mesh's table to the two tori.
+        let cache = RouteCache::with_cap(ROUTE_CACHE_CAP);
+        let node_dead = [false; 16];
+        let mut link_dead = [[false; MAX_PORTS]; 16];
+        link_dead[0][Direction::East.index()] = true;
+        link_dead[1][Direction::West.index()] = true;
+        let topos = [Topo::mesh(4, 4), Topo::torus(4, 4), Topo::ftorus(4, 4)];
+        let tables: Vec<Routes> = topos
+            .iter()
+            .map(|&topo| {
+                let (routes, hit) = cache.up_down(topo, &node_dead, &link_dead);
+                assert!(!hit, "{}: a cold key must solve", topo.encode());
+                routes
+            })
+            .collect();
+        assert_eq!(cache.held().0, 3, "three solves, three entries");
+        for (i, a) in tables.iter().enumerate() {
+            for b in &tables[i + 1..] {
+                assert_ne!(a, b, "{:?} and {:?} share a table", a.topo, b.topo);
+            }
+        }
+        // The folded torus has the torus's graph, so those two differ
+        // in the topology they route, not in their entries.
+        assert_ne!(tables[0].dense, tables[1].dense);
+        let (warm, hit) = cache.up_down(topos[1], &node_dead, &link_dead);
+        assert!(hit, "a warm key hits");
+        assert_eq!(warm, tables[1]);
     }
 
     #[test]

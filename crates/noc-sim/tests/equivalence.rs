@@ -76,7 +76,7 @@ fn second_zoo_network_through_a_schedule_is_served_from_the_route_cache() {
             (
                 count("sim.hardfault.route_solves"),
                 count("sim.hardfault.route_cache_hits"),
-                net.fault_routes().expect("faults applied").clone(),
+                net.routes().clone(),
             )
         };
         let (solves, hits, first) = through_schedule(1);

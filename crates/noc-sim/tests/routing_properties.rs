@@ -2,7 +2,7 @@
 //! fault-adaptive up*/down* reroute layer — on 2D meshes and across
 //! the whole topology zoo (torus, folded torus, 3D mesh).
 //!
-//! Guarantees the hot-path rewrite (precomputed [`RouteTable`],
+//! Guarantees the hot-path rewrite (precomputed [`Routes`],
 //! [`NeighborTable`], flit arena) must not bend:
 //!
 //! 1. X-Y routing delivers **every** offered packet, on any mesh size.
@@ -13,7 +13,7 @@
 //!    points at an existing neighbor, and the precomputed tables agree
 //!    with the reference [`xy_route`] everywhere.
 //!
-//! And for [`FaultRoutes`] under **arbitrary** fault sets (including
+//! And for up*/down* [`Routes`] under **arbitrary** fault sets (including
 //! partitioning ones):
 //!
 //! 4. Every pair of live endpoints in the same live component gets a
@@ -27,7 +27,7 @@
 use noc_sim::config::NocConfig;
 use noc_sim::error_control::PerfectLink;
 use noc_sim::network::Network;
-use noc_sim::routing::{min_route, xy_path, xy_route, FaultRoutes, RouteTable};
+use noc_sim::routing::{min_route, xy_path, xy_route, Routes};
 use noc_sim::topology::{
     Direction, FoldedTorus, Mesh, Mesh3d, NeighborTable, NodeId, Topo, Torus, VcClass, MAX_PORTS,
 };
@@ -107,19 +107,19 @@ proptest! {
         prop_assert_eq!(xy_route(mesh, dst, dst), Direction::Local);
     }
 
-    /// The precomputed `RouteTable`/`NeighborTable` pair agrees with the
+    /// The precomputed `Routes`/`NeighborTable` pair agrees with the
     /// reference implementation on **every** (current, dst) pair of the
     /// sampled mesh, and never yields a direction without a neighbor —
     /// i.e. no flit can be enqueued toward a non-neighbor port.
     #[test]
     fn route_table_never_points_at_a_missing_neighbor(w in 1u16..9, h in 1u16..9) {
         let mesh = Mesh::new(w, h);
-        let routes = RouteTable::new(mesh);
+        let routes = Routes::healthy(mesh);
         let neighbors = NeighborTable::new(mesh);
         for current in mesh.nodes() {
             for dst in mesh.nodes() {
-                let dir = routes.next_hop(current, dst);
-                prop_assert_eq!(dir, xy_route(mesh, current, dst));
+                let (dir, class) = routes.next_hop(current, dst).expect("intact mesh");
+                prop_assert_eq!((dir, class), (xy_route(mesh, current, dst), VcClass::Any));
                 if current == dst {
                     prop_assert_eq!(dir, Direction::Local);
                 } else {
@@ -232,13 +232,12 @@ proptest! {
         d in 2u16..4,
     ) {
         let topo = zoo_topo(kind, w, h, d);
-        let routes = RouteTable::new(topo);
+        let routes = Routes::healthy(topo);
         let neighbors = NeighborTable::new(topo);
         for current in topo.nodes() {
             for dst in topo.nodes() {
-                let (dir, class) = routes.next_hop_class(current, dst);
+                let (dir, class) = routes.next_hop(current, dst).expect("intact topology");
                 prop_assert_eq!((dir, class), min_route(topo, current, dst));
-                prop_assert_eq!(dir, routes.next_hop(current, dst));
                 if current == dst {
                     prop_assert_eq!(dir, Direction::Local);
                 } else {
@@ -392,11 +391,11 @@ fn zoo_route_tables_are_sound_at_32x32_and_8x8x4_radix() {
         Mesh3d::new(8, 8, 4).into(),
     ];
     for topo in zoo {
-        let routes = RouteTable::new(topo);
+        let routes = Routes::healthy(topo);
         let neighbors = NeighborTable::new(topo);
         for current in topo.nodes() {
             for dst in topo.nodes() {
-                let (dir, class) = routes.next_hop_class(current, dst);
+                let (dir, class) = routes.next_hop(current, dst).expect("intact topology");
                 assert_eq!((dir, class), min_route(topo, current, dst));
                 if current != dst {
                     assert_eq!(neighbors.get(current, dir), topo.neighbor(current, dir));
@@ -463,9 +462,9 @@ impl FaultedTopology {
                 .is_some_and(|p| !self.node_dead[p.index()])
     }
 
-    fn routes(&self) -> FaultRoutes {
+    fn routes(&self) -> Routes {
         let alive: Vec<bool> = self.node_dead.iter().map(|&d| !d).collect();
-        FaultRoutes::compute(self.topo, &alive, |u, d| self.link_alive(u, d))
+        Routes::up_down(self.topo, &alive, |u, d| self.link_alive(u, d))
     }
 
     /// Live-component label per node (usize::MAX for dead), by BFS —
@@ -545,7 +544,7 @@ proptest! {
                 let mut current = src;
                 let mut hops = 0;
                 while current != dst {
-                    let dir = routes
+                    let (dir, _) = routes
                         .next_hop(current, dst)
                         .expect("connected pair must have a hop");
                     prop_assert!(dir != Direction::Local, "Local before dst");
@@ -573,7 +572,7 @@ proptest! {
         let routes = t.routes();
         for u in t.topo.nodes() {
             for dst in t.topo.nodes() {
-                let Some(dir) = routes.next_hop(u, dst) else { continue };
+                let Some((dir, _)) = routes.next_hop(u, dst) else { continue };
                 prop_assert!(
                     !t.node_dead[u.index()] && !t.node_dead[dst.index()],
                     "dead endpoint routed: {:?}→{:?}",
@@ -622,7 +621,7 @@ proptest! {
                 let mut current = src;
                 let mut prev_channel: Option<usize> = None;
                 while current != dst {
-                    let dir = routes.next_hop(current, dst).expect("reachable pair");
+                    let (dir, _) = routes.next_hop(current, dst).expect("reachable pair");
                     let channel = current.index() * MAX_PORTS + dir.index();
                     if let Some(p) = prev_channel {
                         deps[p].insert(channel);

@@ -3,14 +3,14 @@
 //! A re-implementation of `noc_sim::network::Network` with none of the
 //! optimized kernel's machinery: flits travel through events **by
 //! value** (no arena handles), source/reassembly bookkeeping uses plain
-//! `HashMap`s (no dense packet windows), routes are computed on demand
-//! (no route tables), and every phase scans every router and VC every
-//! cycle (no skip counters). The phase order, event timing, and RNG
+//! `HashMap`s (no dense packet windows), intact-topology routes are
+//! computed on demand (no route tables), and every phase scans every
+//! router and VC every cycle (no skip counters). The phase order, event timing, and RNG
 //! consumption are contractually identical to the optimized engine —
 //! that is exactly what the differential oracle verifies.
 
 use crate::refrouter::{BufferedFlit, PendingRetransmit, RefRouter, VcState};
-use crate::refroutes::RefFaultRoutes;
+use crate::refroutes::RefRoutes;
 use noc_coding::arq::{AckKind, SequenceNumber};
 use noc_coding::crc::Crc32;
 use noc_sim::config::NocConfig;
@@ -102,8 +102,7 @@ struct InjectProgress {
 }
 
 /// Hard-fault bookkeeping, mirroring the optimized engine's state: the
-/// pending schedule, liveness marks, the fault-adaptive route table
-/// (built at the first applied event), and the set of packets lost to
+/// pending schedule, liveness marks, and the set of packets lost to
 /// faults ("doomed" — their surviving flits evaporate on arrival
 /// instead of being forwarded).
 #[derive(Debug)]
@@ -114,9 +113,6 @@ struct RefFaultState {
     /// `link_dead[node][port]`: the channel at `node` in that direction
     /// is dead. Kept symmetric with the peer's opposite entry.
     link_dead: Vec<[bool; MAX_PORTS]>,
-    /// `Some` once the first fault event has been applied; the network
-    /// then routes via this table instead of X-Y.
-    routes: Option<RefFaultRoutes>,
     /// Packets that lost at least one flit (or their source/destination
     /// router) to a hard fault.
     doomed: BTreeSet<PacketId>,
@@ -129,7 +125,6 @@ impl RefFaultState {
             next_event: 0,
             node_dead: vec![false; n],
             link_dead: vec![[false; MAX_PORTS]; n],
-            routes: None,
             doomed: BTreeSet::new(),
         }
     }
@@ -160,6 +155,8 @@ pub struct RefNetwork<E: ErrorControl> {
     crc: Crc32,
     cycle: u64,
     wheel: Wheel,
+    /// Minimal routes until a hard-fault batch applies, up*/down* after.
+    routes: RefRoutes,
     source_queues: Vec<VecDeque<(Packet, u8)>>,
     inject_progress: Vec<Option<InjectProgress>>,
     next_inject_vc: Vec<u8>,
@@ -202,6 +199,7 @@ impl<E: ErrorControl> RefNetwork<E> {
             crc: Crc32::new(),
             cycle: 0,
             wheel: Wheel::new(),
+            routes: RefRoutes::minimal(mesh),
             source_queues: vec![VecDeque::new(); n],
             inject_progress: vec![None; n],
             next_inject_vc: vec![0; n],
@@ -247,6 +245,8 @@ impl<E: ErrorControl> RefNetwork<E> {
                 }
             }
         }
+        // A new schedule starts from the intact topology.
+        self.routes = RefRoutes::minimal(self.mesh);
         if events.is_empty() {
             self.faults = None;
             return;
@@ -292,11 +292,7 @@ impl<E: ErrorControl> RefNetwork<E> {
         // `unreachable_pairs` is a gauge, not an accumulator: re-seed it
         // from the live fault state so measurement-phase reports still
         // describe the surviving topology.
-        if let Some(fs) = &self.faults {
-            if let Some(fr) = &fs.routes {
-                self.stats.unreachable_pairs = fr.unreachable_pairs();
-            }
-        }
+        self.stats.unreachable_pairs = self.routes.unreachable_pairs();
     }
 
     /// Cumulative per-router energy event counters.
@@ -330,15 +326,11 @@ impl<E: ErrorControl> RefNetwork<E> {
             src.index() < self.mesh.num_nodes() && dst.index() < self.mesh.num_nodes(),
             "node outside mesh"
         );
-        if let Some(fs) = &self.faults {
-            if let Some(fr) = &fs.routes {
-                if !fr.reachable(src, dst) {
-                    let id = PacketId(self.next_packet_id);
-                    self.next_packet_id += 1;
-                    self.stats.packets_refused_unreachable += 1;
-                    return id;
-                }
-            }
+        if !self.routes.reachable(src, dst) {
+            let id = PacketId(self.next_packet_id);
+            self.next_packet_id += 1;
+            self.stats.packets_refused_unreachable += 1;
+            return id;
         }
         let id = PacketId(self.next_packet_id);
         self.next_packet_id += 1;
@@ -359,14 +351,10 @@ impl<E: ErrorControl> RefNetwork<E> {
 
     /// Offers a retransmit-request control packet (destination → source).
     fn offer_control(&mut self, from: NodeId, to: NodeId, of: PacketId) {
-        if let Some(fs) = &self.faults {
-            if let Some(fr) = &fs.routes {
-                if !fr.reachable(from, to) {
-                    // The source can no longer be reached; the request
-                    // (and with it the retransmission) is abandoned.
-                    return;
-                }
-            }
+        if !self.routes.reachable(from, to) {
+            // The source can no longer be reached; the request (and
+            // with it the retransmission) is abandoned.
+            return;
         }
         let id = PacketId(self.next_packet_id);
         self.next_packet_id += 1;
@@ -809,12 +797,9 @@ impl<E: ErrorControl> RefNetwork<E> {
                             if r == head.dst {
                                 break;
                             }
-                            let dir = match self.faults.as_ref().and_then(|f| f.routes.as_ref()) {
-                                Some(fr) => match fr.next_hop(r, head.dst) {
-                                    Some(d) if d != Direction::Local => d,
-                                    _ => break,
-                                },
-                                None => self.mesh.min_route(r, head.dst).0,
+                            let dir = match self.routes.next_hop(r, head.dst) {
+                                Some((d, _)) if d != Direction::Local => d,
+                                _ => break,
                             };
                             r = self.mesh.neighbor(r, dir).expect("route stays in mesh");
                         }
@@ -1115,16 +1100,8 @@ impl<E: ErrorControl> RefNetwork<E> {
     }
 
     fn rc_phase(&mut self, cycle: u64) {
-        let Self {
-            routers,
-            mesh,
-            faults,
-            rc_doomed,
-            ..
-        } = self;
-        let fault_routes = faults.as_deref().and_then(|f| f.routes.as_ref());
-        for router in routers.iter_mut() {
-            router.rc_stage(cycle, *mesh, fault_routes, rc_doomed);
+        for router in &mut self.routers {
+            router.rc_stage(cycle, &self.routes, &mut self.rc_doomed);
         }
         if !self.rc_doomed.is_empty() {
             self.finish_rc_dooms(cycle);
@@ -1177,11 +1154,10 @@ impl<E: ErrorControl> RefNetwork<E> {
 
         // 2. Recompute the routing tree on the surviving topology.
         let node_alive: Vec<bool> = fs.node_dead.iter().map(|&d| !d).collect();
-        let routes = RefFaultRoutes::compute(self.mesh, &node_alive, |n, d| {
+        self.routes = RefRoutes::up_down(self.mesh, &node_alive, |n, d| {
             !fs.link_dead[n.index()][d.index()]
         });
-        let unreachable = routes.unreachable_pairs();
-        fs.routes = Some(routes);
+        let unreachable = self.routes.unreachable_pairs();
 
         // 3. Wheel sweep: in-flight events on dead elements die in
         // place. Killing an arrival dooms its packet — the wormhole has

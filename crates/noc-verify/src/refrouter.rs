@@ -7,13 +7,12 @@
 //! cycle. Obviously correct beats fast here — the differential oracle
 //! diffs this model against the optimized kernel.
 
-use crate::refroutes::RefFaultRoutes;
+use crate::refroutes::RefRoutes;
 use noc_coding::arq::{RetransmitBuffer, SequenceNumber};
 use noc_sim::arbiter::RoundRobinArbiter;
 use noc_sim::config::NocConfig;
 use noc_sim::flit::{Flit, PacketId};
-use noc_sim::routing::min_route;
-use noc_sim::topology::{Direction, NodeId, Topo, VcClass};
+use noc_sim::topology::{Direction, NodeId, VcClass};
 use std::collections::VecDeque;
 
 /// A flit resident in an input VC buffer, stamped with its arrival cycle
@@ -172,11 +171,8 @@ impl RefRouter {
     }
 
     /// Route computation: idle input VCs whose head flit has completed its
-    /// buffer-write stage compute their output port — via minimal
-    /// dimension-ordered routing (with its date-line VC class on tori),
-    /// or, once hard faults are active, via the fault-adaptive up*/down*
-    /// table (class `Any`: the fault tree is deadlock-free by
-    /// construction).
+    /// buffer-write stage ask `routes` for their output port and VC
+    /// class.
     ///
     /// A head flit whose destination is unreachable on the live topology
     /// keeps its VC idle and reports its packet id into `doomed`; the
@@ -184,8 +180,7 @@ impl RefRouter {
     pub(crate) fn rc_stage(
         &mut self,
         cycle: u64,
-        mesh: Topo,
-        fault: Option<&RefFaultRoutes>,
+        routes: &RefRoutes,
         doomed: &mut Vec<(PacketId, bool)>,
     ) {
         for port in &mut self.inputs {
@@ -204,15 +199,9 @@ impl RefRouter {
                     "non-head flit {:?} at front of idle VC",
                     front.flit.kind
                 );
-                let (out_port, class) = match fault {
-                    None => min_route(mesh, self.id, front.flit.dst),
-                    Some(f) => match f.next_hop(self.id, front.flit.dst) {
-                        Some(dir) => (dir, VcClass::Any),
-                        None => {
-                            doomed.push((front.flit.packet, !front.flit.class.is_control()));
-                            continue;
-                        }
-                    },
+                let Some((out_port, class)) = routes.next_hop(self.id, front.flit.dst) else {
+                    doomed.push((front.flit.packet, !front.flit.class.is_control()));
+                    continue;
                 };
                 vc.state = VcState::NeedsVa {
                     out_port,

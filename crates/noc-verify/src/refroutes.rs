@@ -1,37 +1,51 @@
-//! Reference reroute: the closure-based up*/down* solver.
+//! Reference routing: the model's one next-hop handle, and the
+//! closure-based up*/down* solver behind it.
 //!
 //! This is the solver the optimized engine shipped before its flat-array
 //! rewrite, kept here verbatim as the reference model's own reroute so
 //! the differential oracle shares no routing code with production:
 //! `VecDeque` BFS, `link_alive`/`neighbor` re-evaluated at every edge
 //! visit, three separate per-destination passes, and an n² scan for the
-//! partition count. See `noc_sim::routing::FaultRoutes` for the scheme
+//! partition count. See `noc_sim::routing::Routes::up_down` for the scheme
 //! itself (rank orientation, suffix consistency, tie-breaks); the two
 //! must agree entry for entry on every dead set.
 
-use noc_sim::topology::{Direction, NodeId, Topo};
+use noc_sim::routing::min_route;
+use noc_sim::topology::{Direction, NodeId, Topo, VcClass};
 
 /// Sentinel port index for "no route" entries.
 const UNREACHABLE_PORT: u8 = 0xFF;
 
-/// The reference model's fault-adaptive next-hop table.
+/// The reference model's one routing handle: minimal dimension-ordered
+/// routes computed on demand while the topology is intact, an up*/down*
+/// table once hard faults strike.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RefFaultRoutes {
-    /// `table[current * n + dst]` is the output port index, or
-    /// [`UNREACHABLE_PORT`] when no live route exists.
+pub struct RefRoutes {
+    topo: Topo,
+    /// `table[current * n + dst]` is the up*/down* output port index, or
+    /// [`UNREACHABLE_PORT`] when no live route exists. Empty for minimal
+    /// routes.
     table: Vec<u8>,
-    n: usize,
     unreachable_pairs: u64,
 }
 
-impl RefFaultRoutes {
+impl RefRoutes {
+    /// Minimal routes on the intact `topo`.
+    pub fn minimal(topo: Topo) -> Self {
+        Self {
+            topo,
+            table: Vec::new(),
+            unreachable_pairs: 0,
+        }
+    }
+
     /// Builds the up*/down* table over the live sub-topology; same
-    /// contract as `noc_sim::routing::FaultRoutes::compute`.
+    /// contract as `noc_sim::routing::Routes::up_down`.
     ///
     /// # Panics
     ///
     /// Panics if `node_alive.len() != topo.num_nodes()`.
-    pub fn compute<F>(topo: impl Into<Topo>, node_alive: &[bool], link_alive: F) -> Self
+    pub fn up_down<F>(topo: impl Into<Topo>, node_alive: &[bool], link_alive: F) -> Self
     where
         F: Fn(NodeId, Direction) -> bool,
     {
@@ -188,22 +202,27 @@ impl RefFaultRoutes {
         }
 
         Self {
+            topo,
             table,
-            n,
             unreachable_pairs,
         }
     }
 
-    /// The output port at `current` for a packet headed to `dst`, or
-    /// `None` when no live route exists.
-    pub fn next_hop(&self, current: NodeId, dst: NodeId) -> Option<Direction> {
-        let p = self.table[current.index() * self.n + dst.index()];
-        (p != UNREACHABLE_PORT).then(|| Direction::from_index(p as usize))
+    /// The output port and VC class at `current` for a packet headed to
+    /// `dst`, or `None` when no live route exists. Up*/down* routes are
+    /// deadlock-free by rank monotonicity alone, so they place no VC
+    /// restriction.
+    pub fn next_hop(&self, current: NodeId, dst: NodeId) -> Option<(Direction, VcClass)> {
+        if self.table.is_empty() {
+            return Some(min_route(self.topo, current, dst));
+        }
+        let p = self.table[current.index() * self.topo.num_nodes() + dst.index()];
+        (p != UNREACHABLE_PORT).then(|| (Direction::from_index(p as usize), VcClass::Any))
     }
 
     /// Whether a live route from `a` to `b` exists.
     pub fn reachable(&self, a: NodeId, b: NodeId) -> bool {
-        self.table[a.index() * self.n + b.index()] != UNREACHABLE_PORT
+        self.next_hop(a, b).is_some()
     }
 
     /// Number of ordered live node pairs with no route between them.

@@ -10,8 +10,8 @@
 use noc_fault::timing::TimingErrorModel;
 use noc_fault::variation::VariationMap;
 use noc_sim::config::NocConfig;
-use noc_sim::network::{poison_route_cache_for_test, HardFaultEvent, HardFaultKind, Network};
-use noc_sim::routing::FaultRoutes;
+use noc_sim::network::{HardFaultEvent, HardFaultKind, Network};
+use noc_sim::routing::{poison_route_cache_for_test, Routes};
 use noc_sim::topology::{NodeId, MAX_PORTS};
 use rlnoc_core::protocol::FaultTolerantProtocol;
 
@@ -36,7 +36,7 @@ fn poisoned_process_wide_route_cache_is_caught() {
     // had died instead.
     let mut alive = vec![true; n];
     alive[11] = false;
-    let wrong = FaultRoutes::compute(mesh, &alive, |u, d| {
+    let wrong = Routes::up_down(mesh, &alive, |u, d| {
         u.index() != 11 && mesh.neighbor(u, d).is_none_or(|v| v.index() != 11)
     });
     let mut node_dead = vec![false; n];

@@ -1,17 +1,17 @@
 //! Production reroute solver vs the reference model's own.
 //!
-//! `noc_sim::routing::FaultRoutes::compute` (flat arrays, fused passes)
-//! and `rlnoc_verify::refroutes::RefFaultRoutes::compute` (the
+//! `noc_sim::routing::Routes::up_down` (flat arrays, fused passes)
+//! and `rlnoc_verify::refroutes::RefRoutes::up_down` (the
 //! closure-based solver it replaced) share no code; they must agree on
 //! every all-pairs `next_hop`, `reachable` and on `unreachable_pairs`
 //! for arbitrary dead sets on every zoo member — partitions, dead
 //! routers and fully isolated nodes included.
 
-use noc_sim::routing::FaultRoutes;
+use noc_sim::routing::Routes;
 use noc_sim::topology::{Direction, NodeId, Topo, MAX_PORTS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rlnoc_verify::refroutes::RefFaultRoutes;
+use rlnoc_verify::refroutes::RefRoutes;
 
 /// Symmetric dead masks; a router death kills every incident link.
 struct DeadSet {
@@ -55,8 +55,8 @@ impl DeadSet {
     fn assert_solvers_agree(&self, what: &str) {
         let alive: Vec<bool> = self.node_dead.iter().map(|&d| !d).collect();
         let link_alive = |u: NodeId, d: Direction| !self.link_dead[u.index()][d.index()];
-        let fast = FaultRoutes::compute(self.topo, &alive, link_alive);
-        let slow = RefFaultRoutes::compute(self.topo, &alive, link_alive);
+        let fast = Routes::up_down(self.topo, &alive, link_alive);
+        let slow = RefRoutes::up_down(self.topo, &alive, link_alive);
         let label = self.topo.encode();
         assert_eq!(
             fast.unreachable_pairs(),

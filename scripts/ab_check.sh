@@ -50,7 +50,7 @@ git -C "$repo" archive --format=tar "$rev" | tar -x -C "$work/a/src"
 
 build() { # <side> <checkout>
     echo "ab_check: building side $1 from $2" >&2
-    CARGO_TARGET_DIR="$work/$1/target" cargo build --release --offline --quiet \
+    CARGO_TARGET_DIR="$work/$1/target" cargo build --release --offline --locked --quiet \
         --manifest-path "$2/benchmark/Cargo.toml"
 }
 build a "$work/a/src"
