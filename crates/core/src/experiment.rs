@@ -79,17 +79,27 @@ impl ErrorControlScheme {
             ErrorControlScheme::ProposedRl => RouterVariant::ProposedRl,
         }
     }
-}
 
-impl std::fmt::Display for ErrorControlScheme {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+    /// The scheme's short name, as the figures and every text format
+    /// spell it.
+    pub fn token(self) -> &'static str {
+        match self {
             ErrorControlScheme::StaticCrc => "CRC",
             ErrorControlScheme::StaticArqEcc => "ARQ+ECC",
             ErrorControlScheme::DecisionTree => "DT",
             ErrorControlScheme::ProposedRl => "RL",
-        };
-        f.write_str(s)
+        }
+    }
+
+    /// The scheme a [`token`](Self::token) names.
+    pub fn from_token(token: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|s| s.token() == token)
+    }
+}
+
+impl std::fmt::Display for ErrorControlScheme {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.token())
     }
 }
 

@@ -52,13 +52,14 @@
 
 use crate::benchmarks::WorkloadProfile;
 use crate::experiment::{ErrorControlScheme, Experiment, ExperimentReport};
-use noc_coding::crc::Crc32;
+use noc_coding::textfmt::{self, Lines, TextError, Trailer};
 use noc_fault::hardfault::HardFaultSchedule;
 use noc_fault::thermal::ThermalParams;
 use noc_fault::timing::TimingErrorParams;
 use noc_sim::config::NocConfig;
 use noc_sim::flit::splitmix64;
 use noc_sim::topology::{FoldedTorus, Mesh, Mesh3d, Topo, Torus};
+use std::fmt::Write as _;
 
 /// Everything needed to rebuild one differential experiment run.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,6 +108,12 @@ impl std::fmt::Display for ParseCaseError {
 }
 
 impl std::error::Error for ParseCaseError {}
+
+impl From<TextError> for ParseCaseError {
+    fn from(e: TextError) -> Self {
+        Self(e.to_string())
+    }
+}
 
 const MAGIC: &str = "rlnoc-case v1";
 
@@ -248,41 +255,46 @@ impl FuzzCase {
 
     /// Checks internal consistency without building the experiment.
     pub fn validate(&self) -> Result<(), ParseCaseError> {
+        self.check().map_err(|(_, message)| ParseCaseError(message))
+    }
+
+    /// [`validate`](Self::validate), with each error naming the text
+    /// field it is about.
+    fn check(&self) -> Result<(), (&'static str, String)> {
+        let refuse = |field, message: &str| Err((field, message.to_string()));
         if self.topo.width() < 2 || self.topo.height() < 2 {
-            return Err(ParseCaseError("topology dimensions must be ≥ 2".into()));
+            return refuse("mesh", "topology dimensions must be ≥ 2");
         }
-        if self.epoch_cycles == 0 || self.drain_limit == 0 {
-            return Err(ParseCaseError("cycle budgets must be positive".into()));
+        if self.epoch_cycles == 0 {
+            return refuse("epoch", "cycle budgets must be positive");
+        }
+        if self.drain_limit == 0 {
+            return refuse("drain", "cycle budgets must be positive");
         }
         if !self.allowed_modes.iter().any(|&b| b) {
-            return Err(ParseCaseError("no operation mode allowed".into()));
+            return refuse("modes", "no operation mode allowed");
         }
         if !self.p_ref_scale.is_finite() || self.p_ref_scale < 0.0 {
-            return Err(ParseCaseError("p_ref_scale must be finite and ≥ 0".into()));
+            return refuse("p_ref_scale", "p_ref_scale must be finite and ≥ 0");
         }
         if !self.ambient_c.is_finite() {
-            return Err(ParseCaseError("ambient_c must be finite".into()));
+            return refuse("ambient", "ambient_c must be finite");
         }
         match WorkloadProfile::all()
             .iter()
             .find(|w| w.name == self.workload)
         {
-            None => {
-                return Err(ParseCaseError(format!(
-                    "unknown workload `{}`",
-                    self.workload
-                )));
-            }
-            Some(w) if !w.fits_mesh(self.topo) => {
-                return Err(ParseCaseError(format!(
+            None => Err(("workload", format!("unknown workload `{}`", self.workload))),
+            Some(w) if !w.fits_mesh(self.topo) => Err((
+                "workload",
+                format!(
                     "workload `{}` references nodes outside a {} topology",
                     self.workload,
                     self.topo.encode()
-                )));
-            }
-            Some(_) => {}
+                ),
+            )),
+            Some(_) => Ok(()),
         }
-        Ok(())
     }
 
     /// Reduction candidates for shrinking, ordered most-aggressive
@@ -375,131 +387,82 @@ impl FuzzCase {
 
     /// Serializes the case to the `rlnoc-case v1` text format.
     pub fn to_text(&self) -> String {
-        let mut body = String::new();
-        body.push_str(MAGIC);
-        body.push('\n');
-        body.push_str(&format!("mesh={}\n", self.topo.encode()));
-        body.push_str(&format!("scheme={}\n", self.scheme));
-        body.push_str(&format!("workload={}\n", self.workload));
-        body.push_str(&format!("seed={:016x}\n", self.seed));
-        body.push_str(&format!("epoch={}\n", self.epoch_cycles));
-        body.push_str(&format!("pretrain={}\n", self.pretrain_cycles));
-        body.push_str(&format!("warmup={}\n", self.warmup_cycles));
-        body.push_str(&format!("measure={}\n", self.measure_cycles));
-        body.push_str(&format!("drain={}\n", self.drain_limit));
         let modes: String = self
             .allowed_modes
             .iter()
             .map(|&b| if b { '1' } else { '0' })
             .collect();
-        body.push_str(&format!("modes={modes}\n"));
-        body.push_str(&format!(
-            "p_ref_scale={:016x}\n",
-            self.p_ref_scale.to_bits()
-        ));
-        body.push_str(&format!("ambient={:016x}\n", self.ambient_c.to_bits()));
+        let mut text = format!(
+            "{MAGIC}\nmesh={}\nscheme={}\nworkload={}\nseed={:016x}\nepoch={}\npretrain={}\n\
+             warmup={}\nmeasure={}\ndrain={}\nmodes={modes}\np_ref_scale={:016x}\nambient={:016x}\n",
+            self.topo.encode(),
+            self.scheme,
+            self.workload,
+            self.seed,
+            self.epoch_cycles,
+            self.pretrain_cycles,
+            self.warmup_cycles,
+            self.measure_cycles,
+            self.drain_limit,
+            self.p_ref_scale.to_bits(),
+            self.ambient_c.to_bits(),
+        );
         if let Some((links, routers, seed)) = self.hard_faults {
-            body.push_str(&format!("hardfaults={links} {routers} {seed:016x}\n"));
+            writeln!(text, "hardfaults={links} {routers} {seed:016x}").expect("write to string");
         }
-        let crc = Crc32::new().checksum(body.as_bytes());
-        body.push_str(&format!("crc={crc:08x}\n"));
-        body
+        textfmt::seal(&mut text, Trailer::CrcEq);
+        text
     }
 
     /// Parses and validates an `rlnoc-case v1` file, including its
     /// CRC-32 trailer.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseCaseError`] naming the line of any structural, checksum,
+    /// or semantic failure.
     pub fn from_text(text: &str) -> Result<Self, ParseCaseError> {
-        let trailer_at = text
-            .rfind("crc=")
-            .ok_or_else(|| ParseCaseError("missing crc trailer".into()))?;
-        let (body, trailer) = text.split_at(trailer_at);
-        let stated = trailer
-            .trim()
-            .strip_prefix("crc=")
-            .and_then(|h| u32::from_str_radix(h, 16).ok())
-            .ok_or_else(|| ParseCaseError("malformed crc trailer".into()))?;
-        let actual = Crc32::new().checksum(body.as_bytes());
-        if stated != actual {
-            return Err(ParseCaseError(format!(
-                "crc mismatch: file says {stated:08x}, content is {actual:08x}"
-            )));
+        let body = textfmt::unseal(text, Trailer::CrcEq)?;
+        let mut lines = Lines::open(body, MAGIC)?;
+        let topo = Topo::parse(lines.field("mesh")?).map_err(|e| lines.error(e))?;
+        let scheme = lines.field("scheme")?;
+        let scheme = ErrorControlScheme::from_token(scheme)
+            .ok_or_else(|| lines.error(format!("unknown scheme `{scheme}`")))?;
+        let workload = lines.field("workload")?.to_string();
+        let seed = lines.hex("seed")?;
+        let epoch_cycles = lines.dec("epoch")?;
+        let pretrain_cycles = lines.dec("pretrain")?;
+        let warmup_cycles = lines.dec("warmup")?;
+        let measure_cycles = lines.dec("measure")?;
+        let drain_limit = lines.dec("drain")?;
+        let modes = lines.field("modes")?.as_bytes();
+        if modes.len() != 4 || !modes.iter().all(|&c| c == b'0' || c == b'1') {
+            return Err(lines.error("modes must be four 0/1 flags").into());
         }
-        let mut lines = body.lines();
-        if lines.next() != Some(MAGIC) {
-            return Err(ParseCaseError(format!("bad magic, want `{MAGIC}`")));
-        }
-        let mut field = |name: &str| -> Result<String, ParseCaseError> {
-            let line = lines
-                .next()
-                .ok_or_else(|| ParseCaseError(format!("missing field `{name}`")))?;
-            line.strip_prefix(name)
-                .and_then(|rest| rest.strip_prefix('='))
-                .map(str::to_string)
-                .ok_or_else(|| ParseCaseError(format!("expected `{name}=`, got `{line}`")))
-        };
-        let topo = Topo::parse(&field("mesh")?).map_err(ParseCaseError)?;
-        let scheme = match field("scheme")?.as_str() {
-            "CRC" => ErrorControlScheme::StaticCrc,
-            "ARQ+ECC" => ErrorControlScheme::StaticArqEcc,
-            "DT" => ErrorControlScheme::DecisionTree,
-            "RL" => ErrorControlScheme::ProposedRl,
-            other => return Err(ParseCaseError(format!("unknown scheme `{other}`"))),
-        };
-        let workload = field("workload")?;
-        let parse_u64 = |s: &str, what: &str| -> Result<u64, ParseCaseError> {
-            s.parse()
-                .map_err(|_| ParseCaseError(format!("bad {what} `{s}`")))
-        };
-        let parse_hex = |s: &str, what: &str| -> Result<u64, ParseCaseError> {
-            u64::from_str_radix(s, 16).map_err(|_| ParseCaseError(format!("bad {what} `{s}`")))
-        };
-        let seed = parse_hex(&field("seed")?, "seed")?;
-        let epoch_cycles = parse_u64(&field("epoch")?, "epoch")?;
-        let pretrain_cycles = parse_u64(&field("pretrain")?, "pretrain")?;
-        let warmup_cycles = parse_u64(&field("warmup")?, "warmup")?;
-        let measure_cycles = parse_u64(&field("measure")?, "measure")?;
-        let drain_limit = parse_u64(&field("drain")?, "drain")?;
-        let modes = field("modes")?;
-        if modes.len() != 4 || !modes.chars().all(|c| c == '0' || c == '1') {
-            return Err(ParseCaseError("modes must be four 0/1 flags".into()));
-        }
-        let mut allowed_modes = [false; 4];
-        for (i, c) in modes.chars().enumerate() {
-            allowed_modes[i] = c == '1';
-        }
-        let p_ref_scale = f64::from_bits(parse_hex(&field("p_ref_scale")?, "p_ref_scale")?);
-        let ambient_c = f64::from_bits(parse_hex(&field("ambient")?, "ambient")?);
-        // Optional final line; anything else after `ambient` is junk.
-        let hard_faults = match lines.next() {
+        let allowed_modes = std::array::from_fn(|i| modes[i] == b'1');
+        let p_ref_scale = lines.float("p_ref_scale")?;
+        let ambient_c = lines.float("ambient")?;
+        let hard_faults = match lines.optional("hardfaults") {
             None => None,
-            Some(line) => {
-                let rest = line
-                    .strip_prefix("hardfaults=")
-                    .ok_or_else(|| ParseCaseError(format!("unexpected trailing line `{line}`")))?;
-                let mut parts = rest.split(' ');
-                let links: u16 = parts
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| ParseCaseError("bad hardfaults link count".into()))?;
-                let routers: u16 = parts
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| ParseCaseError("bad hardfaults router count".into()))?;
-                let seed = parse_hex(
-                    parts
-                        .next()
-                        .ok_or_else(|| ParseCaseError("missing hardfaults seed".into()))?,
-                    "hardfaults seed",
-                )?;
-                if parts.next().is_some() {
-                    return Err(ParseCaseError("trailing junk on hardfaults line".into()));
+            Some(value) => {
+                let mut parts = value.split(' ');
+                let mut quota = || parts.next().and_then(textfmt::dec)?.try_into().ok();
+                let (links, routers) = (quota(), quota());
+                match (
+                    links,
+                    routers,
+                    parts.next().and_then(textfmt::hex16),
+                    parts.next(),
+                ) {
+                    (Some(links), Some(routers), Some(seed), None) => Some((links, routers, seed)),
+                    _ => {
+                        let message = "expected `hardfaults=<links> <routers> <seed:016x>`";
+                        return Err(lines.error(message).into());
+                    }
                 }
-                if lines.next().is_some() {
-                    return Err(ParseCaseError("unexpected content after hardfaults".into()));
-                }
-                Some((links, routers, seed))
             }
         };
+        lines.finish()?;
         let case = Self {
             topo,
             scheme,
@@ -515,7 +478,8 @@ impl FuzzCase {
             ambient_c,
             hard_faults,
         };
-        case.validate()?;
+        case.check()
+            .map_err(|(field, message)| TextError::on_field(body, field, message))?;
         Ok(case)
     }
 }

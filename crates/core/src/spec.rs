@@ -35,12 +35,20 @@
 use crate::benchmarks::WorkloadProfile;
 use crate::campaign::Campaign;
 use crate::experiment::ErrorControlScheme;
-use noc_coding::crc::Crc32;
+use noc_coding::textfmt::{self, Lines, TextError, Trailer};
 use noc_sim::config::NocConfig;
 use noc_sim::topology::{Mesh, Topo};
-use std::fmt::Write as _;
 
 const MAGIC: &str = "rlnoc-spec v1";
+
+/// The most tasks a spec may describe: 186× the 352-task, eight-seed
+/// paper campaign, and 512 KiB of queue entries in a service.
+pub const MAX_TASKS: usize = 1 << 16;
+
+/// `schemes × workloads × replicates`, without overflow.
+fn task_count(schemes: usize, workloads: usize, replicates: usize) -> u128 {
+    schemes as u128 * workloads as u128 * replicates as u128
+}
 
 /// A spec that does not describe a runnable campaign, or text that is
 /// not a valid `rlnoc-spec v1` document.
@@ -54,6 +62,12 @@ impl std::fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
+
+impl From<TextError> for SpecError {
+    fn from(e: TextError) -> Self {
+        Self(e.to_string())
+    }
+}
 
 /// The wire-transferable description of a campaign grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,25 +90,6 @@ pub struct CampaignSpec {
     pub measure_cycles: Option<u64>,
     /// Drain budget per run.
     pub drain_limit: u64,
-}
-
-fn scheme_token(s: ErrorControlScheme) -> &'static str {
-    match s {
-        ErrorControlScheme::StaticCrc => "CRC",
-        ErrorControlScheme::StaticArqEcc => "ARQ+ECC",
-        ErrorControlScheme::DecisionTree => "DT",
-        ErrorControlScheme::ProposedRl => "RL",
-    }
-}
-
-fn scheme_from_token(t: &str) -> Option<ErrorControlScheme> {
-    match t {
-        "CRC" => Some(ErrorControlScheme::StaticCrc),
-        "ARQ+ECC" => Some(ErrorControlScheme::StaticArqEcc),
-        "DT" => Some(ErrorControlScheme::DecisionTree),
-        "RL" => Some(ErrorControlScheme::ProposedRl),
-        _ => None,
-    }
 }
 
 impl CampaignSpec {
@@ -177,55 +172,55 @@ impl CampaignSpec {
     ///
     /// [`SpecError`] naming the first violated constraint.
     pub fn validate(&self) -> Result<(), SpecError> {
-        self.resolve_workloads().map(drop)
+        self.resolve_workloads()
+            .map(drop)
+            .map_err(|(_, message)| SpecError(message))
     }
 
     /// Checks the spec and builds its workload profiles, each named one
-    /// once.
-    fn resolve_workloads(&self) -> Result<Vec<WorkloadProfile>, SpecError> {
+    /// once. An error names the text field it is about.
+    fn resolve_workloads(&self) -> Result<Vec<WorkloadProfile>, (&'static str, String)> {
+        let refuse = |field, message: &str| Err((field, message.to_string()));
         if self.schemes.is_empty() {
-            return Err(SpecError("at least one scheme required".into()));
+            return refuse("schemes", "at least one scheme required");
         }
         for (i, s) in self.schemes.iter().enumerate() {
             if self.schemes[..i].contains(s) {
-                return Err(SpecError(format!("duplicate scheme `{s}`")));
+                return Err(("schemes", format!("duplicate scheme `{s}`")));
             }
         }
         if self.workloads.is_empty() {
-            return Err(SpecError("at least one workload required".into()));
+            return refuse("workloads", "at least one workload required");
         }
         if self.topo.width() < 2 || self.topo.height() < 2 {
-            return Err(SpecError("topology dimensions must be ≥ 2".into()));
+            return refuse("mesh", "topology dimensions must be ≥ 2");
         }
         if self.replicates == 0 {
-            return Err(SpecError("replicates must be ≥ 1".into()));
+            return refuse("replicates", "replicates must be ≥ 1");
         }
-        // The service counts a campaign's tasks in a `u32`.
-        let tasks = (self.replicates as u128) * (self.workloads.len() * self.schemes.len()) as u128;
-        if tasks > u128::from(u32::MAX) {
-            return Err(SpecError(format!(
-                "{tasks} tasks exceed the limit of {}",
-                u32::MAX
-            )));
+        let tasks = task_count(self.schemes.len(), self.workloads.len(), self.replicates);
+        if tasks > MAX_TASKS as u128 {
+            let message = format!("{tasks} tasks exceed the limit of {MAX_TASKS}");
+            return Err(("replicates", message));
         }
         if self.drain_limit == 0 {
-            return Err(SpecError("drain_limit must be positive".into()));
+            return refuse("drain", "drain_limit must be positive");
         }
         if self.measure_cycles == Some(0) {
-            return Err(SpecError("measure cap must be positive".into()));
+            return refuse("measure", "measure cap must be positive");
         }
         self.workloads
             .iter()
-            .map(|name| {
-                let w = WorkloadProfile::by_name(name)
-                    .ok_or_else(|| SpecError(format!("unknown workload `{name}`")))?;
-                if !w.fits_mesh(self.topo) {
-                    return Err(SpecError(format!(
+            .map(|name| match WorkloadProfile::by_name(name) {
+                None => Err(("workloads", format!("unknown workload `{name}`"))),
+                Some(w) if !w.fits_mesh(self.topo) => Err((
+                    "workloads",
+                    format!(
                         "workload `{name}` references nodes outside a {} topology",
                         self.topo.encode()
-                    )));
-                }
-                Ok(w)
+                    ),
+                )),
+                Some(w) => Ok(w),
             })
             .collect()
     }
@@ -237,7 +232,9 @@ impl CampaignSpec {
     ///
     /// Validation errors, as [`validate`](Self::validate).
     pub fn to_campaign(&self) -> Result<Campaign, SpecError> {
-        let workloads = self.resolve_workloads()?;
+        let workloads = self
+            .resolve_workloads()
+            .map_err(|(_, message)| SpecError(message))?;
         Ok(Campaign {
             schemes: self.schemes.clone(),
             workloads,
@@ -275,91 +272,69 @@ impl CampaignSpec {
 
     /// Serializes to the `rlnoc-spec v1` text format.
     pub fn to_text(&self) -> String {
-        let mut body = String::new();
-        body.push_str(MAGIC);
-        body.push('\n');
-        let schemes: Vec<&str> = self.schemes.iter().copied().map(scheme_token).collect();
-        writeln!(body, "schemes={}", schemes.join(",")).expect("write to string");
-        writeln!(body, "workloads={}", self.workloads.join(",")).expect("write to string");
-        writeln!(body, "mesh={}", self.topo.encode()).expect("write to string");
-        writeln!(body, "seed={:016x}", self.seed).expect("write to string");
-        writeln!(body, "replicates={}", self.replicates).expect("write to string");
-        writeln!(body, "pretrain={}", self.pretrain_cycles).expect("write to string");
-        writeln!(body, "warmup={}", self.warmup_cycles).expect("write to string");
-        match self.measure_cycles {
-            Some(c) => writeln!(body, "measure={c}").expect("write to string"),
-            None => writeln!(body, "measure=none").expect("write to string"),
-        }
-        writeln!(body, "drain={}", self.drain_limit).expect("write to string");
-        let crc = Crc32::new().checksum(body.as_bytes());
-        writeln!(body, "crc={crc:08x}").expect("write to string");
-        body
+        let schemes: Vec<&str> = self.schemes.iter().map(|s| s.token()).collect();
+        let measure = self
+            .measure_cycles
+            .map_or_else(|| "none".to_string(), |c| c.to_string());
+        let mut text = format!(
+            "{MAGIC}\nschemes={}\nworkloads={}\nmesh={}\nseed={:016x}\nreplicates={}\n\
+             pretrain={}\nwarmup={}\nmeasure={measure}\ndrain={}\n",
+            schemes.join(","),
+            self.workloads.join(","),
+            self.topo.encode(),
+            self.seed,
+            self.replicates,
+            self.pretrain_cycles,
+            self.warmup_cycles,
+            self.drain_limit,
+        );
+        textfmt::seal(&mut text, Trailer::CrcEq);
+        text
     }
 
     /// Parses and validates an `rlnoc-spec v1` document, including its
-    /// CRC-32 trailer.
+    /// CRC-32 trailer. The task count is checked against [`MAX_TASKS`]
+    /// before either list is built.
     ///
     /// # Errors
     ///
-    /// [`SpecError`] on any structural, checksum, or semantic failure.
+    /// [`SpecError`] naming the line of any structural, checksum, or
+    /// semantic failure.
     pub fn from_text(text: &str) -> Result<Self, SpecError> {
-        let trailer_at = text
-            .rfind("crc=")
-            .ok_or_else(|| SpecError("missing crc trailer".into()))?;
-        let (body, trailer) = text.split_at(trailer_at);
-        let stated = trailer
-            .trim()
-            .strip_prefix("crc=")
-            .and_then(|h| u32::from_str_radix(h, 16).ok())
-            .ok_or_else(|| SpecError("malformed crc trailer".into()))?;
-        let actual = Crc32::new().checksum(body.as_bytes());
-        if stated != actual {
-            return Err(SpecError(format!(
-                "crc mismatch: file says {stated:08x}, content is {actual:08x}"
-            )));
+        let body = textfmt::unseal(text, Trailer::CrcEq)?;
+        let mut lines = Lines::open(body, MAGIC)?;
+        let schemes = lines.field("schemes")?;
+        let workloads = lines.field("workloads")?;
+        let topo = Topo::parse(lines.field("mesh")?).map_err(|e| lines.error(e))?;
+        let seed = lines.hex("seed")?;
+        let replicates = lines.count("replicates", MAX_TASKS)?;
+        let tasks = task_count(
+            schemes.split(',').count(),
+            workloads.split(',').count(),
+            replicates,
+        );
+        if tasks > MAX_TASKS as u128 {
+            let message = format!("{tasks} tasks exceed the limit of {MAX_TASKS}");
+            return Err(lines.error(message).into());
         }
-        let mut lines = body.lines();
-        if lines.next() != Some(MAGIC) {
-            return Err(SpecError(format!("bad magic, want `{MAGIC}`")));
-        }
-        let mut field = |name: &str| -> Result<String, SpecError> {
-            let line = lines
-                .next()
-                .ok_or_else(|| SpecError(format!("missing field `{name}`")))?;
-            line.strip_prefix(name)
-                .and_then(|rest| rest.strip_prefix('='))
-                .map(str::to_string)
-                .ok_or_else(|| SpecError(format!("expected `{name}=`, got `{line}`")))
+        let pretrain_cycles = lines.dec("pretrain")?;
+        let warmup_cycles = lines.dec("warmup")?;
+        let measure_cycles = match lines.field("measure")? {
+            "none" => None,
+            cap => Some(textfmt::dec(cap).ok_or_else(|| lines.error("bad `measure=` value"))?),
         };
-        let schemes_raw = field("schemes")?;
-        let mut schemes = Vec::new();
-        for token in schemes_raw.split(',') {
-            schemes.push(
-                scheme_from_token(token)
-                    .ok_or_else(|| SpecError(format!("unknown scheme `{token}`")))?,
-            );
-        }
-        let workloads: Vec<String> = field("workloads")?.split(',').map(str::to_string).collect();
-        let topo = Topo::parse(&field("mesh")?).map_err(SpecError)?;
-        let seed =
-            u64::from_str_radix(&field("seed")?, 16).map_err(|_| SpecError("bad seed".into()))?;
-        let parse_u64 = |s: String, what: &str| -> Result<u64, SpecError> {
-            s.parse()
-                .map_err(|_| SpecError(format!("bad {what} `{s}`")))
-        };
-        let replicates = parse_u64(field("replicates")?, "replicates")? as usize;
-        let pretrain_cycles = parse_u64(field("pretrain")?, "pretrain")?;
-        let warmup_cycles = parse_u64(field("warmup")?, "warmup")?;
-        let measure_raw = field("measure")?;
-        let measure_cycles = if measure_raw == "none" {
-            None
-        } else {
-            Some(parse_u64(measure_raw, "measure")?)
-        };
-        let drain_limit = parse_u64(field("drain")?, "drain")?;
+        let drain_limit = lines.dec("drain")?;
+        lines.finish()?;
         let spec = Self {
-            schemes,
-            workloads,
+            schemes: schemes
+                .split(',')
+                .map(|t| {
+                    ErrorControlScheme::from_token(t).ok_or_else(|| {
+                        TextError::on_field(body, "schemes", format!("unknown scheme `{t}`"))
+                    })
+                })
+                .collect::<Result<_, _>>()?,
+            workloads: workloads.split(',').map(str::to_string).collect(),
             topo,
             seed,
             replicates,
@@ -368,7 +343,8 @@ impl CampaignSpec {
             measure_cycles,
             drain_limit,
         };
-        spec.validate()?;
+        spec.resolve_workloads()
+            .map_err(|(field, message)| TextError::on_field(body, field, message))?;
         Ok(spec)
     }
 }
@@ -503,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn task_counts_past_u32_are_refused() {
+    fn task_counts_past_max_tasks_are_refused_at_the_replicates_line() {
         // 2^63 replicates × 2 schemes: a usize product wraps to 0 tasks.
         let mut s = CampaignSpec::tiny(5);
         s.schemes = vec![
@@ -512,11 +488,38 @@ mod tests {
         ];
         s.replicates = 1 << 63;
         let err = CampaignSpec::from_text(&s.to_text()).unwrap_err();
-        assert!(err.to_string().contains("exceed"), "{err}");
-        s.replicates = 1 << 31;
-        assert!(s.validate().is_err(), "2^32 tasks is one past the limit");
-        s.replicates = (1 << 31) - 1;
+        assert!(err.to_string().contains("line 6: `replicates="), "{err}");
+        s.replicates = MAX_TASKS / 2 + 1;
+        let err = CampaignSpec::from_text(&s.to_text()).unwrap_err();
+        assert!(
+            err.to_string().contains("line 6: 65538 tasks exceed"),
+            "{err}"
+        );
+        assert!(s.validate().is_err(), "one replicate past the limit");
+        s.replicates = MAX_TASKS / 2;
         assert!(s.validate().is_ok());
+        assert_eq!(CampaignSpec::from_text(&s.to_text()), Ok(s));
+    }
+
+    #[test]
+    fn semantic_errors_name_their_line() {
+        for (from, to, line) in [
+            ("replicates=1", "replicates=0", 6),
+            ("drain=20000", "drain=0", 10),
+            ("measure=300", "measure=0", 9),
+            ("workloads=blackscholes", "workloads=streamcluster", 3),
+            ("schemes=CRC", "schemes=CRC,CRC", 2),
+            ("schemes=CRC", "schemes=crc", 2),
+            ("mesh=2x2", "mesh=1x2", 4),
+        ] {
+            let text = CampaignSpec::tiny(1).to_text();
+            let mut text = textfmt::unseal(&text, Trailer::CrcEq)
+                .unwrap()
+                .replace(from, to);
+            textfmt::seal(&mut text, Trailer::CrcEq);
+            let err = CampaignSpec::from_text(&text).unwrap_err();
+            assert!(err.0.starts_with(&format!("line {line}: ")), "{to}: {err}");
+        }
     }
 
     #[test]

@@ -1,132 +1,15 @@
-//! Table-driven cyclic-redundancy checks.
+//! Table-driven CRC-32, the check of the destination router's ejection
+//! port: reflected polynomial `0xEDB88320` (IEEE 802.3).
 //!
-//! Three widths are provided, matching the detection hardware commonly
-//! attached to NoC ejection ports:
+//! Lookup tables are built at compile time, so the per-byte cost in the
+//! simulator's hot loop is a table access and an XOR — the structure a
+//! parallel hardware CRC realizes in one cycle.
 //!
-//! * [`Crc8`] — polynomial `0x07` (ATM HEC family), cheapest hardware.
-//! * [`Crc16`] — polynomial `0x1021` (CCITT), the classic link-layer check.
-//! * [`Crc32`] — reflected polynomial `0xEDB88320` (IEEE 802.3), strongest.
-//!
-//! Each type precomputes a 256-entry lookup table at construction so that
-//! per-byte cost in the simulator's hot loop is one table access and one
-//! XOR — the same structure a parallel hardware CRC realizes in one cycle.
-//!
-//! CRC guarantees used by the protocol layer: any CRC detects **all**
+//! CRC guarantees used by the protocol layer: a CRC detects **all**
 //! single-bit errors and all burst errors shorter than its width; for the
 //! random multi-bit flips produced by the timing-error injector the escape
-//! probability is `2^-width`, which the protocol layer treats as zero for
-//! CRC-16/32 (and accounts separately as "silent corruption" when it is
-//! not).
-
-/// CRC-8 with polynomial `x^8 + x^2 + x + 1` (`0x07`), MSB-first.
-///
-/// # Example
-///
-/// ```
-/// use noc_coding::crc::Crc8;
-/// let crc = Crc8::new();
-/// assert_eq!(crc.checksum(b"123456789"), 0xF4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Crc8 {
-    table: [u8; 256],
-}
-
-impl Crc8 {
-    /// Generator polynomial (implicit `x^8` term omitted).
-    pub const POLY: u8 = 0x07;
-
-    /// Builds the lookup table for [`Self::POLY`].
-    pub fn new() -> Self {
-        let mut table = [0u8; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u8;
-            for _ in 0..8 {
-                crc = if crc & 0x80 != 0 {
-                    (crc << 1) ^ Self::POLY
-                } else {
-                    crc << 1
-                };
-            }
-            *entry = crc;
-        }
-        Self { table }
-    }
-
-    /// Computes the CRC-8 of `data` with initial value 0.
-    pub fn checksum(&self, data: &[u8]) -> u8 {
-        data.iter()
-            .fold(0u8, |crc, &b| self.table[(crc ^ b) as usize])
-    }
-
-    /// Returns `true` when `expected` matches the checksum of `data`.
-    pub fn verify(&self, data: &[u8], expected: u8) -> bool {
-        self.checksum(data) == expected
-    }
-}
-
-impl Default for Crc8 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// CRC-16/CCITT-FALSE with polynomial `0x1021`, initial value `0xFFFF`,
-/// MSB-first.
-///
-/// # Example
-///
-/// ```
-/// use noc_coding::crc::Crc16;
-/// let crc = Crc16::new();
-/// assert_eq!(crc.checksum(b"123456789"), 0x29B1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Crc16 {
-    table: [u16; 256],
-}
-
-impl Crc16 {
-    /// Generator polynomial (implicit `x^16` term omitted).
-    pub const POLY: u16 = 0x1021;
-    /// Initial register value.
-    pub const INIT: u16 = 0xFFFF;
-
-    /// Builds the lookup table for [`Self::POLY`].
-    pub fn new() -> Self {
-        let mut table = [0u16; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = (i as u16) << 8;
-            for _ in 0..8 {
-                crc = if crc & 0x8000 != 0 {
-                    (crc << 1) ^ Self::POLY
-                } else {
-                    crc << 1
-                };
-            }
-            *entry = crc;
-        }
-        Self { table }
-    }
-
-    /// Computes the CRC-16 of `data` starting from [`Self::INIT`].
-    pub fn checksum(&self, data: &[u8]) -> u16 {
-        data.iter().fold(Self::INIT, |crc, &b| {
-            (crc << 8) ^ self.table[(((crc >> 8) ^ b as u16) & 0xFF) as usize]
-        })
-    }
-
-    /// Returns `true` when `expected` matches the checksum of `data`.
-    pub fn verify(&self, data: &[u8], expected: u16) -> bool {
-        self.checksum(data) == expected
-    }
-}
-
-impl Default for Crc16 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+//! probability is `2^-32`, which the protocol layer treats as zero (and
+//! accounts separately as "silent corruption" when it is not).
 
 /// Slicing-by-8 lookup tables for the reflected IEEE polynomial,
 /// built at compile time and shared process-wide: constructing a
@@ -268,28 +151,8 @@ mod tests {
     const CHECK_INPUT: &[u8] = b"123456789";
 
     #[test]
-    fn crc8_matches_reference_check_value() {
-        assert_eq!(Crc8::new().checksum(CHECK_INPUT), 0xF4);
-    }
-
-    #[test]
-    fn crc16_matches_reference_check_value() {
-        assert_eq!(Crc16::new().checksum(CHECK_INPUT), 0x29B1);
-    }
-
-    #[test]
     fn crc32_matches_reference_check_value() {
         assert_eq!(Crc32::new().checksum(CHECK_INPUT), 0xCBF4_3926);
-    }
-
-    #[test]
-    fn crc8_empty_input_is_zero() {
-        assert_eq!(Crc8::new().checksum(&[]), 0);
-    }
-
-    #[test]
-    fn crc16_empty_input_is_init() {
-        assert_eq!(Crc16::new().checksum(&[]), Crc16::INIT);
     }
 
     #[test]
@@ -312,34 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn crc16_detects_any_single_bit_flip() {
-        let crc = Crc16::new();
-        let data = [0x12u8, 0x34, 0x56, 0x78];
-        let good = crc.checksum(&data);
-        for byte in 0..data.len() {
-            for bit in 0..8 {
-                let mut bad = data;
-                bad[byte] ^= 1 << bit;
-                assert_ne!(crc.checksum(&bad), good);
-            }
-        }
-    }
-
-    #[test]
-    fn crc8_detects_any_single_bit_flip() {
-        let crc = Crc8::new();
-        let data = [0xFFu8, 0x00, 0xAA];
-        let good = crc.checksum(&data);
-        for byte in 0..data.len() {
-            for bit in 0..8 {
-                let mut bad = data;
-                bad[byte] ^= 1 << bit;
-                assert_ne!(crc.checksum(&bad), good);
-            }
-        }
-    }
-
-    #[test]
     fn crc32_word_helper_matches_byte_path() {
         let crc = Crc32::new();
         let words = [0x0123_4567_89AB_CDEFu64, 0xFEDC_BA98_7654_3210u64];
@@ -352,11 +187,7 @@ mod tests {
     #[test]
     fn verify_round_trips() {
         let data = b"network-on-chip";
-        let c8 = Crc8::new();
-        let c16 = Crc16::new();
         let c32 = Crc32::new();
-        assert!(c8.verify(data, c8.checksum(data)));
-        assert!(c16.verify(data, c16.checksum(data)));
         assert!(c32.verify(data, c32.checksum(data)));
         assert!(!c32.verify(data, c32.checksum(data) ^ 1));
     }
@@ -372,17 +203,6 @@ mod prop_tests {
         fn crc32_single_flip_always_detected(data in proptest::collection::vec(any::<u8>(), 1..64),
                                              flip in 0usize..512) {
             let crc = Crc32::new();
-            let good = crc.checksum(&data);
-            let bit = flip % (data.len() * 8);
-            let mut bad = data.clone();
-            bad[bit / 8] ^= 1 << (bit % 8);
-            prop_assert_ne!(crc.checksum(&bad), good);
-        }
-
-        #[test]
-        fn crc16_single_flip_always_detected(data in proptest::collection::vec(any::<u8>(), 1..64),
-                                             flip in 0usize..512) {
-            let crc = Crc16::new();
             let good = crc.checksum(&data);
             let bit = flip % (data.len() * 8);
             let mut bad = data.clone();

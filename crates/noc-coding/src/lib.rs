@@ -3,15 +3,17 @@
 //! This crate provides the three "hardware" building blocks that the
 //! fault-tolerant router designs in the parent workspace rely on:
 //!
-//! * [`crc`] — cyclic-redundancy checks (CRC-8, CRC-16/CCITT, CRC-32/IEEE)
-//!   used for *end-to-end* error detection at the destination router's local
-//!   ejection port.
+//! * [`crc`] — the CRC-32/IEEE check used for *end-to-end* error
+//!   detection at the destination router's local ejection port.
 //! * [`hamming`] — Hamming single-error-correct / double-error-detect
 //!   (SECDED) codes used for *per-hop* error correction on ECC-protected
 //!   links ("ARQ+ECC" in the paper).
 //! * [`arq`] — automatic-retransmission-query machinery: ACK/NACK messages,
 //!   sequence numbers, and the upstream retransmission buffer that holds a
 //!   copy of every in-flight flit until it is acknowledged.
+//!
+//! [`textfmt`] applies the same CRC-32 to the workspace's persisted text
+//! formats: one strict reader and writer for their trailers and fields.
 //!
 //! All types are deterministic, allocation-light, and independent of the
 //! simulator so they can be tested (and property-tested) in isolation.
@@ -43,7 +45,8 @@
 pub mod arq;
 pub mod crc;
 pub mod hamming;
+pub mod textfmt;
 
 pub use arq::{AckKind, ArqEvent, RetransmitBuffer, SequenceNumber};
-pub use crc::{Crc16, Crc32, Crc8};
+pub use crc::Crc32;
 pub use hamming::{DecodeOutcome, Secded32, Secded64};

@@ -38,25 +38,13 @@
 //! 8-digit CRC, and a trailing newline — so any truncation or
 //! single-bit flip is rejected.
 
-use noc_coding::crc::Crc32;
+use noc_coding::textfmt::{self, Lines, TextError, Trailer};
 use noc_topo::{Direction, NodeId, Topo, MAX_PORTS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write as _;
 
 const MAGIC: &str = "rlnoc-hardfault v1";
-
-/// The schedule-file letter of a compass direction.
-fn dir_letter(dir: Direction) -> char {
-    match dir {
-        Direction::North => 'N',
-        Direction::East => 'E',
-        Direction::South => 'S',
-        Direction::West => 'W',
-        Direction::Up => 'U',
-        Direction::Down => 'D',
-        Direction::Local => '?',
-    }
-}
 
 /// The compass direction of a schedule-file letter.
 fn letter_dir(s: &str) -> Option<Direction> {
@@ -119,6 +107,12 @@ impl std::fmt::Display for ParseScheduleError {
 }
 
 impl std::error::Error for ParseScheduleError {}
+
+impl From<TextError> for ParseScheduleError {
+    fn from(e: TextError) -> Self {
+        Self(e.to_string())
+    }
+}
 
 /// Total number of bidirectional links in a `w × h` mesh.
 pub fn mesh_links(w: u16, h: u16) -> u64 {
@@ -283,45 +277,11 @@ impl HardFaultSchedule {
     /// direction on the topology's compass, link entries naming links
     /// that exist, and cycles non-decreasing.
     pub fn validate(&self) -> Result<(), ParseScheduleError> {
-        if self.topo.width() < 2 || self.topo.height() < 2 {
-            return Err(ParseScheduleError("topology dimensions must be ≥ 2".into()));
-        }
-        let n = self.topo.num_nodes();
-        if n > usize::from(u16::MAX) {
-            return Err(ParseScheduleError(
-                "topology larger than u16 node ids".into(),
-            ));
-        }
-        let mut prev_cycle = 0u64;
+        check_topo(self.topo).map_err(ParseScheduleError)?;
+        let mut prev_cycle = 0;
         for e in &self.entries {
-            if e.cycle < prev_cycle {
-                return Err(ParseScheduleError("entries must be sorted by cycle".into()));
-            }
+            check_entry(self.topo, e, prev_cycle).map_err(ParseScheduleError)?;
             prev_cycle = e.cycle;
-            let node = match e.fault {
-                HardFault::Link { node, .. } | HardFault::Router { node } => node,
-            };
-            if usize::from(node) >= n {
-                return Err(ParseScheduleError(format!(
-                    "node {node} outside {} topology",
-                    self.topo.encode()
-                )));
-            }
-            if let HardFault::Link { node, dir } = e.fault {
-                if !self.topo.compass().contains(&dir) {
-                    return Err(ParseScheduleError(format!(
-                        "direction {} not on the {} compass",
-                        dir_letter(dir),
-                        self.topo.encode()
-                    )));
-                }
-                if self.topo.neighbor(NodeId(node), dir).is_none() {
-                    return Err(ParseScheduleError(format!(
-                        "node {node} has no {} link (mesh edge)",
-                        dir_letter(dir)
-                    )));
-                }
-            }
         }
         Ok(())
     }
@@ -365,119 +325,105 @@ impl HardFaultSchedule {
 
     /// Serializes the schedule to the `rlnoc-hardfault v1` text format.
     pub fn to_text(&self) -> String {
-        let mut body = String::new();
-        body.push_str(MAGIC);
-        body.push('\n');
-        body.push_str(&format!("mesh={}\n", self.topo.encode()));
-        body.push_str(&format!("events={}\n", self.entries.len()));
+        let mut text = format!(
+            "{MAGIC}\nmesh={}\nevents={}\n",
+            self.topo.encode(),
+            self.entries.len()
+        );
         for e in &self.entries {
             match e.fault {
                 HardFault::Link { node, dir } => {
-                    body.push_str(&format!("{} link {} {}\n", e.cycle, node, dir_letter(dir)));
+                    writeln!(text, "{} link {} {}", e.cycle, node, dir)
                 }
-                HardFault::Router { node } => {
-                    body.push_str(&format!("{} router {}\n", e.cycle, node));
-                }
+                HardFault::Router { node } => writeln!(text, "{} router {}", e.cycle, node),
             }
+            .expect("write to string");
         }
-        let crc = Crc32::new().checksum(body.as_bytes());
-        body.push_str(&format!("crc={crc:08x}\n"));
-        body
+        textfmt::seal(&mut text, Trailer::CrcEq);
+        text
     }
 
     /// Parses and validates an `rlnoc-hardfault v1` file, including its
-    /// CRC-32 trailer. Strict by construction: exact field order, an
-    /// exactly-8-digit lowercase CRC, and a final newline, so every
-    /// truncation and every single-bit flip fails to parse.
+    /// CRC-32 trailer. Strict by construction (see
+    /// [`textfmt`](noc_coding::textfmt)), so every truncation and every
+    /// single-bit flip fails to parse; every error names its line.
     pub fn from_text(text: &str) -> Result<Self, ParseScheduleError> {
-        if !text.ends_with('\n') {
-            return Err(ParseScheduleError("file must end in a newline".into()));
-        }
-        let trailer_at = text
-            .rfind("crc=")
-            .ok_or_else(|| ParseScheduleError("missing crc trailer".into()))?;
-        let (body, trailer) = text.split_at(trailer_at);
-        let hex = trailer
-            .strip_prefix("crc=")
-            .and_then(|rest| rest.strip_suffix('\n'))
-            .ok_or_else(|| ParseScheduleError("malformed crc trailer".into()))?;
-        if hex.len() != 8
-            || !hex
-                .bytes()
-                .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
-        {
-            return Err(ParseScheduleError(
-                "crc must be exactly 8 lowercase hex digits".into(),
-            ));
-        }
-        let stated = u32::from_str_radix(hex, 16).expect("validated hex");
-        let actual = Crc32::new().checksum(body.as_bytes());
-        if stated != actual {
-            return Err(ParseScheduleError(format!(
-                "crc mismatch: file says {stated:08x}, content is {actual:08x}"
-            )));
-        }
-        let mut lines = body.lines();
-        if lines.next() != Some(MAGIC) {
-            return Err(ParseScheduleError(format!("bad magic, want `{MAGIC}`")));
-        }
-        let mesh = lines
-            .next()
-            .and_then(|l| l.strip_prefix("mesh="))
-            .ok_or_else(|| ParseScheduleError("expected `mesh=<topology>`".into()))?;
-        let topo = Topo::parse(mesh).map_err(ParseScheduleError)?;
-        let count: usize = lines
-            .next()
-            .and_then(|l| l.strip_prefix("events="))
-            .and_then(|c| c.parse().ok())
-            .ok_or_else(|| ParseScheduleError("expected `events=N`".into()))?;
-        // `count` is outside input: nothing is sized from it, and a count
-        // above the lines present fails at the first missing line.
+        let body = textfmt::unseal(text, Trailer::CrcEq)?;
+        let mut lines = Lines::open(body, MAGIC)?;
+        let topo = Topo::parse(lines.field("mesh")?).map_err(|e| lines.error(e))?;
+        check_topo(topo).map_err(|e| lines.error(e))?;
+        // `events=` is outside input: nothing is sized from it, and a
+        // count above the lines present fails at the first missing line.
+        let count = lines.dec("events")?;
         let mut entries = Vec::new();
+        let mut prev_cycle = 0;
         for _ in 0..count {
             let line = lines
-                .next()
-                .ok_or_else(|| ParseScheduleError("fewer event lines than `events=`".into()))?;
-            let mut parts = line.split(' ');
-            let cycle: u64 = parts
-                .next()
-                .and_then(|c| c.parse().ok())
-                .ok_or_else(|| ParseScheduleError(format!("bad event cycle in `{line}`")))?;
-            let fault = match parts.next() {
-                Some("link") => {
-                    let node: u16 = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| ParseScheduleError(format!("bad link node in `{line}`")))?;
-                    let dir = parts.next().and_then(letter_dir).ok_or_else(|| {
-                        ParseScheduleError(format!("bad link direction in `{line}`"))
-                    })?;
-                    HardFault::Link { node, dir }
-                }
-                Some("router") => {
-                    let node: u16 = parts.next().and_then(|v| v.parse().ok()).ok_or_else(|| {
-                        ParseScheduleError(format!("bad router node in `{line}`"))
-                    })?;
-                    HardFault::Router { node }
-                }
-                _ => {
-                    return Err(ParseScheduleError(format!(
-                        "unknown event kind in `{line}`"
-                    )))
-                }
-            };
-            if parts.next().is_some() {
-                return Err(ParseScheduleError(format!("trailing junk in `{line}`")));
-            }
-            entries.push(HardFaultEntry { cycle, fault });
+                .next_line()
+                .ok_or_else(|| lines.error("fewer event lines than `events=`"))?;
+            let entry = parse_entry(line)
+                .ok_or_else(|| format!("bad event `{line}`"))
+                .and_then(|e| check_entry(topo, &e, prev_cycle).map(|()| e))
+                .map_err(|e| lines.error(e))?;
+            prev_cycle = entry.cycle;
+            entries.push(entry);
         }
-        if lines.next().is_some() {
-            return Err(ParseScheduleError("more event lines than `events=`".into()));
-        }
-        let schedule = Self { topo, entries };
-        schedule.validate()?;
-        Ok(schedule)
+        lines.finish()?;
+        Ok(Self { topo, entries })
     }
+}
+
+/// One event line: `<cycle> link <node> <dir>` or `<cycle> router <node>`.
+fn parse_entry(line: &str) -> Option<HardFaultEntry> {
+    let mut parts = line.split(' ');
+    let cycle = textfmt::dec(parts.next()?)?;
+    let kind = parts.next()?;
+    let node = u16::try_from(textfmt::dec(parts.next()?)?).ok()?;
+    let fault = match kind {
+        "link" => HardFault::Link {
+            node,
+            dir: letter_dir(parts.next()?)?,
+        },
+        "router" => HardFault::Router { node },
+        _ => return None,
+    };
+    parts
+        .next()
+        .is_none()
+        .then_some(HardFaultEntry { cycle, fault })
+}
+
+fn check_topo(topo: Topo) -> Result<(), String> {
+    if topo.width() < 2 || topo.height() < 2 {
+        return Err("topology dimensions must be ≥ 2".into());
+    }
+    if topo.num_nodes() > usize::from(u16::MAX) {
+        return Err("topology larger than u16 node ids".into());
+    }
+    Ok(())
+}
+
+/// Checks one entry against `topo` and the cycle of the entry before it.
+fn check_entry(topo: Topo, e: &HardFaultEntry, prev_cycle: u64) -> Result<(), String> {
+    if e.cycle < prev_cycle {
+        return Err("entries must be sorted by cycle".into());
+    }
+    let (HardFault::Link { node, .. } | HardFault::Router { node }) = e.fault;
+    if usize::from(node) >= topo.num_nodes() {
+        return Err(format!("node {node} outside {} topology", topo.encode()));
+    }
+    if let HardFault::Link { node, dir } = e.fault {
+        if !topo.compass().contains(&dir) {
+            return Err(format!(
+                "direction {dir} not on the {} compass",
+                topo.encode()
+            ));
+        }
+        if topo.neighbor(NodeId(node), dir).is_none() {
+            return Err(format!("node {node} has no {dir} link (mesh edge)"));
+        }
+    }
+    Ok(())
 }
 
 /// Marks the fault's casualties in the dead maps (links symmetric).
@@ -915,11 +861,10 @@ mod tests {
         // CRC-valid headers whose count would size a `Vec` of 16 B ×
         // 2⁶⁴ (overflow) or of 1.6 TB (abort) before any line is read.
         for count in ["18446744073709551615", "100000000000"] {
-            let body = format!("{MAGIC}\nmesh=4x4\nevents={count}\n20 link 5 E\n");
-            let crc = Crc32::new().checksum(body.as_bytes());
-            let err =
-                HardFaultSchedule::from_text(&format!("{body}crc={crc:08x}\n")).expect_err(count);
-            assert!(err.0.contains("fewer event lines"), "{err}");
+            let mut text = format!("{MAGIC}\nmesh=4x4\nevents={count}\n20 link 5 E\n");
+            textfmt::seal(&mut text, Trailer::CrcEq);
+            let err = HardFaultSchedule::from_text(&text).expect_err(count);
+            assert!(err.0.contains("line 5: fewer event lines"), "{err}");
         }
     }
 

@@ -6,8 +6,8 @@
 //! [`QTable::save`] layout — terminated by a CRC-32 trailer over every
 //! preceding byte. The checksum turns the two failure modes of
 //! checkpoint/resume (truncated file from a killed run, bit rot on disk)
-//! into clean [`SnapshotError::ChecksumMismatch`] errors instead of
-//! silently resuming from a corrupt policy.
+//! into clean [`SnapshotError::Corrupt`] errors at the trailer line
+//! instead of silently resuming from a corrupt policy.
 //!
 //! ```text
 //! rlnoc-policy v1 agents=<n> states=<s>
@@ -48,7 +48,7 @@
 //! ```
 
 use crate::qtable::{QTable, MAX_STATES};
-use noc_coding::crc::Crc32;
+use noc_coding::textfmt::{self, TextError, Trailer};
 use std::io::{self, BufRead, Write};
 use std::path::Path;
 
@@ -74,13 +74,6 @@ pub struct PolicySnapshot {
 pub enum SnapshotError {
     /// The underlying reader failed.
     Io(io::Error),
-    /// The body parsed but the CRC-32 trailer does not match it.
-    ChecksumMismatch {
-        /// Checksum recorded in the trailer.
-        expected: u32,
-        /// Checksum recomputed over the body.
-        actual: u32,
-    },
     /// The header names a format version this build cannot read.
     UnsupportedVersion(u32),
     /// Structurally malformed input.
@@ -96,10 +89,6 @@ impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
-            SnapshotError::ChecksumMismatch { expected, actual } => write!(
-                f,
-                "snapshot checksum mismatch: trailer {expected:08x}, body {actual:08x}"
-            ),
             SnapshotError::UnsupportedVersion(v) => {
                 write!(f, "unsupported snapshot format version {v}")
             }
@@ -122,6 +111,12 @@ impl std::error::Error for SnapshotError {
 impl From<io::Error> for SnapshotError {
     fn from(e: io::Error) -> Self {
         SnapshotError::Io(e)
+    }
+}
+
+impl From<TextError> for SnapshotError {
+    fn from(TextError { line, message }: TextError) -> Self {
+        SnapshotError::Corrupt { line, message }
     }
 }
 
@@ -213,9 +208,9 @@ impl PolicySnapshot {
             table.save(&mut body)?;
         }
         writeln!(body, "end")?;
-        let checksum = Crc32::new().checksum(&body);
-        writer.write_all(&body)?;
-        writeln!(writer, "crc32 {checksum:08x}")
+        let mut text = String::from_utf8(body).expect("snapshot text is ASCII");
+        textfmt::seal(&mut text, Trailer::Crc32);
+        writer.write_all(text.as_bytes())
     }
 
     /// Parses a snapshot previously produced by [`write`](Self::write),
@@ -229,25 +224,10 @@ impl PolicySnapshot {
         let mut raw = String::new();
         reader.read_to_string(&mut raw)?;
         let corrupt = |line: usize, message: String| SnapshotError::Corrupt { line, message };
-
-        // Split off the trailer: the final non-empty line.
-        let trimmed = raw.trim_end_matches('\n');
-        let trailer_start = trimmed.rfind('\n').map_or(0, |p| p + 1);
-        let trailer = &trimmed[trailer_start..];
-        let expected = trailer
-            .strip_prefix("crc32 ")
-            .and_then(|hex| u32::from_str_radix(hex.trim(), 16).ok())
-            .ok_or_else(|| corrupt(0, "missing crc32 trailer".into()))?;
-        let body = &raw.as_bytes()[..trailer_start];
-        let actual = Crc32::new().checksum(body);
-        if actual != expected {
-            return Err(SnapshotError::ChecksumMismatch { expected, actual });
-        }
-
-        let mut lines = trimmed[..trailer_start.saturating_sub(1)]
-            .lines()
-            .enumerate()
-            .peekable();
+        let body = textfmt::unseal(&raw, Trailer::Crc32)?;
+        let mut lines = body.lines().enumerate().peekable();
+        // Where a missing section or `end` would have been.
+        let past_end = || body.lines().count() + 1;
         let (_, header) = lines
             .next()
             .ok_or_else(|| corrupt(1, "empty snapshot".into()))?;
@@ -301,12 +281,13 @@ impl PolicySnapshot {
             return Err(corrupt(1, "fault-blind bank must use format v1".into()));
         }
 
-        // Each agent section is buffered and handed to QTable::load.
-        let mut tables = Vec::with_capacity(num_agents);
+        // Each agent section is buffered and handed to QTable::load;
+        // `tables` grows with the sections present, not with `agents=`.
+        let mut tables = Vec::new();
         for expect in 0..num_agents {
-            let (n, line) = lines
-                .next()
-                .ok_or_else(|| corrupt(0, format!("missing section for agent {expect}")))?;
+            let (n, line) = lines.next().ok_or_else(|| {
+                corrupt(past_end(), format!("missing section for agent {expect}"))
+            })?;
             if line.trim() != format!("agent {expect}") {
                 return Err(corrupt(n + 1, format!("expected `agent {expect}`")));
             }
@@ -349,7 +330,7 @@ impl PolicySnapshot {
             Some((n, line)) => {
                 return Err(corrupt(n + 1, format!("expected `end`, got `{line}`")));
             }
-            None => return Err(corrupt(0, "missing `end` marker".into())),
+            None => return Err(corrupt(past_end(), "missing `end` marker".into())),
         }
         Ok(Self::new(tables).with_fault_bins(fault_bins))
     }
@@ -403,8 +384,9 @@ mod tests {
 
     /// `body` with the CRC-32 trailer a writer would append.
     fn with_crc(body: &str) -> Vec<u8> {
-        let crc = Crc32::new().checksum(body.as_bytes());
-        format!("{body}crc32 {crc:08x}\n").into_bytes()
+        let mut text = body.to_string();
+        textfmt::seal(&mut text, Trailer::Crc32);
+        text.into_bytes()
     }
 
     #[test]
@@ -435,7 +417,7 @@ mod tests {
         let mid = buf.len() / 2;
         buf[mid] ^= 0x04;
         match PolicySnapshot::read(buf.as_slice()) {
-            Err(SnapshotError::ChecksumMismatch { .. }) | Err(SnapshotError::Corrupt { .. }) => {}
+            Err(SnapshotError::Corrupt { message, .. }) if message.contains("trailer") => {}
             other => panic!("corruption not detected: {other:?}"),
         }
     }

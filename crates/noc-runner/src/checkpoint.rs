@@ -66,7 +66,7 @@
 //!
 //! [`Campaign::fingerprint`]: rlnoc_core::campaign::Campaign::fingerprint
 
-use noc_coding::crc::Crc32;
+use noc_coding::textfmt::{self, Trailer};
 use rlnoc_core::experiment::{ErrorControlScheme, ExperimentReport};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -86,8 +86,8 @@ const MAX_HEADER: usize = 64;
 /// Largest payload a record may carry (a submitted spec is capped at
 /// 8 MiB by the wire protocol).
 const MAX_PAYLOAD: usize = 16 << 20;
-/// `crc32 ` + eight hex digits + newline.
-const TRAILER_LEN: usize = 15;
+/// Every record's trailer: `crc32 ` + eight hex digits + newline.
+const TRAILER: Trailer = Trailer::Crc32;
 
 /// Why a checkpoint record was rejected or could not be written.
 #[derive(Debug)]
@@ -115,25 +115,6 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-fn scheme_name(scheme: ErrorControlScheme) -> &'static str {
-    match scheme {
-        ErrorControlScheme::StaticCrc => "CRC",
-        ErrorControlScheme::StaticArqEcc => "ARQ+ECC",
-        ErrorControlScheme::DecisionTree => "DT",
-        ErrorControlScheme::ProposedRl => "RL",
-    }
-}
-
-fn scheme_from_name(name: &str) -> Option<ErrorControlScheme> {
-    match name {
-        "CRC" => Some(ErrorControlScheme::StaticCrc),
-        "ARQ+ECC" => Some(ErrorControlScheme::StaticArqEcc),
-        "DT" => Some(ErrorControlScheme::DecisionTree),
-        "RL" => Some(ErrorControlScheme::ProposedRl),
-        _ => None,
-    }
-}
-
 /// Renders a report as the canonical `key value` line format used by
 /// task records (no magic, no checksum).
 ///
@@ -150,7 +131,7 @@ pub fn render_report(report: &ExperimentReport) -> String {
 
 fn render_report_into(s: &mut String, report: &ExperimentReport) {
     let r = report;
-    writeln!(s, "scheme {}", scheme_name(r.scheme)).expect("write to string");
+    writeln!(s, "scheme {}", r.scheme.token()).expect("write to string");
     writeln!(s, "workload {}", r.workload).expect("write to string");
     writeln!(s, "seed {}", r.seed).expect("write to string");
     writeln!(s, "frequency_hz {}", r.frequency_hz).expect("write to string");
@@ -245,8 +226,8 @@ impl<'a> FieldParser<'a> {
     }
 
     fn fingerprint(&mut self) -> Result<u64, CheckpointError> {
-        u64::from_str_radix(self.next_field("fingerprint")?, 16)
-            .map_err(|_| CheckpointError::Corrupt("bad fingerprint".into()))
+        textfmt::hex16(self.next_field("fingerprint")?)
+            .ok_or_else(|| CheckpointError::Corrupt("bad fingerprint".into()))
     }
 }
 
@@ -260,7 +241,7 @@ impl<'a> FieldParser<'a> {
 pub fn parse_report(body: &str) -> Result<ExperimentReport, CheckpointError> {
     let mut p = FieldParser::new(body);
     let scheme_raw = p.next_field("scheme")?;
-    let scheme = scheme_from_name(scheme_raw)
+    let scheme = ErrorControlScheme::from_token(scheme_raw)
         .ok_or_else(|| CheckpointError::Corrupt(format!("unknown scheme `{scheme_raw}`")))?;
     let workload = p.next_field("workload")?.to_string();
     let mut report = ExperimentReport {
@@ -356,13 +337,9 @@ impl Kind {
     }
 
     fn from_token(token: &str) -> Option<Self> {
-        Some(match token {
-            "campaign" => Self::Campaign,
-            "submitted" => Self::Submitted,
-            "cancelled" => Self::Cancelled,
-            "task" => Self::Task,
-            _ => return None,
-        })
+        [Self::Campaign, Self::Submitted, Self::Cancelled, Self::Task]
+            .into_iter()
+            .find(|kind| kind.token() == token)
     }
 }
 
@@ -370,8 +347,7 @@ impl Kind {
 fn frame(kind: Kind, payload: &str) -> Vec<u8> {
     let mut record = format!("{MAGIC} {} {}\n", kind.token(), payload.len());
     record.push_str(payload);
-    let checksum = Crc32::new().checksum(record.as_bytes());
-    writeln!(record, "crc32 {checksum:08x}").expect("write to string");
+    textfmt::seal(&mut record, TRAILER);
     record.into_bytes()
 }
 
@@ -388,17 +364,13 @@ fn unframe(buf: &[u8]) -> Option<(Kind, &str, usize)> {
         return None;
     }
     let body_end = newline + 1 + len;
-    let trailer = buf.get(body_end..body_end + TRAILER_LEN)?;
-    let stated = trailer
-        .strip_prefix(b"crc32 ")?
-        .strip_suffix(b"\n")
-        .and_then(|hex| std::str::from_utf8(hex).ok())
-        .and_then(|hex| u32::from_str_radix(hex, 16).ok())?;
-    if Crc32::new().checksum(&buf[..body_end]) != stated {
+    let record_end = body_end + TRAILER.line_len();
+    let trailer = buf.get(body_end..record_end)?;
+    if !TRAILER.seals(&buf[..body_end], trailer) {
         return None;
     }
     let payload = std::str::from_utf8(&buf[newline + 1..body_end]).ok()?;
-    Some((kind, payload, body_end + TRAILER_LEN))
+    Some((kind, payload, record_end))
 }
 
 /// Where a record sits in the journal file.
@@ -811,10 +783,7 @@ impl CheckpointDir {
     /// The fingerprint a [`namespace`](Self::namespace) names; `None`
     /// for anything `namespace` does not render.
     pub fn parse_namespace(name: &str) -> Option<u64> {
-        let hex = name.strip_prefix("c-")?;
-        let canonical =
-            hex.len() == 16 && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
-        canonical.then(|| u64::from_str_radix(hex, 16).ok())?
+        textfmt::hex16(name.strip_prefix("c-")?)
     }
 
     /// The directory this campaign's per-task files (RL policy

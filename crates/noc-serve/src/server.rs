@@ -526,11 +526,12 @@ impl Shared {
 
 /// Parses a wire submission body: header fields up to the literal
 /// `spec` line, then a verbatim `rlnoc-spec v1` document. Returns
-/// `(priority, parsed spec, raw spec text)`.
+/// `(priority, parsed spec, raw spec text)`, or why the body is refused.
 fn parse_submission<'a>(
     text: &'a str,
     expect_tenant: &str,
-) -> Option<(u32, CampaignSpec, &'a str)> {
+) -> Result<(u32, CampaignSpec, &'a str), String> {
+    const INVALID: &str = "invalid submission payload";
     let mut offset = 0usize;
     let mut priority = crate::sched::MIN_PRIORITY;
     let mut tenant_ok = false;
@@ -544,15 +545,15 @@ fn parse_submission<'a>(
         } else if let Some(v) = line.strip_prefix("tenant=") {
             tenant_ok = v == expect_tenant;
         } else if let Some(v) = line.strip_prefix("priority=") {
-            priority = clamp_priority(v.parse().ok()?);
+            priority = clamp_priority(v.parse().map_err(|_| INVALID.to_string())?);
         }
     }
     if !found_spec || !tenant_ok {
-        return None;
+        return Err(INVALID.into());
     }
     let spec_text = &text[offset..];
-    let spec = CampaignSpec::from_text(spec_text).ok()?;
-    Some((priority, spec, spec_text))
+    let spec = CampaignSpec::from_text(spec_text).map_err(|e| format!("{INVALID}: {e}"))?;
+    Ok((priority, spec, spec_text))
 }
 
 struct TaskSource {
@@ -782,7 +783,7 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, frame: &Frame) -> bool
                 return reply(stream, &error_frame("invalid tenant name"));
             }
             match parse_submission(&text, &tenant) {
-                Some((priority, spec, spec_text)) => {
+                Ok((priority, spec, spec_text)) => {
                     match shared.register(&tenant, priority, spec, Admission::Submit(spec_text)) {
                         Ok(out) => reply(
                             stream,
@@ -800,7 +801,7 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, frame: &Frame) -> bool
                         Err(msg) => reply(stream, &error_frame(&msg)),
                     }
                 }
-                None => reply(stream, &error_frame("invalid submission payload")),
+                Err(msg) => reply(stream, &error_frame(&msg)),
             }
         }
         FrameType::Status => match lookup(shared, &text) {
@@ -984,12 +985,9 @@ mod tests {
         assert_eq!(priority, 4);
         assert_eq!(parsed, spec);
         assert_eq!(raw, spec_text);
+        assert!(parse_submission(&body, "bob").is_err(), "tenant must match");
         assert!(
-            parse_submission(&body, "bob").is_none(),
-            "tenant must match"
-        );
-        assert!(
-            parse_submission("tenant=alice\nspec\ngarbage", "alice").is_none(),
+            parse_submission("tenant=alice\nspec\ngarbage", "alice").is_err(),
             "spec must validate"
         );
     }

@@ -17,13 +17,15 @@
 //! payload follows immediately, byte-exact.
 //!
 //! Decoding is defensive by construction: the header line is capped, a
-//! length above [`MAX_PAYLOAD`] is rejected before any allocation, and
-//! a frame whose payload fails the CRC — a truncation or a bit flip
-//! anywhere in the stream — is a hard [`WireError::Malformed`], never a
-//! partial frame. The corruption test suite drives every byte offset
-//! of every frame type through the decoder.
+//! length above [`MAX_PAYLOAD`] is rejected before any allocation, the
+//! payload buffer grows only as bytes arrive, and a frame whose payload
+//! fails the CRC — a truncation or a bit flip anywhere in the stream —
+//! is a hard [`WireError::Malformed`], never a partial frame. The
+//! corruption test suite drives every byte offset of every frame type
+//! through the decoder.
 
 use noc_coding::crc::Crc32;
+use noc_coding::textfmt;
 use std::io::{self, Read, Write};
 
 /// Magic token opening every frame header.
@@ -86,21 +88,7 @@ impl FrameType {
 
     /// Parses a header token.
     pub fn from_token(token: &str) -> Option<Self> {
-        Some(match token {
-            "submit" => Self::Submit,
-            "submit-ok" => Self::SubmitOk,
-            "status" => Self::Status,
-            "status-ok" => Self::StatusOk,
-            "watch" => Self::Watch,
-            "event" => Self::Event,
-            "watch-done" => Self::WatchDone,
-            "result" => Self::Result,
-            "result-ok" => Self::ResultOk,
-            "cancel" => Self::Cancel,
-            "cancel-ok" => Self::CancelOk,
-            "error" => Self::Error,
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|kind| kind.token() == token)
     }
 
     /// All frame types (for exhaustive corruption sweeps).
@@ -256,9 +244,10 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, WireError> {
         .next()
         .and_then(FrameType::from_token)
         .ok_or_else(|| WireError::Malformed("unknown frame type".into()))?;
-    let len: usize = tokens
+    let len = tokens
         .next()
-        .and_then(|t| t.parse().ok())
+        .and_then(textfmt::dec)
+        .and_then(|n| usize::try_from(n).ok())
         .ok_or_else(|| WireError::Malformed("bad payload length".into()))?;
     if len > MAX_PAYLOAD {
         return Err(WireError::Malformed(format!(
@@ -267,15 +256,19 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, WireError> {
     }
     let stated_crc = tokens
         .next()
-        .filter(|t| t.len() == 8)
-        .and_then(|t| u32::from_str_radix(t, 16).ok())
+        .and_then(textfmt::hex8)
         .ok_or_else(|| WireError::Malformed("bad payload checksum".into()))?;
     if tokens.next().is_some() {
         return Err(WireError::Malformed("trailing header tokens".into()));
     }
 
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // The buffer grows with the bytes that arrive, not with the length
+    // a header claims.
+    let mut payload = Vec::with_capacity(len.min(8 << 10));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(WireError::Malformed("truncated frame".into()));
+    }
     let actual = Crc32::new().checksum(&payload);
     if actual != stated_crc {
         return Err(WireError::Malformed(format!(
