@@ -14,7 +14,7 @@
 //! parallel run is byte-identical to the serial one.
 
 use crate::benchmarks::WorkloadProfile;
-use crate::experiment::{ErrorControlScheme, Experiment, ExperimentBuilder, ExperimentReport};
+use crate::experiment::{ErrorControlScheme, Experiment, ExperimentReport};
 use noc_fault::hardfault::HardFaultSchedule;
 use noc_sim::config::NocConfig;
 use rlnoc_telemetry::Telemetry;
@@ -48,8 +48,6 @@ pub struct Campaign {
     /// (degradation sweeps give each scheme the same dying topology).
     /// `None` leaves every experiment on its zero-fault path.
     pub hard_faults: Option<Arc<HardFaultSchedule>>,
-    /// Optional customization applied to every experiment builder.
-    pub customize: Option<fn(ExperimentBuilder) -> ExperimentBuilder>,
     /// Telemetry handle cloned into every run (default: disabled). All
     /// runs share it, so the epoch series and run summaries accumulate
     /// campaign-wide and can be exported once at the end.
@@ -98,7 +96,6 @@ impl Campaign {
             measure_cycles: None,
             drain_limit: 200_000,
             hard_faults: None,
-            customize: None,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -116,7 +113,6 @@ impl Campaign {
             measure_cycles: Some(6_000),
             drain_limit: 60_000,
             hard_faults: None,
-            customize: None,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -200,9 +196,6 @@ impl Campaign {
         if let Some(hf) = &self.hard_faults {
             builder = builder.hard_faults(hf.clone());
         }
-        if let Some(f) = self.customize {
-            builder = f(builder);
-        }
         builder
             .build()
             .expect("campaign configuration is validated")
@@ -228,10 +221,9 @@ impl Campaign {
     /// its results — used by checkpoint manifests to refuse resuming a
     /// checkpoint directory against a different campaign.
     ///
-    /// The `customize` hook cannot be fingerprinted (it is an arbitrary
-    /// function); only its presence is folded in, so swapping one hook
-    /// for another between checkpoint and resume is the caller's
-    /// responsibility.
+    /// The rendering keeps a literal `custom=false;`, left from a
+    /// since-deleted customization hook, so fingerprints and campaign
+    /// ids stay what journals and checkpoint manifests already hold.
     pub fn fingerprint(&self) -> u64 {
         // FNV-1a over a canonical rendering of the run-relevant fields.
         const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -240,7 +232,7 @@ impl Campaign {
         use std::fmt::Write;
         write!(
             canon,
-            "seed={};replicates={};pretrain={};warmup={};measure={:?};drain={};noc={:?};custom={};",
+            "seed={};replicates={};pretrain={};warmup={};measure={:?};drain={};noc={:?};custom=false;",
             self.seed,
             self.replicates.max(1),
             self.pretrain_cycles,
@@ -248,7 +240,6 @@ impl Campaign {
             self.measure_cycles,
             self.drain_limit,
             self.noc,
-            self.customize.is_some(),
         )
         .expect("write to string");
         if let Some(hf) = &self.hard_faults {

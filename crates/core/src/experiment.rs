@@ -40,6 +40,14 @@ use serde::{Deserialize, Serialize};
 /// (~30 cycles) and a nominal router power (~15 mW), so rewards are O(1).
 const REWARD_SCALE: f64 = 0.45;
 
+/// Process-variation log-sigmas: (systematic, random).
+const VARIATION_SIGMAS: (f64, f64) = (0.12, 0.06);
+
+/// Core (tile minus router) power model: idle power, plus power per
+/// flit per cycle of local core activity.
+const CORE_IDLE_POWER: f64 = 0.06;
+const CORE_POWER_PER_FLIT: f64 = 1.0;
+
 /// The four compared error-control schemes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ErrorControlScheme {
@@ -127,17 +135,12 @@ pub struct ExperimentBuilder {
     warmup_cycles: u64,
     measure_cycles: Option<u64>,
     drain_limit: u64,
-    pretrain_rate: Option<f64>,
     timing: TimingErrorParams,
     thermal: ThermalParams,
-    variation_sigmas: (f64, f64),
-    core_idle_power: f64,
-    core_power_per_flit: f64,
     rl_config: Option<noc_rl::agent::AgentConfig>,
     rl_state_space: Option<noc_rl::state::StateSpace>,
-    measurement_epsilon: Option<f64>,
+    measurement_epsilon: f64,
     rl_curriculum: bool,
-    dt_thresholds: DtThresholds,
     allowed_modes: [bool; 4],
     telemetry: Telemetry,
     rl_policy: Option<std::sync::Arc<noc_rl::snapshot::PolicySnapshot>>,
@@ -183,13 +186,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Overrides the synthetic pre-training/warm-up injection rate
-    /// (default: the workload's mean rate).
-    pub fn pretrain_rate(mut self, rate: f64) -> Self {
-        self.pretrain_rate = Some(rate);
-        self
-    }
-
     /// Warm-up cycles before measurement, all schemes (default 2 000).
     pub fn warmup_cycles(mut self, cycles: u64) -> Self {
         self.warmup_cycles = cycles;
@@ -221,12 +217,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Process-variation (systematic, random) log-sigmas.
-    pub fn variation_sigmas(mut self, systematic: f64, random: f64) -> Self {
-        self.variation_sigmas = (systematic, random);
-        self
-    }
-
     /// RL hyper-parameter override (ablations).
     pub fn rl_config(mut self, config: noc_rl::agent::AgentConfig) -> Self {
         self.rl_config = Some(config);
@@ -247,11 +237,11 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Exploration probability used after pre-training (default 0.02:
+    /// Exploration probability used after pre-training (default 0.01:
     /// ε is annealed from the paper's training value of 0.1 once the
     /// policy has converged; pass 0.1 to keep the paper's constant ε).
     pub fn measurement_epsilon(mut self, epsilon: f64) -> Self {
-        self.measurement_epsilon = Some(epsilon);
+        self.measurement_epsilon = epsilon;
         self
     }
 
@@ -276,12 +266,6 @@ impl ExperimentBuilder {
     /// share one schedule across many parallel evaluation tasks.
     pub fn hard_faults(mut self, schedule: std::sync::Arc<HardFaultSchedule>) -> Self {
         self.hard_faults = Some(schedule);
-        self
-    }
-
-    /// DT threshold override.
-    pub fn dt_thresholds(mut self, thresholds: DtThresholds) -> Self {
-        self.dt_thresholds = thresholds;
         self
     }
 
@@ -317,11 +301,6 @@ impl ExperimentBuilder {
         }
         if self.noc.validate().is_err() {
             return Err(BuildExperimentError("invalid NoC configuration"));
-        }
-        if let Some(rate) = self.pretrain_rate {
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(BuildExperimentError("pretrain_rate must be a probability"));
-            }
         }
         if !self.allowed_modes.iter().any(|&b| b) {
             return Err(BuildExperimentError("at least one mode must be allowed"));
@@ -384,17 +363,12 @@ impl Experiment {
             warmup_cycles: 2_000,
             measure_cycles: None,
             drain_limit: 200_000,
-            pretrain_rate: None,
             timing: TimingErrorParams::default(),
             thermal: ThermalParams::default(),
-            variation_sigmas: (0.12, 0.06),
-            core_idle_power: 0.06,
-            core_power_per_flit: 1.0,
             rl_config: None,
             rl_state_space: None,
-            measurement_epsilon: Some(0.01),
+            measurement_epsilon: 0.01,
             rl_curriculum: true,
-            dt_thresholds: DtThresholds::default(),
             allowed_modes: [true; 4],
             telemetry: Telemetry::disabled(),
             rl_policy: None,
@@ -601,8 +575,8 @@ impl<B: SimBackend> Runner<B> {
         let variation = VariationMap::generate(
             mesh.width(),
             mesh.height(),
-            cfg.variation_sigmas.0,
-            cfg.variation_sigmas.1,
+            VARIATION_SIGMAS.0,
+            VARIATION_SIGMAS.1,
             cfg.seed ^ 0x5EED_0001,
         );
         let net = B::build(
@@ -616,7 +590,7 @@ impl<B: SimBackend> Runner<B> {
         let controllers = match cfg.scheme {
             ErrorControlScheme::StaticCrc => ControllerBank::statically(OperationMode::Mode0),
             ErrorControlScheme::StaticArqEcc => ControllerBank::statically(OperationMode::Mode1),
-            ErrorControlScheme::DecisionTree => ControllerBank::dt(cfg.dt_thresholds),
+            ErrorControlScheme::DecisionTree => ControllerBank::dt(DtThresholds::default()),
             ErrorControlScheme::ProposedRl => {
                 let config = cfg.rl_config.clone().unwrap_or_else(|| {
                     // Paper hyper-parameters (zero-initialized Q-table)
@@ -702,10 +676,7 @@ impl<B: SimBackend> Runner<B> {
         // Phase 1: pre-training (learning schemes). The synthetic traffic
         // intensity tracks the workload's mean so the visited state bins
         // match the measurement phase.
-        let synthetic_rate = self
-            .cfg
-            .pretrain_rate
-            .unwrap_or_else(|| self.cfg.workload.mean_injection_rate().clamp(0.002, 0.03));
+        let synthetic_rate = self.cfg.workload.mean_injection_rate().clamp(0.002, 0.03);
         // A preloaded (frozen) RL policy skips pre-training entirely:
         // the run is inference-only.
         if self.cfg.scheme.is_learning()
@@ -816,10 +787,10 @@ impl<B: SimBackend> Runner<B> {
         if self.controllers.is_dt() {
             self.controllers.train_dt();
         }
-        if let Some(eps) = self.cfg.measurement_epsilon {
-            self.controllers
-                .set_epsilon(noc_rl::schedule::Schedule::Constant(eps));
-        }
+        self.controllers
+            .set_epsilon(noc_rl::schedule::Schedule::Constant(
+                self.cfg.measurement_epsilon,
+            ));
     }
 
     /// Assembles the final report after the measurement drain.
@@ -1032,9 +1003,7 @@ impl<B: SimBackend> Runner<B> {
                 // nominal healthy router (≈30 cycles, ≈15 mW) earns ≈1.
                 let reward = REWARD_SCALE / (latency * router_power).max(1e-9);
                 let local_flits = es.core_activity_flits as f64 / elapsed as f64;
-                let tile_power = self.cfg.core_idle_power
-                    + self.cfg.core_power_per_flit * local_flits
-                    + router_power;
+                let tile_power = CORE_IDLE_POWER + CORE_POWER_PER_FLIT * local_flits + router_power;
                 features.push(f);
                 rewards.push(reward);
                 tile_powers.push(tile_power);

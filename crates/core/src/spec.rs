@@ -1,7 +1,7 @@
 //! Wire-serializable campaign submissions.
 //!
 //! A [`Campaign`] cannot travel over a wire: it embeds resolved
-//! [`WorkloadProfile`]s and an arbitrary `customize` function pointer.
+//! [`WorkloadProfile`]s and a full [`NocConfig`].
 //! [`CampaignSpec`] is the transferable subset — everything a remote
 //! client may legitimately configure — with an exact, versioned text
 //! serialization in the family of `rlnoc-case` / `rlnoc-policy`
@@ -129,17 +129,11 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// [`SpecError`] when the campaign uses features the wire format
-    /// cannot carry: a `customize` hook, an attached telemetry handle's
-    /// state is fine (not part of identity), or a [`NocConfig`] that
-    /// differs from the mesh-sized default (the spec only transports the
-    /// mesh dimensions).
+    /// [`SpecError`] when the campaign uses a feature the wire format
+    /// cannot carry: a [`NocConfig`] that differs from the mesh-sized
+    /// default (the spec only transports the mesh dimensions). An
+    /// attached telemetry handle's state is fine (not part of identity).
     pub fn from_campaign(campaign: &Campaign) -> Result<Self, SpecError> {
-        if campaign.customize.is_some() {
-            return Err(SpecError(
-                "campaigns with a customize hook are not serializable".into(),
-            ));
-        }
         let topo = campaign.noc.mesh;
         let default_for_topo = NocConfig::builder().topology(topo).build();
         if campaign.noc != default_for_topo {
@@ -226,7 +220,7 @@ impl CampaignSpec {
     }
 
     /// Resolves the spec into a runnable [`Campaign`] (telemetry
-    /// disabled, no customize hook).
+    /// disabled).
     ///
     /// # Errors
     ///
@@ -246,7 +240,6 @@ impl CampaignSpec {
             measure_cycles: self.measure_cycles,
             drain_limit: self.drain_limit,
             hard_faults: None,
-            customize: None,
             telemetry: rlnoc_telemetry::Telemetry::disabled(),
         })
     }
@@ -523,13 +516,25 @@ mod tests {
     }
 
     #[test]
-    fn customized_campaigns_are_not_serializable() {
-        let mut c = Campaign::quick();
-        c.customize = Some(|b| b);
-        assert!(CampaignSpec::from_campaign(&c).is_err());
+    fn non_default_noc_configs_are_not_serializable() {
         let mut c = Campaign::quick();
         c.noc = NocConfig::builder().mesh(4, 4).vc_depth(8).build();
         assert!(CampaignSpec::from_campaign(&c).is_err());
+    }
+
+    #[test]
+    fn campaign_identity_is_pinned() {
+        // Service dedup, journal keys and checkpoint manifests all hold
+        // these values; a change to the fingerprint rendering breaks them.
+        assert_eq!(
+            CampaignSpec::quick(7).campaign_id().unwrap(),
+            "c-d1569df80f4bb348"
+        );
+        let mut faulted = Campaign::quick();
+        let schedule =
+            noc_fault::hardfault::HardFaultSchedule::random(Mesh::new(4, 4), 2, 0, (1, 100), 9);
+        faulted.hard_faults = Some(std::sync::Arc::new(schedule));
+        assert_eq!(faulted.fingerprint(), 0x5e3c_2e6f_e1d2_5c86);
     }
 
     #[test]
