@@ -530,6 +530,44 @@ mod tests {
         assert_ne!(collect(1), collect(2));
     }
 
+    /// A one-phase profile is the plain synthetic source: the same
+    /// `(cycle, src, dst)` stream from the same pattern, rate and seed.
+    /// A two-phase profile offers nothing once its duration is over.
+    #[test]
+    fn profile_source_is_the_synthetic_stream() {
+        use noc_sim::traffic::SyntheticSource;
+        let mesh = Mesh::new(8, 8);
+        let (pattern, rate, seed) = (TrafficPattern::Transpose, 0.02, 0x5EED_0007);
+        let one_phase = WorkloadProfile {
+            name: "one-phase",
+            phases: vec![PhaseSpec {
+                cycles: 300,
+                injection_rate: rate,
+                pattern,
+            }],
+            duration_cycles: 5_000,
+        };
+        let collect = |src: &mut dyn TrafficSource, cycles: u64| {
+            let mut v = Vec::new();
+            for cycle in 0..cycles {
+                src.generate(cycle, &mut |s, d| v.push((cycle, s, d)));
+            }
+            v
+        };
+        let profiled = collect(&mut one_phase.source(mesh, seed), 2_000);
+        let synthetic = collect(&mut SyntheticSource::new(mesh, pattern, rate, seed), 2_000);
+        assert!(profiled.len() > 500, "{} offers", profiled.len());
+        assert_eq!(profiled, synthetic);
+
+        let two_phase = WorkloadProfile {
+            duration_cycles: 1_500,
+            ..WorkloadProfile::bodytrack()
+        };
+        let offers = collect(&mut two_phase.source(mesh, seed), 4_000);
+        assert!(offers.iter().any(|&(c, ..)| c >= 1_400));
+        assert!(offers.iter().all(|&(c, ..)| c < two_phase.duration_cycles));
+    }
+
     #[test]
     #[should_panic(expected = "needs phases")]
     fn empty_profile_panics() {
