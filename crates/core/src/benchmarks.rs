@@ -6,25 +6,13 @@
 //! schedule of (duration, injection-rate, spatial-pattern) phases whose
 //! aggregate intensity, burstiness, and locality match the published
 //! qualitative characterization of the application (see DESIGN.md's
-//! substitution table). The profiles drive the simulator through the
-//! standard [`TrafficSource`] interface.
+//! substitution table). A profile drives the simulator as a phased
+//! [`SyntheticSource`].
 
 use noc_sim::topology::{NodeId, Topo};
-use noc_sim::traffic::{TrafficPattern, TrafficSource};
-use rand::rngs::SmallRng;
-use rand::{BernoulliThreshold, Rng, SeedableRng};
+use noc_sim::traffic::{SyntheticSource, TrafficPattern};
 
-/// One phase of a workload: `cycles` of Bernoulli injection at
-/// `injection_rate` packets/node/cycle with the given spatial pattern.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhaseSpec {
-    /// Phase length in cycles.
-    pub cycles: u64,
-    /// Per-node packet-injection probability per cycle.
-    pub injection_rate: f64,
-    /// Spatial traffic pattern.
-    pub pattern: TrafficPattern,
-}
+pub use noc_sim::traffic::PhaseSpec;
 
 /// A named, finite workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -305,102 +293,10 @@ impl WorkloadProfile {
         }
     }
 
-    /// Instantiates the replayable traffic source for `mesh`.
-    pub fn source(&self, mesh: impl Into<Topo>, seed: u64) -> ProfileSource {
-        ProfileSource::new(self.clone(), mesh.into(), seed)
-    }
-}
-
-/// Replays a [`WorkloadProfile`] through the [`TrafficSource`] interface.
-#[derive(Debug, Clone)]
-pub struct ProfileSource {
-    profile: WorkloadProfile,
-    /// Each phase's `injection_rate`, precompiled: one integer compare
-    /// per node draw.
-    inject: Vec<BernoulliThreshold>,
-    mesh: Topo,
-    rng: SmallRng,
-    start_cycle: Option<u64>,
-    phase_total: u64,
-}
-
-impl ProfileSource {
-    /// Creates a source; injection begins at the first `generate` call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile has no phases, a zero-length phase, or an
-    /// injection rate outside `[0, 1]`.
-    pub fn new(profile: WorkloadProfile, mesh: impl Into<Topo>, seed: u64) -> Self {
-        let mesh = mesh.into();
-        assert!(!profile.phases.is_empty(), "profile needs phases");
-        assert!(
-            profile.phases.iter().all(|p| p.cycles > 0),
-            "phases must be non-empty"
-        );
-        assert!(
-            profile
-                .phases
-                .iter()
-                .all(|p| (0.0..=1.0).contains(&p.injection_rate)),
-            "injection rates must be probabilities"
-        );
-        let phase_total = profile.phases.iter().map(|p| p.cycles).sum();
-        let inject = profile
-            .phases
-            .iter()
-            .map(|p| BernoulliThreshold::from_probability(p.injection_rate))
-            .collect();
-        Self {
-            profile,
-            inject,
-            mesh,
-            rng: SmallRng::seed_from_u64(seed),
-            start_cycle: None,
-            phase_total,
-        }
-    }
-
-    /// The profile being replayed.
-    pub fn profile(&self) -> &WorkloadProfile {
-        &self.profile
-    }
-
-    /// The index of the phase `offset` cycles into the replay.
-    fn phase_at(&self, offset: u64) -> usize {
-        let mut t = offset % self.phase_total;
-        for (i, phase) in self.profile.phases.iter().enumerate() {
-            if t < phase.cycles {
-                return i;
-            }
-            t -= phase.cycles;
-        }
-        unreachable!("offset within phase_total")
-    }
-}
-
-impl TrafficSource for ProfileSource {
-    fn generate(&mut self, cycle: u64, offer: &mut dyn FnMut(NodeId, NodeId)) {
-        let start = *self.start_cycle.get_or_insert(cycle);
-        let offset = cycle - start;
-        if offset >= self.profile.duration_cycles {
-            return;
-        }
-        let phase = self.phase_at(offset);
-        let (inject, pattern) = (self.inject[phase], self.profile.phases[phase].pattern);
-        for src in self.mesh.nodes() {
-            if self.rng.gen_bool_at(inject) {
-                if let Some(dst) = pattern.destination(self.mesh, src, &mut self.rng) {
-                    offer(src, dst);
-                }
-            }
-        }
-    }
-
-    fn is_exhausted(&self) -> bool {
-        // Exhausted once the duration has elapsed relative to the first
-        // generate() call; conservatively false before any call.
-        false
+    /// Instantiates the replayable traffic source for `mesh`: the
+    /// phases cycled for `duration_cycles` from its first call.
+    pub fn source(&self, mesh: impl Into<Topo>, seed: u64) -> SyntheticSource {
+        SyntheticSource::phased(mesh, &self.phases, Some(self.duration_cycles), seed)
     }
 }
 
@@ -408,6 +304,7 @@ impl TrafficSource for ProfileSource {
 mod tests {
     use super::*;
     use noc_sim::topology::Mesh;
+    use noc_sim::traffic::TrafficSource;
 
     #[test]
     fn eleven_benchmarks_with_unique_names() {
@@ -535,7 +432,6 @@ mod tests {
     /// A two-phase profile offers nothing once its duration is over.
     #[test]
     fn profile_source_is_the_synthetic_stream() {
-        use noc_sim::traffic::SyntheticSource;
         let mesh = Mesh::new(8, 8);
         let (pattern, rate, seed) = (TrafficPattern::Transpose, 0.02, 0x5EED_0007);
         let one_phase = WorkloadProfile {

@@ -692,7 +692,7 @@ impl<B: SimBackend> Runner<B> {
             if self.controllers.is_rl() && self.cfg.rl_curriculum {
                 self.pretrain_curriculum(&mut source);
             } else {
-                self.drive(self.cfg.pretrain_cycles, Some(&mut source), true);
+                self.drive(self.cfg.pretrain_cycles, &mut source, true);
             }
             self.finish_pretrain();
         }
@@ -705,7 +705,7 @@ impl<B: SimBackend> Runner<B> {
                 synthetic_rate,
                 self.cfg.seed ^ 0x5EED_0006,
             );
-            self.drive(self.cfg.warmup_cycles, Some(&mut source), false);
+            self.drive(self.cfg.warmup_cycles, &mut source, false);
         }
         // Drain leftovers, then clear the books.
         self.drain();
@@ -723,7 +723,7 @@ impl<B: SimBackend> Runner<B> {
             .cfg
             .workload
             .source(self.cfg.noc.mesh, self.cfg.seed ^ 0x5EED_0007);
-        self.drive(window, Some(&mut source), false);
+        self.drive(window, &mut source, false);
         let drained = self.drain();
         // Account the final partial epoch.
         self.control_epoch(false);
@@ -768,7 +768,7 @@ impl<B: SimBackend> Runner<B> {
             let mode = allowed[curriculum_rng.gen_range(0..allowed.len())];
             self.controllers.set_forced_mode(Some(mode));
             let block = BLOCK_EPOCHS.min(remaining);
-            self.drive(block * self.cfg.epoch_cycles, Some(&mut *source), true);
+            self.drive(block * self.cfg.epoch_cycles, source, true);
             remaining -= block;
         }
         self.controllers.set_forced_mode(None);
@@ -776,7 +776,7 @@ impl<B: SimBackend> Runner<B> {
             self.cfg
                 .pretrain_cycles
                 .saturating_sub(forced_epochs * self.cfg.epoch_cycles),
-            Some(source),
+            source,
             true,
         );
     }
@@ -841,17 +841,12 @@ impl<B: SimBackend> Runner<B> {
 
     /// Runs `cycles` cycles, offering traffic from `source` and executing
     /// the control loop at every epoch boundary.
-    fn drive(&mut self, cycles: u64, mut source: Option<&mut dyn TrafficSource>, pretrain: bool) {
-        let mut offers: Vec<(noc_sim::topology::NodeId, noc_sim::topology::NodeId)> = Vec::new();
+    fn drive(&mut self, cycles: u64, source: &mut SyntheticSource, pretrain: bool) {
         for _ in 0..cycles {
-            if let Some(src) = source.as_deref_mut() {
-                offers.clear();
-                let cycle = self.net.cycle();
-                src.generate(cycle, &mut |s, d| offers.push((s, d)));
-                for &(s, d) in &offers {
-                    self.net.offer(s, d);
-                }
-            }
+            let net = &mut self.net;
+            source.generate(net.cycle(), &mut |s, d| {
+                net.offer(s, d);
+            });
             self.net.step();
             if self.net.cycle().is_multiple_of(self.cfg.epoch_cycles) {
                 self.control_epoch(pretrain);

@@ -20,7 +20,7 @@
 //! * [`router`] — per-router pipeline state.
 //! * [`network`] — the simulation engine.
 //! * [`error_control`] — the pluggable link-protection trait.
-//! * [`traffic`] — synthetic patterns; [`trace`] — trace replay.
+//! * [`traffic`] — spatial patterns and the phased injection source.
 //! * [`stats`] — latency, epoch features, and energy event counters.
 //!
 //! # Example
@@ -41,11 +41,9 @@
 //! );
 //! for _ in 0..2_000 {
 //!     let cycle = net.cycle();
-//!     let mut offers = Vec::new();
-//!     traffic.generate(cycle, &mut |s, d| offers.push((s, d)));
-//!     for (s, d) in offers {
+//!     traffic.generate(cycle, &mut |s, d| {
 //!         net.offer(s, d);
-//!     }
+//!     });
 //!     net.step();
 //! }
 //! assert!(net.stats().packets_delivered > 0);
@@ -64,7 +62,6 @@ pub mod router;
 pub mod routing;
 pub mod stats;
 pub mod topology;
-pub mod trace;
 pub mod traffic;
 mod worklist;
 

@@ -1,9 +1,9 @@
-//! Synthetic traffic generation.
+//! Injection traffic.
 //!
 //! Classic NoC evaluation patterns (uniform random, transpose,
-//! bit-complement, tornado, hotspot, nearest-neighbor) plus the
-//! [`TrafficSource`] trait that lets any generator — synthetic or
-//! trace-driven — drive a [`Network`](crate::network::Network).
+//! bit-complement, tornado, hotspot, nearest-neighbor) and the one
+//! generator that offers them to a [`Network`](crate::network::Network):
+//! [`SyntheticSource`], a schedule of Bernoulli-injection phases.
 
 use crate::topology::{NodeId, Topo};
 use rand::rngs::SmallRng;
@@ -11,17 +11,11 @@ use rand::{BernoulliThreshold, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Something that decides, cycle by cycle, which packets enter the
-/// network.
+/// network. [`SyntheticSource`] is its one implementation.
 pub trait TrafficSource {
     /// Yields the `(src, dst)` pairs of packets offered at `cycle` by
     /// invoking `offer` for each.
     fn generate(&mut self, cycle: u64, offer: &mut dyn FnMut(NodeId, NodeId));
-
-    /// `true` when the source will never offer another packet (finite
-    /// traces); synthetic sources run forever and return `false`.
-    fn is_exhausted(&self) -> bool {
-        false
-    }
 }
 
 /// The spatial component of a synthetic pattern.
@@ -104,9 +98,23 @@ impl TrafficPattern {
     }
 }
 
-/// A Bernoulli-injection synthetic source: each node independently offers
-/// a packet with probability `injection_rate` per cycle, with destinations
-/// drawn from a [`TrafficPattern`].
+/// One phase of a schedule: `cycles` of Bernoulli injection at
+/// `injection_rate` packets/node/cycle with the given spatial pattern.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PhaseSpec {
+    /// Phase length in cycles.
+    pub cycles: u64,
+    /// Per-node packet-injection probability per cycle.
+    pub injection_rate: f64,
+    /// Spatial traffic pattern.
+    pub pattern: TrafficPattern,
+}
+
+/// A Bernoulli-injection source: each cycle every node independently
+/// offers a packet with its phase's injection rate, to a destination
+/// drawn from the phase's [`TrafficPattern`]. The phases repeat in order
+/// from the first [`generate`](TrafficSource::generate) call until the
+/// optional duration has elapsed.
 ///
 /// # Example
 ///
@@ -126,16 +134,21 @@ impl TrafficPattern {
 #[derive(Debug, Clone)]
 pub struct SyntheticSource {
     mesh: Topo,
-    pattern: TrafficPattern,
-    injection_rate: f64,
-    /// `injection_rate` precompiled: one integer compare per node draw.
-    inject: BernoulliThreshold,
+    /// Each phase with its `injection_rate` precompiled: one integer
+    /// compare per node draw.
+    phases: Vec<(PhaseSpec, BernoulliThreshold)>,
+    /// The length of one pass over `phases`.
+    period: u64,
+    /// Cycles after the first `generate` call during which packets are
+    /// offered; `u64::MAX` for an endless source.
+    duration: u64,
+    start: Option<u64>,
     rng: SmallRng,
 }
 
 impl SyntheticSource {
-    /// Creates a source with per-node, per-cycle packet-injection
-    /// probability `injection_rate`.
+    /// An endless one-phase source with per-node, per-cycle
+    /// packet-injection probability `injection_rate`.
     ///
     /// # Panics
     ///
@@ -146,51 +159,79 @@ impl SyntheticSource {
         injection_rate: f64,
         seed: u64,
     ) -> Self {
+        let phase = PhaseSpec {
+            cycles: 1,
+            injection_rate,
+            pattern,
+        };
+        Self::phased(mesh, &[phase], None, seed)
+    }
+
+    /// A source that cycles through `phases` and stops offering once
+    /// `duration_cycles` (if any) have passed since its first
+    /// [`generate`](TrafficSource::generate) call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `phases` is empty, a phase has zero cycles, or an
+    /// injection rate is outside `[0, 1]`.
+    pub fn phased(
+        mesh: impl Into<Topo>,
+        phases: &[PhaseSpec],
+        duration_cycles: Option<u64>,
+        seed: u64,
+    ) -> Self {
+        assert!(!phases.is_empty(), "a source needs phases");
         assert!(
-            (0.0..=1.0).contains(&injection_rate),
+            phases.iter().all(|p| p.cycles > 0),
+            "phases must be non-empty"
+        );
+        assert!(
+            phases
+                .iter()
+                .all(|p| (0.0..=1.0).contains(&p.injection_rate)),
             "injection rate must be a probability"
         );
         Self {
             mesh: mesh.into(),
-            pattern,
-            injection_rate,
-            inject: BernoulliThreshold::from_probability(injection_rate),
+            phases: phases
+                .iter()
+                .map(|&p| (p, BernoulliThreshold::from_probability(p.injection_rate)))
+                .collect(),
+            period: phases.iter().map(|p| p.cycles).sum(),
+            duration: duration_cycles.unwrap_or(u64::MAX),
+            start: None,
             rng: SmallRng::seed_from_u64(seed),
         }
     }
 
-    /// The spatial pattern in use.
-    pub fn pattern(&self) -> TrafficPattern {
-        self.pattern
-    }
-
-    /// The per-node injection probability.
-    pub fn injection_rate(&self) -> f64 {
-        self.injection_rate
+    /// The phase `offset` cycles into the schedule.
+    fn phase_at(&self, offset: u64) -> (PhaseSpec, BernoulliThreshold) {
+        let mut t = offset % self.period;
+        for &(phase, inject) in &self.phases {
+            if t < phase.cycles {
+                return (phase, inject);
+            }
+            t -= phase.cycles;
+        }
+        unreachable!("offset within one period")
     }
 }
 
 impl TrafficSource for SyntheticSource {
-    fn generate(&mut self, _cycle: u64, offer: &mut dyn FnMut(NodeId, NodeId)) {
+    fn generate(&mut self, cycle: u64, offer: &mut dyn FnMut(NodeId, NodeId)) {
+        let offset = cycle.saturating_sub(*self.start.get_or_insert(cycle));
+        if offset >= self.duration {
+            return;
+        }
+        let (phase, inject) = self.phase_at(offset);
         for src in self.mesh.nodes() {
-            if self.rng.gen_bool_at(self.inject) {
-                if let Some(dst) = self.pattern.destination(self.mesh, src, &mut self.rng) {
+            if self.rng.gen_bool_at(inject) {
+                if let Some(dst) = phase.pattern.destination(self.mesh, src, &mut self.rng) {
                     offer(src, dst);
                 }
             }
         }
-    }
-}
-
-/// A source that offers nothing — useful for drain phases.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SilentSource;
-
-impl TrafficSource for SilentSource {
-    fn generate(&mut self, _cycle: u64, _offer: &mut dyn FnMut(NodeId, NodeId)) {}
-
-    fn is_exhausted(&self) -> bool {
-        true
     }
 }
 
@@ -316,15 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn silent_source_offers_nothing() {
-        let mut s = SilentSource;
-        let mut count = 0;
-        s.generate(0, &mut |_, _| count += 1);
-        assert_eq!(count, 0);
-        assert!(s.is_exhausted());
-    }
-
-    #[test]
     #[should_panic(expected = "probability")]
     fn bad_injection_rate_panics() {
         let _ = SyntheticSource::new(Mesh::new(2, 2), TrafficPattern::UniformRandom, 1.5, 0);
@@ -337,7 +369,7 @@ mod prop_tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// The precompiled injection draw both traffic sources make is
+        /// The precompiled injection draw the traffic source makes is
         /// `gen_bool`: the same decision on every draw and the same
         /// stream position after, at 0 and 1 too (`gen_bool(0.0)` still
         /// consumes a draw, so the threshold path must as well).

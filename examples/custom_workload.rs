@@ -1,5 +1,5 @@
-//! Define a custom phase-structured workload, run it under two schemes,
-//! and round-trip an injection trace through the text format.
+//! Define a custom phase-structured workload and run it under two
+//! schemes.
 //!
 //! ```text
 //! cargo run --release --example custom_workload
@@ -7,9 +7,8 @@
 
 use rlnoc::core::benchmarks::{PhaseSpec, WorkloadProfile};
 use rlnoc::core::experiment::{ErrorControlScheme, Experiment};
-use rlnoc::sim::topology::{Mesh, NodeId};
-use rlnoc::sim::trace::{Trace, TraceEvent};
-use rlnoc::sim::traffic::{TrafficPattern, TrafficSource};
+use rlnoc::sim::topology::NodeId;
+use rlnoc::sim::traffic::TrafficPattern;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A bursty workload with a hotspot phase — e.g. a MapReduce-style
@@ -53,25 +52,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.energy_efficiency()
         );
     }
-
-    // Capture the first 2 000 cycles of the workload as a trace file and
-    // read it back — the interchange path for externally captured traces.
-    let mesh = Mesh::new(8, 8);
-    let mut source = workload.source(mesh, 9);
-    let mut trace = Trace::new();
-    for cycle in 0..2_000 {
-        source.generate(cycle, &mut |src, dst| {
-            trace.push(TraceEvent { cycle, src, dst });
-        });
-    }
-    let mut text = Vec::new();
-    trace.save(&mut text)?;
-    let restored = Trace::load(text.as_slice())?;
-    println!(
-        "\ntrace round-trip: {} events, horizon {} cycles, intact: {}",
-        restored.len(),
-        restored.horizon(),
-        restored == trace
-    );
     Ok(())
 }
