@@ -90,7 +90,6 @@ pub enum ArqEvent {
 #[derive(Debug, Clone)]
 struct Pending<T> {
     seq: SequenceNumber,
-    sent_at: u64,
     payload: T,
 }
 
@@ -105,7 +104,7 @@ struct Pending<T> {
 /// use noc_coding::arq::{AckKind, ArqEvent, RetransmitBuffer, SequenceNumber};
 ///
 /// let mut buf: RetransmitBuffer<&str> = RetransmitBuffer::new(4);
-/// let seq = buf.push("flit-a", 100).expect("buffer has space");
+/// let seq = buf.push("flit-a").expect("buffer has space");
 /// // Downstream NACKs: get the copy back for resend.
 /// let (event, copy) = buf.acknowledge(seq, AckKind::Nack);
 /// assert_eq!(event, ArqEvent::Retransmit);
@@ -157,19 +156,15 @@ impl<T: Clone> RetransmitBuffer<T> {
         self.capacity
     }
 
-    /// Registers a payload as sent at time `now` and returns its sequence
-    /// number, or `None` when the buffer is full (the link must stall).
-    pub fn push(&mut self, payload: T, now: u64) -> Option<SequenceNumber> {
+    /// Registers a payload as sent and returns its sequence number, or
+    /// `None` when the buffer is full (the link must stall).
+    pub fn push(&mut self, payload: T) -> Option<SequenceNumber> {
         if self.is_full() {
             return None;
         }
         let seq = self.next_seq;
         self.next_seq = self.next_seq.next();
-        self.pending.push_back(Pending {
-            seq,
-            sent_at: now,
-            payload,
-        });
+        self.pending.push_back(Pending { seq, payload });
         Some(seq)
     }
 
@@ -195,21 +190,6 @@ impl<T: Clone> RetransmitBuffer<T> {
         }
     }
 
-    /// Returns clones of every payload whose acknowledgement is older than
-    /// `timeout` cycles at time `now`, refreshing their send timestamps.
-    ///
-    /// Models the ARQ timeout path for lost ACK/NACK flits.
-    pub fn expired(&mut self, now: u64, timeout: u64) -> Vec<(SequenceNumber, T)> {
-        let mut out = Vec::new();
-        for p in &mut self.pending {
-            if now.saturating_sub(p.sent_at) >= timeout {
-                p.sent_at = now;
-                out.push((p.seq, p.payload.clone()));
-            }
-        }
-        out
-    }
-
     /// Drops every buffered payload (e.g. on link reconfiguration).
     pub fn clear(&mut self) {
         self.pending.clear();
@@ -228,9 +208,9 @@ mod tests {
     #[test]
     fn sequence_numbers_increase_monotonically() {
         let mut buf: RetransmitBuffer<u32> = RetransmitBuffer::new(8);
-        let a = buf.push(1, 0).unwrap();
-        let b = buf.push(2, 0).unwrap();
-        let c = buf.push(3, 0).unwrap();
+        let a = buf.push(1).unwrap();
+        let b = buf.push(2).unwrap();
+        let c = buf.push(3).unwrap();
         assert!(a < b && b < c);
         assert_eq!(b, a.next());
     }
@@ -238,28 +218,28 @@ mod tests {
     #[test]
     fn push_fails_when_full() {
         let mut buf: RetransmitBuffer<u32> = RetransmitBuffer::new(2);
-        assert!(buf.push(1, 0).is_some());
-        assert!(buf.push(2, 0).is_some());
+        assert!(buf.push(1).is_some());
+        assert!(buf.push(2).is_some());
         assert!(buf.is_full());
-        assert!(buf.push(3, 0).is_none());
+        assert!(buf.push(3).is_none());
     }
 
     #[test]
     fn ack_releases_slot() {
         let mut buf: RetransmitBuffer<u32> = RetransmitBuffer::new(1);
-        let seq = buf.push(7, 0).unwrap();
+        let seq = buf.push(7).unwrap();
         assert!(buf.is_full());
         let (event, copy) = buf.acknowledge(seq, AckKind::Ack);
         assert_eq!(event, ArqEvent::Released);
         assert_eq!(copy, None);
         assert!(buf.is_empty());
-        assert!(buf.push(8, 1).is_some());
+        assert!(buf.push(8).is_some());
     }
 
     #[test]
     fn nack_returns_copy_and_keeps_entry() {
         let mut buf: RetransmitBuffer<u32> = RetransmitBuffer::new(2);
-        let seq = buf.push(99, 0).unwrap();
+        let seq = buf.push(99).unwrap();
         let (event, copy) = buf.acknowledge(seq, AckKind::Nack);
         assert_eq!(event, ArqEvent::Retransmit);
         assert_eq!(copy, Some(99));
@@ -276,7 +256,7 @@ mod tests {
     #[test]
     fn unknown_sequence_is_ignored() {
         let mut buf: RetransmitBuffer<u32> = RetransmitBuffer::new(2);
-        let seq = buf.push(1, 0).unwrap();
+        let seq = buf.push(1).unwrap();
         let (event, copy) = buf.acknowledge(seq.next(), AckKind::Ack);
         assert_eq!(event, ArqEvent::Unknown);
         assert_eq!(copy, None);
@@ -286,29 +266,16 @@ mod tests {
     #[test]
     fn duplicate_ack_is_unknown() {
         let mut buf: RetransmitBuffer<u32> = RetransmitBuffer::new(2);
-        let seq = buf.push(1, 0).unwrap();
+        let seq = buf.push(1).unwrap();
         assert_eq!(buf.acknowledge(seq, AckKind::Ack).0, ArqEvent::Released);
         assert_eq!(buf.acknowledge(seq, AckKind::Ack).0, ArqEvent::Unknown);
     }
 
     #[test]
-    fn expired_returns_timed_out_entries_and_refreshes() {
-        let mut buf: RetransmitBuffer<u32> = RetransmitBuffer::new(4);
-        let a = buf.push(10, 0).unwrap();
-        let _b = buf.push(20, 90).unwrap();
-        let out = buf.expired(100, 50);
-        assert_eq!(out, vec![(a, 10)]);
-        // Timestamp refreshed: nothing expires again immediately.
-        assert!(buf.expired(101, 50).is_empty());
-        // But later both expire.
-        assert_eq!(buf.expired(200, 50).len(), 2);
-    }
-
-    #[test]
     fn clear_empties_buffer() {
         let mut buf: RetransmitBuffer<u32> = RetransmitBuffer::new(4);
-        buf.push(1, 0);
-        buf.push(2, 0);
+        buf.push(1);
+        buf.push(2);
         buf.clear();
         assert!(buf.is_empty());
     }
@@ -316,9 +283,9 @@ mod tests {
     #[test]
     fn iter_is_in_send_order() {
         let mut buf: RetransmitBuffer<&str> = RetransmitBuffer::new(4);
-        buf.push("a", 0);
-        buf.push("b", 0);
-        buf.push("c", 0);
+        buf.push("a");
+        buf.push("b");
+        buf.push("c");
         let items: Vec<&&str> = buf.iter().map(|(_, p)| p).collect();
         assert_eq!(items, vec![&"a", &"b", &"c"]);
     }
@@ -349,7 +316,7 @@ mod prop_tests {
             let mut buf = RetransmitBuffer::new(values.len());
             let seqs: Vec<_> = values
                 .iter()
-                .map(|&v| buf.push(v, 0).expect("capacity sized to input"))
+                .map(|&v| buf.push(v).expect("capacity sized to input"))
                 .collect();
             for seq in seqs {
                 prop_assert_eq!(buf.acknowledge(seq, AckKind::Ack).0, ArqEvent::Released);
@@ -364,7 +331,7 @@ mod prop_tests {
             let mut buf = RetransmitBuffer::new(values.len());
             let seqs: Vec<_> = values
                 .iter()
-                .map(|&v| buf.push(v, 0).unwrap())
+                .map(|&v| buf.push(v).unwrap())
                 .collect();
             let i = pick.index(values.len());
             let (_, copy) = buf.acknowledge(seqs[i], AckKind::Nack);
@@ -376,9 +343,9 @@ mod prop_tests {
         fn len_bounded_by_capacity(ops in proptest::collection::vec(any::<u8>(), 0..128)) {
             let mut buf: RetransmitBuffer<u8> = RetransmitBuffer::new(4);
             let mut live: Vec<SequenceNumber> = Vec::new();
-            for (t, op) in ops.into_iter().enumerate() {
+            for op in ops {
                 if op % 2 == 0 {
-                    if let Some(seq) = buf.push(op, t as u64) {
+                    if let Some(seq) = buf.push(op) {
                         live.push(seq);
                     }
                 } else if let Some(seq) = live.pop() {

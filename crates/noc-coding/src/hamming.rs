@@ -3,12 +3,9 @@
 //!
 //! The ARQ+ECC link hardware of the paper attaches a SECDED code to each
 //! flit: the downstream decoder corrects any single bit flip in place and
-//! raises a NACK on any double flip. Two widths are provided:
-//!
-//! * [`Secded32`] — Hamming(39,32): 32 data bits, 6 parity bits, 1 overall
-//!   parity bit.
-//! * [`Secded64`] — Hamming(72,64): 64 data bits, 7 parity bits, 1 overall
-//!   parity bit. Two of these protect one 128-bit flit.
+//! raises a NACK on any double flip. [`Secded64`] is Hamming(72,64): 64
+//! data bits, 7 parity bits, 1 overall parity bit. Two of these protect
+//! one 128-bit flit.
 //!
 //! Bit layout follows the classic extended-Hamming construction: codeword
 //! positions are 1-indexed, parity bits sit at power-of-two positions, data
@@ -231,7 +228,6 @@ impl<const DB: usize, const CB: usize> ByteTables<DB, CB> {
 }
 
 static TABLES_64: ByteTables<8, 9> = ByteTables::build(64, 71);
-static TABLES_32: ByteTables<4, 5> = ByteTables::build(32, 38);
 
 /// Reference extended-Hamming encode over `k` data bits (kept as the
 /// specification against which the table-driven fast path is tested).
@@ -408,81 +404,6 @@ impl Secded64 {
     }
 }
 
-/// A Hamming(39,32) SECDED codeword protecting one 32-bit word.
-///
-/// # Example
-///
-/// ```
-/// use noc_coding::hamming::{Secded32, DecodeOutcome};
-///
-/// let cw = Secded32::encode(0xDEAD_BEEF);
-/// assert_eq!(cw.decode(), DecodeOutcome::Clean { data: 0xDEAD_BEEF });
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Secded32 {
-    bits: u128,
-}
-
-impl Secded32 {
-    /// Number of data bits protected by the code.
-    pub const DATA_BITS: u32 = 32;
-    /// Total codeword length in bits (including the overall parity bit).
-    pub const CODE_BITS: u32 = 39;
-    const TOP_POSITION: u32 = Self::CODE_BITS - 1;
-
-    /// Encodes a 32-bit word into a 39-bit SECDED codeword.
-    pub fn encode(data: u32) -> Self {
-        Self {
-            bits: TABLES_32.encode(u64::from(data)),
-        }
-    }
-
-    /// Reference (table-free) encoder used to cross-check the fast path.
-    #[doc(hidden)]
-    pub fn encode_reference(data: u32) -> Self {
-        Self {
-            bits: encode_generic(u64::from(data), Self::DATA_BITS, Self::TOP_POSITION),
-        }
-    }
-
-    /// Reconstructs a codeword from raw bits.
-    ///
-    /// Bits above [`Self::CODE_BITS`] are masked off.
-    pub fn from_raw(bits: u128) -> Self {
-        Self {
-            bits: bits & ((1u128 << Self::CODE_BITS) - 1),
-        }
-    }
-
-    /// Raw codeword bits (bit `i` = codeword position `i`).
-    pub fn as_raw(self) -> u128 {
-        self.bits
-    }
-
-    /// Decodes, correcting a single flip and detecting double flips.
-    pub fn decode(self) -> DecodeOutcome {
-        TABLES_32.decode(self.bits, Self::TOP_POSITION)
-    }
-
-    /// Reference (table-free) decoder used to cross-check the fast path.
-    #[doc(hidden)]
-    pub fn decode_reference(self) -> DecodeOutcome {
-        decode_generic(self.bits, Self::DATA_BITS, Self::TOP_POSITION)
-    }
-
-    /// Returns a copy with codeword bit `bit` flipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit >= Self::CODE_BITS`.
-    pub fn with_bit_flipped(self, bit: u32) -> Self {
-        assert!(bit < Self::CODE_BITS, "bit {bit} out of range");
-        Self {
-            bits: self.bits ^ (1u128 << bit),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,18 +414,6 @@ mod tests {
             assert_eq!(
                 Secded64::encode(data).decode(),
                 DecodeOutcome::Clean { data }
-            );
-        }
-    }
-
-    #[test]
-    fn secded32_clean_round_trip() {
-        for data in [0u32, u32::MAX, 0xDEAD_BEEF, 0x5555_AAAA] {
-            assert_eq!(
-                Secded32::encode(data).decode(),
-                DecodeOutcome::Clean {
-                    data: u64::from(data)
-                }
             );
         }
     }
@@ -526,17 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn secded32_corrects_every_single_bit_flip() {
-        let data = 0xC0DE_F00Du32;
-        let cw = Secded32::encode(data);
-        for bit in 0..Secded32::CODE_BITS {
-            let out = cw.with_bit_flipped(bit).decode();
-            assert_eq!(out.data(), Some(u64::from(data)), "bit {bit}");
-            assert!(out.was_corrected());
-        }
-    }
-
-    #[test]
     fn secded64_detects_every_double_bit_flip() {
         let data = 0x1234_5678_9ABC_DEF0u64;
         let cw = Secded64::encode(data);
@@ -550,24 +448,9 @@ mod tests {
     }
 
     #[test]
-    fn secded32_detects_every_double_bit_flip() {
-        let data = 0x0BAD_CAFEu32;
-        let cw = Secded32::encode(data);
-        for a in 0..Secded32::CODE_BITS {
-            for b in (a + 1)..Secded32::CODE_BITS {
-                let out = cw.with_bit_flipped(a).with_bit_flipped(b).decode();
-                assert_eq!(out, DecodeOutcome::DoubleError, "pair ({a},{b}) escaped");
-            }
-        }
-    }
-
-    #[test]
     fn fast_encode_matches_reference() {
         for data in [0u64, u64::MAX, 0x0123_4567_89AB_CDEF, 0x8000_0000_0000_0001] {
             assert_eq!(Secded64::encode(data), Secded64::encode_reference(data));
-        }
-        for data in [0u32, u32::MAX, 0xDEAD_BEEF] {
-            assert_eq!(Secded32::encode(data), Secded32::encode_reference(data));
         }
     }
 
@@ -636,30 +519,6 @@ mod prop_tests {
             prop_assert_eq!(out, DecodeOutcome::DoubleError);
         }
 
-        #[test]
-        fn secded32_round_trip(data: u32) {
-            prop_assert_eq!(
-                Secded32::encode(data).decode(),
-                DecodeOutcome::Clean { data: u64::from(data) }
-            );
-        }
-
-        #[test]
-        fn secded32_single_flip_corrected(data: u32, bit in 0u32..39) {
-            let out = Secded32::encode(data).with_bit_flipped(bit).decode();
-            prop_assert_eq!(out.data(), Some(u64::from(data)));
-        }
-
-        #[test]
-        fn secded32_double_flip_detected(data: u32, a in 0u32..39, b in 0u32..39) {
-            prop_assume!(a != b);
-            let out = Secded32::encode(data)
-                .with_bit_flipped(a)
-                .with_bit_flipped(b)
-                .decode();
-            prop_assert_eq!(out, DecodeOutcome::DoubleError);
-        }
-
         // The decoder's classification must track the injected flip count
         // exactly: 0 flips → Clean, 1 flip → Corrected at that position,
         // 2 distinct flips → DoubleError.
@@ -678,32 +537,11 @@ mod prop_tests {
             );
         }
 
-        #[test]
-        fn secded32_classification_matches_flip_count(data: u32, a in 0u32..39, b in 0u32..39) {
-            let cw = Secded32::encode(data);
-            prop_assert_eq!(cw.decode(), DecodeOutcome::Clean { data: u64::from(data) });
-            prop_assert_eq!(
-                cw.with_bit_flipped(a).decode(),
-                DecodeOutcome::Corrected { data: u64::from(data), bit: a }
-            );
-            prop_assume!(a != b);
-            prop_assert_eq!(
-                cw.with_bit_flipped(a).with_bit_flipped(b).decode(),
-                DecodeOutcome::DoubleError
-            );
-        }
-
         // Transport round-trip: raw bits survive from_raw/as_raw untouched.
         #[test]
         fn secded64_raw_round_trip(data: u64) {
             let cw = Secded64::encode(data);
             prop_assert_eq!(Secded64::from_raw(cw.as_raw()), cw);
-        }
-
-        #[test]
-        fn secded32_raw_round_trip(data: u32) {
-            let cw = Secded32::encode(data);
-            prop_assert_eq!(Secded32::from_raw(cw.as_raw()), cw);
         }
     }
 }

@@ -49,4 +49,4 @@ pub mod textfmt;
 
 pub use arq::{AckKind, ArqEvent, RetransmitBuffer, SequenceNumber};
 pub use crc::Crc32;
-pub use hamming::{DecodeOutcome, Secded32, Secded64};
+pub use hamming::{DecodeOutcome, Secded64};

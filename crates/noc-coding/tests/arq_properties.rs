@@ -11,10 +11,10 @@
 //!    interleaving of ACK/NACK traffic, each sequence number is
 //!    *released* at most once, stale acknowledgements classify as
 //!    [`ArqEvent::Unknown`], and the buffer never exceeds its capacity.
-//! 3. **Timeout/NACK ordering is seed-independent.** The set and order
-//!    of payloads returned by a timeout sweep depends only on what was
-//!    pushed and acknowledged, not on the order in which NACKs were
-//!    processed in between.
+//! 3. **The held window is NACK-order independent.** The set and order
+//!    of payloads still held depends only on what was pushed and
+//!    acknowledged, not on the order in which NACKs were processed in
+//!    between.
 
 use noc_coding::arq::{AckKind, ArqEvent, RetransmitBuffer, SequenceNumber};
 use noc_coding::hamming::Secded64;
@@ -44,7 +44,7 @@ proptest! {
     ) {
         prop_assume!(flip_a != flip_b);
         let mut buf: RetransmitBuffer<u64> = RetransmitBuffer::new(4);
-        let seq = buf.push(data, 0).expect("buffer has space");
+        let seq = buf.push(data).expect("buffer has space");
 
         // The wire copy takes a detectable double-bit error: the
         // downstream decoder must report it uncorrectable and NACK.
@@ -79,11 +79,11 @@ proptest! {
         let mut issued: Vec<SequenceNumber> = Vec::new();
         let mut released: Vec<SequenceNumber> = Vec::new();
         let mut s = ops_seed;
-        for step in 0..ops_len {
+        for _ in 0..ops_len {
             s = mix(s);
             match s % 3 {
                 0 => {
-                    if let Some(seq) = buf.push(s, step as u64) {
+                    if let Some(seq) = buf.push(s) {
                         prop_assert!(!issued.contains(&seq), "sequence numbers never repeat");
                         issued.push(seq);
                     } else {
@@ -130,23 +130,22 @@ proptest! {
     }
 
     /// Two buffers receive identical pushes and identical ACK sets but
-    /// process their NACK bursts in different (seed-derived) orders: the
-    /// timeout sweep must return the same sequence numbers and payloads
-    /// in the same (send) order for both.
+    /// process their NACK bursts in different (seed-derived) orders: both
+    /// must hold the same sequence numbers and payloads in the same
+    /// (send) order.
     #[test]
-    fn timeout_sweep_is_nack_order_independent(
+    fn held_window_is_nack_order_independent(
         n in 1usize..10,
         acked_mask in 0u16..1024,
         shuffle_seed: u64,
-        timeout in 1u64..100,
     ) {
         let mut a: RetransmitBuffer<u64> = RetransmitBuffer::new(16);
         let mut b: RetransmitBuffer<u64> = RetransmitBuffer::new(16);
         let mut seqs = Vec::new();
         for i in 0..n {
             let payload = mix(i as u64);
-            let sa = a.push(payload, 0).expect("capacity 16 > n");
-            let sb = b.push(payload, 0).expect("capacity 16 > n");
+            let sa = a.push(payload).expect("capacity 16 > n");
+            let sb = b.push(payload).expect("capacity 16 > n");
             prop_assert_eq!(sa, sb, "sequence issue order is deterministic");
             seqs.push(sa);
         }
@@ -179,11 +178,11 @@ proptest! {
             b.acknowledge(seq, AckKind::Nack);
         }
 
-        let swept_a = a.expired(timeout, timeout);
-        let swept_b = b.expired(timeout, timeout);
-        prop_assert_eq!(&swept_a, &swept_b, "sweep independent of NACK order");
-        // Sweep preserves send order over exactly the unacknowledged set.
-        let order: Vec<SequenceNumber> = swept_a.iter().map(|(s, _)| *s).collect();
+        let held_a: Vec<(SequenceNumber, u64)> = a.iter().map(|(s, &p)| (s, p)).collect();
+        let held_b: Vec<(SequenceNumber, u64)> = b.iter().map(|(s, &p)| (s, p)).collect();
+        prop_assert_eq!(&held_a, &held_b, "window independent of NACK order");
+        // Send order over exactly the unacknowledged set.
+        let order: Vec<SequenceNumber> = held_a.iter().map(|(s, _)| *s).collect();
         prop_assert_eq!(order, unacked);
     }
 }

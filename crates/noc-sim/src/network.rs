@@ -1385,7 +1385,7 @@ impl<E: ErrorControl> Network<E> {
                 // The buffer keeps the body *by value*: the wire-side
                 // arena slot is mutated in place by fault draws and
                 // must never alias the canonical retransmit copy.
-                router.retain_copy(out_p, (self.arena[bf.flit], out_vc), cycle)
+                router.retain_copy(out_p, (self.arena[bf.flit], out_vc))
             });
             self.launch(
                 ri,

@@ -435,17 +435,12 @@ impl Router {
     }
 
     /// Buffers the pristine copy of a flit sent on the ARQ link out of
-    /// `out_p` in cycle `now`, returning its sequence number.
+    /// `out_p`, returning its sequence number.
     #[inline]
-    pub(crate) fn retain_copy(
-        &mut self,
-        out_p: usize,
-        copy: (Flit, u8),
-        now: u64,
-    ) -> SequenceNumber {
+    pub(crate) fn retain_copy(&mut self, out_p: usize, copy: (Flit, u8)) -> SequenceNumber {
         let buffer = &mut self.outputs[out_p].retx_buffer;
         let seq = buffer
-            .push(copy, now)
+            .push(copy)
             .expect("fullness checked during selection");
         if buffer.is_full() {
             self.masks.retx_full |= 1 << out_p;

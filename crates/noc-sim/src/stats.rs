@@ -240,17 +240,6 @@ pub struct RouterEpochStats {
 }
 
 impl RouterEpochStats {
-    /// Accumulates one cycle of occupancy accounting.
-    ///
-    /// `occupied` is the router's live input-VC count, read off its
-    /// stage masks — the sampler adds it straight in rather than
-    /// rescanning every VC of every router each cycle.
-    #[inline]
-    pub fn sample_cycle(&mut self, occupied: u64) {
-        self.cycles += 1;
-        self.occupied_vc_cycles += occupied;
-    }
-
     /// Mean input-port utilization in flits/cycle.
     ///
     /// Normalized by the 2D-mesh port count ([`NUM_PORTS`] = 5)

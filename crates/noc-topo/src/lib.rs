@@ -948,24 +948,6 @@ impl Topo {
         }
     }
 
-    /// Whether this is a plain 2D mesh.
-    pub fn is_mesh2d(&self) -> bool {
-        matches!(self, Topo::Mesh(_))
-    }
-
-    /// Whether rings wrap around (torus or folded torus).
-    pub fn has_wraparound(&self) -> bool {
-        matches!(self, Topo::Torus(_) | Topo::FoldedTorus(_))
-    }
-
-    /// The 3D dimensions `(w, h, depth)` when this is a 3D mesh.
-    pub fn dims3(&self) -> Option<(u16, u16, u16)> {
-        match self {
-            Topo::Mesh3d(t) => Some((t.width(), t.height(), t.depth())),
-            _ => None,
-        }
-    }
-
     /// Projection-grid width (columns).
     pub fn width(&self) -> u16 {
         delegate!(self, t => t.proj_width())

@@ -1068,7 +1068,7 @@ impl<E: ErrorControl> RefNetwork<E> {
                         Some(
                             router.outputs[out_p]
                                 .retx_buffer
-                                .push((bf.flit, out_vc), cycle)
+                                .push((bf.flit, out_vc))
                                 .expect("fullness checked during selection"),
                         )
                     } else {
