@@ -10,8 +10,8 @@
 //! Reading is strict, so every truncation and every single-bit flip is
 //! refused: the text ends in a newline, the trailer is its prefix and
 //! exactly eight lowercase hex digits, `{:016x}` fields are exactly
-//! sixteen, and decimals are digits only. Nothing is allocated before
-//! the CRC matches.
+//! sixteen, and decimals are digits only with no leading zero. Nothing
+//! is allocated before the CRC matches.
 
 use crate::crc::Crc32;
 use std::fmt::Write as _;
@@ -115,10 +115,12 @@ pub fn hex16(token: &str) -> Option<u64> {
     hex(token.as_bytes(), 16)
 }
 
-/// A decimal `u64` of digits only: no sign, no blanks.
+/// A decimal `u64` as `{}` writes it: digits only, no sign, no blanks
+/// and no leading zero.
 pub fn dec(token: &str) -> Option<u64> {
     let digits = token.bytes().all(|b| b.is_ascii_digit());
-    digits.then(|| token.parse().ok())?
+    let canonical = digits && (token.len() == 1 || !token.starts_with('0'));
+    canonical.then(|| token.parse().ok())?
 }
 
 fn hex(digits: &[u8], width: usize) -> Option<u64> {
@@ -311,7 +313,17 @@ mod tests {
             assert_eq!(hex8(bad), None, "{bad}");
         }
         assert_eq!(dec("18446744073709551615"), Some(u64::MAX));
-        for bad in ["", "+1", "-1", " 1", "18446744073709551616", "NaN"] {
+        assert_eq!(dec("0"), Some(0));
+        for bad in [
+            "",
+            "+1",
+            "-1",
+            " 1",
+            "01",
+            "00",
+            "18446744073709551616",
+            "NaN",
+        ] {
             assert_eq!(dec(bad), None, "{bad}");
         }
     }

@@ -332,7 +332,21 @@ impl PolicySnapshot {
             }
             None => return Err(corrupt(past_end(), "missing `end` marker".into())),
         }
-        Ok(Self::new(tables).with_fault_bins(fault_bins))
+        let bank = Self::new(tables).with_fault_bins(fault_bins);
+        // Every number is accepted only in the writer's spelling: `+5`,
+        // `05` or `0` for `0e0` read, but do not write back as read.
+        let mut written = Vec::with_capacity(raw.len());
+        bank.write(&mut written).expect("write to memory");
+        if written != raw.as_bytes() {
+            let written = String::from_utf8(written).expect("snapshot text is ASCII");
+            let differs = raw
+                .split('\n')
+                .zip(written.split('\n'))
+                .position(|(a, b)| a != b);
+            let line = differs.map_or(1, |i| i + 1);
+            return Err(corrupt(line, "not in the writer's spelling".into()));
+        }
+        Ok(bank)
     }
 
     /// Writes the snapshot to `path` atomically: the bytes land in a

@@ -53,10 +53,11 @@
 //! **Reading.** Opening scans the file once and keeps only an index:
 //! key → (offset, length). Reports are never kept in memory;
 //! [`CheckpointDir::load`] re-reads its record with a positioned read,
-//! checks its CRC again and parses it.
+//! checks its CRC again and parses it, and keeps the report only if
+//! writing it back gives the very payload read.
 //!
-//! **Damage.** A record that fails its framing or its CRC is absent: its
-//! task simply re-runs, and a damaged `submitted` record's campaign is
+//! **Damage.** A record that fails its framing, its CRC or that
+//! write-back is absent: its task simply re-runs, and a damaged `submitted` record's campaign is
 //! not recovered. The scan resynchronises at the next magic line, so
 //! damage costs only the record it lands in. Bytes after the last valid
 //! record — a record torn by a kill mid-append — are truncated away
@@ -225,6 +226,12 @@ impl<'a> FieldParser<'a> {
             .map_err(|_| CheckpointError::Corrupt(format!("unparsable value for `{key}`")))
     }
 
+    /// A [`textfmt::dec`] field that fits `T`.
+    fn dec<T: TryFrom<u64>>(&mut self, key: &str) -> Result<T, CheckpointError> {
+        let value = textfmt::dec(self.next_field(key)?).and_then(|n| T::try_from(n).ok());
+        value.ok_or_else(|| CheckpointError::Corrupt(format!("bad value for `{key}`")))
+    }
+
     fn fingerprint(&mut self) -> Result<u64, CheckpointError> {
         textfmt::hex16(self.next_field("fingerprint")?)
             .ok_or_else(|| CheckpointError::Corrupt("bad fingerprint".into()))
@@ -359,7 +366,7 @@ fn unframe(buf: &[u8]) -> Option<(Kind, &str, usize)> {
     let header = std::str::from_utf8(&buf[..newline]).ok()?;
     let mut tokens = header.strip_prefix(MAGIC)?.strip_prefix(' ')?.split(' ');
     let kind = Kind::from_token(tokens.next()?)?;
-    let len: usize = tokens.next()?.parse().ok()?;
+    let len = usize::try_from(textfmt::dec(tokens.next()?)?).ok()?;
     if tokens.next().is_some() || len > MAX_PAYLOAD {
         return None;
     }
@@ -401,7 +408,7 @@ impl Submission {
         Ok(Self {
             tenant: p.next_field("scope")?.to_string(),
             id: p.next_field("id")?.to_string(),
-            priority: p.parse("priority")?,
+            priority: p.dec("priority")?,
             spec_text: p.rest.to_string(),
         })
     }
@@ -454,7 +461,7 @@ impl Index {
                 }
             }
             Kind::Task => {
-                if let (Ok(fingerprint), Ok(index)) = (p.fingerprint(), p.parse::<u32>("task")) {
+                if let (Ok(fingerprint), Ok(index)) = (p.fingerprint(), p.dec::<u32>("task")) {
                     let scope = self.scope_id(scope);
                     self.tasks.insert((scope, fingerprint, index), extent);
                 }
@@ -812,12 +819,7 @@ impl CheckpointDir {
     pub fn store(&self, index: usize, report: &ExperimentReport) -> Result<(), CheckpointError> {
         let task = u32::try_from(index)
             .map_err(|_| CheckpointError::Corrupt(format!("task index {index} out of range")))?;
-        let mut payload = String::with_capacity(768);
-        writeln!(payload, "scope {}", self.scope).expect("write to string");
-        writeln!(payload, "fingerprint {:016x}", self.fingerprint).expect("write to string");
-        writeln!(payload, "task {index}").expect("write to string");
-        render_report_into(&mut payload, report);
-        payload.push_str("end\n");
+        let payload = self.task_payload(index, report);
         let key = (self.scope_id, self.fingerprint, task);
         self.journal.append(Kind::Task, &payload, |idx, extent| {
             idx.tasks.insert(key, extent);
@@ -840,13 +842,25 @@ impl CheckpointDir {
         };
         let payload = self.journal.read(extent, Kind::Task)?;
         let mut p = FieldParser::new(&payload);
-        let matches = p.next_field("scope").ok()? == &*self.scope
-            && p.fingerprint().ok()? == self.fingerprint
-            && p.parse::<u32>("task").ok()? == task;
-        if !matches {
-            return None;
+        for key in ["scope", "fingerprint", "task"] {
+            p.next_field(key).ok()?;
         }
-        parse_report(p.rest).ok()
+        let report = parse_report(p.rest).ok()?;
+        // Accepted only as the very bytes `store` writes for this task,
+        // which also pins its scope, fingerprint and index.
+        (self.task_payload(index, &report) == payload).then_some(report)
+    }
+
+    /// The payload of task `index`'s record: its key lines, the
+    /// [`render_report`] body and `end`.
+    fn task_payload(&self, index: usize, report: &ExperimentReport) -> String {
+        let mut payload = String::with_capacity(768);
+        writeln!(payload, "scope {}", self.scope).expect("write to string");
+        writeln!(payload, "fingerprint {:016x}", self.fingerprint).expect("write to string");
+        writeln!(payload, "task {index}").expect("write to string");
+        render_report_into(&mut payload, report);
+        payload.push_str("end\n");
+        payload
     }
 }
 

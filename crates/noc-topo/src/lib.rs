@@ -1048,16 +1048,17 @@ impl Topo {
     ///
     /// Returns a description of the malformation.
     pub fn parse(s: &str) -> Result<Self, String> {
+        /// A dimension as `encode` writes it: digits, no leading zero.
+        fn dim(s: &str) -> Option<u16> {
+            let digits = s.bytes().all(|b| b.is_ascii_digit());
+            (digits && (s.len() == 1 || !s.starts_with('0'))).then(|| s.parse().ok())?
+        }
         fn dims2(s: &str, what: &str) -> Result<(u16, u16), String> {
             let (w, h) = s
                 .split_once('x')
                 .ok_or_else(|| format!("malformed {what} dimensions: {s:?}"))?;
-            let w: u16 = w
-                .parse()
-                .map_err(|_| format!("malformed {what} width: {w:?}"))?;
-            let h: u16 = h
-                .parse()
-                .map_err(|_| format!("malformed {what} height: {h:?}"))?;
+            let w = dim(w).ok_or_else(|| format!("malformed {what} width: {w:?}"))?;
+            let h = dim(h).ok_or_else(|| format!("malformed {what} height: {h:?}"))?;
             Ok((w, h))
         }
         let check = |ok: bool, what: &str| {
@@ -1086,9 +1087,8 @@ impl Topo {
             let mut next = |what: &str| -> Result<u16, String> {
                 parts
                     .next()
-                    .ok_or_else(|| format!("malformed 3d {what}: {rest:?}"))?
-                    .parse()
-                    .map_err(|_| format!("malformed 3d {what}: {rest:?}"))
+                    .and_then(dim)
+                    .ok_or_else(|| format!("malformed 3d {what}: {rest:?}"))
             };
             let (w, h, d) = (next("width")?, next("height")?, next("depth")?);
             check(
@@ -1631,6 +1631,10 @@ mod tests {
             "257x256",
             "mesh:8x8",
             "8 x 8",
+            "+4x4",
+            "08x8",
+            "torus:4x04",
+            "3d:4x4x+2",
         ] {
             assert!(Topo::parse(bad).is_err(), "{bad:?} should not parse");
         }
