@@ -11,7 +11,8 @@
 //! cycles, so an early fault is the only placement that gives every
 //! scheme the same dying topology for its whole measured run.
 //!
-//! Each fraction runs as a full [`Campaign`] through `rlnoc-runner`
+//! Each fraction runs as a full
+//! [`Campaign`](rlnoc_core::campaign::Campaign) through `rlnoc-runner`
 //! (`RLNOC_JOBS` workers, `SNAPSHOT_DIR`/`RESUME` checkpointing); the
 //! schedule folds into the campaign fingerprint, so checkpoints from
 //! different fractions never collide and a resumed sweep is

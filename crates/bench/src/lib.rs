@@ -1,7 +1,7 @@
 //! Shared plumbing for the figure-regeneration binaries.
 //!
 //! Every `fig*` / `ablate_*` / `sweep_*` binary runs a
-//! [`Campaign`](rlnoc_core::campaign::Campaign) (or a sweep of
+//! [`Campaign`] (or a sweep of
 //! experiments) and prints the corresponding table of the paper.
 //! Environment variables control cost and observability:
 //!

@@ -13,7 +13,9 @@
 //! `rlnoc-verify` exploits this by running the optimized backend and a
 //! deliberately slow reference backend through
 //! [`Experiment::run_with_backend`](crate::experiment::Experiment::run_with_backend)
-//! and diffing the resulting [`ExperimentReport`]s field by field.
+//! and diffing the resulting
+//! [`ExperimentReport`](crate::experiment::ExperimentReport)s field by
+//! field.
 
 use crate::modes::OperationMode;
 use crate::protocol::FaultTolerantProtocol;

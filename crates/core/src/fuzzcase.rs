@@ -47,7 +47,7 @@
 //! exact, not merely close. The `hardfaults` line is optional (absent =
 //! fault-free run); it stores the *generation parameters* — link-fault
 //! quota, router-fault quota, schedule seed — and the replay regenerates
-//! the identical [`HardFaultSchedule`](noc_fault::hardfault::HardFaultSchedule)
+//! the identical [`HardFaultSchedule`]
 //! deterministically, which keeps case files small and the format v1.
 
 use crate::benchmarks::WorkloadProfile;

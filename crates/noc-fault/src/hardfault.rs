@@ -345,7 +345,7 @@ impl HardFaultSchedule {
 
     /// Parses and validates an `rlnoc-hardfault v1` file, including its
     /// CRC-32 trailer. Strict by construction (see
-    /// [`textfmt`](noc_coding::textfmt)), so every truncation and every
+    /// [`noc_coding::textfmt`]), so every truncation and every
     /// single-bit flip fails to parse; every error names its line.
     pub fn from_text(text: &str) -> Result<Self, ParseScheduleError> {
         let body = textfmt::unseal(text, Trailer::CrcEq)?;

@@ -1,7 +1,7 @@
 //! Deterministic fault sampling and bit-flip injection.
 //!
 //! [`FaultInjector`] owns the random stream that converts per-flit error
-//! probabilities (from [`TimingErrorModel`](crate::timing::TimingErrorModel))
+//! probabilities (from [`TimingErrorModel`])
 //! into concrete flipped bit positions. Keeping the stream in one place
 //! makes entire experiments reproducible from a single seed.
 

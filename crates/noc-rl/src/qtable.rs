@@ -33,7 +33,7 @@ struct Row {
 type Page = [Row; PAGE_STATES];
 
 /// A `num_states × NUM_ACTIONS` table of Q-values, stored in pages of
-/// [`PAGE_STATES`] rows that are allocated when one of their states is
+/// `PAGE_STATES` (32) rows that are allocated when one of their states is
 /// first written. Every state of a page that was never written reads as
 /// the one blank row (`[initial; 4]`, no visits), so a table costs what
 /// its agent visited rather than the size of the state space; a table

@@ -9,8 +9,8 @@
 //! With a snapshot directory configured, every finished task is
 //! checkpointed ([`crate::checkpoint`]) and every finished RL task's
 //! learned policy is saved as a versioned, checksummed
-//! [`PolicySnapshot`] (`task-NNNN.policy`) for later train-once /
-//! eval-many runs. With `resume` also set, valid checkpoints from a
+//! [`PolicySnapshot`](noc_rl::snapshot::PolicySnapshot)
+//! (`task-NNNN.policy`) for later train-once / eval-many runs. With `resume` also set, valid checkpoints from a
 //! previous (possibly killed) run are loaded instead of re-run.
 
 use crate::checkpoint::{CheckpointDir, CheckpointError};

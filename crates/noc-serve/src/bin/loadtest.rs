@@ -13,8 +13,9 @@
 //! Defaults: 1000 campaigns over three tenants (`alpha` priority 1,
 //! `bravo` priority 2, `charlie` priority 4), worker count from
 //! available parallelism, 12 campaigns spot-checked byte-for-byte
-//! against standalone [`Campaign::run`] results. Submissions go
-//! through real TCP connections — the wire path is part of what is
+//! against standalone
+//! [`Campaign::run`](rlnoc_core::campaign::Campaign::run) results.
+//! Submissions go through real TCP connections — the wire path is part of what is
 //! exercised.
 //!
 //! The tool exits non-zero if any campaign fails to finish, any

@@ -69,9 +69,9 @@ impl PacketClass {
 /// One 128-bit flow-control unit.
 ///
 /// Payload corruption is applied *in place* by the fault layer; the
-/// separate [`Flit::ground_truth_crc`] lets the destination distinguish
-/// genuine corruption from clean delivery without re-deriving the original
-/// payload.
+/// source's [`crc`](Self::crc) travels beside it, so [`crc_ok`](Self::crc_ok)
+/// at the destination tells genuine corruption from clean delivery without
+/// re-deriving the original payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Flit {
     /// Owning packet.

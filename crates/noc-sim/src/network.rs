@@ -621,7 +621,7 @@ impl<E: ErrorControl> Network<E> {
     /// live router executes SA/ST → VA → RC → sampling back to back while
     /// its state is hot.
     ///
-    /// With telemetry on, one cycle in [`STAGE_SAMPLE_PERIOD`] stamps
+    /// With telemetry on, one cycle in 16 (`STAGE_SAMPLE_PERIOD`) stamps
     /// every stage boundary and records the six stage times with that
     /// weight; the simulation is the same either way.
     pub fn step(&mut self) {

@@ -156,7 +156,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specification for [`vec`]: an exact size or a range, as in
+    /// Length specification for [`vec()`]: an exact size or a range, as in
     /// proptest's `SizeRange` conversions.
     pub trait IntoSizeRange {
         fn into_size_range(self) -> Range<usize>;
