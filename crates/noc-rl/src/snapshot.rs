@@ -333,8 +333,9 @@ impl PolicySnapshot {
             None => return Err(corrupt(past_end(), "missing `end` marker".into())),
         }
         let bank = Self::new(tables).with_fault_bins(fault_bins);
-        // Every number is accepted only in the writer's spelling: `+5`,
-        // `05` or `0` for `0e0` read, but do not write back as read.
+        // Every number is accepted only in the writer's spelling: the
+        // bank must write back as the bytes read, which `+5`, `05` or
+        // `0` for `0e0` would parse but not do.
         let mut written = Vec::with_capacity(raw.len());
         bank.write(&mut written).expect("write to memory");
         if written != raw.as_bytes() {

@@ -57,9 +57,10 @@
 //! writing it back gives the very payload read.
 //!
 //! **Damage.** A record that fails its framing, its CRC or that
-//! write-back is absent: its task simply re-runs, and a damaged `submitted` record's campaign is
-//! not recovered. The scan resynchronises at the next magic line, so
-//! damage costs only the record it lands in. Bytes after the last valid
+//! write-back is absent: its task simply re-runs, and a damaged
+//! `submitted` record's campaign is not recovered. The scan
+//! resynchronises at the next magic line, so damage costs only the
+//! record it lands in. Bytes after the last valid
 //! record — a record torn by a kill mid-append — are truncated away
 //! before the first append, so new records never land behind garbage.
 //! No other layout is read: a directory written in an older layout holds

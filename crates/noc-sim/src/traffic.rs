@@ -142,6 +142,7 @@ pub struct SyntheticSource {
     /// Cycles after the first `generate` call during which packets are
     /// offered; `u64::MAX` for an endless source.
     duration: u64,
+    /// The cycle of the first `generate` call, where the schedule starts.
     start: Option<u64>,
     rng: SmallRng,
 }
