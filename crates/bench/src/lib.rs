@@ -1,8 +1,8 @@
 //! Shared plumbing for the figure-regeneration binaries.
 //!
-//! Every `fig*` / `ablate_*` / `sweep_*` binary runs a
-//! [`Campaign`] (or a sweep of
-//! experiments) and prints the corresponding table of the paper.
+//! `figures` runs one [`Campaign`] and prints every figure and overhead
+//! table of the paper. The other binaries (`fig_degradation`, `table2`,
+//! `ablate_*`, `sweep_*`) each print one table or sweep.
 //! Environment variables control cost and observability:
 //!
 //! * `RLNOC_QUICK=1` — 4×4 mesh, short windows (~seconds); for smoke
@@ -25,8 +25,9 @@
 //! Passing `--quick` as the first CLI argument is equivalent to
 //! `RLNOC_QUICK=1`.
 //!
-//! Figure binaries print to stdout **and** drop the same table under
-//! `out/` (git-ignored) via [`write_output`].
+//! `table2` and `fig_degradation` also drop their table under `out/`
+//! (git-ignored) via [`write_output`]. `figures`' stdout is committed
+//! instead, as `crates/bench/figures.txt`.
 
 use rlnoc_core::campaign::{Campaign, CampaignResult};
 use rlnoc_runner::RunnerConfig;
@@ -70,7 +71,7 @@ pub fn run_campaign(campaign: &Campaign) -> CampaignResult {
 }
 
 /// The `RLNOC_JOBS` worker count (1 when unset).
-pub fn jobs_from_env() -> usize {
+fn jobs_from_env() -> usize {
     RunnerConfig::from_env().jobs
 }
 

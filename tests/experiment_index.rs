@@ -1,7 +1,9 @@
 //! The experiment index cannot rot: every `--bin` / `--example` that
-//! README.md, DESIGN.md and EXPERIMENTS.md cite exists in the tree, and
+//! README.md, DESIGN.md and EXPERIMENTS.md cite exists in the tree,
 //! none of them points at a measuring apparatus other than `benchmark/`
-//! and its committed `BENCH_ledger.jsonl`.
+//! and its committed `BENCH_ledger.jsonl`, and every measured ratio
+//! EXPERIMENTS.md quotes is printed by `figures` in its committed
+//! output, `crates/bench/figures.txt`.
 
 use std::fs;
 use std::path::Path;
@@ -31,6 +33,21 @@ fn cited<'a>(text: &'a str, flag: &str) -> Vec<&'a str> {
         }
     }
     names
+}
+
+/// The numbers in `text` written with exactly three decimals, as
+/// `figures` prints its ratios (`0.275`, `1.036×`). The paper's own
+/// figures carry at most two, and longer runs (`2003.11018`) are not
+/// ratios.
+fn three_decimal_numbers(text: &str) -> Vec<&str> {
+    text.split(|c: char| !(c.is_ascii_digit() || c == '.'))
+        .map(|w| w.trim_end_matches('.'))
+        .filter(|w| {
+            w.split_once('.').is_some_and(|(int, frac)| {
+                !int.is_empty() && frac.len() == 3 && frac.bytes().all(|b| b.is_ascii_digit())
+            })
+        })
+        .collect()
 }
 
 /// Whether `crates/<any>/<rel>` exists.
@@ -78,5 +95,25 @@ fn performance_is_cited_from_the_one_ledger() {
                 rest.split(['`', ' ', '\n']).next().unwrap_or(rest)
             );
         }
+    }
+}
+
+#[test]
+fn every_measured_ratio_is_printed_by_figures() {
+    let printed = read("crates/bench/figures.txt");
+    let printed = three_decimal_numbers(&printed);
+    let quoted = read("EXPERIMENTS.md");
+    let quoted = three_decimal_numbers(&quoted);
+    assert!(
+        !quoted.is_empty(),
+        "EXPERIMENTS.md quotes no measured ratio"
+    );
+    for number in quoted {
+        assert!(
+            printed.contains(&number),
+            "EXPERIMENTS.md quotes {number}, which crates/bench/figures.txt does not print; \
+             regenerate the file with `cargo run --release -p rlnoc-bench --bin figures` \
+             and quote it"
+        );
     }
 }
