@@ -8,8 +8,10 @@
 //!
 //! [`RetransmitBuffer`] is generic over the payload so the simulator can
 //! store whole flits, and bounded in capacity because the hardware it
-//! models is a small per-VC output buffer. It also supports a *timeout*
-//! sweep for lost acknowledgements.
+//! models is a small per-link output buffer. Acknowledgements are never
+//! lost in the modelled network, so the buffer has no timeout: an entry
+//! leaves only on its ACK or when [`RetransmitBuffer::clear`] drops the
+//! whole window.
 
 use std::collections::VecDeque;
 use std::fmt;

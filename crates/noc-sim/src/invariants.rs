@@ -14,10 +14,10 @@
 //! * **Credit conservation** — for every inter-router (output port, VC),
 //!   held credits + downstream FIFO occupancy + in-flight flits and
 //!   credit returns on that link sum to exactly `vc_depth`.
-//! * **ARQ window sanity** — every go-back-N gate (`awaiting_retx`)
-//!   names a sequence number the upstream retransmit buffer still holds
-//!   a pristine copy of (NACKs keep entries; only ACKs release them),
-//!   and no gate sits on a local injection port.
+//! * **ARQ window sanity** — every go-back-N gate of a link names a
+//!   sequence number the same link's window still holds a pristine copy
+//!   of (NACKs keep entries; only ACKs release them, and a dead link is
+//!   severed whole).
 //! * **Hard-fault hygiene** (when a hard-fault schedule is active) —
 //!   dead routers hold no arena flits or pending resends, no credit
 //!   return in the event wheel targets a dead link (dead-link credits
@@ -103,11 +103,7 @@ impl<E: ErrorControl> Network<E> {
         let mut resend = 0usize;
         for r in &self.routers {
             fifo += r.inputs.iter().map(|vc| vc.fifo.len()).sum::<usize>();
-            resend += r
-                .outputs
-                .iter()
-                .map(|o| o.retx_pending.len())
-                .sum::<usize>();
+            resend += r.outputs.iter().map(ArqLink::queued).sum::<usize>();
         }
         let mut in_events = 0usize;
         for slot in &self.wheel.slots {
@@ -219,40 +215,17 @@ impl<E: ErrorControl> Network<E> {
     }
 
     /// ARQ window sanity: every go-back-N gate awaits a sequence number
-    /// whose pristine copy the upstream retransmit buffer still holds.
+    /// whose pristine copy its link's window still holds. The ejection
+    /// port's window stays empty, so a gate there fails too.
     fn verify_arq_windows(&self) {
         for r in &self.routers {
-            for pi in 0..r.num_ports {
+            for (pi, link) in r.outputs.iter().enumerate() {
                 let dir = Direction::from_index(pi);
-                for (vci, ivc) in r.port_vcs(pi).iter().enumerate() {
-                    let Some(seq) = ivc.awaiting_retx else {
-                        continue;
-                    };
-                    assert!(
-                        dir != Direction::Local,
-                        "ARQ gate on the injection port of {}",
-                        r.id
-                    );
-                    let up = self
-                        .neighbors
-                        .get(r.id, dir)
-                        .expect("gated input port faces a neighbor");
-                    if self.faults.as_deref().is_some_and(|fs| {
-                        fs.node_dead[r.id.index()]
-                            || fs.node_dead[up.index()]
-                            || fs.link_dead[r.id.index()][pi]
-                    }) {
-                        // A dead upstream's retransmit buffer was cleared;
-                        // the fault purge is responsible for these gates.
-                        continue;
-                    }
-                    let out = &self.routers[up.index()].outputs[dir.opposite().index()];
-                    assert!(
-                        out.retx_buffer.iter().any(|(s, _)| s == seq),
-                        "ARQ gate at cycle {}: {}:{dir} vc{vci} awaits {seq} but upstream \
-                         {up} no longer buffers it (premature release would deadlock the VC)",
-                        self.cycle,
-                        r.id,
+                if let Some((vc, seq)) = link.orphaned_gate() {
+                    panic!(
+                        "ARQ gate at cycle {}: {}:{dir} vc{vc} awaits {seq} but the link's \
+                         window no longer buffers it (premature release would deadlock the VC)",
+                        self.cycle, r.id,
                     );
                 }
             }
@@ -273,7 +246,7 @@ impl<E: ErrorControl> Network<E> {
                 continue;
             }
             let fifo: usize = r.inputs.iter().map(|vc| vc.fifo.len()).sum();
-            let resend: usize = r.outputs.iter().map(|o| o.retx_pending.len()).sum();
+            let resend: usize = r.outputs.iter().map(ArqLink::queued).sum();
             assert!(
                 fifo == 0 && resend == 0 && !r.masks.any_work(),
                 "dead router {} holds flits at cycle {}: {fifo} buffered, {resend} pending \
@@ -386,8 +359,8 @@ impl<E: ErrorControl> Network<E> {
     /// maintenance bug.
     fn verify_worklists(&self) {
         for (ri, r) in self.routers.iter().enumerate() {
-            let should = r.inputs.iter().any(InputVc::occupied)
-                || r.outputs.iter().any(|o| !o.retx_pending.is_empty());
+            let should =
+                r.inputs.iter().any(InputVc::occupied) || r.outputs.iter().any(ArqLink::has_resend);
             assert_eq!(
                 self.active.contains(ri),
                 should,
@@ -538,10 +511,8 @@ mod tests {
     #[should_panic(expected = "ARQ gate")]
     fn orphaned_arq_gate_is_detected() {
         let mut net = armed_net(ScriptedErrorControl::reliable());
-        // Gate an input VC on a sequence number the upstream never sent.
-        net.routers[0]
-            .input_mut(Direction::East.index(), 0)
-            .awaiting_retx = Some(SequenceNumber::new(41));
+        // Gate a VC on a sequence number its link never sent.
+        net.routers[0].outputs[Direction::East.index()].closed(0, SequenceNumber::new(41));
         net.step();
     }
 
@@ -683,8 +654,7 @@ mod tests {
         };
         // Smuggle an arena flit into the evacuated router's input FIFO.
         let flit = net.arena.alloc(packet.make_flit(0, 0, &Crc32::new()));
-        net.routers[dead.index()]
-            .input_mut(Direction::East.index(), 0)
+        net.routers[dead.index()].port_vcs_mut(Direction::East.index())[0]
             .fifo
             .push_back(BufferedFlit {
                 flit,

@@ -54,6 +54,7 @@
 #![warn(clippy::too_many_lines)]
 
 pub mod arbiter;
+mod arq_link;
 pub mod config;
 pub mod error_control;
 pub mod flit;

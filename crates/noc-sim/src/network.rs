@@ -18,20 +18,14 @@
 //! VC at *t+2*, and crosses the switch at *t+3* — the paper's 4-stage
 //! router — then spends `link_latency` cycles on the wire.
 //!
-//! ## Hop-level ARQ ordering (go-back-N gate)
-//!
-//! When a flit is rejected by the downstream ECC decoder, flits of the
-//! same packet may already be in flight behind it. To preserve per-VC flit
-//! order the receiver *gates* the VC: every non-matching arrival is
-//! auto-rejected (NACKed) until the retransmission of the rejected flit
-//! arrives — classic go-back-N. The sender's port is additionally
-//! suspended from the reject until its NACK is processed, so no new flit
-//! can slip into the window.
+//! Hop-level ARQ keeps each link's go-back-N state in one `ArqLink`,
+//! owned by the sending router; this module applies its verdicts.
 
+use crate::arq_link::{Admit, ArqLink, Resend};
 use crate::config::NocConfig;
 use crate::error_control::{EjectOutcome, ErrorControl, HopOutcome, TransferKind};
 use crate::flit::{Flit, FlitArena, FlitRef, Packet, PacketClass, PacketId, PacketWindow};
-use crate::router::{BufferedFlit, PendingRetransmit, Router, VcState};
+use crate::router::{BufferedFlit, Router, VcState};
 use crate::routing::Routes;
 use crate::stats::{EventCounters, NetworkStats, RouterEpochStats};
 use crate::topology::{Direction, LinkId, NeighborTable, NodeId, Topo, MAX_PORTS};
@@ -676,7 +670,7 @@ impl<E: ErrorControl> Network<E> {
                 && self.reassembly.iter().all(Vec::is_empty)
                 && self.routers.iter().all(|r| {
                     r.inputs.iter().all(|vc| vc.fifo.is_empty())
-                        && r.outputs.iter().all(|p| p.retx_pending.is_empty())
+                        && r.outputs.iter().all(|link| !link.has_resend())
                 }),
             "worklist quiescence probe diverged from the full state scan"
         );
@@ -753,19 +747,15 @@ impl<E: ErrorControl> Network<E> {
                     seq,
                     kind,
                 } => {
-                    let copy = self.routers[node.index()].acknowledge(port.index(), seq, kind);
-                    if let Some((flit, out_vc)) = copy {
-                        // Re-materialize the buffered copy into a fresh
-                        // arena slot: the slot of the rejected transfer was
-                        // freed (its payload may carry an escaped fault
-                        // draw), and the buffer keeps its own pristine copy
-                        // for further NACKs.
+                    let (router, p) = (&mut self.routers[node.index()], port.index());
+                    if kind == AckKind::Ack {
+                        router.arq(p, |link| link.ack(seq));
+                    } else if let Some((flit, out_vc)) = router.arq(p, |link| link.nack(seq)) {
+                        // The rejected transfer's slot was freed: the
+                        // resend gets a fresh one.
                         let flit = self.arena.alloc(flit);
-                        let router = &mut self.routers[node.index()];
-                        router.outputs[port.index()]
-                            .retx_pending
-                            .push_back(PendingRetransmit { flit, out_vc, seq });
-                        router.masks.retx |= 1 << port.index();
+                        let resend = Resend { flit, out_vc, seq };
+                        router.arq(p, |link| link.queue_resend(resend));
                         // A pending resend is SA/ST work even on an
                         // otherwise-empty router.
                         self.active.insert(node.index());
@@ -791,50 +781,12 @@ impl<E: ErrorControl> Network<E> {
             self.evaporate(cycle, hop, flit, kind);
             return;
         }
-        // Only the awaited retransmission passes a closed gate (and
-        // opens it if it decodes).
-        let gate = *self.gate(hop);
-        if gate.is_some_and(|g| kind != TransferKind::HopRetransmit || hop.seq != Some(g)) {
-            self.hold_at_gate(cycle, hop, flit, kind);
-        } else {
-            self.transfer(cycle, hop, flit, kind, pre_sent);
-        }
-    }
-
-    /// The go-back-N gate of the input VC `hop` lands in: the sequence
-    /// number of a rejected flit whose retransmission it awaits.
-    fn gate(&mut self, hop: Hop) -> &mut Option<SequenceNumber> {
-        &mut self.routers[hop.dst.index()]
-            .input_mut(hop.in_port().index(), hop.vc as usize)
-            .awaiting_retx
-    }
-
-    /// Hard-fault evaporation: flits of a doomed packet drain out at
-    /// arrival — the link-level contract (ACK + credit) completes so the
-    /// sender's ARQ window and credit pool recover, but the flit goes no
-    /// further. Arrivals only happen on live links: dead links had their
-    /// in-flight events swept at fault application.
-    fn evaporate(&mut self, cycle: u64, hop: Hop, flit: FlitRef, kind: TransferKind) {
-        let gate = self.gate(hop);
-        if kind == TransferKind::HopRetransmit && *gate == hop.seq {
-            *gate = None;
-        }
-        self.ack(cycle, hop, cycle + self.config.ack_latency as u64);
-        self.credit_upstream(cycle, hop.dst, hop.in_port(), hop.vc, cycle + 1);
-        self.arena.free(flit);
-    }
-
-    /// Go-back-N: while a rejected flit awaits retransmission on this
-    /// VC, every other arrival is auto-rejected to preserve order.
-    fn hold_at_gate(&mut self, cycle: u64, hop: Hop, flit: FlitRef, kind: TransferKind) {
-        match hop.seq {
-            Some(seq) => self.nack(cycle, hop, seq, flit),
-            // A sequence-less arrival under a gate can only happen across
-            // an ECC-off mode switch. It cannot be NACKed (the sender
-            // holds no copy), so stall it on the wire until the awaited
-            // retransmission lands — otherwise it would overtake the
-            // rejected flit and corrupt per-VC flit order.
-            None => self.wheel.push(
+        match self.link(hop).admit(hop.vc, hop.seq, kind) {
+            Admit::Transfer => self.transfer(cycle, hop, flit, kind, pre_sent),
+            Admit::Nack => self.nack(cycle, hop, flit),
+            // Only across an ECC-off mode switch: the flit waits on the
+            // wire, where it cannot overtake the rejected one.
+            Admit::Stall => self.wheel.push(
                 cycle,
                 cycle + 1,
                 Event::Arrival {
@@ -849,6 +801,24 @@ impl<E: ErrorControl> Network<E> {
         }
     }
 
+    /// The hop protocol of the link `hop` crossed, which its sender owns.
+    fn link(&mut self, hop: Hop) -> &mut ArqLink {
+        &mut self.routers[hop.link.src.index()].outputs[hop.link.dir.index()]
+    }
+
+    /// Hard-fault evaporation: flits of a doomed packet drain out at
+    /// arrival — the link-level contract (ACK + credit) completes so the
+    /// sender's ARQ window and credit pool recover, but the flit goes no
+    /// further. Arrivals only happen on live links: dead links had their
+    /// in-flight events swept at fault application.
+    fn evaporate(&mut self, cycle: u64, hop: Hop, flit: FlitRef, kind: TransferKind) {
+        self.link(hop).opened(hop.vc, kind, hop.seq);
+        let ack_at = cycle + self.config.ack_latency as u64;
+        self.acknowledge(cycle, hop, AckKind::Ack, ack_at);
+        self.credit_upstream(cycle, hop.dst, hop.in_port(), hop.vc, cycle + 1);
+        self.arena.free(flit);
+    }
+
     /// The hop transfer: the error-control layer decides whether the
     /// flit decodes. A decoded flit enters its input VC and is ACKed; a
     /// rejected one falls back on the operation-mode-2 duplicate, then
@@ -861,104 +831,81 @@ impl<E: ErrorControl> Network<E> {
         kind: TransferKind,
         pre_sent: bool,
     ) {
-        let di = hop.dst.index();
-        let protected = hop.seq.is_some();
-        let ack_at = cycle + self.config.ack_latency as u64;
+        let draw = |net: &mut Self, kind| {
+            let (body, counters) = (&mut net.arena[flit], &mut net.counters[hop.dst.index()]);
+            let protected = hop.seq.is_some();
+            net.protocol
+                .hop_transfer(hop.link, body, cycle, kind, protected, counters)
+        };
         // The fault draw mutates the arena slot in place. An operation-
         // mode-2 duplicate must see the payload *as sent*, so save the
         // two payload words for a potential rewind before the first draw.
         let saved_payload =
             (pre_sent && kind == TransferKind::Original).then(|| self.arena[flit].payload);
-        let outcome = self.protocol.hop_transfer(
-            hop.link,
-            &mut self.arena[flit],
-            cycle,
-            kind,
-            protected,
-            &mut self.counters[di],
-        );
-        if outcome != HopOutcome::Reject {
-            if outcome == HopOutcome::DeliveredCorrected {
-                self.stats.ecc_corrections += 1;
-            }
-            if kind == TransferKind::HopRetransmit {
-                *self.gate(hop) = None;
-            }
-            self.accept_flit(hop.dst, hop.in_port(), hop.vc, flit, cycle);
-            self.ack(cycle, hop, ack_at);
-            return;
-        }
-        debug_assert!(protected, "reject on a link without ARQ");
-        // Operation mode 2: consult the proactive duplicate before
-        // falling back to a NACK round trip. Rewind the slot to the
-        // as-sent payload so the duplicate's draw is independent of the
-        // original's.
-        if let Some(payload) = saved_payload {
+        let mut outcome = draw(self, kind);
+        // Operation mode 2: consult the proactive duplicate, drawn on the
+        // rewound as-sent payload, before falling back to a NACK.
+        let duplicate = outcome == HopOutcome::Reject && saved_payload.is_some();
+        if let Some(payload) = saved_payload.filter(|_| duplicate) {
             self.arena[flit].payload = payload;
-            let copy = self.protocol.hop_transfer(
-                hop.link,
-                &mut self.arena[flit],
-                cycle,
-                TransferKind::PreRetransmitCopy,
-                protected,
-                &mut self.counters[di],
-            );
-            if copy != HopOutcome::Reject {
-                if copy == HopOutcome::DeliveredCorrected {
-                    self.stats.ecc_corrections += 1;
-                }
-                self.stats.pre_retransmit_hits += 1;
-                let deliver = Event::DirectDeliver {
-                    node: hop.dst,
-                    in_port: hop.in_port(),
-                    vc: hop.vc,
-                    flit,
-                };
-                self.wheel.push(cycle, cycle + 1, deliver);
-                self.ack(cycle, hop, ack_at + 1);
-                return;
-            }
+            outcome = draw(self, TransferKind::PreRetransmitCopy);
         }
-        let seq = hop.seq.expect("reject requires hop ARQ");
-        *self.gate(hop) = Some(seq);
-        self.nack(cycle, hop, seq, flit);
+        match outcome {
+            HopOutcome::Reject => {
+                let seq = hop.seq.expect("reject requires hop ARQ");
+                self.link(hop).closed(hop.vc, seq);
+                return self.nack(cycle, hop, flit);
+            }
+            HopOutcome::DeliveredCorrected => self.stats.ecc_corrections += 1,
+            HopOutcome::Delivered => {}
+        }
+        if duplicate {
+            self.stats.pre_retransmit_hits += 1;
+            let deliver = Event::DirectDeliver {
+                node: hop.dst,
+                in_port: hop.in_port(),
+                vc: hop.vc,
+                flit,
+            };
+            self.wheel.push(cycle, cycle + 1, deliver);
+        } else {
+            self.link(hop).opened(hop.vc, kind, hop.seq);
+            self.accept_flit(hop.dst, hop.in_port(), hop.vc, flit, cycle);
+        }
+        // The duplicate's ACK trails it by the cycle it was sent behind.
+        let ack_at = cycle + self.config.ack_latency as u64 + u64::from(duplicate);
+        self.acknowledge(cycle, hop, AckKind::Ack, ack_at);
     }
 
-    /// ACKs an ARQ-protected transfer back to its sender at `at`; an
-    /// unprotected one (`hop.seq == None`) is not acknowledged.
-    fn ack(&mut self, cycle: u64, hop: Hop, at: u64) {
+    /// Sends an ACK or NACK for an ARQ-protected transfer back to its
+    /// sender at `at`; an unprotected one (`hop.seq == None`) is not
+    /// acknowledged.
+    fn acknowledge(&mut self, cycle: u64, hop: Hop, kind: AckKind, at: u64) {
         if let Some(seq) = hop.seq {
             self.counters[hop.dst.index()].ack_signals += 1;
-            let ack = Event::AckSignal {
+            let signal = Event::AckSignal {
                 node: hop.link.src,
                 port: hop.link.dir,
                 seq,
-                kind: AckKind::Ack,
+                kind,
             };
-            self.wheel.push(cycle, at, ack);
+            self.wheel.push(cycle, at, signal);
         }
     }
 
-    /// NACKs transfer `seq` and discards `flit`: the resend will be
-    /// re-materialized from the sender's buffered copy. The NACK and the
+    /// NACKs the protected transfer and discards `flit`: the resend will
+    /// be re-materialized from the sender's window. The NACK and the
     /// buffer credit travel back with the ACK latency, and the sender's
     /// port is held until it processes the NACK so no younger flit
     /// enters the reorder window.
-    fn nack(&mut self, cycle: u64, hop: Hop, seq: SequenceNumber, flit: FlitRef) {
+    fn nack(&mut self, cycle: u64, hop: Hop, flit: FlitRef) {
         let (di, si) = (hop.dst.index(), hop.link.src.index());
         let ack_at = cycle + self.config.ack_latency as u64;
         self.stats.hop_nacks += 1;
         self.tel.arq_nacks.inc();
         self.epoch[di].nacks_out += 1;
         self.epoch[si].nacks_in += 1;
-        self.counters[di].ack_signals += 1;
-        let nack = Event::AckSignal {
-            node: hop.link.src,
-            port: hop.link.dir,
-            seq,
-            kind: AckKind::Nack,
-        };
-        self.wheel.push(cycle, ack_at, nack);
+        self.acknowledge(cycle, hop, AckKind::Nack, ack_at);
         self.credit_upstream(cycle, hop.dst, hop.in_port(), hop.vc, ack_at);
         self.routers[si].hold_port(hop.link.dir.index(), ack_at);
         self.arena.free(flit);
@@ -1217,21 +1164,15 @@ impl<E: ErrorControl> Network<E> {
     fn sa_resend(&mut self, ri: usize, cycle: u64) {
         for out_p in bits(u64::from(self.routers[ri].masks.retx)) {
             let router = &mut self.routers[ri];
-            if cycle < router.next_free[out_p] {
-                continue;
-            }
-            let pr = *router.outputs[out_p]
-                .retx_pending
-                .front()
+            let pr = router.outputs[out_p]
+                .front_resend()
                 .expect("resend mask bit set");
-            if router.out_vc(out_p, pr.out_vc as usize).credits == 0 {
+            if cycle < router.next_free[out_p]
+                || router.out_vc(out_p, pr.out_vc as usize).credits == 0
+            {
                 continue;
             }
-            let out = &mut router.outputs[out_p];
-            out.retx_pending.pop_front();
-            if out.retx_pending.is_empty() {
-                router.masks.retx &= !(1 << out_p);
-            }
+            router.arq(out_p, ArqLink::pop_resend);
             self.counters[ri].retransmit_sends += 1;
             self.epoch[ri].flits_out[out_p] += 1;
             self.stats.flit_retransmissions += 1;
@@ -1382,10 +1323,11 @@ impl<E: ErrorControl> Network<E> {
             };
             let seq = self.protocol.hop_arq(link).then(|| {
                 self.counters[ri].retransmit_buffer_writes += 1;
-                // The buffer keeps the body *by value*: the wire-side
+                // The window keeps the body *by value*: the wire-side
                 // arena slot is mutated in place by fault draws and
                 // must never alias the canonical retransmit copy.
-                router.retain_copy(out_p, (self.arena[bf.flit], out_vc))
+                let copy = (self.arena[bf.flit], out_vc);
+                router.arq(out_p, |link| link.send(copy))
             });
             self.launch(
                 ri,

@@ -3,18 +3,18 @@
 //!
 //! A fault batch marks the dead elements, reroutes on what survives, and
 //! then empties everything resident on the dead side through four
-//! operations: [`FaultState::doom_flit`] loses one flit's packet and
-//! frees its slot, [`FaultState::evacuate_input`] and
-//! [`FaultState::evacuate_output`] empty one input VC or one output
-//! port's ARQ state, and [`FaultState::divert`] moves a live router's VCs
-//! off the links that died. Each takes only the state it touches. Flits
+//! operations: [`FaultState::doom_flits`] loses flits' packets and frees
+//! their slots, [`FaultState::evacuate_input`] empties one input VC,
+//! `ArqLink::sever` empties one dead link's hop protocol, and
+//! [`FaultState::divert`] moves a live router's VCs off the links that
+//! died. Each takes only the state it touches. Flits
 //! of a doomed packet still on live links evaporate on arrival through
 //! the ordinary ACK and credit responses (see `Network::handle_arrival`).
 
 use super::{Event, Network, ReassemblyEntry, Wheel};
 use crate::error_control::ErrorControl;
 use crate::flit::{FlitArena, FlitRef, Packet, PacketId, PacketWindow};
-use crate::router::{InputVc, OutputPort, Router, VcState};
+use crate::router::{InputVc, Router, VcState};
 use crate::routing::{RouteCache, Routes, ROUTE_CACHE};
 use crate::topology::{Direction, NeighborTable, NodeId, Topo, MAX_PORTS};
 use std::collections::{BTreeSet, VecDeque};
@@ -151,12 +151,15 @@ impl FaultState {
         self.doomed.insert(id) && is_data
     }
 
-    /// Dooms `flit`'s packet and frees its slot: the one way a flit is
-    /// lost to a fault. Returns whether a data packet was newly lost.
-    fn doom_flit(&mut self, arena: &mut FlitArena, flit: FlitRef) -> bool {
-        let f = &arena[flit];
-        let lost = self.doom(f.packet, !f.class.is_control());
-        arena.free(flit);
+    /// Dooms each flit's packet and frees its slot: the one way a flit
+    /// is lost to a fault. Returns the data packets newly lost.
+    fn doom_flits(&mut self, arena: &mut FlitArena, flits: impl Iterator<Item = FlitRef>) -> u64 {
+        let mut lost = 0;
+        for flit in flits {
+            let f = &arena[flit];
+            lost += u64::from(self.doom(f.packet, !f.class.is_control()));
+            arena.free(flit);
+        }
         lost
     }
 
@@ -179,11 +182,8 @@ impl FaultState {
                             || self.link_dead[node.index()][port.index()]);
                     }
                 };
-                let Some(flit) = dead_flit else {
-                    return true;
-                };
-                lost += u64::from(self.doom_flit(arena, flit));
-                false
+                lost += self.doom_flits(arena, dead_flit.into_iter());
+                dead_flit.is_none()
             });
         }
         lost
@@ -200,10 +200,7 @@ impl FaultState {
         arena: &mut FlitArena,
         ivc: &mut InputVc,
     ) -> (u64, Option<(usize, usize)>) {
-        let mut lost = 0;
-        for bf in ivc.fifo.drain(..) {
-            lost += u64::from(self.doom_flit(arena, bf.flit));
-        }
+        let mut lost = self.doom_flits(arena, ivc.fifo.drain(..).map(|bf| bf.flit));
         if let VcState::NeedsVa { packet, .. } | VcState::Active { packet, .. } = ivc.state {
             lost += u64::from(self.doom(packet, true));
         }
@@ -214,19 +211,7 @@ impl FaultState {
             _ => None,
         };
         ivc.state = VcState::Idle;
-        ivc.awaiting_retx = None;
         (lost, held)
-    }
-
-    /// Empties one output port's resend queue and retransmit buffer.
-    /// Returns the data packets newly lost.
-    fn evacuate_output(&mut self, arena: &mut FlitArena, out: &mut OutputPort) -> u64 {
-        let mut lost = 0;
-        for pr in out.retx_pending.drain(..) {
-            lost += u64::from(self.doom_flit(arena, pr.flit));
-        }
-        out.retx_buffer.clear();
-        lost
     }
 
     /// Empties a dead router: everything it holds is lost. Returns the
@@ -236,8 +221,8 @@ impl FaultState {
         for ivc in &mut router.inputs {
             lost += self.evacuate_input(arena, ivc).0;
         }
-        for out in &mut router.outputs {
-            lost += self.evacuate_output(arena, out);
+        for link in &mut router.outputs {
+            lost += self.doom_flits(arena, link.sever());
         }
         for ovc in &mut router.out_vcs {
             ovc.allocated = false;
@@ -260,7 +245,7 @@ impl FaultState {
                 lost += newly;
                 dealloc.extend(held);
             }
-            lost += self.evacuate_output(arena, &mut router.outputs[p]);
+            lost += self.doom_flits(arena, router.outputs[p].sever());
         }
         for ivc in &mut router.inputs {
             match ivc.state {

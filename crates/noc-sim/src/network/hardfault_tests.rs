@@ -229,15 +229,12 @@ fn stage_masks_equal_rescan_right_after_a_fault_batch() {
     };
     let flit = net.arena.alloc(packet.make_flit(0, 0, &Crc32::new()));
     let east = Direction::East.index();
-    let planted = &mut net.routers[cut.index()];
-    planted.outputs[east]
-        .retx_pending
-        .push_back(PendingRetransmit {
-            flit,
-            out_vc: 0,
-            seq: SequenceNumber::new(0),
-        });
-    planted.masks.retx |= 1 << east;
+    let resend = Resend {
+        flit,
+        out_vc: 0,
+        seq: SequenceNumber::new(0),
+    };
+    net.routers[cut.index()].arq(east, |link| link.queue_resend(resend));
     let before: Vec<_> = net.routers.iter().map(|r| r.masks).collect();
     assert_ne!(
         before[dead.index()].occupied(),

@@ -455,9 +455,7 @@ mod select_tests {
                     ),
                     (
                         Blocked::RetxFull,
-                        remote
-                            && net.protocol.hop_arq(link)
-                            && router.outputs[p].retx_buffer.is_full(),
+                        remote && net.protocol.hop_arq(link) && router.outputs[p].is_full(),
                     ),
                 ];
                 let mut blocking = reasons.iter().filter(|(_, holds)| *holds);
@@ -605,14 +603,12 @@ mod select_tests {
             .expect("the packet holds an East output VC");
         let starved = (held + 1) % router.vcs_per_port;
         router.out_vc_mut(east, starved).credits = 0;
-        router.outputs[east]
-            .retx_pending
-            .push_back(PendingRetransmit {
-                flit,
-                out_vc: starved as u8,
-                seq: SequenceNumber::new(0),
-            });
-        router.masks.retx |= 1 << east;
+        let resend = Resend {
+            flit,
+            out_vc: starved as u8,
+            seq: SequenceNumber::new(0),
+        };
+        router.arq(east, |link| link.queue_resend(resend));
         checked_step(&mut net, &mut seen);
         assert!(seen.contains(&Blocked::Resending), "{seen:?}");
     }

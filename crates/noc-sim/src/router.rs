@@ -18,12 +18,12 @@
 //! state and the RC/VA stages.
 
 use crate::arbiter::RoundRobinArbiter;
+use crate::arq_link::ArqLink;
 use crate::config::NocConfig;
-use crate::flit::{Flit, FlitArena, FlitRef, PacketId};
+use crate::flit::{FlitArena, FlitRef, PacketId};
 use crate::routing::Routes;
 use crate::topology::{Direction, NodeId, VcClass, MAX_PORTS};
 use crate::worklist::bits;
-use noc_coding::arq::{AckKind, RetransmitBuffer, SequenceNumber};
 use std::collections::VecDeque;
 
 /// A flit resident in an input VC buffer, stamped with its arrival cycle
@@ -67,10 +67,6 @@ pub(crate) enum VcState {
 pub(crate) struct InputVc {
     pub fifo: VecDeque<BufferedFlit>,
     pub state: VcState,
-    /// Go-back-N gate: when a flit with this sequence number was rejected,
-    /// later flits on this VC are auto-rejected until its retransmission
-    /// arrives (preserves per-VC flit order under hop-level ARQ).
-    pub awaiting_retx: Option<SequenceNumber>,
 }
 
 impl InputVc {
@@ -78,7 +74,6 @@ impl InputVc {
         Self {
             fifo: VecDeque::new(),
             state: VcState::Idle,
-            awaiting_retx: None,
         }
     }
 
@@ -99,28 +94,6 @@ pub(crate) struct OutputVc {
     /// while `allocated`. A credit change finds the VC whose
     /// `no_credit` bit it moves through here.
     pub holder: u8,
-}
-
-/// A NACKed flit waiting for priority resend on its output port. Holds
-/// an arena handle: the resend copy is re-materialized into a fresh
-/// slot when the NACK is processed, while the pristine canonical copy
-/// stays in the [`RetransmitBuffer`] by value (the wire-side slot is
-/// mutated in place by fault draws, so it can never be shared with the
-/// buffered original).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PendingRetransmit {
-    pub flit: FlitRef,
-    pub out_vc: u8,
-    pub seq: SequenceNumber,
-}
-
-/// One output port's ARQ state: the retransmit buffer and resend queue.
-#[derive(Debug, Clone)]
-pub(crate) struct OutputPort {
-    /// Copies of unacknowledged flits sent on ECC-enabled links.
-    pub retx_buffer: RetransmitBuffer<(Flit, u8)>,
-    /// NACKed flits queued for priority resend.
-    pub retx_pending: VecDeque<PendingRetransmit>,
 }
 
 /// Per-router stage state kept at transitions: bit `port * V + vc` of
@@ -230,8 +203,10 @@ pub struct Router {
     /// [`reciprocal`] of `vcs_per_port`, so [`Router::port_of`]
     /// multiplies instead of dividing.
     vc_reciprocal: usize,
-    /// `outputs[port]`.
-    pub(crate) outputs: Vec<OutputPort>,
+    /// `outputs[port]`: the hop protocol of the link leaving `port`.
+    /// A change to a window or resend queue goes through [`Router::arq`];
+    /// hard-fault evacuation severs links and rescans the masks instead.
+    pub(crate) outputs: Vec<ArqLink>,
     /// Every output VC's credit and allocation state, indexed
     /// `port * vcs_per_port + vc` (at most 64, like the stage masks):
     /// held in the router itself, so a credit return or a credit spent
@@ -261,10 +236,7 @@ impl Router {
         );
         let inputs = (0..num_ports * v).map(|_| InputVc::new()).collect();
         let outputs = (0..num_ports)
-            .map(|_| OutputPort {
-                retx_buffer: RetransmitBuffer::new(config.retransmit_buffer_depth),
-                retx_pending: VecDeque::new(),
-            })
+            .map(|_| ArqLink::new(config.retransmit_buffer_depth, v))
             .collect();
         let mut out_vcs = [OutputVc {
             allocated: false,
@@ -319,15 +291,8 @@ impl Router {
         &self.inputs[port * self.vcs_per_port + vc]
     }
 
-    /// Mutable access to the input VC at `(port, vc)`.
-    #[inline]
-    pub(crate) fn input_mut(&mut self, port: usize, vc: usize) -> &mut InputVc {
-        &mut self.inputs[port * self.vcs_per_port + vc]
-    }
-
     /// The slice of input VCs belonging to `port`.
-    #[cfg_attr(not(any(test, feature = "verify")), allow(dead_code))]
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn port_vcs(&self, port: usize) -> &[InputVc] {
         let v = self.vcs_per_port;
         &self.inputs[port * v..(port + 1) * v]
@@ -434,35 +399,16 @@ impl Router {
         ovc.credits = ovc.credits.saturating_add(1);
     }
 
-    /// Buffers the pristine copy of a flit sent on the ARQ link out of
-    /// `out_p`, returning its sequence number.
+    /// Applies `f` to the link out of port `p`, then re-derives the
+    /// port's `retx` and `retx_full` mask bits from it.
     #[inline]
-    pub(crate) fn retain_copy(&mut self, out_p: usize, copy: (Flit, u8)) -> SequenceNumber {
-        let buffer = &mut self.outputs[out_p].retx_buffer;
-        let seq = buffer
-            .push(copy)
-            .expect("fullness checked during selection");
-        if buffer.is_full() {
-            self.masks.retx_full |= 1 << out_p;
-        }
-        seq
-    }
-
-    /// Applies an ACK or NACK for `seq` to the retransmit buffer of
-    /// `out_p`; a NACK returns the copy to resend.
-    #[inline]
-    pub(crate) fn acknowledge(
-        &mut self,
-        out_p: usize,
-        seq: SequenceNumber,
-        kind: AckKind,
-    ) -> Option<(Flit, u8)> {
-        let buffer = &mut self.outputs[out_p].retx_buffer;
-        let (_, copy) = buffer.acknowledge(seq, kind);
-        if !buffer.is_full() {
-            self.masks.retx_full &= !(1 << out_p);
-        }
-        copy
+    pub(crate) fn arq<R>(&mut self, p: usize, f: impl FnOnce(&mut ArqLink) -> R) -> R {
+        let result = f(&mut self.outputs[p]);
+        let (link, bit) = (&self.outputs[p], 1 << p);
+        let m = &mut self.masks;
+        m.retx = m.retx & !bit | u8::from(link.has_resend()) << p;
+        m.retx_full = m.retx_full & !bit | u8::from(link.is_full()) << p;
+        result
     }
 
     /// The stage masks derived from a full scan of the input VCs, their
@@ -507,13 +453,9 @@ impl Router {
             }
         }
         masks.occupied_vcs = masks.occupied().count_ones() as u8;
-        for (port, out) in self.outputs.iter().enumerate() {
-            if !out.retx_pending.is_empty() {
-                masks.retx |= 1 << port;
-            }
-            if out.retx_buffer.is_full() {
-                masks.retx_full |= 1 << port;
-            }
+        for (port, link) in self.outputs.iter().enumerate() {
+            masks.retx |= u8::from(link.has_resend()) << port;
+            masks.retx_full |= u8::from(link.is_full()) << port;
         }
         masks
     }
@@ -665,7 +607,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{Packet, PacketClass, PacketId};
+    use crate::flit::{Flit, Packet, PacketClass, PacketId};
     use crate::topology::{Topo, NUM_PORTS};
     use noc_coding::crc::Crc32;
 
