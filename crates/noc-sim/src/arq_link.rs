@@ -44,6 +44,10 @@ pub(crate) struct ArqLink {
     resends: VecDeque<Resend>,
     /// `gates[vc]`: the rejected flit whose retransmission VC `vc` awaits.
     gates: Box<[Option<SequenceNumber>]>,
+    /// Bit `vc` is set iff `gates[vc]` is closed, so an arrival at an
+    /// open gate reads no array. `NocConfig` caps a router at 64 input
+    /// VCs, which bounds a link's VCs too.
+    closed_mask: u64,
 }
 
 impl ArqLink {
@@ -53,6 +57,7 @@ impl ArqLink {
             window: RetransmitBuffer::new(depth),
             resends: VecDeque::new(),
             gates: vec![None; vcs].into_boxed_slice(),
+            closed_mask: 0,
         }
     }
 
@@ -79,6 +84,9 @@ impl ArqLink {
     /// The verdict of input VC `vc`'s gate on an arrival.
     #[inline]
     pub(crate) fn admit(&self, vc: u8, seq: Option<SequenceNumber>, kind: TransferKind) -> Admit {
+        if self.closed_mask & (1 << vc) == 0 {
+            return Admit::Transfer;
+        }
         match (self.gates[vc as usize], seq) {
             (None, _) => Admit::Transfer,
             (gate, _) if kind == TransferKind::HopRetransmit && seq == gate => Admit::Transfer,
@@ -91,14 +99,19 @@ impl ArqLink {
     /// retransmission opens the gate.
     #[inline]
     pub(crate) fn opened(&mut self, vc: u8, kind: TransferKind, seq: Option<SequenceNumber>) {
-        if kind == TransferKind::HopRetransmit && self.gates[vc as usize] == seq {
+        if kind == TransferKind::HopRetransmit
+            && self.closed_mask & (1 << vc) != 0
+            && self.gates[vc as usize] == seq
+        {
             self.gates[vc as usize] = None;
+            self.closed_mask &= !(1 << vc);
         }
     }
 
     /// Transfer `seq` into `vc` was rejected.
     pub(crate) fn closed(&mut self, vc: u8, seq: SequenceNumber) {
         self.gates[vc as usize] = Some(seq);
+        self.closed_mask |= 1 << vc;
     }
 
     /// Releases the copy of `seq`.
@@ -132,6 +145,7 @@ impl ArqLink {
     pub(crate) fn sever(&mut self) -> impl Iterator<Item = FlitRef> + '_ {
         self.window.clear();
         self.gates.fill(None);
+        self.closed_mask = 0;
         self.resends.drain(..).map(|r| r.flit)
     }
 
@@ -175,7 +189,10 @@ mod tests {
     }
 
     fn idle(link: &ArqLink) -> bool {
-        link.window.is_empty() && !link.has_resend() && link.gates.iter().all(Option::is_none)
+        link.window.is_empty()
+            && !link.has_resend()
+            && link.gates.iter().all(Option::is_none)
+            && link.closed_mask == 0
     }
 
     #[test]
