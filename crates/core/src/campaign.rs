@@ -290,7 +290,7 @@ impl CampaignResult {
     ///
     /// Returns `None` when either report is missing or the baseline is
     /// non-positive.
-    pub fn normalized_to_crc(
+    fn normalized_to_crc(
         &self,
         scheme: ErrorControlScheme,
         workload: &str,
@@ -304,7 +304,7 @@ impl CampaignResult {
     }
 
     /// Geometric mean of the CRC-normalized metric across workloads.
-    pub fn geomean_normalized(
+    fn geomean_normalized(
         &self,
         scheme: ErrorControlScheme,
         metric: impl Fn(&ExperimentReport) -> f64 + Copy,

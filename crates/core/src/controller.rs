@@ -104,7 +104,7 @@ impl Default for DtThresholds {
 
 impl DtThresholds {
     /// Maps a predicted error rate to an operation mode.
-    pub fn mode_for(self, predicted_rate: f64) -> OperationMode {
+    fn mode_for(self, predicted_rate: f64) -> OperationMode {
         if predicted_rate < self.t01 {
             OperationMode::Mode0
         } else if predicted_rate < self.t12 {
@@ -265,7 +265,8 @@ impl ControllerBank {
     }
 
     /// Whether the DT bank has been trained.
-    pub fn dt_trained(&self) -> bool {
+    #[cfg(test)]
+    fn dt_trained(&self) -> bool {
         matches!(&self.bank, Bank::Dt { tree: Some(_), .. })
     }
 
@@ -315,7 +316,8 @@ impl ControllerBank {
     }
 
     /// Total TD updates applied across agents (0 for non-RL banks).
-    pub fn rl_updates(&self) -> u64 {
+    #[cfg(test)]
+    fn rl_updates(&self) -> u64 {
         match &self.bank {
             Bank::Rl { agents, .. } => agents.iter().map(|a| a.q_table().updates()).sum(),
             _ => 0,

@@ -241,7 +241,7 @@ impl FuzzCase {
     /// for fault-free cases). Events land anywhere in the run, from the
     /// first pre-training cycle to the end of the injection window, so
     /// every phase of the experiment can be hit by a failure.
-    pub fn hard_fault_schedule(&self) -> Option<HardFaultSchedule> {
+    fn hard_fault_schedule(&self) -> Option<HardFaultSchedule> {
         let (links, routers, seed) = self.hard_faults?;
         let horizon = (self.pretrain_cycles + self.warmup_cycles + self.measure_cycles).max(1);
         Some(HardFaultSchedule::random(

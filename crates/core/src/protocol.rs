@@ -59,7 +59,6 @@ pub struct FaultTolerantProtocol {
     temperatures: Vec<f64>,
     utilizations: Vec<f64>,
     crc: Crc32,
-    hop_transfers: u64,
     // Per-epoch caches: temperature, utilization, variation, and mode
     // change at most once per control epoch, so the VARIUS `exp()` is
     // evaluated on the epoch boundary and every per-flit hop does a
@@ -98,7 +97,6 @@ impl FaultTolerantProtocol {
             temperatures: vec![50.0; n],
             utilizations: vec![0.0; n],
             crc: Crc32::new(),
-            hop_transfers: 0,
             link_p: vec![0.0; n],
             raw_p: vec![0.0; n],
             thresholds: vec![ErrorThreshold::default(); n],
@@ -223,11 +221,6 @@ impl FaultTolerantProtocol {
         &self.raw_p
     }
 
-    /// Total hop transfers processed (diagnostics).
-    pub fn hop_transfers(&self) -> u64 {
-        self.hop_transfers
-    }
-
     /// Total fault events injected so far.
     pub fn faults_injected(&self) -> u64 {
         self.injector.faults_injected()
@@ -244,7 +237,6 @@ impl ErrorControl for FaultTolerantProtocol {
         protected: bool,
         counters: &mut EventCounters,
     ) -> HopOutcome {
-        self.hop_transfers += 1;
         let src = link.src.index();
         let flips = self
             .injector

@@ -43,11 +43,6 @@ impl DecodeOutcome {
             Self::DoubleError => None,
         }
     }
-
-    /// Returns `true` when the decoder had to correct a bit.
-    pub fn was_corrected(self) -> bool {
-        matches!(self, Self::Corrected { .. })
-    }
 }
 
 impl fmt::Display for DecodeOutcome {
@@ -366,20 +361,6 @@ impl Secded64 {
         }
     }
 
-    /// Reconstructs a codeword from raw bits (e.g. after link transmission).
-    ///
-    /// Bits above [`Self::CODE_BITS`] are masked off.
-    pub fn from_raw(bits: u128) -> Self {
-        Self {
-            bits: bits & ((1u128 << Self::CODE_BITS) - 1),
-        }
-    }
-
-    /// Raw codeword bits (bit `i` = codeword position `i`).
-    pub fn as_raw(self) -> u128 {
-        self.bits
-    }
-
     /// Decodes, correcting a single flip and detecting double flips.
     pub fn decode(self) -> DecodeOutcome {
         TABLES_64.decode(self.bits, Self::TOP_POSITION)
@@ -468,18 +449,9 @@ mod tests {
     }
 
     #[test]
-    fn from_raw_masks_out_of_range_bits() {
-        let cw = Secded64::encode(42);
-        let noisy = cw.as_raw() | (1u128 << 100);
-        assert_eq!(Secded64::from_raw(noisy), cw);
-    }
-
-    #[test]
     fn outcome_accessors() {
         assert_eq!(DecodeOutcome::Clean { data: 7 }.data(), Some(7));
         assert_eq!(DecodeOutcome::DoubleError.data(), None);
-        assert!(DecodeOutcome::Corrected { data: 1, bit: 2 }.was_corrected());
-        assert!(!DecodeOutcome::Clean { data: 1 }.was_corrected());
     }
 
     #[test]
@@ -535,13 +507,6 @@ mod prop_tests {
                 cw.with_bit_flipped(a).with_bit_flipped(b).decode(),
                 DecodeOutcome::DoubleError
             );
-        }
-
-        // Transport round-trip: raw bits survive from_raw/as_raw untouched.
-        #[test]
-        fn secded64_raw_round_trip(data: u64) {
-            let cw = Secded64::encode(data);
-            prop_assert_eq!(Secded64::from_raw(cw.as_raw()), cw);
         }
     }
 }

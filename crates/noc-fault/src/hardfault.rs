@@ -120,24 +120,6 @@ pub fn mesh_links(w: u16, h: u16) -> u64 {
     (w - 1) * h + w * (h - 1)
 }
 
-/// Total number of bidirectional links in any zoo member, counted the
-/// same way [`HardFaultSchedule::final_dead_links`] counts casualties:
-/// one per `(node, dir)` pair with `dir` in the canonical half-compass.
-pub fn topo_links(topo: impl Into<Topo>) -> u64 {
-    let topo = topo.into();
-    let mut links = 0u64;
-    for node in topo.nodes() {
-        for &dir in topo.compass() {
-            if matches!(dir, Direction::East | Direction::South | Direction::Down)
-                && topo.neighbor(node, dir).is_some()
-            {
-                links += 1;
-            }
-        }
-    }
-    links
-}
-
 impl HardFaultSchedule {
     /// An empty schedule: the network never loses anything. Translates
     /// to the simulator's no-fault fast path, bit-identical to a run
@@ -288,7 +270,8 @@ impl HardFaultSchedule {
 
     /// Whether the live graph is still one connected component after
     /// every entry has applied (vacuously `true` when everything died).
-    pub fn leaves_connected(&self) -> bool {
+    #[cfg(test)]
+    fn leaves_connected(&self) -> bool {
         let n = self.topo.num_nodes();
         let mut node_dead = vec![false; n];
         let mut link_dead = vec![[false; MAX_PORTS]; n];
@@ -296,31 +279,6 @@ impl HardFaultSchedule {
             apply(&e.fault, &mut node_dead, &mut link_dead, self.topo);
         }
         connected(&node_dead, &link_dead, self.topo)
-    }
-
-    /// Number of distinct bidirectional links dead once every entry has
-    /// applied (router deaths count their incident links).
-    pub fn final_dead_links(&self) -> u64 {
-        let n = self.topo.num_nodes();
-        let mut node_dead = vec![false; n];
-        let mut link_dead = vec![[false; MAX_PORTS]; n];
-        for e in &self.entries {
-            apply(&e.fault, &mut node_dead, &mut link_dead, self.topo);
-        }
-        let mut dead = 0u64;
-        for node in self.topo.nodes() {
-            // Count each link once via its canonical-direction endpoint
-            // (east/south on 2D, plus down between 3D layers).
-            for &dir in self.topo.compass() {
-                if matches!(dir, Direction::East | Direction::South | Direction::Down)
-                    && self.topo.neighbor(node, dir).is_some()
-                    && link_dead[node.index()][dir.index()]
-                {
-                    dead += 1;
-                }
-            }
-        }
-        dead
     }
 
     /// Serializes the schedule to the `rlnoc-hardfault v1` text format.
@@ -893,55 +851,5 @@ mod tests {
         assert_eq!(mesh_links(4, 4), 24);
         assert_eq!(mesh_links(8, 8), 112);
         assert_eq!(mesh_links(3, 2), 7);
-    }
-
-    #[test]
-    fn topo_links_counts_every_zoo_member() {
-        // Mesh agrees with the closed form; torus adds the wrap links
-        // (2·w·h total for a full torus); 3D adds w·h·(d−1) verticals.
-        assert_eq!(topo_links(Mesh::new(4, 4)), mesh_links(4, 4));
-        assert_eq!(topo_links(Torus::new(4, 4)), 32);
-        assert_eq!(topo_links(FoldedTorus::new(4, 4)), 32);
-        assert_eq!(topo_links(Mesh3d::new(4, 4, 2)), 2 * 24 + 16);
-    }
-
-    #[test]
-    fn final_dead_links_counts_each_link_once() {
-        let s = HardFaultSchedule::explicit(
-            Mesh::new(4, 4),
-            vec![
-                HardFaultEntry {
-                    cycle: 1,
-                    fault: HardFault::Link {
-                        node: 5,
-                        dir: Direction::East,
-                    },
-                },
-                HardFaultEntry {
-                    cycle: 2,
-                    // Router 5 dies later: its East link is already dead,
-                    // the remaining three are fresh casualties.
-                    fault: HardFault::Router { node: 5 },
-                },
-            ],
-        );
-        assert_eq!(s.final_dead_links(), 4);
-    }
-
-    #[test]
-    fn final_dead_links_counts_torus_wrap_links() {
-        // Node 0's West link on a 4-wide torus is the wrap link to
-        // node 3; killing it must register exactly one dead link.
-        let s = HardFaultSchedule::explicit(
-            Torus::new(4, 4),
-            vec![HardFaultEntry {
-                cycle: 1,
-                fault: HardFault::Link {
-                    node: 0,
-                    dir: Direction::West,
-                },
-            }],
-        );
-        assert_eq!(s.final_dead_links(), 1);
     }
 }

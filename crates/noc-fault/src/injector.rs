@@ -43,7 +43,6 @@ pub use rand::BernoulliThreshold as ErrorThreshold;
 pub struct FaultInjector {
     rng: SmallRng,
     faults_injected: u64,
-    bits_flipped: u64,
 }
 
 impl FaultInjector {
@@ -52,7 +51,6 @@ impl FaultInjector {
         Self {
             rng: SmallRng::seed_from_u64(seed),
             faults_injected: 0,
-            bits_flipped: 0,
         }
     }
 
@@ -77,7 +75,6 @@ impl FaultInjector {
         }
         let flips = model.flips_for_draw(self.rng.gen_range(0.0..1.0));
         self.faults_injected += 1;
-        self.bits_flipped += u64::from(flips);
         flips
     }
 
@@ -126,11 +123,6 @@ impl FaultInjector {
     pub fn faults_injected(&self) -> u64 {
         self.faults_injected
     }
-
-    /// Total bits flipped so far.
-    pub fn bits_flipped(&self) -> u64 {
-        self.bits_flipped
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +137,6 @@ mod tests {
             assert_eq!(inj.sample_flips(&model, 0.0), 0);
         }
         assert_eq!(inj.faults_injected(), 0);
-        assert_eq!(inj.bits_flipped(), 0);
     }
 
     #[test]
@@ -238,7 +229,6 @@ mod tests {
                 );
             }
             assert_eq!(a.faults_injected(), b.faults_injected());
-            assert_eq!(a.bits_flipped(), b.bits_flipped());
             // Streams are still in lockstep after the sweep.
             assert_eq!(a.pick_bits(3, 128), b.pick_bits(3, 128));
         }

@@ -168,7 +168,8 @@ impl ThermalModel {
 
     /// The steady-state temperature of an isolated tile burning `power`
     /// watts (ignoring lateral flow) — useful for calibration checks.
-    pub fn isolated_steady_state(&self, power: f64) -> f64 {
+    #[cfg(test)]
+    fn isolated_steady_state(&self, power: f64) -> f64 {
         self.params.ambient_c + power * self.params.r_vertical
     }
 

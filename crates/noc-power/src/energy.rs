@@ -174,11 +174,6 @@ impl EnergyModel {
         }
         w
     }
-
-    /// Static energy over `cycles` at clock `frequency_hz`.
-    pub fn static_energy(&self, config: &StaticConfig, cycles: u64, frequency_hz: f64) -> f64 {
-        self.static_power(config) * cycles as f64 / frequency_hz
-    }
 }
 
 #[cfg(test)]
@@ -258,15 +253,6 @@ mod tests {
             ..StaticConfig::rl_router()
         });
         assert!(gated < rl);
-    }
-
-    #[test]
-    fn static_energy_scales_with_time() {
-        let m = EnergyModel::default();
-        let cfg = StaticConfig::crc_router();
-        let e1 = m.static_energy(&cfg, 1000, 2.0e9);
-        let e2 = m.static_energy(&cfg, 2000, 2.0e9);
-        assert!((e2 / e1 - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -90,6 +90,7 @@ pub struct QLearningAgent {
     rng: SmallRng,
     step: u64,
     last: Option<(usize, usize)>,
+    /// Actions drawn at random rather than greedily (the tests read it).
     exploration_moves: u64,
     learning: bool,
     td_timer: TimerHandle,
@@ -159,11 +160,6 @@ impl QLearningAgent {
     /// Control epochs observed so far.
     pub fn steps(&self) -> u64 {
         self.step
-    }
-
-    /// How many actions were exploratory (random) rather than greedy.
-    pub fn exploration_moves(&self) -> u64 {
-        self.exploration_moves
     }
 
     /// Whether learning updates are applied (disabled for frozen-policy
@@ -406,7 +402,7 @@ mod tests {
         for _ in 0..100 {
             last = a.observe_and_act(0, if last == 0 { 1.0 } else { 0.0 });
         }
-        assert_eq!(a.exploration_moves(), 0);
+        assert_eq!(a.exploration_moves, 0);
     }
 
     #[test]
@@ -423,7 +419,7 @@ mod tests {
         for _ in 0..50 {
             a.observe_and_act(0, 0.0);
         }
-        assert_eq!(a.exploration_moves(), 50);
+        assert_eq!(a.exploration_moves, 50);
     }
 
     #[test]
@@ -521,12 +517,12 @@ mod tests {
         a.observe_and_act(1, 2.0);
         a.freeze();
         let snapshot = a.q_table().clone();
-        let explorations = a.exploration_moves();
+        let explorations = a.exploration_moves;
         for _ in 0..200 {
             a.observe_and_act(1, 5.0);
         }
         assert_eq!(a.q_table(), &snapshot, "frozen agent must not learn");
-        assert_eq!(a.exploration_moves(), explorations, "nor explore");
+        assert_eq!(a.exploration_moves, explorations, "nor explore");
         assert_eq!(a.current_epsilon(), 0.0);
     }
 

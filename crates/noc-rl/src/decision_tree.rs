@@ -96,14 +96,6 @@ impl DecisionTree {
         self.nodes.len()
     }
 
-    /// Number of leaves.
-    pub fn num_leaves(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
-            .count()
-    }
-
     /// Predicts the target for one feature vector.
     ///
     /// # Panics
@@ -263,9 +255,8 @@ mod tests {
                 ..TreeParams::default()
             },
         );
-        // Depth-2 binary tree has at most 7 nodes.
+        // Depth-2 binary tree has at most 7 nodes (so at most 4 leaves).
         assert!(shallow.num_nodes() <= 7);
-        assert!(shallow.num_leaves() <= 4);
     }
 
     #[test]

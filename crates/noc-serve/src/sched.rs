@@ -133,7 +133,8 @@ impl<T> FairScheduler<T> {
 
     /// Non-blocking [`pop`](Self::pop): `None` when idle, paused, or
     /// stopped.
-    pub fn try_pop(&self) -> Option<(String, T)> {
+    #[cfg(test)]
+    fn try_pop(&self) -> Option<(String, T)> {
         let mut inner = self.inner.lock().expect("scheduler lock");
         if inner.stopped || inner.paused {
             return None;

@@ -93,7 +93,7 @@ impl CampaignState {
     }
 
     /// `true` once no further task of the campaign will execute.
-    pub fn is_final(self) -> bool {
+    fn is_final(self) -> bool {
         matches!(self, Self::Done | Self::Cancelled | Self::Failed)
     }
 }

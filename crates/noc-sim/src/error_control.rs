@@ -197,39 +197,24 @@ impl<E: ErrorControl + ?Sized> ErrorControl for Box<E> {
 }
 
 /// A deterministic, scriptable [`ErrorControl`] for exercising the
-/// ARQ/NACK machinery in tests and examples.
+/// ARQ/NACK machinery in tests.
 ///
 /// Every inter-router link runs hop ARQ. Protected transfer number `n`
 /// (counting from 1, globally) is rejected iff `reject_every` divides
 /// `n`. Payloads are never corrupted.
-///
-/// # Example
-///
-/// ```
-/// use noc_sim::config::NocConfig;
-/// use noc_sim::error_control::ScriptedErrorControl;
-/// use noc_sim::network::Network;
-///
-/// // Reject every 5th transfer: heavy but fully recoverable.
-/// let config = NocConfig::builder().mesh(4, 4).build();
-/// let mut net = Network::new(config, ScriptedErrorControl::reject_every(5), 1);
-/// let mesh = net.mesh();
-/// net.offer(mesh.node_at(0, 0), mesh.node_at(3, 3));
-/// assert!(net.run_until_quiescent(2_000));
-/// assert_eq!(net.stats().packets_delivered, 1);
-/// assert!(net.stats().hop_nacks > 0);
-/// ```
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct ScriptedErrorControl {
+pub(crate) struct ScriptedErrorControl {
     reject_every: u64,
     transfers: u64,
     tx_delay: u32,
     pre_retransmit: bool,
 }
 
+#[cfg(test)]
 impl ScriptedErrorControl {
     /// Rejects every `n`-th protected transfer (`n == 0` never rejects).
-    pub fn reject_every(n: u64) -> Self {
+    pub(crate) fn reject_every(n: u64) -> Self {
         Self {
             reject_every: n,
             transfers: 0,
@@ -239,28 +224,24 @@ impl ScriptedErrorControl {
     }
 
     /// ARQ links that never reject.
-    pub fn reliable() -> Self {
+    pub(crate) fn reliable() -> Self {
         Self::reject_every(0)
     }
 
     /// Adds a per-transmission stall (operation-mode-3-style).
-    pub fn with_tx_delay(mut self, cycles: u32) -> Self {
+    pub(crate) fn with_tx_delay(mut self, cycles: u32) -> Self {
         self.tx_delay = cycles;
         self
     }
 
     /// Enables proactive duplicates (operation-mode-2-style).
-    pub fn with_pre_retransmit(mut self, enabled: bool) -> Self {
+    pub(crate) fn with_pre_retransmit(mut self, enabled: bool) -> Self {
         self.pre_retransmit = enabled;
         self
     }
-
-    /// Protected transfers processed so far.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
 }
 
+#[cfg(test)]
 impl ErrorControl for ScriptedErrorControl {
     fn hop_transfer(
         &mut self,
@@ -373,5 +354,19 @@ mod tests {
             HopOutcome::Delivered
         );
         assert_eq!(boxed.tx_delay(link), 0);
+    }
+
+    #[test]
+    fn scripted_rejects_are_recovered_by_hop_arq() {
+        use crate::config::NocConfig;
+        use crate::network::Network;
+        // Reject every 5th transfer: heavy but fully recoverable.
+        let config = NocConfig::builder().mesh(4, 4).build();
+        let mut net = Network::new(config, ScriptedErrorControl::reject_every(5), 1);
+        let mesh = net.mesh();
+        net.offer(mesh.node_at(0, 0), mesh.node_at(3, 3));
+        assert!(net.run_until_quiescent(2_000));
+        assert_eq!(net.stats().packets_delivered, 1);
+        assert!(net.stats().hop_nacks > 0);
     }
 }

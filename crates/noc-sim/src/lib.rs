@@ -67,9 +67,7 @@ pub mod traffic;
 mod worklist;
 
 pub use config::NocConfig;
-pub use error_control::{
-    EjectOutcome, ErrorControl, HopOutcome, PerfectLink, ScriptedErrorControl, TransferKind,
-};
+pub use error_control::{EjectOutcome, ErrorControl, HopOutcome, PerfectLink, TransferKind};
 pub use flit::{Flit, FlitKind, Packet, PacketClass, PacketId};
 pub use network::Network;
 pub use stats::{EventCounters, LatencyStats, NetworkStats, RouterEpochStats};

@@ -360,7 +360,7 @@ impl<E: ErrorControl> Network<E> {
 
     /// `true` once at least one hard-fault event has been applied (the
     /// network is routing up*/down*).
-    pub fn hard_faults_active(&self) -> bool {
+    pub(crate) fn hard_faults_active(&self) -> bool {
         self.faults.as_ref().is_some_and(|f| f.next_event > 0)
     }
 

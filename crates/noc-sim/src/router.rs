@@ -733,7 +733,9 @@ mod tests {
             panic!("requester must be granted");
         };
         assert!(
-            VcClass::Lo.admits(out_vc as usize, config.vcs_per_port),
+            VcClass::Lo
+                .vc_range(config.vcs_per_port)
+                .contains(&(out_vc as usize)),
             "Lo-class hop got VC {out_vc} outside the low half"
         );
         // Exhaust the low half (VCs 0..2 of 4): a further Lo requester
@@ -761,7 +763,9 @@ mod tests {
             panic!("Hi requester must be granted");
         };
         assert_eq!(out_port, Direction::West, "3→2 is one hop west, no wrap");
-        assert!(VcClass::Hi.admits(out_vc as usize, config.vcs_per_port));
+        assert!(VcClass::Hi
+            .vc_range(config.vcs_per_port)
+            .contains(&(out_vc as usize)));
     }
 
     #[test]

@@ -62,10 +62,10 @@ pub fn min_route(topo: impl Into<Topo>, current: NodeId, dst: NodeId) -> (Direct
 /// Enumerates the routers a dimension-order-routed packet visits from
 /// `src` to `dst`, inclusive of both endpoints.
 ///
-/// Used by the reward function, which attributes a delivered packet's
-/// end-to-end latency to every router on its path. (The name reflects
-/// the 2D mesh's X-Y order; tori and the 3D mesh walk their own
-/// dimension order.)
+/// A reference walk for the routing tests; the network's own latency
+/// attribution walks its `Routes` table. (The name reflects the 2D
+/// mesh's X-Y order; tori and the 3D mesh walk their own dimension
+/// order.)
 pub fn xy_path(topo: impl Into<Topo>, src: NodeId, dst: NodeId) -> Vec<NodeId> {
     let topo = topo.into();
     let mut path = Vec::with_capacity(topo.hop_distance(src, dst) as usize + 1);

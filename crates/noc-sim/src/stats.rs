@@ -117,19 +117,6 @@ impl LatencyStats {
         self.max
     }
 
-    /// Merges another distribution into this one.
-    pub fn merge(&mut self, other: &LatencyStats) {
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        for (a, b) in self.histogram.iter_mut().zip(&other.histogram) {
-            *a += b;
-        }
-    }
-
     /// The raw histogram buckets.
     pub fn histogram(&self) -> &[u64] {
         &self.histogram
@@ -398,23 +385,6 @@ mod tests {
         }
         assert!(s.percentile(0.5) <= s.percentile(0.9));
         assert!(s.percentile(0.9) <= s.percentile(1.0).max(s.max()));
-    }
-
-    #[test]
-    fn latency_merge_matches_combined_recording() {
-        let mut a = LatencyStats::new();
-        let mut b = LatencyStats::new();
-        let mut both = LatencyStats::new();
-        for v in [1u64, 9, 17, 300] {
-            a.record(v);
-            both.record(v);
-        }
-        for v in [2u64, 8, 1000] {
-            b.record(v);
-            both.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, both);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub const CSV_HEADER: &str =
     "run,phase,epoch,router,utilization,nack_rate,temperature_c,mode,reward,epsilon,max_q_delta";
 
 /// Formats an `f64` as a JSON value (`null` for non-finite inputs).
-pub fn json_f64(v: f64) -> String {
+fn json_f64(v: f64) -> String {
     if v.is_finite() {
         let mut s = format!("{v}");
         // `Display` omits the fraction for integral floats; keep the
@@ -64,7 +64,7 @@ pub fn json_escape(s: &str) -> String {
 /// Shared by [`write_jsonl`] and streaming sinks — `rlnoc-serve`
 /// forwards these lines to watch subscribers as telemetry frames, so a
 /// streamed summary is byte-identical to the exported one.
-pub fn run_summary_jsonl(run: &RunSummary) -> String {
+fn run_summary_jsonl(run: &RunSummary) -> String {
     format!(
         "{{\"type\":\"run\",\"label\":\"{}\",\"wall_seconds\":{},\"cycles\":{},\"cycles_per_sec\":{}}}",
         json_escape(&run.label),
@@ -79,7 +79,7 @@ pub fn run_summary_jsonl(run: &RunSummary) -> String {
 ///
 /// Shared by [`write_jsonl`] and streaming sinks, so a streamed epoch
 /// record is byte-identical to the exported one.
-pub fn epoch_record_jsonl(run_label: &str, rec: &EpochRecord) -> String {
+fn epoch_record_jsonl(run_label: &str, rec: &EpochRecord) -> String {
     format!(
         "{{\"type\":\"epoch\",\"run\":\"{}\",\"phase\":\"{}\",\"epoch\":{},\"router\":{},\"utilization\":{},\"nack_rate\":{},\"temperature_c\":{},\"mode\":{},\"reward\":{},\"epsilon\":{},\"max_q_delta\":{}}}",
         json_escape(run_label),
@@ -152,7 +152,7 @@ pub fn write_jsonl<W: Write>(telemetry: &Telemetry, mut w: W) -> io::Result<()> 
 }
 
 /// Writes the epoch series as CSV with the [`CSV_HEADER`] columns.
-pub fn write_csv<W: Write>(telemetry: &Telemetry, mut w: W) -> io::Result<()> {
+fn write_csv<W: Write>(telemetry: &Telemetry, mut w: W) -> io::Result<()> {
     let Some(view) = telemetry.export_view() else {
         return Ok(());
     };

@@ -249,12 +249,6 @@ impl VcClass {
             VcClass::Hi => v / 2..v,
         }
     }
-
-    /// Whether `vc` is admissible for this class.
-    #[inline]
-    pub fn admits(self, vc: usize, vcs_per_port: u8) -> bool {
-        self.vc_range(vcs_per_port).contains(&vc)
-    }
 }
 
 /// The behavior every network shape must provide: node enumeration,
@@ -1670,8 +1664,8 @@ mod tests {
             assert_eq!(hi.end, v as usize);
             assert!(!lo.is_empty() && !hi.is_empty(), "v={v}");
             for vc in 0..v as usize {
-                assert!(VcClass::Any.admits(vc, v));
-                assert_eq!(VcClass::Lo.admits(vc, v), !VcClass::Hi.admits(vc, v));
+                assert!(VcClass::Any.vc_range(v).contains(&vc));
+                assert_eq!(lo.contains(&vc), !hi.contains(&vc));
             }
         }
     }
