@@ -22,9 +22,9 @@ use crate::protocol::FaultTolerantProtocol;
 use noc_fault::timing::TimingErrorModel;
 use noc_fault::variation::VariationMap;
 use noc_sim::config::NocConfig;
-use noc_sim::network::{HardFaultEvent, Network};
+use noc_sim::network::Network;
 use noc_sim::stats::{EventCounters, NetworkStats, RouterEpochStats};
-use noc_sim::topology::NodeId;
+use noc_sim::topology::{HardFaultEntry, NodeId};
 use rlnoc_telemetry::Telemetry;
 
 /// A cycle-accurate data-plane implementation the experiment runner can
@@ -48,10 +48,10 @@ pub trait SimBackend {
     fn set_telemetry(&mut self, telemetry: &Telemetry);
 
     /// Installs a permanent hard-fault schedule before the first step.
-    /// Each event must take effect at the start of its cycle's `step`,
+    /// Each entry must take effect at the start of its cycle's `step`,
     /// before event processing; an empty schedule must leave the
     /// backend exactly on its zero-fault path.
-    fn set_hard_faults(&mut self, events: Vec<HardFaultEvent>);
+    fn set_hard_faults(&mut self, entries: Vec<HardFaultEntry>);
 
     /// Current simulation cycle.
     fn cycle(&self) -> u64;
@@ -126,8 +126,8 @@ impl SimBackend for Network<FaultTolerantProtocol> {
         Network::set_telemetry(self, telemetry);
     }
 
-    fn set_hard_faults(&mut self, events: Vec<HardFaultEvent>) {
-        Network::set_hard_faults(self, events);
+    fn set_hard_faults(&mut self, entries: Vec<HardFaultEntry>) {
+        Network::set_hard_faults(self, entries);
     }
 
     fn cycle(&self) -> u64 {

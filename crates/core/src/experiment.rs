@@ -21,16 +21,16 @@ use crate::benchmarks::WorkloadProfile;
 use crate::controller::{ControllerBank, DtSample, DtThresholds};
 use crate::modes::OperationMode;
 use crate::protocol::FaultTolerantProtocol;
-use noc_fault::hardfault::{HardFault, HardFaultSchedule};
+use noc_fault::hardfault::{DeadSet, HardFaultSchedule};
 use noc_fault::thermal::{ThermalModel, ThermalParams};
 use noc_fault::timing::{TimingErrorModel, TimingErrorParams};
 use noc_fault::variation::VariationMap;
 use noc_power::energy::{EnergyModel, StaticConfig};
 use noc_rl::state::RouterFeatures;
 use noc_sim::config::NocConfig;
-use noc_sim::network::{HardFaultEvent, HardFaultKind, Network};
+use noc_sim::network::Network;
 use noc_sim::stats::EventCounters;
-use noc_sim::topology::Direction;
+use noc_sim::topology::NodeId;
 use noc_sim::traffic::{SyntheticSource, TrafficPattern, TrafficSource};
 use rlnoc_telemetry::{EpochRecord, Phase, RunId, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -507,27 +507,6 @@ impl ExperimentReport {
 
 // ---------------------------------------------------------------------------
 
-/// Translates a validated [`HardFaultSchedule`] into the simulator's
-/// event representation.
-fn hard_fault_events(schedule: &HardFaultSchedule) -> Vec<HardFaultEvent> {
-    schedule
-        .entries
-        .iter()
-        .map(|e| HardFaultEvent {
-            cycle: e.cycle,
-            kind: match e.fault {
-                HardFault::Link { node, dir } => HardFaultKind::Link {
-                    node: noc_sim::topology::NodeId(node),
-                    dir,
-                },
-                HardFault::Router { node } => HardFaultKind::Router {
-                    node: noc_sim::topology::NodeId(node),
-                },
-            },
-        })
-        .collect()
-}
-
 /// Internal run state, generic over the data-plane kernel (see
 /// [`SimBackend`]).
 struct Runner<B: SimBackend> {
@@ -552,6 +531,10 @@ struct Runner<B: SimBackend> {
     epoch_rewards: Vec<f64>,
     epoch_tile_powers: Vec<f64>,
     epoch_utilizations: Vec<f64>,
+    /// What the hard-fault schedule has killed as of the last control
+    /// epoch, and how many of its entries that is; `None` without a
+    /// schedule.
+    schedule_dead: Option<(DeadSet, usize)>,
     telemetry: Telemetry,
     run_id: RunId,
     phase: Phase,
@@ -621,6 +604,10 @@ impl<B: SimBackend> Runner<B> {
             _ => OperationMode::Mode0,
         };
         let telemetry = cfg.telemetry.clone();
+        let schedule_dead = cfg
+            .hard_faults
+            .as_ref()
+            .map(|_| (DeadSet::new(cfg.noc.mesh), 0));
         let mut runner = Self {
             cfg,
             net,
@@ -640,6 +627,7 @@ impl<B: SimBackend> Runner<B> {
             epoch_rewards: Vec::with_capacity(n),
             epoch_tile_powers: Vec::with_capacity(n),
             epoch_utilizations: Vec::with_capacity(n),
+            schedule_dead,
             telemetry,
             run_id: RunId::DISABLED,
             phase: Phase::Measure,
@@ -648,7 +636,7 @@ impl<B: SimBackend> Runner<B> {
         runner.controllers.set_telemetry(&runner.telemetry);
         runner.net.set_all_modes(initial_mode);
         if let Some(schedule) = &runner.cfg.hard_faults {
-            runner.net.set_hard_faults(hard_fault_events(schedule));
+            runner.net.set_hard_faults(schedule.entries.clone());
         }
         runner
     }
@@ -883,76 +871,33 @@ impl<B: SimBackend> Runner<B> {
         self.max_temp = 0.0;
     }
 
-    /// Per-router local hard-fault degree at the current cycle: the
-    /// fraction of each router's existing compass links that have
-    /// permanently failed (`1.0` for a dead router), or `None` without a
-    /// schedule. Computed from the *schedule* — not queried from the
-    /// backend — so the production and reference data planes feed the
-    /// controllers byte-identical features by construction. An event
-    /// applies at the start of its cycle's step, so after stepping
-    /// cycle `c` every event with `cycle <= c` (strictly `< cycle()`)
-    /// is in force.
-    fn fault_degrees(&self) -> Option<Vec<f64>> {
-        let schedule = self.cfg.hard_faults.as_ref()?;
-        let now = self.net.cycle();
-        let mesh = self.cfg.noc.mesh;
-        let n = mesh.num_nodes();
-        let mut node_dead = vec![false; n];
-        let mut link_dead = vec![[false; noc_sim::topology::MAX_PORTS]; n];
-        let kill_link = |link_dead: &mut Vec<[bool; noc_sim::topology::MAX_PORTS]>,
-                         node: usize,
-                         dir: Direction| {
-            if let Some(peer) = mesh.neighbor(noc_sim::topology::NodeId(node as u16), dir) {
-                link_dead[node][dir.index()] = true;
-                link_dead[peer.index()][dir.opposite().index()] = true;
-            }
+    /// Advances [`Runner::schedule_dead`] to the current cycle. The
+    /// controllers' fault degrees come from the *schedule* — not from
+    /// the backend — so the production and reference data planes feed
+    /// them byte-identical features by construction. An entry applies
+    /// at the start of its cycle's step, so after stepping cycle `c`
+    /// every entry with `cycle <= c` (strictly `< cycle()`) is in force.
+    fn advance_schedule_dead(&mut self) {
+        let (Some(schedule), Some((dead, applied))) =
+            (&self.cfg.hard_faults, &mut self.schedule_dead)
+        else {
+            return;
         };
-        for e in schedule.entries.iter().take_while(|e| e.cycle < now) {
-            match e.fault {
-                HardFault::Link { node, dir } => {
-                    kill_link(&mut link_dead, usize::from(node), dir);
-                }
-                HardFault::Router { node } => {
-                    let node = usize::from(node);
-                    node_dead[node] = true;
-                    for &dir in mesh.compass() {
-                        kill_link(&mut link_dead, node, dir);
-                    }
-                }
-            }
+        let now = self.net.cycle();
+        for e in schedule.entries[*applied..]
+            .iter()
+            .take_while(|e| e.cycle < now)
+        {
+            dead.apply(e.fault);
+            *applied += 1;
         }
-        let degrees = (0..n)
-            .map(|i| {
-                if node_dead[i] {
-                    return 1.0;
-                }
-                let mut existing = 0u32;
-                let mut dead = 0u32;
-                for &dir in mesh.compass() {
-                    if mesh
-                        .neighbor(noc_sim::topology::NodeId(i as u16), dir)
-                        .is_some()
-                    {
-                        existing += 1;
-                        if link_dead[i][dir.index()] {
-                            dead += 1;
-                        }
-                    }
-                }
-                if existing == 0 {
-                    0.0
-                } else {
-                    f64::from(dead) / f64::from(existing)
-                }
-            })
-            .collect();
-        Some(degrees)
     }
 
     /// The per-epoch control loop: features → reward → mode decision →
     /// thermal step → energy accounting.
     fn control_epoch(&mut self, pretrain: bool) {
         let n = self.cfg.noc.mesh.num_nodes();
+        self.advance_schedule_dead();
         self.net.finish_epoch();
         let epoch_stats = self.net.epoch_stats();
         let elapsed = epoch_stats[0].cycles;
@@ -971,7 +916,6 @@ impl<B: SimBackend> Runner<B> {
         rewards.clear();
         tile_powers.clear();
         utilizations.clear();
-        let fault_degrees = self.fault_degrees();
         {
             let counters = self.net.counters();
             for i in 0..n {
@@ -983,7 +927,10 @@ impl<B: SimBackend> Runner<B> {
                     input_nack_rate: es.input_nack_rate(),
                     output_nack_rate: es.output_nack_rate(),
                     temperature_c: self.thermal.temperature(i),
-                    fault_degree: fault_degrees.as_ref().map_or(0.0, |d| d[i]),
+                    fault_degree: self
+                        .schedule_dead
+                        .as_ref()
+                        .map_or(0.0, |(dead, _)| dead.degree(NodeId(i as u16))),
                 };
                 let dyn_e = self.energy.dynamic_energy(&counters[i])
                     - self.energy.dynamic_energy(&self.last_counters[i]);
@@ -1149,6 +1096,48 @@ mod tests {
             );
         }
         assert_eq!(runner.net.cycle() % EPOCH, 0);
+    }
+
+    #[test]
+    fn fault_degree_feature_matches_the_data_planes_dead_set() {
+        // The feature follows the schedule; the network applies the same
+        // schedule on its own. At every control epoch the two must agree
+        // on every router.
+        const EPOCH: u64 = 16;
+        let topo = noc_sim::topology::Topo::torus(4, 4);
+        let schedule = HardFaultSchedule::random(topo, 8, 1, (3, 300), 17);
+        let cfg = Experiment::builder()
+            .scheme(ErrorControlScheme::StaticArqEcc)
+            .noc(NocConfig::builder().topology(topo).build())
+            .epoch_cycles(EPOCH)
+            .hard_faults(std::sync::Arc::new(schedule))
+            .seed(3)
+            .build()
+            .expect("valid test configuration")
+            .cfg;
+        let mut runner = Runner::<Network<FaultTolerantProtocol>>::new(cfg);
+        let mut source = SyntheticSource::new(topo, TrafficPattern::UniformRandom, 0.02, 4);
+        let (mut saw_dead_router, mut saw_partial) = (false, false);
+        for _ in 0..24 {
+            runner.drive(EPOCH, &mut source, false);
+            for node in topo.nodes() {
+                let want = if runner.net.node_dead(node) {
+                    saw_dead_router = true;
+                    1.0
+                } else {
+                    let ports = topo
+                        .compass()
+                        .iter()
+                        .filter(|&&d| topo.neighbor(node, d).is_some());
+                    let dead = ports.clone().filter(|&&d| runner.net.link_dead(node, d));
+                    dead.count() as f64 / ports.count() as f64
+                };
+                saw_partial |= want > 0.0 && want < 1.0;
+                let got = runner.epoch_features[node.index()].fault_degree;
+                assert_eq!(got, want, "router {node} at cycle {}", runner.net.cycle());
+            }
+        }
+        assert!(saw_dead_router && saw_partial, "the schedule must bite");
     }
 
     #[test]

@@ -530,59 +530,66 @@ impl ExperimentReport {
     /// so even a 1-ulp drift is a divergence worth naming.
     pub fn diff(&self, other: &ExperimentReport) -> Vec<FieldDiff> {
         let mut diffs = Vec::new();
-        macro_rules! cmp {
-            ($field:ident) => {
-                if self.$field != other.$field {
+        // `compare!` destructures the report without `..`, so a field
+        // added to it does not build until it is listed here; `eq`
+        // fields compare with `!=`, `bits` fields by bit pattern.
+        macro_rules! compare {
+            ($($how:ident $field:ident),+ $(,)?) => {
+                let ExperimentReport { $($field),+ } = self;
+                $(compare!(@$how $field);)+
+            };
+            (@eq $field:ident) => {
+                if *$field != other.$field {
                     diffs.push(FieldDiff {
                         field: stringify!($field),
-                        a: format!("{:?}", self.$field),
+                        a: format!("{:?}", $field),
                         b: format!("{:?}", other.$field),
                     });
                 }
             };
-        }
-        macro_rules! cmp_f64 {
-            ($field:ident) => {
-                if self.$field.to_bits() != other.$field.to_bits() {
+            (@bits $field:ident) => {
+                if $field.to_bits() != other.$field.to_bits() {
                     diffs.push(FieldDiff {
                         field: stringify!($field),
-                        a: format!("{:?} ({:016x})", self.$field, self.$field.to_bits()),
+                        a: format!("{:?} ({:016x})", $field, $field.to_bits()),
                         b: format!("{:?} ({:016x})", other.$field, other.$field.to_bits()),
                     });
                 }
             };
         }
-        cmp!(scheme);
-        cmp!(workload);
-        cmp!(seed);
-        cmp_f64!(frequency_hz);
-        cmp!(packets_injected);
-        cmp!(packets_delivered);
-        cmp!(flits_delivered);
-        cmp_f64!(avg_latency_cycles);
-        cmp!(p99_latency_cycles);
-        cmp!(execution_cycles);
-        cmp!(drained);
-        cmp!(packet_retransmissions);
-        cmp!(flit_retransmissions);
-        cmp_f64!(retransmitted_packets_equiv);
-        cmp!(hop_nacks);
-        cmp!(ecc_corrections);
-        cmp!(crc_failures);
-        cmp!(control_packets);
-        cmp!(pre_retransmit_hits);
-        cmp!(silent_corruptions);
-        cmp_f64!(dynamic_energy_j);
-        cmp_f64!(static_energy_j);
-        cmp_f64!(control_energy_j);
-        cmp!(mode_histogram);
-        cmp_f64!(mean_temperature_c);
-        cmp_f64!(max_temperature_c);
-        cmp!(hard_fault_events);
-        cmp!(reroute_events);
-        cmp!(packets_lost_hard_fault);
-        cmp!(packets_refused_unreachable);
-        cmp!(unreachable_pairs);
+        compare!(
+            eq scheme,
+            eq workload,
+            eq seed,
+            bits frequency_hz,
+            eq packets_injected,
+            eq packets_delivered,
+            eq flits_delivered,
+            bits avg_latency_cycles,
+            eq p99_latency_cycles,
+            eq execution_cycles,
+            eq drained,
+            eq packet_retransmissions,
+            eq flit_retransmissions,
+            bits retransmitted_packets_equiv,
+            eq hop_nacks,
+            eq ecc_corrections,
+            eq crc_failures,
+            eq control_packets,
+            eq pre_retransmit_hits,
+            eq silent_corruptions,
+            bits dynamic_energy_j,
+            bits static_energy_j,
+            bits control_energy_j,
+            eq mode_histogram,
+            bits mean_temperature_c,
+            bits max_temperature_c,
+            eq hard_fault_events,
+            eq reroute_events,
+            eq packets_lost_hard_fault,
+            eq packets_refused_unreachable,
+            eq unreachable_pairs,
+        );
         diffs
     }
 }

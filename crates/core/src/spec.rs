@@ -538,6 +538,28 @@ mod tests {
     }
 
     #[test]
+    fn noc_debug_text_in_the_fingerprint_is_pinned() {
+        // The fingerprint hashes `NocConfig`'s derived `Debug` text, which
+        // embeds `Topo`'s. A field added to either, or a changed `Debug`
+        // form of a zoo member, re-keys these ids.
+        let zoo = [
+            ("torus:4x4", "c-08f7199a1d4e7234"),
+            ("ftorus:4x4", "c-17e462fa5846821a"),
+            ("3d:4x4x2", "c-4daf6b8e2ad5efb0"),
+        ];
+        for (topo, id) in zoo {
+            let spec = CampaignSpec {
+                topo: Topo::parse(topo).unwrap(),
+                ..CampaignSpec::quick(7)
+            };
+            assert_eq!(spec.campaign_id().unwrap(), id, "{topo}");
+        }
+        let mut deep = Campaign::quick();
+        deep.noc = NocConfig::builder().mesh(4, 4).vc_depth(8).build();
+        assert_eq!(deep.fingerprint(), 0x76fe_0e16_a61c_f08c);
+    }
+
+    #[test]
     fn distinct_seeds_give_distinct_ids() {
         let a = CampaignSpec::tiny(1).campaign_id().unwrap();
         let b = CampaignSpec::tiny(2).campaign_id().unwrap();

@@ -9,11 +9,14 @@
 //! than partition loss).
 //!
 //! The schedule is a plain description — `(cycle, node, direction)`
-//! triples over a [`Topo`] from the topology zoo — so this crate stays
-//! free of any simulator dependency; the simulation layer translates
-//! entries into its own event type. Directions use the workspace-wide
-//! [`Direction`] compass (N/E/S/W on 2D members, plus U/D on stacked 3D
-//! meshes) over row-major node ids.
+//! triples over a [`Topo`] from the topology zoo. Its entry type,
+//! [`HardFaultEntry`], and the [`DeadSet`] that says what a prefix of
+//! entries has killed live in `noc-topo` and are re-exported here, so
+//! this crate, the simulator and the experiment runner share one
+//! hard-fault vocabulary without depending on one another: the
+//! simulator installs the entries as they are. Directions use the
+//! workspace-wide [`Direction`] compass (N/E/S/W on 2D members, plus
+//! U/D on stacked 3D meshes) over row-major node ids.
 //!
 //! ## Schedule-file format (`rlnoc-hardfault v1`)
 //!
@@ -39,6 +42,7 @@
 //! single-bit flip is rejected.
 
 use noc_coding::textfmt::{self, Lines, TextError, Trailer};
+pub use noc_topo::{DeadSet, HardFault, HardFaultEntry};
 use noc_topo::{Direction, NodeId, Topo, MAX_PORTS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -57,33 +61,6 @@ fn letter_dir(s: &str) -> Option<Direction> {
         "D" => Direction::Down,
         _ => return None,
     })
-}
-
-/// One permanent failure: a single link channel pair or a whole router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum HardFault {
-    /// The bidirectional link leaving `node` in compass direction
-    /// `dir`. Both channel directions die.
-    Link {
-        /// Row-major node id of one endpoint.
-        node: u16,
-        /// Compass direction toward the other endpoint.
-        dir: Direction,
-    },
-    /// The whole router: the node and every link touching it.
-    Router {
-        /// Row-major node id.
-        node: u16,
-    },
-}
-
-/// A [`HardFault`] stamped with the cycle at which it takes effect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct HardFaultEntry {
-    /// Simulation cycle at which the fault becomes permanent.
-    pub cycle: u64,
-    /// What fails.
-    pub fault: HardFault,
 }
 
 /// A deterministic schedule of permanent link/router failures on a
@@ -121,8 +98,8 @@ pub fn mesh_links(w: u16, h: u16) -> u64 {
 }
 
 impl HardFaultSchedule {
-    /// An empty schedule: the network never loses anything. Translates
-    /// to the simulator's no-fault fast path, bit-identical to a run
+    /// An empty schedule: the network never loses anything. It leaves
+    /// the simulator on its no-fault fast path, bit-identical to a run
     /// with no schedule at all.
     pub fn none(topo: impl Into<Topo>) -> Self {
         Self {
@@ -189,8 +166,7 @@ impl HardFaultSchedule {
         let n = topo.num_nodes();
         let compass = topo.compass();
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut node_dead = vec![false; n];
-        let mut link_dead = vec![[false; MAX_PORTS]; n];
+        let mut dead = DeadSet::new(topo);
         let mut faults: Vec<HardFault> = Vec::new();
         let mut reach = LocalReach::new(n);
         // Routers first: each removal constrains links far more than the
@@ -206,12 +182,10 @@ impl HardFaultSchedule {
                 attempts += 1;
                 let node = rng.gen_range(0u16..n as u16);
                 let candidate = if is_router {
-                    // Skip routers touching any prior casualty so the
-                    // reject path can roll back with a plain revert
-                    // (resurrecting a link no earlier fault had killed).
-                    if node_dead[usize::from(node)]
-                        || link_dead[usize::from(node)].iter().any(|&d| d)
-                    {
+                    // Skip routers touching any prior casualty (a
+                    // nonzero degree) so the reject path can roll back
+                    // without resurrecting what an earlier fault killed.
+                    if dead.degree(NodeId(node)) > 0.0 {
                         continue;
                     }
                     HardFault::Router { node }
@@ -220,27 +194,27 @@ impl HardFaultSchedule {
                     let Some(peer) = topo.neighbor(NodeId(node), dir) else {
                         continue; // mesh edge: no link to kill
                     };
-                    if link_dead[usize::from(node)][dir.index()]
-                        || node_dead[usize::from(node)]
-                        || node_dead[peer.index()]
+                    if dead.link_dead(NodeId(node), dir)
+                        || dead.node_dead(NodeId(node))
+                        || dead.node_dead(peer)
                     {
                         continue; // already gone
                     }
                     HardFault::Link { node, dir }
                 };
                 // Tentatively apply, test connectivity, roll back on cut.
-                apply(&candidate, &mut node_dead, &mut link_dead, topo);
-                let survives = reach.survives(&candidate, &node_dead, &link_dead, topo);
+                dead.apply(candidate);
+                let survives = reach.survives(candidate, &dead);
                 debug_assert_eq!(
                     survives,
-                    connected(&node_dead, &link_dead, topo),
+                    dead.connected(),
                     "local connectivity check disagrees with the whole graph on {candidate:?}",
                 );
                 if survives {
                     faults.push(candidate);
                     placed += 1;
                 } else {
-                    unapply(&candidate, &mut node_dead, &mut link_dead, topo);
+                    dead.roll_back(candidate);
                 }
             }
         }
@@ -272,13 +246,11 @@ impl HardFaultSchedule {
     /// every entry has applied (vacuously `true` when everything died).
     #[cfg(test)]
     fn leaves_connected(&self) -> bool {
-        let n = self.topo.num_nodes();
-        let mut node_dead = vec![false; n];
-        let mut link_dead = vec![[false; MAX_PORTS]; n];
+        let mut dead = DeadSet::new(self.topo);
         for e in &self.entries {
-            apply(&e.fault, &mut node_dead, &mut link_dead, self.topo);
+            dead.apply(e.fault);
         }
-        connected(&node_dead, &link_dead, self.topo)
+        dead.connected()
     }
 
     /// Serializes the schedule to the `rlnoc-hardfault v1` text format.
@@ -384,91 +356,6 @@ fn check_entry(topo: Topo, e: &HardFaultEntry, prev_cycle: u64) -> Result<(), St
     Ok(())
 }
 
-/// Marks the fault's casualties in the dead maps (links symmetric).
-fn apply(
-    fault: &HardFault,
-    node_dead: &mut [bool],
-    link_dead: &mut [[bool; MAX_PORTS]],
-    topo: Topo,
-) {
-    match *fault {
-        HardFault::Link { node, dir } => {
-            link_dead[usize::from(node)][dir.index()] = true;
-            if let Some(peer) = topo.neighbor(NodeId(node), dir) {
-                link_dead[peer.index()][dir.opposite().index()] = true;
-            }
-        }
-        HardFault::Router { node } => {
-            node_dead[usize::from(node)] = true;
-            for &dir in topo.compass() {
-                if let Some(peer) = topo.neighbor(NodeId(node), dir) {
-                    link_dead[usize::from(node)][dir.index()] = true;
-                    link_dead[peer.index()][dir.opposite().index()] = true;
-                }
-            }
-        }
-    }
-}
-
-/// Reverts [`apply`] for a rejected candidate. Precondition: no earlier
-/// accepted fault touched any of the candidate's casualties — the
-/// generator enforces this by skipping candidates adjacent to prior
-/// damage, so a plain revert never resurrects someone else's kill.
-fn unapply(
-    fault: &HardFault,
-    node_dead: &mut [bool],
-    link_dead: &mut [[bool; MAX_PORTS]],
-    topo: Topo,
-) {
-    match *fault {
-        HardFault::Link { node, dir } => {
-            link_dead[usize::from(node)][dir.index()] = false;
-            if let Some(peer) = topo.neighbor(NodeId(node), dir) {
-                link_dead[peer.index()][dir.opposite().index()] = false;
-            }
-        }
-        HardFault::Router { node } => {
-            node_dead[usize::from(node)] = false;
-            for &dir in topo.compass() {
-                if let Some(peer) = topo.neighbor(NodeId(node), dir) {
-                    link_dead[usize::from(node)][dir.index()] = false;
-                    link_dead[peer.index()][dir.opposite().index()] = false;
-                }
-            }
-        }
-    }
-}
-
-/// BFS over the live subgraph: `true` when every live node is reachable
-/// from the first live node (vacuously `true` with no live nodes).
-fn connected(node_dead: &[bool], link_dead: &[[bool; MAX_PORTS]], topo: Topo) -> bool {
-    let n = node_dead.len();
-    let Some(start) = (0..n).find(|&i| !node_dead[i]) else {
-        return true;
-    };
-    let mut seen = vec![false; n];
-    let mut queue = std::collections::VecDeque::from([start as u16]);
-    seen[start] = true;
-    let mut reached = 1usize;
-    while let Some(u) = queue.pop_front() {
-        for &dir in topo.compass() {
-            if link_dead[usize::from(u)][dir.index()] {
-                continue;
-            }
-            let Some(v) = topo.neighbor(NodeId(u), dir) else {
-                continue;
-            };
-            if node_dead[v.index()] || seen[v.index()] {
-                continue;
-            }
-            seen[v.index()] = true;
-            reached += 1;
-            queue.push_back(v.0);
-        }
-    }
-    reached == node_dead.iter().filter(|&&d| !d).count()
-}
-
 /// The local connectivity check of [`HardFaultSchedule::random`]. Its
 /// visited array is stamped with a per-search epoch and its queue is
 /// cleared, not dropped, so one instance serves every candidate of a
@@ -494,18 +381,13 @@ impl LocalReach {
     /// router's neighbours, must still reach one another. A router
     /// candidate's neighbours and links are all live (the draw skips
     /// routers touching earlier damage).
-    fn survives(
-        &mut self,
-        fault: &HardFault,
-        node_dead: &[bool],
-        link_dead: &[[bool; MAX_PORTS]],
-        topo: Topo,
-    ) -> bool {
+    fn survives(&mut self, fault: HardFault, dead: &DeadSet) -> bool {
+        let topo = dead.topo();
         // The nodes that must stay mutually reachable, without repeats
         // (a 2-wide torus reaches one neighbour by two links).
         let mut ends = [0u16; MAX_PORTS];
         let mut k = 0;
-        match *fault {
+        match fault {
             HardFault::Link { node, dir } => {
                 let peer = topo
                     .neighbor(NodeId(node), dir)
@@ -543,13 +425,13 @@ impl LocalReach {
         while let Some(&u) = self.queue.get(head) {
             head += 1;
             for &dir in topo.compass() {
-                if link_dead[usize::from(u)][dir.index()] {
+                if dead.link_dead(NodeId(u), dir) {
                     continue;
                 }
                 let Some(v) = topo.neighbor(NodeId(u), dir) else {
                     continue;
                 };
-                if node_dead[v.index()] || self.seen[v.index()] == self.epoch {
+                if dead.node_dead(v) || self.seen[v.index()] == self.epoch {
                     continue;
                 }
                 self.seen[v.index()] = self.epoch;

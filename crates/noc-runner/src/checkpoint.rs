@@ -132,63 +132,93 @@ pub fn render_report(report: &ExperimentReport) -> String {
 }
 
 fn render_report_into(s: &mut String, report: &ExperimentReport) {
-    let r = report;
-    writeln!(s, "scheme {}", r.scheme.token()).expect("write to string");
-    writeln!(s, "workload {}", r.workload).expect("write to string");
-    writeln!(s, "seed {}", r.seed).expect("write to string");
-    writeln!(s, "frequency_hz {}", r.frequency_hz).expect("write to string");
-    writeln!(s, "packets_injected {}", r.packets_injected).expect("write to string");
-    writeln!(s, "packets_delivered {}", r.packets_delivered).expect("write to string");
-    writeln!(s, "flits_delivered {}", r.flits_delivered).expect("write to string");
-    writeln!(s, "avg_latency_cycles {}", r.avg_latency_cycles).expect("write to string");
-    writeln!(s, "p99_latency_cycles {}", r.p99_latency_cycles).expect("write to string");
-    writeln!(s, "execution_cycles {}", r.execution_cycles).expect("write to string");
-    writeln!(s, "drained {}", r.drained).expect("write to string");
-    writeln!(s, "packet_retransmissions {}", r.packet_retransmissions).expect("write to string");
-    writeln!(s, "flit_retransmissions {}", r.flit_retransmissions).expect("write to string");
-    writeln!(
-        s,
-        "retransmitted_packets_equiv {}",
-        r.retransmitted_packets_equiv
-    )
-    .expect("write to string");
-    writeln!(s, "hop_nacks {}", r.hop_nacks).expect("write to string");
-    writeln!(s, "ecc_corrections {}", r.ecc_corrections).expect("write to string");
-    writeln!(s, "crc_failures {}", r.crc_failures).expect("write to string");
-    writeln!(s, "control_packets {}", r.control_packets).expect("write to string");
-    writeln!(s, "pre_retransmit_hits {}", r.pre_retransmit_hits).expect("write to string");
-    writeln!(s, "silent_corruptions {}", r.silent_corruptions).expect("write to string");
-    writeln!(s, "dynamic_energy_j {}", r.dynamic_energy_j).expect("write to string");
-    writeln!(s, "static_energy_j {}", r.static_energy_j).expect("write to string");
-    writeln!(s, "control_energy_j {}", r.control_energy_j).expect("write to string");
-    writeln!(
-        s,
-        "mode_histogram {} {} {} {}",
-        r.mode_histogram[0], r.mode_histogram[1], r.mode_histogram[2], r.mode_histogram[3]
-    )
-    .expect("write to string");
-    writeln!(s, "mean_temperature_c {}", r.mean_temperature_c).expect("write to string");
-    writeln!(s, "max_temperature_c {}", r.max_temperature_c).expect("write to string");
+    // Destructured without `..`: a field added to the report does not
+    // build until it is rendered here.
+    let ExperimentReport {
+        scheme,
+        workload,
+        seed,
+        frequency_hz,
+        packets_injected,
+        packets_delivered,
+        flits_delivered,
+        avg_latency_cycles,
+        p99_latency_cycles,
+        execution_cycles,
+        drained,
+        packet_retransmissions,
+        flit_retransmissions,
+        retransmitted_packets_equiv,
+        hop_nacks,
+        ecc_corrections,
+        crc_failures,
+        control_packets,
+        pre_retransmit_hits,
+        silent_corruptions,
+        dynamic_energy_j,
+        static_energy_j,
+        control_energy_j,
+        mode_histogram,
+        mean_temperature_c,
+        max_temperature_c,
+        hard_fault_events,
+        reroute_events,
+        packets_lost_hard_fault,
+        packets_refused_unreachable,
+        unreachable_pairs,
+    } = report;
+    // One `name value` line per field, keyed by the field's own name.
+    macro_rules! fields {
+        ($($field:ident),+ $(,)?) => {
+            $(writeln!(s, "{} {}", stringify!($field), $field).expect("write to string");)+
+        };
+    }
+    writeln!(s, "scheme {}", scheme.token()).expect("write to string");
+    fields!(
+        workload,
+        seed,
+        frequency_hz,
+        packets_injected,
+        packets_delivered,
+        flits_delivered,
+        avg_latency_cycles,
+        p99_latency_cycles,
+        execution_cycles,
+        drained,
+        packet_retransmissions,
+        flit_retransmissions,
+        retransmitted_packets_equiv,
+        hop_nacks,
+        ecc_corrections,
+        crc_failures,
+        control_packets,
+        pre_retransmit_hits,
+        silent_corruptions,
+        dynamic_energy_j,
+        static_energy_j,
+        control_energy_j,
+    );
+    let [m0, m1, m2, m3] = mode_histogram;
+    writeln!(s, "mode_histogram {m0} {m1} {m2} {m3}").expect("write to string");
+    fields!(mean_temperature_c, max_temperature_c);
     // Hard-fault counters render only when at least one is nonzero, so
     // reports from fault-free campaigns stay byte-identical to the
     // pre-hard-fault fixture format.
-    let any_fault = r.hard_fault_events != 0
-        || r.reroute_events != 0
-        || r.packets_lost_hard_fault != 0
-        || r.packets_refused_unreachable != 0
-        || r.unreachable_pairs != 0;
-    if any_fault {
-        writeln!(s, "hard_fault_events {}", r.hard_fault_events).expect("write to string");
-        writeln!(s, "reroute_events {}", r.reroute_events).expect("write to string");
-        writeln!(s, "packets_lost_hard_fault {}", r.packets_lost_hard_fault)
-            .expect("write to string");
-        writeln!(
-            s,
-            "packets_refused_unreachable {}",
-            r.packets_refused_unreachable
-        )
-        .expect("write to string");
-        writeln!(s, "unreachable_pairs {}", r.unreachable_pairs).expect("write to string");
+    let fault_counters = [
+        hard_fault_events,
+        reroute_events,
+        packets_lost_hard_fault,
+        packets_refused_unreachable,
+        unreachable_pairs,
+    ];
+    if fault_counters.iter().any(|&&c| c != 0) {
+        fields!(
+            hard_fault_events,
+            reroute_events,
+            packets_lost_hard_fault,
+            packets_refused_unreachable,
+            unreachable_pairs,
+        );
     }
 }
 

@@ -185,9 +185,9 @@ impl<E: ErrorControl> Network<E> {
                     continue; // mesh edge: port unused
                 };
                 if self.faults.as_deref().is_some_and(|fs| {
-                    fs.node_dead[r.id.index()]
-                        || fs.node_dead[down.index()]
-                        || fs.link_dead[r.id.index()][dir.index()]
+                    fs.dead.node_dead(r.id)
+                        || fs.dead.node_dead(down)
+                        || fs.dead.link_dead(r.id, dir)
                 }) {
                     // Dead link: its credits are deliberately lost (flits
                     // evaporate without returns), so the sum runs short.
@@ -241,8 +241,8 @@ impl<E: ErrorControl> Network<E> {
         };
         // 1. Dead routers hold no arena flits: the evacuation drained
         //    every input FIFO and pending-resend queue and idled the VCs.
-        for (ni, r) in self.routers.iter().enumerate() {
-            if !fs.node_dead[ni] {
+        for r in &self.routers {
+            if !fs.dead.node_dead(r.id) {
                 continue;
             }
             let fifo: usize = r.inputs.iter().map(|vc| vc.fifo.len()).sum();
@@ -262,7 +262,7 @@ impl<E: ErrorControl> Network<E> {
             for ev in events {
                 if let Event::Credit { node, port, vc } = *ev {
                     assert!(
-                        !fs.node_dead[node.index()] && !fs.link_dead[node.index()][port.index()],
+                        !fs.dead.node_dead(node) && !fs.dead.link_dead(node, port),
                         "credit replenished on dead link at cycle {}: {}:{port} vc{vc} \
                          (dead-link credits are lost by design)",
                         self.cycle,
@@ -275,7 +275,7 @@ impl<E: ErrorControl> Network<E> {
         //    routed hop crosses a live link into a live router.
         if fs.next_event > 0 {
             for cur in self.mesh.nodes() {
-                if fs.node_dead[cur.index()] {
+                if fs.dead.node_dead(cur) {
                     continue;
                 }
                 for dst in self.mesh.nodes() {
@@ -285,11 +285,11 @@ impl<E: ErrorControl> Network<E> {
                     if dir == Direction::Local {
                         continue; // ejection at the destination itself
                     }
-                    let live = !fs.link_dead[cur.index()][dir.index()]
+                    let live = !fs.dead.link_dead(cur, dir)
                         && self
                             .neighbors
                             .get(cur, dir)
-                            .is_some_and(|nb| !fs.node_dead[nb.index()]);
+                            .is_some_and(|nb| !fs.dead.node_dead(nb));
                     assert!(
                         live,
                         "reroute table inconsistent with live-neighbor set at cycle {}: \
@@ -431,6 +431,7 @@ impl<E: ErrorControl> Network<E> {
 mod tests {
     use super::*;
     use crate::error_control::{PerfectLink, ScriptedErrorControl};
+    use crate::topology::{HardFault, HardFaultEntry};
 
     fn armed_net<E: ErrorControl>(protocol: E) -> Network<E> {
         FORCE_ARMED.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -596,9 +597,9 @@ mod tests {
     fn armed_faulted_net() -> Network<PerfectLink> {
         let mut net = armed_net(PerfectLink::new());
         let dead = net.mesh().node_at(1, 1);
-        net.set_hard_faults(vec![HardFaultEvent {
+        net.set_hard_faults(vec![HardFaultEntry {
             cycle: 1,
-            kind: HardFaultKind::Router { node: dead },
+            fault: HardFault::Router { node: dead.0 },
         }]);
         for _ in 0..4 {
             net.step();
@@ -612,17 +613,17 @@ mod tests {
         let mut net = armed_net(ScriptedErrorControl::reject_every(5));
         let mesh = net.mesh();
         net.set_hard_faults(vec![
-            HardFaultEvent {
+            HardFaultEntry {
                 cycle: 20,
-                kind: HardFaultKind::Link {
-                    node: mesh.node_at(0, 0),
+                fault: HardFault::Link {
+                    node: mesh.node_at(0, 0).0,
                     dir: Direction::East,
                 },
             },
-            HardFaultEvent {
+            HardFaultEntry {
                 cycle: 30,
-                kind: HardFaultKind::Router {
-                    node: mesh.node_at(2, 2),
+                fault: HardFault::Router {
+                    node: mesh.node_at(2, 2).0,
                 },
             },
         ]);

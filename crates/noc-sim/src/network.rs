@@ -44,7 +44,6 @@ pub(crate) mod invariants;
 
 mod faults;
 use faults::FaultState;
-pub use faults::{HardFaultEvent, HardFaultKind};
 
 /// Event-wheel horizon in cycles; all scheduled events must land within
 /// this many cycles of the present.

@@ -16,54 +16,18 @@ use crate::error_control::ErrorControl;
 use crate::flit::{FlitArena, FlitRef, Packet, PacketId, PacketWindow};
 use crate::router::{InputVc, Router, VcState};
 use crate::routing::{RouteCache, Routes, ROUTE_CACHE};
-use crate::topology::{Direction, NeighborTable, NodeId, Topo, MAX_PORTS};
+use crate::topology::{DeadSet, Direction, HardFault, HardFaultEntry, NodeId, Topo, MAX_PORTS};
 use std::collections::{BTreeSet, VecDeque};
 
-/// What fails in a [`HardFaultEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HardFaultKind {
-    /// The bidirectional channel between `node` and its neighbor in
-    /// `dir` fails permanently (both directions die together — the
-    /// physical wires share a bundle).
-    Link {
-        /// One endpoint of the failing channel.
-        node: NodeId,
-        /// The direction of the channel at `node` (never `Local`).
-        dir: Direction,
-    },
-    /// The whole router (and every link attached to it) fails
-    /// permanently. Its core can no longer inject or receive packets.
-    Router {
-        /// The failing router.
-        node: NodeId,
-    },
-}
-
-/// A permanent topology failure scheduled at a simulation cycle.
-///
-/// Applied at the start of the `step` for `cycle` — before event
-/// processing — so both the production and reference simulators observe
-/// the failure at exactly the same point in the phase order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HardFaultEvent {
-    /// Absolute cycle at which the element dies.
-    pub cycle: u64,
-    /// The failing element.
-    pub kind: HardFaultKind,
-}
-
-/// Hard-fault bookkeeping: the pending schedule, liveness marks, where
-/// reroute tables come from, and the set of packets lost to faults
-/// ("doomed" — their surviving flits evaporate on arrival instead of
-/// being forwarded).
+/// Hard-fault bookkeeping: the pending schedule, the elements it has
+/// killed so far, where reroute tables come from, and the set of
+/// packets lost to faults ("doomed" — their surviving flits evaporate
+/// on arrival instead of being forwarded).
 #[derive(Debug)]
 pub(super) struct FaultState {
-    events: Vec<HardFaultEvent>,
+    entries: Vec<HardFaultEntry>,
     pub(super) next_event: usize,
-    pub(super) node_dead: Vec<bool>,
-    /// `link_dead[node][port]`: the channel at `node` in that direction
-    /// is dead. Kept symmetric with the peer's opposite entry.
-    pub(super) link_dead: Vec<[bool; MAX_PORTS]>,
+    pub(super) dead: DeadSet,
     /// Where reroute tables are looked up: [`ROUTE_CACHE`] outside this
     /// module's own tests.
     pub(super) cache: &'static RouteCache,
@@ -73,7 +37,7 @@ pub(super) struct FaultState {
     pub(super) doomed: BTreeSet<PacketId>,
 }
 
-/// The events one batch consumed and the routers they touch.
+/// The entries one batch consumed and the routers they touch.
 struct Batch {
     applied: u64,
     /// The dead node itself plus both endpoints of every killed link.
@@ -82,63 +46,40 @@ struct Batch {
 }
 
 impl FaultState {
-    fn new(events: Vec<HardFaultEvent>, n: usize) -> Self {
+    fn new(entries: Vec<HardFaultEntry>, topo: Topo) -> Self {
         Self {
-            events,
+            entries,
             next_event: 0,
-            node_dead: vec![false; n],
-            link_dead: vec![[false; MAX_PORTS]; n],
+            dead: DeadSet::new(topo),
             cache: &ROUTE_CACHE,
             doomed: BTreeSet::new(),
         }
     }
 
-    /// Whether an event is due at `cycle`.
+    /// Whether an entry is due at `cycle`.
     pub(super) fn due(&self, cycle: u64) -> bool {
-        self.events
+        self.entries
             .get(self.next_event)
             .is_some_and(|e| e.cycle <= cycle)
     }
 
-    /// Marks the channel `node → dir` (and its reverse) dead.
-    fn kill_link(&mut self, neighbors: &NeighborTable, node: NodeId, dir: Direction) {
-        self.link_dead[node.index()][dir.index()] = true;
-        if let Some(peer) = neighbors.get(node, dir) {
-            self.link_dead[peer.index()][dir.opposite().index()] = true;
-        }
-    }
-
-    /// Marks every element whose event is due at `cycle` dead. Elements
+    /// Marks every element whose entry is due at `cycle` dead. Elements
     /// that died in *earlier* batches were evacuated then and can never
     /// reacquire state (dead links carry no arrivals and return no
     /// credits), so only this batch's routers are reported affected.
-    fn consume_due(&mut self, cycle: u64, mesh: Topo, neighbors: &NeighborTable) -> Batch {
+    fn consume_due(&mut self, cycle: u64) -> Batch {
         let mut batch = Batch {
             applied: 0,
-            affected: vec![false; self.node_dead.len()],
+            affected: vec![false; self.dead.topo().num_nodes()],
             any_node_died: false,
         };
         while self.due(cycle) {
-            match self.events[self.next_event].kind {
-                HardFaultKind::Router { node } => {
-                    self.node_dead[node.index()] = true;
-                    batch.any_node_died = true;
-                    batch.affected[node.index()] = true;
-                    for &dir in mesh.compass() {
-                        if let Some(peer) = mesh.neighbor(node, dir) {
-                            self.kill_link(neighbors, node, dir);
-                            batch.affected[peer.index()] = true;
-                        }
-                    }
-                }
-                HardFaultKind::Link { node, dir } => {
-                    self.kill_link(neighbors, node, dir);
-                    batch.affected[node.index()] = true;
-                    if let Some(peer) = neighbors.get(node, dir) {
-                        batch.affected[peer.index()] = true;
-                    }
-                }
+            let fault = self.entries[self.next_event].fault;
+            self.dead.apply(fault);
+            for node in fault.touched(self.dead.topo()) {
+                batch.affected[node.index()] = true;
             }
+            batch.any_node_died |= matches!(fault, HardFault::Router { .. });
             self.next_event += 1;
             batch.applied += 1;
         }
@@ -172,14 +113,13 @@ impl FaultState {
             slot.retain(|ev| {
                 let dead_flit = match *ev {
                     Event::Arrival { link, flit, .. } => {
-                        self.link_dead[link.src.index()][link.dir.index()].then_some(flit)
+                        self.dead.link_dead(link.src, link.dir).then_some(flit)
                     }
                     Event::DirectDeliver { node, flit, .. } | Event::Eject { node, flit } => {
-                        self.node_dead[node.index()].then_some(flit)
+                        self.dead.node_dead(node).then_some(flit)
                     }
                     Event::Credit { node, port, .. } | Event::AckSignal { node, port, .. } => {
-                        return !(self.node_dead[node.index()]
-                            || self.link_dead[node.index()][port.index()]);
+                        return !(self.dead.node_dead(node) || self.dead.link_dead(node, port));
                     }
                 };
                 lost += self.doom_flits(arena, dead_flit.into_iter());
@@ -236,7 +176,8 @@ impl FaultState {
     /// packet has not yet sent a flit through the crossbar — a severed
     /// wormhole is lost instead. Returns the data packets newly lost.
     fn divert(&mut self, arena: &mut FlitArena, router: &mut Router, cycle: u64) -> u64 {
-        let dead = self.link_dead[router.id.index()];
+        let dead: [bool; MAX_PORTS] =
+            std::array::from_fn(|p| self.dead.link_dead(router.id, Direction::from_index(p)));
         let mut lost = 0;
         let mut dealloc = Vec::new();
         for p in (0..router.num_ports).filter(|&p| dead[p]) {
@@ -303,12 +244,12 @@ impl FaultState {
     ) -> u64 {
         let mut lost = 0;
         for (p, _) in pending.values() {
-            if self.node_dead[p.src.index()] || self.node_dead[p.dst.index()] {
+            if self.dead.node_dead(p.src) || self.dead.node_dead(p.dst) {
                 lost += u64::from(self.doom(p.id, true));
             }
         }
         for (ni, entries) in reassembly.iter().enumerate() {
-            if self.node_dead[ni] {
+            if self.dead.node_dead(NodeId(ni as u16)) {
                 for e in entries {
                     let is_data = !arena[e.flits[0]].class.is_control();
                     lost += u64::from(self.doom(e.packet, is_data));
@@ -320,26 +261,28 @@ impl FaultState {
 }
 
 impl<E: ErrorControl> Network<E> {
-    /// Installs a permanent hard-fault schedule. Each event is applied
-    /// at the start of its cycle's `step`; an empty schedule leaves the
-    /// network in the exact zero-fault fast path.
+    /// Installs a permanent hard-fault schedule. Each entry is applied
+    /// at the start of its cycle's `step`, before event processing, so
+    /// both simulation engines observe the failure at the same
+    /// phase-order point; an empty schedule leaves the network in the
+    /// exact zero-fault fast path.
     ///
     /// Replaces any previously installed schedule; call before the
-    /// first `step` (events whose cycle already passed are applied at
+    /// first `step` (entries whose cycle already passed are applied at
     /// the next step in one batch).
     ///
     /// # Panics
     ///
-    /// Panics if an event names a node outside the mesh, a `Local`
+    /// Panics if an entry names a node outside the mesh, a `Local`
     /// direction, or a link beyond a mesh edge.
-    pub fn set_hard_faults(&mut self, mut events: Vec<HardFaultEvent>) {
-        for ev in &events {
-            let (HardFaultKind::Router { node } | HardFaultKind::Link { node, .. }) = ev.kind;
+    pub fn set_hard_faults(&mut self, mut entries: Vec<HardFaultEntry>) {
+        for e in &entries {
+            let node = e.fault.node();
             assert!(
                 node.index() < self.mesh.num_nodes(),
                 "fault node outside mesh"
             );
-            if let HardFaultKind::Link { node, dir } = ev.kind {
+            if let HardFault::Link { dir, .. } = e.fault {
                 assert!(
                     self.mesh.neighbor(node, dir).is_some(),
                     "hard fault on a nonexistent link {node}:{dir}"
@@ -350,15 +293,15 @@ impl<E: ErrorControl> Network<E> {
             // A new schedule starts from the intact topology.
             self.routes = Routes::healthy(self.mesh);
         }
-        if events.is_empty() {
+        if entries.is_empty() {
             self.faults = None;
             return;
         }
-        events.sort_by_key(|e| e.cycle);
-        self.faults = Some(Box::new(FaultState::new(events, self.mesh.num_nodes())));
+        entries.sort_by_key(|e| e.cycle);
+        self.faults = Some(Box::new(FaultState::new(entries, self.mesh)));
     }
 
-    /// `true` once at least one hard-fault event has been applied (the
+    /// `true` once at least one hard-fault entry has been applied (the
     /// network is routing up*/down*).
     pub(crate) fn hard_faults_active(&self) -> bool {
         self.faults.as_ref().is_some_and(|f| f.next_event > 0)
@@ -366,16 +309,14 @@ impl<E: ErrorControl> Network<E> {
 
     /// Whether router `node` has failed.
     pub fn node_dead(&self, node: NodeId) -> bool {
-        self.faults
-            .as_ref()
-            .is_some_and(|f| f.node_dead[node.index()])
+        self.faults.as_ref().is_some_and(|f| f.dead.node_dead(node))
     }
 
     /// Whether the channel leaving `node` in `dir` has failed.
     pub fn link_dead(&self, node: NodeId, dir: Direction) -> bool {
         self.faults
             .as_ref()
-            .is_some_and(|f| f.link_dead[node.index()][dir.index()])
+            .is_some_and(|f| f.dead.link_dead(node, dir))
     }
 
     /// Whether `flit` belongs to a packet lost to a hard fault.
@@ -386,7 +327,7 @@ impl<E: ErrorControl> Network<E> {
             .is_some_and(|fs| fs.doomed.contains(&self.arena[flit].packet))
     }
 
-    /// Applies every hard-fault event due at `cycle`: marks the dead
+    /// Applies every hard-fault entry due at `cycle`: marks the dead
     /// elements, recomputes the fault-adaptive route table, evacuates
     /// state resident on dead elements, and purges the packets the
     /// batch killed. Runs at the top of `step` — before event
@@ -399,14 +340,14 @@ impl<E: ErrorControl> Network<E> {
             .expect("caller checked a schedule exists");
         let doomed_before = fs.doomed.len();
 
-        // 1. Consume the due events.
-        let batch = fs.consume_due(cycle, self.mesh, &self.neighbors);
+        // 1. Consume the due entries.
+        let batch = fs.consume_due(cycle);
 
         // 2. Reroute on the surviving topology. The table is a pure
         // function of (topology, dead set), so any network in the
         // process that reached this dead set first has already paid for
         // the solve.
-        let (routes, hit) = fs.cache.up_down(self.mesh, &fs.node_dead, &fs.link_dead);
+        let (routes, hit) = fs.cache.up_down(&fs.dead);
         if hit {
             self.tel.hardfault_route_cache_hits.inc();
         } else {
@@ -424,7 +365,7 @@ impl<E: ErrorControl> Network<E> {
         // router's port).
         for ni in (0..self.routers.len()).filter(|&ni| batch.affected[ni]) {
             let router = &mut self.routers[ni];
-            if fs.node_dead[ni] {
+            if fs.dead.node_dead(router.id) {
                 lost += fs.evacuate_router(&mut self.arena, router, cycle);
                 let injecting = self.inject_progress[ni].take().map(|p| p.packet);
                 lost += fs.doom_sources(&mut self.source_queues[ni], injecting);

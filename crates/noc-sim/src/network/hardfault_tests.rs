@@ -5,6 +5,7 @@ use super::*;
 use crate::error_control::{PerfectLink, ScriptedErrorControl};
 use crate::router::StageMasks;
 use crate::routing::RouteCache;
+use crate::topology::{HardFault, HardFaultEntry};
 use std::sync::LazyLock;
 
 fn net_4x4() -> Network<PerfectLink> {
@@ -12,18 +13,14 @@ fn net_4x4() -> Network<PerfectLink> {
     Network::new(config, PerfectLink::new(), 42)
 }
 
-fn link(cycle: u64, node: NodeId, dir: Direction) -> HardFaultEvent {
-    HardFaultEvent {
-        cycle,
-        kind: HardFaultKind::Link { node, dir },
-    }
+fn link(cycle: u64, node: NodeId, dir: Direction) -> HardFaultEntry {
+    let fault = HardFault::Link { node: node.0, dir };
+    HardFaultEntry { cycle, fault }
 }
 
-fn router(cycle: u64, node: NodeId) -> HardFaultEvent {
-    HardFaultEvent {
-        cycle,
-        kind: HardFaultKind::Router { node },
-    }
+fn router(cycle: u64, node: NodeId) -> HardFaultEntry {
+    let fault = HardFault::Router { node: node.0 };
+    HardFaultEntry { cycle, fault }
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! up*/down* once hard faults strike, the latter shared process-wide
 //! through one content-addressed cache.
 
-use crate::topology::{Direction, Mesh, NodeId, Topo, VcClass, MAX_PORTS};
+use crate::topology::{DeadSet, Direction, Mesh, NodeId, Topo, VcClass};
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
 
@@ -468,32 +468,6 @@ impl PackedRoutes {
     }
 }
 
-/// Exact content an up*/down* table is a function of: the topology and
-/// the dead sets, one bit per router then one per `(router, port)`.
-/// Compared in full on every lookup — never an event count (two
-/// schedules can reach one count with different dead sets) and never a
-/// digest (a collision would misroute).
-#[derive(Debug, PartialEq, Eq, Hash)]
-struct RouteKey {
-    topo: Topo,
-    dead: Box<[u64]>,
-}
-
-impl RouteKey {
-    fn new(topo: Topo, node_dead: &[bool], link_dead: &[[bool; MAX_PORTS]]) -> Self {
-        let n = node_dead.len();
-        let mut dead = vec![0u64; (n * (1 + MAX_PORTS)).div_ceil(64)];
-        let bits = node_dead.iter().chain(link_dead.iter().flatten());
-        for (bit, _) in bits.enumerate().filter(|(_, &is_dead)| is_dead) {
-            dead[bit / 64] |= 1 << (bit % 64);
-        }
-        Self {
-            topo,
-            dead: dead.into(),
-        }
-    }
-}
-
 /// Bytes of packed tables and keys [`ROUTE_CACHE`] may hold. One 16×16
 /// torus table packs to ≈6 KiB, so this is room for over a thousand
 /// distinct dead sets; a process that outgrows it starts over.
@@ -523,9 +497,12 @@ pub(crate) struct RouteCache {
     entries: Mutex<RouteCacheEntries>,
 }
 
+/// Keyed by the exact dead set, compared in full on every lookup —
+/// never an event count (two schedules can reach one count with
+/// different dead sets) and never a digest (a collision would misroute).
 #[derive(Debug, Default)]
 struct RouteCacheEntries {
-    map: HashMap<RouteKey, Arc<PackedRoutes>>,
+    map: HashMap<DeadSet, Arc<PackedRoutes>>,
     /// Packed-table plus key bytes `map` is charged for.
     bytes: usize,
 }
@@ -543,21 +520,16 @@ impl RouteCache {
         self.entries.lock().expect("reroute cache lock poisoned")
     }
 
-    /// The up*/down* table for `topo` minus the dead routers and links,
-    /// and whether it was a hit; a miss solves outside the lock and
-    /// publishes the packed result.
-    pub(crate) fn up_down(
-        &self,
-        topo: Topo,
-        node_dead: &[bool],
-        link_dead: &[[bool; MAX_PORTS]],
-    ) -> (Routes, bool) {
+    /// The up*/down* table for the topology minus `dead`, and whether it
+    /// was a hit; a miss solves outside the lock and publishes the
+    /// packed result.
+    pub(crate) fn up_down(&self, dead: &DeadSet) -> (Routes, bool) {
+        let topo = dead.topo();
         let solve = || {
-            let node_alive: Vec<bool> = node_dead.iter().map(|&d| !d).collect();
-            Routes::up_down(topo, &node_alive, |n, d| !link_dead[n.index()][d.index()])
+            let node_alive: Vec<bool> = topo.nodes().map(|v| !dead.node_dead(v)).collect();
+            Routes::up_down(topo, &node_alive, |n, d| !dead.link_dead(n, d))
         };
-        let key = RouteKey::new(topo, node_dead, link_dead);
-        let hit = self.lock().map.get(&key).cloned();
+        let hit = self.lock().map.get(dead).cloned();
         if let Some(packed) = hit {
             let routes = packed.unpack(topo);
             #[cfg(feature = "verify")]
@@ -570,12 +542,12 @@ impl RouteCache {
             return (routes, true);
         }
         let routes = solve();
-        self.insert(key, routes.pack());
+        self.insert(dead.clone(), routes.pack());
         (routes, false)
     }
 
-    fn insert(&self, key: RouteKey, packed: PackedRoutes) {
-        let cost = packed.bytes() + std::mem::size_of_val(&*key.dead);
+    fn insert(&self, key: DeadSet, packed: PackedRoutes) {
+        let cost = packed.bytes() + key.heap_bytes();
         let mut entries = self.lock();
         if entries.bytes + cost > self.cap {
             *entries = RouteCacheEntries::default();
@@ -600,19 +572,14 @@ impl RouteCache {
 /// can prove the armed recompute-and-compare check has teeth.
 #[cfg(feature = "verify")]
 #[doc(hidden)]
-pub fn poison_route_cache_for_test(
-    topo: Topo,
-    node_dead: &[bool],
-    link_dead: &[[bool; MAX_PORTS]],
-    routes: &Routes,
-) {
-    ROUTE_CACHE.insert(RouteKey::new(topo, node_dead, link_dead), routes.pack());
+pub fn poison_route_cache_for_test(dead: &DeadSet, routes: &Routes) {
+    ROUTE_CACHE.insert(dead.clone(), routes.pack());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::VcClass;
+    use crate::topology::HardFault;
 
     #[test]
     fn route_to_self_is_local() {
@@ -946,15 +913,19 @@ mod tests {
         // topology tells them apart. A key without it would hand the
         // mesh's table to the two tori.
         let cache = RouteCache::with_cap(ROUTE_CACHE_CAP);
-        let node_dead = [false; 16];
-        let mut link_dead = [[false; MAX_PORTS]; 16];
-        link_dead[0][Direction::East.index()] = true;
-        link_dead[1][Direction::West.index()] = true;
+        let dead = |topo: Topo| {
+            let mut dead = DeadSet::new(topo);
+            dead.apply(HardFault::Link {
+                node: 0,
+                dir: Direction::East,
+            });
+            dead
+        };
         let topos = [Topo::mesh(4, 4), Topo::torus(4, 4), Topo::ftorus(4, 4)];
         let tables: Vec<Routes> = topos
             .iter()
             .map(|&topo| {
-                let (routes, hit) = cache.up_down(topo, &node_dead, &link_dead);
+                let (routes, hit) = cache.up_down(&dead(topo));
                 assert!(!hit, "{}: a cold key must solve", topo.encode());
                 routes
             })
@@ -968,7 +939,7 @@ mod tests {
         // The folded torus has the torus's graph, so those two differ
         // in the topology they route, not in their entries.
         assert_ne!(tables[0].dense, tables[1].dense);
-        let (warm, hit) = cache.up_down(topos[1], &node_dead, &link_dead);
+        let (warm, hit) = cache.up_down(&dead(topos[1]));
         assert!(hit, "a warm key hits");
         assert_eq!(warm, tables[1]);
     }

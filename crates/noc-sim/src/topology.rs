@@ -7,6 +7,6 @@
 //! historical `noc_sim::topology::*` paths.
 
 pub use noc_topo::{
-    Coord, Direction, FoldedTorus, LinkId, Mesh, Mesh3d, NeighborTable, NodeId, Topo, Topology,
-    Torus, VcClass, MAX_PORTS, NUM_PORTS,
+    Coord, DeadSet, Direction, FoldedTorus, HardFault, HardFaultEntry, LinkId, Mesh, Mesh3d,
+    NeighborTable, NodeId, Topo, Topology, Torus, VcClass, MAX_PORTS, NUM_PORTS,
 };

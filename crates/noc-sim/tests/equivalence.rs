@@ -6,8 +6,10 @@
 use noc_fault::hardfault::HardFaultSchedule;
 use noc_sim::config::NocConfig;
 use noc_sim::error_control::PerfectLink;
-use noc_sim::network::{HardFaultEvent, HardFaultKind, Network};
-use noc_sim::topology::{Direction, FoldedTorus, Mesh, Mesh3d, NodeId, Topo, Torus};
+use noc_sim::network::Network;
+use noc_sim::topology::{
+    Direction, FoldedTorus, HardFault, HardFaultEntry, Mesh, Mesh3d, Topo, Torus,
+};
 use rlnoc_core::experiment::ExperimentReport;
 use rlnoc_core::{ErrorControlScheme, Experiment, WorkloadProfile};
 use std::sync::Arc;
@@ -21,19 +23,16 @@ use std::sync::Arc;
 /// routes on equal tables. `solves + hits == reroute_events` on each.
 #[test]
 fn second_zoo_network_through_a_schedule_is_served_from_the_route_cache() {
-    let link = |cycle, node, dir| HardFaultEvent {
+    let link = |cycle, node, dir| HardFaultEntry {
         cycle,
-        kind: HardFaultKind::Link {
-            node: NodeId(node),
-            dir,
-        },
+        fault: HardFault::Link { node, dir },
     };
-    let router = |cycle, node| HardFaultEvent {
+    let router = |cycle, node| HardFaultEntry {
         cycle,
-        kind: HardFaultKind::Router { node: NodeId(node) },
+        fault: HardFault::Router { node },
     };
     let torus: Topo = Torus::new(5, 4).into();
-    let cells: [(Topo, Vec<HardFaultEvent>); 3] = [
+    let cells: [(Topo, Vec<HardFaultEntry>); 3] = [
         (
             FoldedTorus::new(3, 5).into(),
             vec![

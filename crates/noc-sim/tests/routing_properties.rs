@@ -29,7 +29,8 @@ use noc_sim::error_control::PerfectLink;
 use noc_sim::network::Network;
 use noc_sim::routing::{min_route, xy_path, xy_route, Routes};
 use noc_sim::topology::{
-    Direction, FoldedTorus, Mesh, Mesh3d, NeighborTable, NodeId, Topo, Torus, VcClass, MAX_PORTS,
+    DeadSet, Direction, FoldedTorus, HardFault, Mesh, Mesh3d, NeighborTable, NodeId, Topo, Torus,
+    VcClass, MAX_PORTS,
 };
 use noc_testutil::{manhattan, pick_node};
 use proptest::prelude::*;
@@ -413,57 +414,42 @@ fn zoo_route_tables_are_sound_at_32x32_and_8x8x4_radix() {
 // ---------------------------------------------------------------------------
 // Fault-adaptive routing under arbitrary fault sets.
 
-/// A faulted topology (any zoo member): dead-router and dead-link
-/// masks, symmetric, with router deaths killing every incident link.
+/// A faulted topology (any zoo member) and its dead set.
 struct FaultedTopology {
     topo: Topo,
-    node_dead: Vec<bool>,
-    link_dead: Vec<[bool; MAX_PORTS]>,
+    dead: DeadSet,
 }
 
 impl FaultedTopology {
     fn build(topo: impl Into<Topo>, router_kills: &[u64], link_kills: &[u64]) -> Self {
         let topo = topo.into();
-        let n = topo.num_nodes();
-        let mut t = Self {
-            topo,
-            node_dead: vec![false; n],
-            link_dead: vec![[false; MAX_PORTS]; n],
-        };
+        let n = topo.num_nodes() as u64;
+        let mut dead = DeadSet::new(topo);
         let compass = topo.compass();
         for &raw in link_kills {
-            let node = NodeId((raw % n as u64) as u16);
+            let node = (raw % n) as u16;
             let dir = compass[((raw >> 32) % compass.len() as u64) as usize];
-            t.kill_link(node, dir);
+            dead.apply(HardFault::Link { node, dir });
         }
         for &raw in router_kills {
-            let node = NodeId((raw % n as u64) as u16);
-            t.node_dead[node.index()] = true;
-            for &dir in compass {
-                t.kill_link(node, dir);
-            }
+            dead.apply(HardFault::Router {
+                node: (raw % n) as u16,
+            });
         }
-        t
-    }
-
-    fn kill_link(&mut self, node: NodeId, dir: Direction) {
-        if let Some(peer) = self.topo.neighbor(node, dir) {
-            self.link_dead[node.index()][dir.index()] = true;
-            self.link_dead[peer.index()][dir.opposite().index()] = true;
-        }
+        Self { topo, dead }
     }
 
     fn link_alive(&self, node: NodeId, dir: Direction) -> bool {
-        !self.node_dead[node.index()]
-            && !self.link_dead[node.index()][dir.index()]
+        !self.dead.node_dead(node)
+            && !self.dead.link_dead(node, dir)
             && self
                 .topo
                 .neighbor(node, dir)
-                .is_some_and(|p| !self.node_dead[p.index()])
+                .is_some_and(|p| !self.dead.node_dead(p))
     }
 
     fn routes(&self) -> Routes {
-        let alive: Vec<bool> = self.node_dead.iter().map(|&d| !d).collect();
+        let alive: Vec<bool> = self.topo.nodes().map(|v| !self.dead.node_dead(v)).collect();
         Routes::up_down(self.topo, &alive, |u, d| self.link_alive(u, d))
     }
 
@@ -475,7 +461,7 @@ impl FaultedTopology {
         let mut comp = vec![usize::MAX; n];
         let mut queue = std::collections::VecDeque::new();
         for start in self.topo.nodes() {
-            if self.node_dead[start.index()] || comp[start.index()] != usize::MAX {
+            if self.dead.node_dead(start) || comp[start.index()] != usize::MAX {
                 continue;
             }
             comp[start.index()] = start.index();
@@ -574,7 +560,7 @@ proptest! {
             for dst in t.topo.nodes() {
                 let Some((dir, _)) = routes.next_hop(u, dst) else { continue };
                 prop_assert!(
-                    !t.node_dead[u.index()] && !t.node_dead[dst.index()],
+                    !t.dead.node_dead(u) && !t.dead.node_dead(dst),
                     "dead endpoint routed: {:?}→{:?}",
                     u,
                     dst

@@ -21,6 +21,9 @@
 //!   no cycle of channel dependencies can close around a ring;
 //! - the 3D mesh uses X-Y-Z dimension-order routing.
 
+mod fault;
+
+pub use fault::{DeadSet, HardFault, HardFaultEntry};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 

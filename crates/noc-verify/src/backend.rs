@@ -6,9 +6,9 @@ use crate::refproto::RefProtocol;
 use noc_fault::timing::TimingErrorModel;
 use noc_fault::variation::VariationMap;
 use noc_sim::config::NocConfig;
-use noc_sim::network::{HardFaultEvent, Network};
+use noc_sim::network::Network;
 use noc_sim::stats::{EventCounters, NetworkStats, RouterEpochStats};
-use noc_sim::topology::NodeId;
+use noc_sim::topology::{HardFaultEntry, NodeId};
 use rlnoc_core::backend::SimBackend;
 use rlnoc_core::modes::OperationMode;
 use rlnoc_core::protocol::FaultTolerantProtocol;
@@ -41,8 +41,8 @@ impl SimBackend for ReferenceBackend {
         // engine simply observes nothing.
     }
 
-    fn set_hard_faults(&mut self, events: Vec<HardFaultEvent>) {
-        self.net.set_hard_faults(events);
+    fn set_hard_faults(&mut self, entries: Vec<HardFaultEntry>) {
+        self.net.set_hard_faults(entries);
     }
 
     fn cycle(&self) -> u64 {
@@ -135,8 +135,8 @@ impl SimBackend for StaleTemperatureBackend {
         SimBackend::set_telemetry(&mut self.net, telemetry);
     }
 
-    fn set_hard_faults(&mut self, events: Vec<HardFaultEvent>) {
-        SimBackend::set_hard_faults(&mut self.net, events);
+    fn set_hard_faults(&mut self, entries: Vec<HardFaultEntry>) {
+        SimBackend::set_hard_faults(&mut self.net, entries);
     }
 
     fn cycle(&self) -> u64 {

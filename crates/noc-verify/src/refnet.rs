@@ -16,9 +16,8 @@ use noc_coding::crc::Crc32;
 use noc_sim::config::NocConfig;
 use noc_sim::error_control::{EjectOutcome, ErrorControl, HopOutcome, TransferKind};
 use noc_sim::flit::{splitmix64, Flit, Packet, PacketClass, PacketId};
-use noc_sim::network::{HardFaultEvent, HardFaultKind};
 use noc_sim::stats::{EventCounters, NetworkStats, RouterEpochStats};
-use noc_sim::topology::{Direction, LinkId, NodeId, Topo, MAX_PORTS};
+use noc_sim::topology::{Direction, HardFault, HardFaultEntry, LinkId, NodeId, Topo, MAX_PORTS};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Event-wheel horizon in cycles; all scheduled events must land within
@@ -107,7 +106,7 @@ struct InjectProgress {
 /// instead of being forwarded).
 #[derive(Debug)]
 struct RefFaultState {
-    events: Vec<HardFaultEvent>,
+    entries: Vec<HardFaultEntry>,
     next_event: usize,
     node_dead: Vec<bool>,
     /// `link_dead[node][port]`: the channel at `node` in that direction
@@ -119,9 +118,9 @@ struct RefFaultState {
 }
 
 impl RefFaultState {
-    fn new(events: Vec<HardFaultEvent>, n: usize) -> Self {
+    fn new(entries: Vec<HardFaultEntry>, n: usize) -> Self {
         Self {
-            events,
+            entries,
             next_event: 0,
             node_dead: vec![false; n],
             link_dead: vec![[false; MAX_PORTS]; n],
@@ -216,24 +215,25 @@ impl<E: ErrorControl> RefNetwork<E> {
     }
 
     /// Installs a permanent hard-fault schedule. Mirrors the optimized
-    /// engine exactly: events are sorted by cycle and each batch takes
+    /// engine exactly: entries are sorted by cycle and each batch takes
     /// effect at the start of its cycle's `step`, before event
     /// processing. An empty schedule leaves the zero-fault path.
     ///
     /// # Panics
     ///
-    /// Panics if an event names a node outside the mesh or a link that
+    /// Panics if an entry names a node outside the mesh or a link that
     /// does not exist.
-    pub fn set_hard_faults(&mut self, mut events: Vec<HardFaultEvent>) {
-        for ev in &events {
-            match ev.kind {
-                HardFaultKind::Router { node } => {
+    pub fn set_hard_faults(&mut self, mut entries: Vec<HardFaultEntry>) {
+        for e in &entries {
+            match e.fault {
+                HardFault::Router { node } => {
                     assert!(
-                        node.index() < self.mesh.num_nodes(),
+                        usize::from(node) < self.mesh.num_nodes(),
                         "fault node outside mesh"
                     );
                 }
-                HardFaultKind::Link { node, dir } => {
+                HardFault::Link { node, dir } => {
+                    let node = NodeId(node);
                     assert!(
                         node.index() < self.mesh.num_nodes(),
                         "fault node outside mesh"
@@ -247,12 +247,12 @@ impl<E: ErrorControl> RefNetwork<E> {
         }
         // A new schedule starts from the intact topology.
         self.routes = RefRoutes::minimal(self.mesh);
-        if events.is_empty() {
+        if entries.is_empty() {
             self.faults = None;
             return;
         }
-        events.sort_by_key(|e| e.cycle);
-        self.faults = Some(Box::new(RefFaultState::new(events, self.mesh.num_nodes())));
+        entries.sort_by_key(|e| e.cycle);
+        self.faults = Some(Box::new(RefFaultState::new(entries, self.mesh.num_nodes())));
     }
 
     /// The network topology.
@@ -376,7 +376,7 @@ impl<E: ErrorControl> RefNetwork<E> {
         let cycle = self.cycle;
         if let Some(fs) = &self.faults {
             if fs
-                .events
+                .entries
                 .get(fs.next_event)
                 .is_some_and(|e| e.cycle <= cycle)
             {
@@ -1131,14 +1131,15 @@ impl<E: ErrorControl> RefNetwork<E> {
             .expect("caller checked a schedule exists");
         let mut lost = 0u64;
 
-        // 1. Consume the due events.
+        // 1. Consume the due entries.
         let mut applied = 0u64;
-        while let Some(ev) = fs.events.get(fs.next_event) {
-            if ev.cycle > cycle {
+        while let Some(e) = fs.entries.get(fs.next_event) {
+            if e.cycle > cycle {
                 break;
             }
-            match ev.kind {
-                HardFaultKind::Router { node } => {
+            match e.fault {
+                HardFault::Router { node } => {
+                    let node = NodeId(node);
                     fs.node_dead[node.index()] = true;
                     for &dir in self.mesh.compass() {
                         if self.mesh.neighbor(node, dir).is_some() {
@@ -1146,7 +1147,7 @@ impl<E: ErrorControl> RefNetwork<E> {
                         }
                     }
                 }
-                HardFaultKind::Link { node, dir } => fs.kill_link(self.mesh, node, dir),
+                HardFault::Link { node, dir } => fs.kill_link(self.mesh, NodeId(node), dir),
             }
             fs.next_event += 1;
             applied += 1;

@@ -10,9 +10,9 @@
 use noc_fault::timing::TimingErrorModel;
 use noc_fault::variation::VariationMap;
 use noc_sim::config::NocConfig;
-use noc_sim::network::{HardFaultEvent, HardFaultKind, Network};
+use noc_sim::network::Network;
 use noc_sim::routing::{poison_route_cache_for_test, Routes};
-use noc_sim::topology::{NodeId, MAX_PORTS};
+use noc_sim::topology::{DeadSet, HardFault, HardFaultEntry};
 use rlnoc_core::protocol::FaultTolerantProtocol;
 
 /// Must run before the first `Network::step` of this process caches the
@@ -39,24 +39,15 @@ fn poisoned_process_wide_route_cache_is_caught() {
     let wrong = Routes::up_down(mesh, &alive, |u, d| {
         u.index() != 11 && mesh.neighbor(u, d).is_none_or(|v| v.index() != 11)
     });
-    let mut node_dead = vec![false; n];
-    let mut link_dead = vec![[false; MAX_PORTS]; n];
-    node_dead[7] = true;
-    for &dir in mesh.compass() {
-        if let Some(peer) = mesh.neighbor(NodeId(7), dir) {
-            link_dead[7][dir.index()] = true;
-            link_dead[peer.index()][dir.opposite().index()] = true;
-        }
-    }
-    poison_route_cache_for_test(mesh, &node_dead, &link_dead, &wrong);
+    let fault = HardFault::Router { node: 7 };
+    let mut dead = DeadSet::new(mesh);
+    dead.apply(fault);
+    poison_route_cache_for_test(&dead, &wrong);
 
     let variation = VariationMap::generate(5, 3, 0.0, 0.0, 1);
     let protocol = FaultTolerantProtocol::new(mesh, TimingErrorModel::default(), variation, 2);
     let mut net = Network::new(config, protocol, 3);
-    net.set_hard_faults(vec![HardFaultEvent {
-        cycle: 10,
-        kind: HardFaultKind::Router { node: NodeId(7) },
-    }]);
+    net.set_hard_faults(vec![HardFaultEntry { cycle: 10, fault }]);
     // Stepping past cycle 10 applies the fault batch, hits the poisoned
     // entry, and the armed recompute-and-compare must panic.
     for _ in 0..16 {
